@@ -1,127 +1,87 @@
 """Hot integer kernels: all-pairs BFS, Hungarian assignment, interval scans.
 
-Every kernel is written against plain numpy arrays so that the same source
-compiles under numba's ``@njit`` or runs as ordinary Python.  The lane is
-selected once at import time.  The environment variable ``CURVLAB_NUMBA``
-(default ``1``) requests the JIT lane, which is used only when numba is
-importable (``pip install curvlab[jit]``); set it to ``0`` / ``false`` /
-``off`` / ``no`` to force the pure-Python lane.  Without numba the
-pure-Python lane runs either way.  All arithmetic is integer, so both lanes
-produce bit-identical results; ``NUMBA_ENABLED`` says which lane is active.
+The kernels are numpy.  Breadth-first search advances the frontiers of all
+sources at once, one matrix product per level, and antipodality is decided
+by one broadcast per block of vertices; the Hungarian assignment is a plain
+Python loop.  All results are integers.  ``NUMBA_ENABLED`` is the constant
+``False``: there is no JIT lane, and the benchmark's run records read it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("CURVLAB_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "off", "no")
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
+NUMBA_ENABLED = False
 
 UNREACHABLE = -1
 _INF64 = np.int64(1) << 60
+# entries of the (block, m, m) temporary in is_antipodal_matrix; at 2**16
+# (256 KiB of int32) the repeated temporaries raised the peak RSS of a
+# strong-sphericity scan by 0.7 MiB
+_ANTIPODAL_BLOCK = 1 << 14
 
 
-@_njit(cache=True)
-def bfs_all_pairs(indptr, indices, n):
-    """All-pairs hop distances of a CSR graph; unreachable entries are -1."""
-    dist = np.full((n, n), -1, dtype=np.int32)
-    queue = np.empty(n, dtype=np.int32)
-    for s in range(n):
-        dist[s, s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[s, u]
-            for k in range(indptr[u], indptr[u + 1]):
-                w = indices[k]
-                if dist[s, w] < 0:
-                    dist[s, w] = du + 1
-                    queue[tail] = w
-                    tail += 1
+def _adjacency(indptr, indices, n):
+    """Dense float64 0/1 adjacency of a CSR graph."""
+    adj = np.zeros((n, n), dtype=np.float64)
+    adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+    return adj
+
+
+def _frontier_bfs(adj):
+    """Hop distances from every source of a dense adjacency; -1 where unreachable.
+
+    Path counts in ``frontier @ adj`` are at most m, so floats are exact.
+    A bool product is an order of magnitude slower; float32 is faster at
+    m = 160 but its BLAS kernels add half a MiB of peak RSS that the float64
+    ones, which the spectral and Bakry-Emery code load anyway, do not.
+    """
+    m = adj.shape[0]
+    dist = np.full((m, m), UNREACHABLE, dtype=np.int32)
+    frontier = np.eye(m, dtype=bool)
+    seen = frontier.copy()
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = (frontier.astype(np.float64) @ adj > 0) & ~seen
+        seen |= frontier
     return dist
 
 
-@_njit(cache=True)
+def bfs_all_pairs(indptr, indices, n):
+    """All-pairs hop distances of a CSR graph; unreachable entries are -1."""
+    return _frontier_bfs(_adjacency(indptr, indices, n))
+
+
 def induced_distances(indptr, indices, members, n):
     """All-pairs BFS inside the subgraph induced on ``members``.
 
     ``members`` is an int32 array of distinct vertex ids; distances are hop
     counts of the induced subgraph, -1 where unreachable within it.
     """
-    m = members.shape[0]
-    pos = np.full(n, -1, dtype=np.int32)
-    for i in range(m):
-        pos[members[i]] = i
-    dist = np.full((m, m), -1, dtype=np.int32)
-    queue = np.empty(m, dtype=np.int32)
-    for s in range(m):
-        dist[s, s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            iu = queue[head]
-            head += 1
-            u = members[iu]
-            du = dist[s, iu]
-            for k in range(indptr[u], indptr[u + 1]):
-                w = indices[k]
-                iw = pos[w]
-                if iw >= 0 and dist[s, iw] < 0:
-                    dist[s, iw] = du + 1
-                    queue[tail] = iw
-                    tail += 1
-    return dist
+    return _frontier_bfs(_adjacency(indptr, indices, n)[np.ix_(members, members)])
 
 
-@_njit(cache=True)
 def is_antipodal_matrix(dist):
-    """Antipodality of a connected metric: every z has z' with d(z,w)+d(w,z')=d(z,z') for all w."""
+    """Antipodality of a connected metric: every z has z' with d(z,w)+d(w,z')=d(z,z') for all w.
+
+    Such a z' lies at distance ecc(z) from z, and the equation at w = z
+    forces d(z,z') = ecc(z), so z has a partner exactly when some z' has
+    d(z,w) + d(w,z') = ecc(z) for every w.
+    """
     m = dist.shape[0]
-    for z in range(m):
-        found = False
-        for zb in range(m):
-            dz = dist[z, zb]
-            ok = True
-            for w in range(m):
-                if dist[z, w] + dist[w, zb] != dz:
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if not found:
+    ecc = dist.max(axis=1, initial=0)
+    block = max(1, _ANTIPODAL_BLOCK // max(1, m * m))
+    for lo in range(0, m, block):
+        hi = min(m, lo + block)
+        # sums[b, w, z'] = d(z_b, w) + d(w, z')
+        sums = dist[lo:hi, :, None] + dist[None, :, :]
+        if not (sums == ecc[lo:hi, None, None]).all(axis=1).any(axis=1).all():
             return False
     return True
 
 
-@_njit(cache=True)
 def hungarian(cost):
     """Exact minimum-cost perfect assignment of a square int64 matrix.
 
@@ -176,27 +136,7 @@ def hungarian(cost):
     return total, row_to_col
 
 
-@_njit(cache=True)
 def interval_members(dist_x, dist_y, dxy):
     """Vertices z with d(x,z) + d(z,y) = d(x,y), as an int32 array."""
-    n = dist_x.shape[0]
-    out = np.empty(n, dtype=np.int32)
-    m = 0
-    for z in range(n):
-        dxz = dist_x[z]
-        dzy = dist_y[z]
-        if dxz >= 0 and dzy >= 0 and dxz + dzy == dxy:
-            out[m] = z
-            m += 1
-    return out[:m]
-
-
-def warmup():
-    """Force JIT compilation of all kernels on tiny inputs."""
-    indptr = np.array([0, 1, 2], dtype=np.int32)
-    indices = np.array([1, 0], dtype=np.int32)
-    d = bfs_all_pairs(indptr, indices, 2)
-    induced_distances(indptr, indices, np.array([0, 1], dtype=np.int32), 2)
-    is_antipodal_matrix(d)
-    hungarian(np.zeros((2, 2), dtype=np.int64))
-    interval_members(d[0], d[1], 1)
+    on_geodesic = (dist_x >= 0) & (dist_y >= 0) & (dist_x + dist_y == dxy)
+    return np.flatnonzero(on_geodesic).astype(np.int32)

@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     PreconditionError,
     VerificationError,
+    VertexOutOfRange,
 )
 from .families import FamilySpec, from_spec
 from .fixtures import FIXTURE_NAMES, load_fixture
@@ -111,6 +112,13 @@ def _edge_kappa(payload: tuple[Graph, tuple[int, int]]) -> tuple[tuple[int, int]
     return (u, v), frac_str(val.value), val.method
 
 
+def _check_vertices(g: Graph, *vertices: int) -> None:
+    """Reject vertex ids outside [0, n); numpy would wrap negative ones."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise VertexOutOfRange(f"vertex {v} outside [0,{g.n})")
+
+
 def cmd_curvature(args: argparse.Namespace) -> int:
     g = _load_input(args.input)
     d = distances(g)
@@ -133,6 +141,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     if args.x is None or args.y is None:
         raise InputError("curvature needs x and y (or --all-edges)")
     x, y = args.x, args.y
+    _check_vertices(g, x, y)
     if args.p is not None:
         p = Fraction(args.p)
         val = kappa_p(g, d, x, y, p)
@@ -187,6 +196,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
     if not d.is_connected:
         raise PreconditionError("input graph is disconnected")
     if args.vertex is not None:
+        _check_vertices(g, args.vertex)
         print(json.dumps(_vertex_be((g, args.vertex)), sort_keys=True, indent=2))
         return 0
     vertices = list(range(g.n))
@@ -264,6 +274,7 @@ def cmd_transport_geodesic(args: argparse.Namespace) -> int:
         path = tuple(int(v) for v in args.path.split(","))
     except ValueError as exc:
         raise InputError(f"bad path {args.path!r}") from exc
+    _check_vertices(g, *path, args.z)
     tg = transport_geodesic(g, d, path, args.z)
     doc = {
         "base": list(tg.base),

@@ -114,3 +114,7 @@ class MuGraphNotCP(PreconditionError):
 
 class NoAntipole(PreconditionError):
     pass
+
+
+class UnbalancedTransport(VerificationError):
+    """Supply and demand of a transportation problem have different totals."""

@@ -239,39 +239,27 @@ def is_antipodal(g: Graph, d: DistanceOracle, subset: frozenset[int] | set[int])
 class SphericalVerdict:
     holds: bool
     failure: Optional[tuple[int, int]]  # first interval whose subgraph fails
-    mode: str
 
 
-def is_strongly_spherical(
-    g: Graph, d: DistanceOracle, mode: str = "induced"
-) -> SphericalVerdict:
+def is_strongly_spherical(g: Graph, d: DistanceOracle) -> SphericalVerdict:
     """The graph and all its intervals are antipodal.
 
-    ``mode="induced"`` (the contract) measures each interval with the metric
-    of its induced subgraph; ``mode="ambient"`` is an exploratory variant
-    using restricted ambient distances.
+    Each interval is measured with the metric of its induced subgraph.
     """
     if not d.is_connected:
         raise Disconnected("strong sphericity needs a connected graph")
-    if mode not in ("induced", "ambient"):
-        raise ValueError(f"unknown mode {mode!r}")
     indptr, indices = g.csr()
     if not _kernels.is_antipodal_matrix(d.dist):
-        return SphericalVerdict(False, None, mode)
+        return SphericalVerdict(False, None)
     for x in range(g.n):
         for y in range(x + 1, g.n):
             members = _kernels.interval_members(d.dist[x], d.dist[y], d.d(x, y))
             if members.shape[0] == g.n:
                 continue  # the full graph was already checked
-            if mode == "induced":
-                dm = _kernels.induced_distances(indptr, indices, members, g.n)
-                if (dm < 0).any():
-                    return SphericalVerdict(False, (x, y), mode)
-            else:
-                dm = d.dist[np.ix_(members, members)]
-            if not _kernels.is_antipodal_matrix(dm):
-                return SphericalVerdict(False, (x, y), mode)
-    return SphericalVerdict(True, None, mode)
+            dm = _kernels.induced_distances(indptr, indices, members, g.n)
+            if (dm < 0).any() or not _kernels.is_antipodal_matrix(dm):
+                return SphericalVerdict(False, (x, y))
+    return SphericalVerdict(True, None)
 
 
 @dataclass(frozen=True)

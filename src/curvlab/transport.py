@@ -10,6 +10,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .errors import (
     NotRegular,
     PreconditionUnmet,
     SamePair,
+    UnbalancedTransport,
     WrongDistance,
 )
 from .graphs import DistanceOracle, Graph, common_neighbors, interval
@@ -179,9 +181,7 @@ def _wasserstein_assignment(
 def _wasserstein_flow(
     d: DistanceOracle, m1: Measure, m2: Measure
 ) -> tuple[Fraction, TransportPlan]:
-    denom = 1
-    for _, m in m1.mass + m2.mass:
-        denom = denom * m.denominator // _gcd(denom, m.denominator)
+    denom = math.lcm(*(m.denominator for _, m in m1.mass + m2.mass))
     supply = [int(m * denom) for _, m in m1.mass]
     demand = [int(m * denom) for _, m in m2.mass]
     s1, s2 = m1.support, m2.support
@@ -193,12 +193,6 @@ def _wasserstein_flow(
         if f > 0
     )
     return Fraction(total, denom), TransportPlan(entries=entries, source=m1, target=m2)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _transportation(
@@ -213,7 +207,8 @@ def _transportation(
     negation; both stay >= 0 by the standard potential update.
     """
     ns, nt = len(supply), len(demand)
-    assert sum(supply) == sum(demand)
+    if sum(supply) != sum(demand):
+        raise UnbalancedTransport(f"supply {sum(supply)} != demand {sum(demand)}")
     flow: dict[tuple[int, int], int] = {}
     phi_s = [0] * ns
     phi_t = [0] * nt

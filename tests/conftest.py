@@ -5,7 +5,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from curvlab import _kernels
 from curvlab.families import (
     cocktail_party,
     demi_cube,
@@ -15,11 +14,6 @@ from curvlab.families import (
     kneser,
 )
 from curvlab.graphs import cartesian_product, distances
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

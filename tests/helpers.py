@@ -1,8 +1,8 @@
 """Independent oracles and generators used across the test suite.
 
 These deliberately avoid the code paths they check: Wasserstein by
-exhaustive bijection enumeration, intervals by definition scan, random
-regular graphs by stub pairing.
+exhaustive bijection enumeration, intervals and antipodality by definition
+scan, random regular graphs by stub pairing.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ def interval_bruteforce(d: DistanceOracle, x: int, y: int) -> frozenset[int]:
     return frozenset(
         z for z in range(n) if d.d(x, z) >= 0 and d.d(x, z) + d.d(z, y) == dxy
     )
+
+
+def antipodal_bruteforce(dist) -> bool:
+    """Every z has z' with d(z,w) + d(w,z') = d(z,z') for all w, by triple loop."""
+    m = len(dist)
+    for z in range(m):
+        if not any(
+            all(dist[z][w] + dist[w][zb] == dist[z][zb] for w in range(m))
+            for zb in range(m)
+        ):
+            return False
+    return True
 
 
 def assignment_bruteforce(cost) -> int:

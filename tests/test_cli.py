@@ -1,6 +1,10 @@
 """CLI: subcommand behaviour, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,40 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_pulls_in_no_scipy_or_numba():
+    # every CLI command is a fresh process, and importing scipy.optimize
+    # takes longer than all the rest of start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, curvlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "johnson:6:3", "0", "99"],
+        ["curvature", "johnson:6:3", "0", "--", "-1"],
+        ["bakry-emery", "johnson:6:3", "--vertex", "20"],
+        ["bakry-emery", "johnson:6:3", "--vertex", "-1"],
+        ["transport-geodesic", "johnson:6:3", "--path", "0,1", "--z", "99"],
+        ["transport-geodesic", "johnson:6:3", "--path=-1,0", "--z", "0"],
+    ],
+    ids=["curvature-99", "curvature-neg", "be-20", "be-neg", "geodesic-z", "geodesic-path"],
+)
+def test_vertex_out_of_range_exit2(capsys, argv):
+    # a negative id would otherwise index from the end of a numpy array
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "outside [0,20)" in err
 
 
 class TestGen:

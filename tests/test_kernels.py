@@ -1,22 +1,19 @@
-"""Kernel correctness: Hungarian vs brute force, BFS vs hand BFS, and
-frozen kernel values under both settings of ``CURVLAB_NUMBA``.  The
-comparison is across two lanes (numba JIT and pure Python) wherever numba
-is installed; without numba both settings run the pure-Python lane."""
+"""Kernel correctness against independent references: Hungarian vs brute
+force, BFS and induced BFS vs hand BFS, antipodality vs the definition's
+triple loop, and frozen kernel values."""
 
-import importlib.util
-import os
-import subprocess
-import sys
 from collections import deque
+from unittest.mock import patch
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab import _kernels
-from curvlab.graphs import build_graph
+from curvlab.families import cocktail_party, hypercube, johnson
+from curvlab.graphs import build_graph, distances, induced_subgraph
+from curvlab.transport import kappa
 
-from helpers import assignment_bruteforce
+from helpers import antipodal_bruteforce, assignment_bruteforce
 
 
 @given(
@@ -83,41 +80,69 @@ def test_antipodal_matrix():
     assert not _kernels.is_antipodal_matrix(d)
 
 
-_LANE_SCRIPT = """
-import numpy as np
-from curvlab import _kernels
-from curvlab.families import johnson
-from curvlab.graphs import distances
-from curvlab.transport import kappa
-print("numba", _kernels.NUMBA_ENABLED)
-g = johnson(5, 2)
-d = distances(g)
-print("dist", int(d.dist.sum()), d.diameter)
-vals = sorted(str(kappa(g, d, u, v).value) for u, v in g.edges())
-print("kappa", vals[0], vals[-1], len(vals))
-cost = (np.arange(49, dtype=np.int64).reshape(7, 7) * 13) % 17
-print("hungarian", int(_kernels.hungarian(cost)[0]))
-print("antipodal", _kernels.is_antipodal_matrix(d.dist))
-"""
+@st.composite
+def graphs(draw, connected=False):
+    """Random simple graphs on 1-12 vertices; ``connected`` adds a random spanning tree."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    if connected:
+        for v in range(1, n):
+            edges.add((draw(st.integers(min_value=0, max_value=v - 1)), v))
+    return build_graph(n, sorted(edges))
 
 
-@pytest.mark.parametrize("flag", ["1", "0"])
-def test_lanes_agree(flag):
-    env = dict(os.environ, CURVLAB_NUMBA=flag)
-    out = subprocess.run(
-        [sys.executable, "-c", _LANE_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    ).stdout.splitlines()
-    # CURVLAB_NUMBA=1 requests the JIT lane; it engages only if numba imports
-    jit = flag == "1" and importlib.util.find_spec("numba") is not None
-    assert out[0] == f"numba {jit}"
-    # frozen values: dist sum hand-counted (60 ordered pairs at distance 1,
-    # 30 at distance 2), hungarian total checked against permutation brute
-    # force, kappa from the J(n,2) edge-curvature formula at n=5
-    assert out[1:] == [
+@st.composite
+def graphs_with_subsets(draw):
+    g = draw(graphs())
+    members = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1), min_size=1))
+    return g, sorted(members)
+
+
+# a path, an edge and an isolated vertex; the subset splits the path
+@example((build_graph(7, [(0, 1), (1, 2), (3, 4)]), [0, 2, 3, 4, 6]))
+@given(graphs_with_subsets())
+@settings(max_examples=150, deadline=None)
+def test_induced_distances_match_reference(case):
+    g, members = case
+    indptr, indices = g.csr()
+    dm = _kernels.induced_distances(indptr, indices, np.array(members, dtype=np.int32), g.n)
+    sub, verts = induced_subgraph(g, members)
+    assert list(verts) == members
+    for s in range(sub.n):
+        assert list(dm[s]) == _bfs_reference(sub.adjacency, sub.n, s)
+
+
+@example(hypercube(3))
+@example(cocktail_party(3))
+@example(build_graph(6, [(i, (i + 1) % 6) for i in range(6)]))  # C6
+@example(build_graph(2, [(0, 1)]))
+@example(build_graph(3, [(0, 2), (1, 2)]))  # only the last vertex lacks a partner
+@given(graphs(connected=True))
+@settings(max_examples=150, deadline=None)
+def test_antipodal_matrix_matches_reference(g):
+    dist = distances(g).dist
+    expected = antipodal_bruteforce(dist.tolist())
+    assert _kernels.is_antipodal_matrix(dist) == expected
+    # one vertex per block, as the scan of a large graph runs
+    with patch.object(_kernels, "_ANTIPODAL_BLOCK", 1):
+        assert _kernels.is_antipodal_matrix(dist) == expected
+
+
+def test_frozen_kernel_values():
+    # dist sum hand-counted (60 ordered pairs at distance 1, 30 at distance
+    # 2), hungarian total checked against permutation brute force, kappa
+    # from the J(n,2) edge-curvature formula at n=5
+    g = johnson(5, 2)
+    d = distances(g)
+    vals = sorted(str(kappa(g, d, u, v).value) for u, v in g.edges())
+    cost = (np.arange(49, dtype=np.int64).reshape(7, 7) * 13) % 17
+    assert [
+        f"dist {int(d.dist.sum())} {d.diameter}",
+        f"kappa {vals[0]} {vals[-1]} {len(vals)}",
+        f"hungarian {int(_kernels.hungarian(cost)[0])}",
+        f"antipodal {_kernels.is_antipodal_matrix(d.dist)}",
+    ] == [
         "dist 120 2",
         "kappa 5/6 5/6 30",
         "hungarian 25",

@@ -204,8 +204,8 @@ class TestAntipodal:
 
 
 class TestStronglySpherical:
-    def test_families_positive(self, q4, cp4, j63):
-        for g, d in (q4, cp4, j63):
+    def test_families_positive(self, q3, q4, cp3, cp4, j63):
+        for g, d in (q3, q4, cp3, cp4, j63):
             assert is_strongly_spherical(g, d).holds
 
     def test_negative(self, petersen):
@@ -213,13 +213,6 @@ class TestStronglySpherical:
         assert not is_strongly_spherical(g, d).holds
         sh = shrikhande()
         assert not is_strongly_spherical(sh, distances(sh)).holds
-
-    def test_modes_agree_on_list_fixtures(self, q3, cp3, j63):
-        for g, d in (q3, cp3, j63):
-            assert (
-                is_strongly_spherical(g, d, mode="induced").holds
-                == is_strongly_spherical(g, d, mode="ambient").holds
-            )
 
     def test_unequal_ratio_product_still_spherical(self):
         # sphericity needs only list-member factors, unlike sharpness,

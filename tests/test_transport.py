@@ -17,6 +17,8 @@ from curvlab.errors import (
     NotPerfectMatching,
     NotRegular,
     SamePair,
+    UnbalancedTransport,
+    VerificationError,
 )
 from curvlab.families import (
     cocktail_party,
@@ -230,6 +232,14 @@ class TestWasserstein:
             )
             total, _ = _kernels.hungarian(cost)
             assert w_flow == Fraction(int(total), scale)
+
+    def test_unbalanced_transportation_raises(self):
+        # a typed failure survives ``python -O`` and maps to CLI exit 4
+        from curvlab.transport import _transportation
+
+        with pytest.raises(UnbalancedTransport) as info:
+            _transportation([[0, 1]], [2], [1, 2])
+        assert isinstance(info.value, VerificationError)
 
     def test_plan_marginals_validated(self, q3):
         g, d = q3
