@@ -51,6 +51,22 @@ def antipodal_bruteforce(dist) -> bool:
     return True
 
 
+def ambient_spherical_bruteforce(d: DistanceOracle) -> bool:
+    """Strong sphericity with each interval measured by the restricted
+    ambient metric instead of its induced one, all by definition scan."""
+    dist = d.dist.tolist()
+    if not antipodal_bruteforce(dist):
+        return False
+    n = len(dist)
+    for x in range(n):
+        for y in range(x + 1, n):
+            members = sorted(interval_bruteforce(d, x, y))
+            sub = [[dist[a][b] for b in members] for a in members]
+            if not antipodal_bruteforce(sub):
+                return False
+    return True
+
+
 def assignment_bruteforce(cost) -> int:
     n = len(cost)
     return min(

@@ -1,17 +1,20 @@
 """Kernel correctness against independent references: Hungarian vs brute
 force, BFS and induced BFS vs hand BFS, antipodality vs the definition's
-triple loop, and frozen kernel values."""
+triple loop, and frozen kernel values in a fresh process."""
 
+import os
+import subprocess
+import sys
 from collections import deque
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvlab import _kernels
-from curvlab.families import cocktail_party, hypercube, johnson
+from curvlab.families import cocktail_party, hypercube
 from curvlab.graphs import build_graph, distances, induced_subgraph
-from curvlab.transport import kappa
 
 from helpers import antipodal_bruteforce, assignment_bruteforce
 
@@ -129,20 +132,42 @@ def test_antipodal_matrix_matches_reference(g):
         assert _kernels.is_antipodal_matrix(dist) == expected
 
 
-def test_frozen_kernel_values():
+_LANE_SCRIPT = """
+import numpy as np
+from curvlab import _kernels
+from curvlab.families import johnson
+from curvlab.graphs import distances
+from curvlab.transport import kappa
+print("numba", _kernels.NUMBA_ENABLED)
+g = johnson(5, 2)
+d = distances(g)
+print("dist", int(d.dist.sum()), d.diameter)
+vals = sorted(str(kappa(g, d, u, v).value) for u, v in g.edges())
+print("kappa", vals[0], vals[-1], len(vals))
+cost = (np.arange(49, dtype=np.int64).reshape(7, 7) * 13) % 17
+print("hungarian", int(_kernels.hungarian(cost)[0]))
+print("antipodal", _kernels.is_antipodal_matrix(d.dist))
+"""
+
+
+@pytest.mark.parametrize("flag", ["1", "0"])
+def test_lanes_agree(flag):
+    # CURVLAB_NUMBA once chose between a JIT lane and a pure-Python lane;
+    # there is one numpy lane now and a fresh process under either setting
+    # must run it and give the same frozen values
+    env = dict(os.environ, CURVLAB_NUMBA=flag)
+    out = subprocess.run(
+        [sys.executable, "-c", _LANE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout.splitlines()
     # dist sum hand-counted (60 ordered pairs at distance 1, 30 at distance
     # 2), hungarian total checked against permutation brute force, kappa
     # from the J(n,2) edge-curvature formula at n=5
-    g = johnson(5, 2)
-    d = distances(g)
-    vals = sorted(str(kappa(g, d, u, v).value) for u, v in g.edges())
-    cost = (np.arange(49, dtype=np.int64).reshape(7, 7) * 13) % 17
-    assert [
-        f"dist {int(d.dist.sum())} {d.diameter}",
-        f"kappa {vals[0]} {vals[-1]} {len(vals)}",
-        f"hungarian {int(_kernels.hungarian(cost)[0])}",
-        f"antipodal {_kernels.is_antipodal_matrix(d.dist)}",
-    ] == [
+    assert out == [
+        "numba False",
         "dist 120 2",
         "kappa 5/6 5/6 30",
         "hungarian 25",

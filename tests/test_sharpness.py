@@ -39,6 +39,8 @@ from curvlab.sharpness import (
     unique_antipole_check,
 )
 
+from helpers import ambient_spherical_bruteforce
+
 
 class TestBMSharpness:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -213,6 +215,12 @@ class TestStronglySpherical:
         assert not is_strongly_spherical(g, d).holds
         sh = shrikhande()
         assert not is_strongly_spherical(sh, distances(sh)).holds
+
+    def test_modes_agree_on_list_fixtures(self, q3, cp3, j63):
+        # the induced metric of an interval agrees with the restricted
+        # ambient one on these list members
+        for g, d in (q3, cp3, j63):
+            assert is_strongly_spherical(g, d).holds == ambient_spherical_bruteforce(d)
 
     def test_unequal_ratio_product_still_spherical(self):
         # sphericity needs only list-member factors, unlike sharpness,
