@@ -1,0 +1,48 @@
+"""One analysis context per graph.
+
+The predicates of the paper share a few exact per-graph quantities: the
+edge-curvature table, the Bonnet-Myers verdict built on it, the antipole
+lists, the mu-graph scan and the spectrum.  :class:`GraphAnalysis` holds a
+graph with its distance oracle and computes each of those at most once, on
+first use; the predicates that need them take the context instead of
+``(g, d)``.  A context lives as long as its caller keeps it, so nothing is
+shared between graphs or commands.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from .graphs import DistanceOracle, Graph, poles_and_antipoles
+from .sharpness import MuGraphVerdict, SharpnessVerdict, bm_sharpness, mu_graphs_all_cp
+from .spectral import SpectralSummary, spectral_summary
+from .transport import CurvatureValue, kappa
+
+
+class GraphAnalysis:
+    """A graph, its distance oracle and the shared quantities derived from them."""
+
+    def __init__(self, g: Graph, d: DistanceOracle) -> None:
+        self.g = g
+        self.d = d
+
+    @cached_property
+    def edge_kappas(self) -> dict[tuple[int, int], CurvatureValue]:
+        """``kappa`` of every edge, keyed ``(u, v)`` with ``u < v`` in ``g.edges()`` order."""
+        return {(u, v): kappa(self.g, self.d, u, v) for u, v in self.g.edges()}
+
+    @cached_property
+    def bm(self) -> SharpnessVerdict:
+        return bm_sharpness(self)
+
+    @cached_property
+    def poles_and_antipoles(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        return poles_and_antipoles(self.g, self.d)
+
+    @cached_property
+    def mu_graphs(self) -> MuGraphVerdict:
+        return mu_graphs_all_cp(self.g, self.d)
+
+    @cached_property
+    def spectrum(self) -> SpectralSummary:
+        return spectral_summary(self.g, self.d)

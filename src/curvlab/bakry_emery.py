@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import Disconnected, NotRegular
+from .errors import BadParam, Disconnected, FormCheckFailed, IsolatedVertex, NotRegular
 from .graphs import (
     DistanceOracle,
     Graph,
@@ -125,7 +125,7 @@ def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
     if mask.any():
         outside = np.abs(g2x[mask]).max()
         if outside > 1e-9:
-            raise AssertionError("Gamma2 form leaks outside the 2-ball")
+            raise FormCheckFailed("Gamma2 form leaks outside the 2-ball")
     return (
         QuadraticForm(basis=basis1, matrix=gx[np.ix_(idx1, idx1)]),
         QuadraticForm(basis=basis2, matrix=g2x[np.ix_(idx2, idx2)]),
@@ -158,12 +158,12 @@ def _curvature_schur(g: Graph, x: int) -> float:
     if ms > 0:
         evals, evecs = np.linalg.eigh(b22)
         if evals.min() < -1e-8:
-            raise AssertionError("Gamma2 block over the 2-sphere is not PSD")
+            raise FormCheckFailed("Gamma2 block over the 2-sphere is not PSD")
         inv = np.where(evals > 1e-11, 1.0 / np.maximum(evals, 1e-300), 0.0)
         pinv = (evecs * inv) @ evecs.T
         residual = b22 @ pinv @ b12.T - b12.T
         if np.abs(residual).max() > 1e-7:
-            raise AssertionError("Gamma2 cross block escapes the range of its kernel block")
+            raise FormCheckFailed("Gamma2 cross block escapes the range of its kernel block")
         q = b11 - b12 @ pinv @ b12.T
     else:
         q = b11
@@ -185,7 +185,7 @@ def _curvature_bisect(g: Graph, x: int, lo: float, hi: float, iters: int = 60) -
         return float(np.linalg.eigvalsh(b - k * a).min()) >= -PSD_TOL
 
     if not psd(lo):
-        raise AssertionError("bisection lower bound is not PSD")
+        raise FormCheckFailed("bisection lower bound is not PSD")
     while psd(hi):
         lo, hi = hi, hi + (hi - lo + 1.0)
     for _ in range(iters):
@@ -212,11 +212,13 @@ def be_curvature(
         d = distances(g)
     if not d.is_connected:
         raise Disconnected("Bakry-Emery curvature needs a connected graph")
+    if g.degree(x) == 0:
+        raise IsolatedVertex(f"Bakry-Emery curvature is not defined at isolated vertex {x}")
     k = _curvature_schur(g, x)
     if verify:
         k_bis = _curvature_bisect(g, x, lo=k - 1.0, hi=k + 1.0)
         if abs(k - k_bis) > SHARP_TOL:
-            raise AssertionError(
+            raise FormCheckFailed(
                 f"Schur value {k} and bisection value {k_bis} disagree at {x}"
             )
     deg = g.is_regular()
@@ -250,7 +252,7 @@ def be_upper_bound(g: Graph, d: DistanceOracle, x: int) -> Fraction:
     av_plus = sphere_averages(g, d, x, 1)[2]
     via_average = (3 + deg - av_plus) / (2 * deg)
     if via_triangles != via_average:
-        raise AssertionError("upper bound expressions disagree")
+        raise FormCheckFailed("upper bound expressions disagree")
     return via_triangles
 
 
@@ -310,18 +312,25 @@ class ConjectureReport:
     weak_holds: bool
 
 
-def conjecture_scan(g: Graph, d: DistanceOracle | None = None) -> ConjectureReport:
+def conjecture_scan(
+    g: Graph, d: DistanceOracle, curvatures: Sequence[float]
+) -> ConjectureReport:
     """Compare inf_x K(x) against 1/D + 1/L and the weaker certified bound
-    1/D + 1/L + max_x #triangles(x)/(2 D^2)."""
+    1/D + 1/L + max_x #triangles(x)/(2 D^2).
+
+    ``curvatures[x]`` is the curvature K(x) of vertex x, as
+    :func:`be_curvature` computes it.
+    """
     deg = g.is_regular()
     if deg is None:
         raise NotRegular("the conjecture scanner needs a regular graph")
-    if d is None:
-        d = distances(g)
+    if deg == 0:
+        raise IsolatedVertex("the conjecture scanner needs at least one edge")
     if not d.is_connected:
         raise Disconnected("the conjecture scanner needs a connected graph")
-    values = [(_curvature_schur(g, x), x) for x in range(g.n)]
-    inf_val, argmin = min(values)
+    if len(curvatures) != g.n:
+        raise BadParam(f"{len(curvatures)} curvatures for {g.n} vertices")
+    inf_val, argmin = min((k, x) for x, k in enumerate(curvatures))
     bound = Fraction(1, deg) + Fraction(1, d.diameter)
     max_tri = max(triangle_count_vertex(g, x) for x in range(g.n))
     weak = bound + Fraction(max_tri, 2 * deg * deg)

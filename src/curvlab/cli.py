@@ -15,14 +15,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 from pathlib import Path
 
-from .bakry_emery import be_curvature, conjecture_scan
+from .analysis import GraphAnalysis
+from .bakry_emery import BEReport, be_curvature, conjecture_scan
 from .errors import (
     CurvlabError,
     FormatError,
     InputError,
+    NoEdges,
     PreconditionError,
     VerificationError,
     VertexOutOfRange,
@@ -30,8 +31,9 @@ from .errors import (
 from .families import FamilySpec, from_spec
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .graph6 import encode_graph6, graph_to_json, load_graph
-from .graphs import Graph, distances
-from .report import analyze, float_str, frac_str, report_json
+from .graphs import DistanceOracle, Graph, distances
+from .parallel import map_shared
+from .report import analyze, be_row, float_str, frac_str, report_json
 from .sharpness import bm_sharpness, classify
 from .spectral import spectral_summary
 from .tables import compute_table, render_table
@@ -105,11 +107,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _edge_kappa(payload: tuple[Graph, tuple[int, int]]) -> tuple[tuple[int, int], str, str]:
-    g, (u, v) = payload
-    d = distances(g)
-    val = kappa(g, d, u, v)
-    return (u, v), frac_str(val.value), val.method
+def _edge_kappa(
+    g: Graph, d: DistanceOracle, edge: tuple[int, int]
+) -> tuple[tuple[int, int], Fraction, str]:
+    val = kappa(g, d, *edge)
+    return edge, val.value, val.method
 
 
 def _check_vertices(g: Graph, *vertices: int) -> None:
@@ -128,15 +130,12 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         raise PreconditionError("curvature needs a regular graph")
     if args.all_edges:
         edges = g.edges()
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                rows = pool.map(_edge_kappa, [(g, e) for e in edges])
-        else:
-            rows = [_edge_kappa((g, e)) for e in edges]
-        rows.sort()
+        if not edges:
+            raise NoEdges("the graph has no edges")
+        rows = map_shared(_edge_kappa, (g, d), edges, args.jobs)
         for (u, v), val, method in rows:
-            print(f"{u} {v} {val} ({method})")
-        print(f"inf = {frac_str(min(Fraction(r[1]) for r in rows))}")
+            print(f"{u} {v} {frac_str(val)} ({method})")
+        print(f"inf = {frac_str(min(val for _, val, _ in rows))}")
         return 0
     if args.x is None or args.y is None:
         raise InputError("curvature needs x and y (or --all-edges)")
@@ -177,17 +176,8 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     return 0
 
 
-def _vertex_be(payload: tuple[Graph, int]) -> dict:
-    g, x = payload
-    row = be_curvature(g, x)
-    return {
-        "vertex": x,
-        "curvature": float_str(row.curvature),
-        "upper_bound": frac_str(row.upper_bound) if row.upper_bound is not None else None,
-        "sharp": row.is_sharp,
-        "s1_out_regular": row.s1_out_regular,
-        "s1pp_lambda1": float_str(row.s1pp_lambda1) if row.s1pp_lambda1 is not None else None,
-    }
+def _vertex_be(g: Graph, d: DistanceOracle, x: int) -> BEReport:
+    return be_curvature(g, x, d)
 
 
 def cmd_bakry_emery(args: argparse.Namespace) -> int:
@@ -197,18 +187,12 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
         raise PreconditionError("input graph is disconnected")
     if args.vertex is not None:
         _check_vertices(g, args.vertex)
-        print(json.dumps(_vertex_be((g, args.vertex)), sort_keys=True, indent=2))
+        print(json.dumps(be_row(_vertex_be(g, d, args.vertex)), sort_keys=True, indent=2))
         return 0
-    vertices = list(range(g.n))
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            rows = pool.map(_vertex_be, [(g, x) for x in vertices])
-    else:
-        rows = [_vertex_be((g, x)) for x in vertices]
-    rows.sort(key=lambda r: r["vertex"])
-    doc: dict = {"rows": rows}
+    reports = map_shared(_vertex_be, (g, d), range(g.n), args.jobs)
+    doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
-        scan = conjecture_scan(g, d)
+        scan = conjecture_scan(g, d, [r.curvature for r in reports])
         doc["conjecture"] = {
             "inf_curvature": float_str(scan.inf_curvature),
             "bound": frac_str(scan.bound),
@@ -224,7 +208,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
 def cmd_sharpness(args: argparse.Namespace) -> int:
     g = _load_input(args.input)
     d = distances(g)
-    verdict = bm_sharpness(g, d)
+    verdict = bm_sharpness(GraphAnalysis(g, d))
     doc = {
         "inf_kappa": frac_str(verdict.inf_edge_kappa),
         "two_over_L": frac_str(verdict.two_over_l),
@@ -240,7 +224,7 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_input(args.input)
     d = distances(g)
-    match = classify(g, d)
+    match = classify(GraphAnalysis(g, d))
     doc = {
         "matched": match.matched.to_json() if match.matched else None,
         "description": match.matched.describe() if match.matched else None,
@@ -285,6 +269,17 @@ def cmd_transport_geodesic(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` value: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="curvlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None, help="idleness as a fraction a/b")
     p.add_argument("--all-edges", action="store_true")
     p.add_argument("--plan", action="store_true", help="dump the optimal coupling")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("spectral", help="normalized Laplacian spectrum summary")
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--vertex", type=int, default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_bakry_emery)
 
     p = sub.add_parser("sharpness", help="Bonnet-Myers sharpness verdict")
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce an analysis table and verify cells")
     p.add_argument("id", type=int, choices=(1, 2, 3))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("transport-geodesic", help="push a vertex along a geodesic")

@@ -78,6 +78,10 @@ class IsolatedVertex(PreconditionError):
     pass
 
 
+class NoEdges(PreconditionError):
+    """An edge quantity (such as the curvature infimum) of an edgeless graph."""
+
+
 class NotAPole(PreconditionError):
     pass
 
@@ -118,3 +122,13 @@ class NoAntipole(PreconditionError):
 
 class UnbalancedTransport(VerificationError):
     """Supply and demand of a transportation problem have different totals."""
+
+
+# -- internal identities --------------------------------------------------------
+
+class IdentityViolated(VerificationError):
+    """A graph identity that holds by construction failed on computed data."""
+
+
+class FormCheckFailed(VerificationError):
+    """A Bakry-Emery form or curvature value failed its own consistency check."""

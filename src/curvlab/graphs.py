@@ -20,6 +20,7 @@ from .errors import (
     Disconnected,
     DuplicateEdge,
     EmptySphere,
+    IdentityViolated,
     NotAnEdge,
     SelfLoop,
     VertexOutOfRange,
@@ -208,7 +209,7 @@ def triangle_count_edge(g: Graph, x: int, y: int) -> int:
 def triangle_count_vertex(g: Graph, x: int) -> int:
     total = sum(triangle_count_edge(g, x, y) for y in g.adjacency[x])
     if total % 2 != 0:
-        raise AssertionError("edge/vertex triangle double counting violated")
+        raise IdentityViolated("edge/vertex triangle double counting violated")
     return total // 2
 
 
@@ -366,7 +367,7 @@ def cartesian_product(g1: Graph, g2: Graph, verify: bool = True) -> Graph:
         d1, d2, dp = distances(g1), distances(g2), distances(prod)
         if d1.is_connected and d2.is_connected:
             if dp.diameter != d1.diameter + d2.diameter:
-                raise AssertionError("product diameter is not additive")
+                raise IdentityViolated("product diameter is not additive")
     return prod
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .graphs import Graph, distances
+from .graphs import DistanceOracle, Graph, distances
 
 
-def _invariant(g: Graph) -> tuple:
-    d = distances(g)
+def _invariant(g: Graph, d: DistanceOracle) -> tuple:
     dist_profile = tuple(sorted(tuple(sorted(Counter(int(v) for v in row).items())) for row in d.dist))
     tri = sum(
         len(g.neighbor_set(u) & g.neighbor_set(v)) for u, v in g.edges()
@@ -24,8 +23,7 @@ def _invariant(g: Graph) -> tuple:
     return (g.n, tuple(sorted(g.degrees)), g.edge_count, tri, dist_profile)
 
 
-def _refined_colors(g: Graph) -> list[int]:
-    d = distances(g)
+def _refined_colors(g: Graph, d: DistanceOracle) -> list[int]:
     colors = [hash((g.degree(v), tuple(sorted(Counter(int(x) for x in d.dist[v]).items())))) for v in range(g.n)]
     for _ in range(g.n):
         table: dict[tuple, int] = {}
@@ -44,15 +42,22 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
 
     The returned tuple maps vertex v of g1 to ``result[v]`` in g2.
     """
+    return find_isomorphism_with(g1, distances(g1), g2, distances(g2))
+
+
+def find_isomorphism_with(
+    g1: Graph, d1: DistanceOracle, g2: Graph, d2: DistanceOracle
+) -> Optional[tuple[int, ...]]:
+    """:func:`find_isomorphism` for graphs whose distance oracles the caller holds."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
-    if _invariant(g1) != _invariant(g2):
+    if _invariant(g1, d1) != _invariant(g2, d2):
         return None
     n = g1.n
     if n == 0:
         return ()
-    c1 = _refined_colors(g1)
-    c2 = _refined_colors(g2)
+    c1 = _refined_colors(g1, d1)
+    c2 = _refined_colors(g2, d2)
     # Color ids are hash-derived per graph; renumber jointly so classes compare.
     joint: dict[int, int] = {}
     c1 = [joint.setdefault(c, len(joint)) for c in c1]
@@ -62,8 +67,8 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
 
     adj1 = [g1.neighbor_set(v) for v in range(n)]
     adj2 = [g2.neighbor_set(v) for v in range(n)]
-    dist1 = distances(g1).dist
-    dist2 = distances(g2).dist
+    dist1 = d1.dist
+    dist2 = d2.dist
     mapping = [-1] * n
     inverse = [-1] * n
     mapped: list[int] = []

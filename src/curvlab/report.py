@@ -8,20 +8,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
-from .bakry_emery import be_curvature
+from .analysis import GraphAnalysis
+from .bakry_emery import BEReport, be_curvature
 from .errors import PreconditionUnmet
-from .graphs import DistanceOracle, Graph, distances, poles_and_antipoles
+from .graphs import DistanceOracle, Graph
 from .sharpness import (
-    bm_sharpness,
     classify,
     is_strongly_spherical,
     lambda_m_check,
     local_srg_check,
-    mu_graphs_all_cp,
 )
-from .spectral import is_lichnerowicz_sharp, spectral_summary
+from .spectral import is_lichnerowicz_sharp
 
 
 def frac_str(value: Fraction | int) -> str:
@@ -35,16 +34,26 @@ def float_str(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def be_row(row: BEReport) -> dict[str, Any]:
+    """The report form of one vertex's Bakry-Emery curvature."""
+    return {
+        "vertex": row.vertex,
+        "curvature": float_str(row.curvature),
+        "upper_bound": frac_str(row.upper_bound) if row.upper_bound is not None else None,
+        "sharp": row.is_sharp,
+        "s1_out_regular": row.s1_out_regular,
+        "s1pp_lambda1": float_str(row.s1pp_lambda1) if row.s1pp_lambda1 is not None else None,
+    }
+
+
 def analyze(
     g: Graph,
-    d: Optional[DistanceOracle] = None,
+    d: DistanceOracle,
     name: str = "graph",
     skip_be: bool = False,
     skip_spherical: bool = False,
 ) -> dict[str, Any]:
     """Run the full predicate pipeline and return the report dict."""
-    if d is None:
-        d = distances(g)
     deg = g.is_regular()
     L = d.diameter
     report: dict[str, Any] = {
@@ -59,8 +68,9 @@ def analyze(
     if not d.is_connected or deg is None:
         return report
 
-    verdict = bm_sharpness(g, d)
-    _, self_centered = poles_and_antipoles(g, d)
+    ctx = GraphAnalysis(g, d)
+    verdict = ctx.bm
+    _, self_centered = ctx.poles_and_antipoles
     report["inf_kappa"] = frac_str(verdict.inf_edge_kappa)
     report["witness_edge"] = list(verdict.witness_edge)
     report["bm_sharp"] = verdict.is_bm_sharp
@@ -70,12 +80,12 @@ def analyze(
     }
     report["self_centered"] = self_centered
 
-    lich = is_lichnerowicz_sharp(g, d, inf_edge_kappa=verdict.inf_edge_kappa)
+    lich = is_lichnerowicz_sharp(ctx)
     report["lambda1"] = float_str(lich.lambda1)
     report["lichnerowicz_sharp"] = lich.is_sharp
     report["lichnerowicz_exact_certificate"] = lich.exact_certificate
 
-    summ = spectral_summary(g, d)
+    summ = ctx.spectrum
     report["theta1"] = float_str(summ.theta1) if summ.theta1 is not None else None
     report["lambda1_multiplicity"] = summ.lambda1_multiplicity
 
@@ -87,14 +97,14 @@ def analyze(
         else:
             report["lambda_m"] = {"m": None, "holds": False}
 
-    mu_verdict = mu_graphs_all_cp(g, d)
+    mu_verdict = ctx.mu_graphs
     report["mu_graphs"] = {
         "all_cocktail_party": mu_verdict.holds,
         "m_values": [list(item) for item in mu_verdict.m_values],
     }
 
     try:
-        srg = local_srg_check(g, d)
+        srg = local_srg_check(ctx)
         report["local_srg"] = {
             "holds": srg.holds,
             "params": [frac_str(p) for p in srg.params],
@@ -108,32 +118,13 @@ def analyze(
         report["strongly_spherical"] = sph.holds
 
     if not skip_be:
-        rows = []
-        inf_curv = None
-        for x in range(g.n):
-            row = be_curvature(g, x, d)
-            rows.append(
-                {
-                    "vertex": x,
-                    "curvature": float_str(row.curvature),
-                    "upper_bound": frac_str(row.upper_bound)
-                    if row.upper_bound is not None
-                    else None,
-                    "sharp": row.is_sharp,
-                    "s1_out_regular": row.s1_out_regular,
-                    "s1pp_lambda1": float_str(row.s1pp_lambda1)
-                    if row.s1pp_lambda1 is not None
-                    else None,
-                }
-            )
-            if inf_curv is None or row.curvature < inf_curv:
-                inf_curv = row.curvature
+        rows = [be_curvature(g, x, d) for x in range(g.n)]
         report["bakry_emery"] = {
-            "inf_curvature": float_str(inf_curv),
-            "rows": rows,
+            "inf_curvature": float_str(min(row.curvature for row in rows)),
+            "rows": [be_row(row) for row in rows],
         }
 
-    cls = classify(g, d)
+    cls = classify(ctx)
     report["classification"] = {
         "matched": cls.matched.to_json() if cls.matched else None,
         "reason": cls.reason,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import _kernels
 from .errors import (
     Disconnected,
     DisconnectedSubset,
+    NoEdges,
     NotAPole,
     NotRegular,
     PreconditionUnmet,
@@ -38,16 +39,18 @@ from .graphs import (
     poles_and_antipoles,
     triangle_count_edge,
 )
-from .isomorphism import find_isomorphism
+from .isomorphism import find_isomorphism_with
 from .spectral import adjacency_spectrum
 from .transport import (
-    kappa,
     matching_sides,
     perfect_matching_between,
     tpm_transport_map,
     idle_measure,
     wasserstein,
 )
+
+if TYPE_CHECKING:
+    from .analysis import GraphAnalysis
 
 
 def _require_connected_regular(g: Graph, d: DistanceOracle) -> int:
@@ -69,23 +72,19 @@ class SharpnessVerdict:
     witness_edge: tuple[int, int]
 
 
-def bm_sharpness(g: Graph, d: DistanceOracle) -> SharpnessVerdict:
+def bm_sharpness(ctx: GraphAnalysis) -> SharpnessVerdict:
     """Exact infimum of edge curvature compared against 2/diameter."""
+    g, d = ctx.g, ctx.d
     deg = _require_connected_regular(g, d)
-    best: Optional[Fraction] = None
-    witness = (-1, -1)
-    for u, v in g.edges():
-        val = kappa(g, d, u, v).value
-        if best is None or val < best:
-            best = val
-            witness = (u, v)
-    assert best is not None
+    if g.edge_count == 0:
+        raise NoEdges("the edge-curvature infimum needs at least one edge")
+    witness, value = min(ctx.edge_kappas.items(), key=lambda item: item[1].value)
     L = d.diameter
     two_over_l = Fraction(2, L)
     return SharpnessVerdict(
-        inf_edge_kappa=best,
+        inf_edge_kappa=value.value,
         two_over_l=two_over_l,
-        is_bm_sharp=(best == two_over_l),
+        is_bm_sharp=(value.value == two_over_l),
         l_le_d=(L <= deg),
         l_divides_2d=((2 * deg) % L == 0),
         witness_edge=witness,
@@ -293,23 +292,23 @@ class LocalSrgVerdict:
     failure: Optional[int]
 
 
-def local_srg_check(g: Graph, d: DistanceOracle) -> LocalSrgVerdict:
+def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     """Every induced 1-sphere matches the predicted strongly regular
     parameters and second adjacency eigenvalue.
 
     Preconditions: self-centered Bonnet-Myers sharp with uniform cocktail
     party mu-graphs of the predicted size.
     """
+    g, d = ctx.g, ctx.d
     deg = _require_connected_regular(g, d)
     L = d.diameter
     if L < 2:
         raise PreconditionUnmet("local srg structure needs diameter >= 2")
-    verdict = bm_sharpness(g, d)
-    _, self_centered = poles_and_antipoles(g, d)
-    if not (verdict.is_bm_sharp and self_centered):
+    _, self_centered = ctx.poles_and_antipoles
+    if not (ctx.bm.is_bm_sharp and self_centered):
         raise PreconditionUnmet("graph is not self-centered Bonnet-Myers sharp")
     want_m = Fraction(deg - L, L * (L - 1)) + 1
-    mu_verdict = mu_graphs_all_cp(g, d)
+    mu_verdict = ctx.mu_graphs
     if not mu_verdict.holds or [m for m, _ in mu_verdict.m_values] != [want_m]:
         raise PreconditionUnmet(
             f"mu-graphs are not uniformly CP({want_m}): {mu_verdict.m_values}"
@@ -360,17 +359,18 @@ class FourCycleVerdict:
     violations: tuple[tuple[int, int, int], ...]  # (x, y, w) path not in a 4-cycle
 
 
-def four_cycle_lemma_check(g: Graph, d: DistanceOracle) -> FourCycleVerdict:
+def four_cycle_lemma_check(ctx: GraphAnalysis) -> FourCycleVerdict:
     """For triangle-free edges with curvature >= 2/D, every adjacent edge
     pair extends to a 4-cycle."""
-    deg = _require_connected_regular(g, d)
+    g = ctx.g
+    deg = _require_connected_regular(g, ctx.d)
     threshold = Fraction(2, deg)
     checked = 0
     violations: list[tuple[int, int, int]] = []
-    for x, y in g.edges():
+    for (x, y), value in ctx.edge_kappas.items():
         if triangle_count_edge(g, x, y) != 0:
             continue
-        if kappa(g, d, x, y).value < threshold:
+        if value.value < threshold:
             continue
         checked += 1
         for a, b in ((x, y), (y, x)):
@@ -442,15 +442,16 @@ def _factorizations(
     return results
 
 
-def classify(g: Graph, d: DistanceOracle) -> ClassificationMatch:
+def classify(ctx: GraphAnalysis) -> ClassificationMatch:
     """Match a self-centered Bonnet-Myers sharp graph against the known list
     (the five families and their equal-ratio Cartesian products), confirming
     by explicit isomorphism."""
+    g, d = ctx.g, ctx.d
     deg = _require_connected_regular(g, d)
-    _, self_centered = poles_and_antipoles(g, d)
+    _, self_centered = ctx.poles_and_antipoles
     if not self_centered:
         return ClassificationMatch(None, None, "not self-centered")
-    verdict = bm_sharpness(g, d)
+    verdict = ctx.bm
     if not verdict.is_bm_sharp:
         return ClassificationMatch(
             None,
@@ -470,7 +471,8 @@ def classify(g: Graph, d: DistanceOracle) -> ClassificationMatch:
     if not candidates:
         return ClassificationMatch(None, None, "no list member matches (|V|, D, L)")
     for spec in candidates:
-        witness = find_isomorphism(from_spec(spec), g)
+        h = from_spec(spec)
+        witness = find_isomorphism_with(h, distances(h), g, d)
         if witness is not None:
             return ClassificationMatch(spec, witness, "matched")
     return ClassificationMatch(None, None, "invariants matched but no isomorphism found")

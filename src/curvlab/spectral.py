@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import Disconnected, IsolatedVertex, NotRegular
 from .graphs import DistanceOracle, Graph
+
+if TYPE_CHECKING:
+    from .analysis import GraphAnalysis
 
 VALUE_TOL = 1e-9
 CLUSTER_TOL = 1e-7
@@ -134,11 +137,7 @@ class LichnerowiczVerdict:
     witness_pole: Optional[int]
 
 
-def is_lichnerowicz_sharp(
-    g: Graph,
-    d: DistanceOracle,
-    inf_edge_kappa: Fraction | None = None,
-) -> LichnerowiczVerdict:
+def is_lichnerowicz_sharp(ctx: GraphAnalysis) -> LichnerowiczVerdict:
     """Compare the exact edge-curvature infimum with the float lambda1.
 
     The float comparison (1e-9) always runs; when f = d(pole, .) - L/2 is an
@@ -146,15 +145,13 @@ def is_lichnerowicz_sharp(
     carries an exact certificate (minimality of lambda1 still rests on the
     float spectrum).
     """
-    from .transport import kappa
-
+    g, d = ctx.g, ctx.d
     if not d.is_connected:
         raise Disconnected("Lichnerowicz verdict needs a connected graph")
     if g.is_regular() is None:
         raise NotRegular("Lichnerowicz verdict needs a regular graph")
-    if inf_edge_kappa is None:
-        inf_edge_kappa = min(kappa(g, d, u, v).value for u, v in g.edges())
-    summ = spectral_summary(g, d)
+    inf_edge_kappa = ctx.bm.inf_edge_kappa
+    summ = ctx.spectrum
     sharp = abs(float(inf_edge_kappa) - summ.lambda1) < VALUE_TOL
     certificate = False
     witness = None

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
+from .analysis import GraphAnalysis
 from .families import (
     cocktail_party,
     demi_cube,
@@ -33,10 +34,8 @@ from .graphs import (
     is_strongly_regular,
 )
 from .isomorphism import are_isomorphic
+from .parallel import map_shared
 from .report import frac_str
-from .sharpness import mu_graphs_all_cp
-from .spectral import spectral_summary
-from .transport import kappa
 
 SPECTRAL_TOL = 1e-9
 
@@ -47,10 +46,6 @@ class CellDiff:
     column: str
     want: str
     got: str
-
-
-def _inf_edge_kappa(g: Graph, d) -> Fraction:
-    return min(kappa(g, d, u, v).value for u, v in g.edges())
 
 
 def _check_sphere_structure(g: Graph, tag: str) -> tuple[bool, str]:
@@ -166,7 +161,7 @@ def compute_table1(selection: Optional[list[int]] = None) -> tuple[list[dict[str
     for row in _select(_table1_rows(), selection):
         name = row["graph"]
         g = row["builder"]()
-        d = distances(g)
+        ctx = GraphAnalysis(g, distances(g))
         deg = g.is_regular()
         got: dict[str, str] = {"graph": name}
 
@@ -175,11 +170,10 @@ def compute_table1(selection: Optional[list[int]] = None) -> tuple[list[dict[str
             if str(want) != str(actual):
                 diffs.append(CellDiff(name, column, str(want), str(actual)))
 
-        cell("(D,L)", row["DL"], (deg, d.diameter))
+        cell("(D,L)", row["DL"], (deg, ctx.d.diameter))
         cell("|V|", row["V"], g.n)
-        summ = spectral_summary(g, d)
-        cell("dim", row["dim"], summ.lambda1_multiplicity)
-        mu_verdict = mu_graphs_all_cp(g, d)
+        cell("dim", row["dim"], ctx.spectrum.lambda1_multiplicity)
+        mu_verdict = ctx.mu_graphs
         mu_actual = (
             f"CP({mu_verdict.m_values[0][0]})"
             if mu_verdict.holds and len(mu_verdict.m_values) == 1
@@ -188,7 +182,7 @@ def compute_table1(selection: Optional[list[int]] = None) -> tuple[list[dict[str
         cell("mu-graph", f"CP({row['mu']})", mu_actual)
         ok, detail = _check_sphere_structure(g, row["sphere"])
         cell("S1(x)", row["sphere"], detail if ok else detail)
-        cell("array", row["array"], intersection_array(g, d))
+        cell("array", row["array"], intersection_array(g, ctx.d))
         out_rows.append(got)
     return out_rows, diffs
 
@@ -288,7 +282,7 @@ def compute_table2(selection: Optional[list[int]] = None) -> tuple[list[dict[str
     for row in _select(_table2_rows(), selection):
         name = row["graph"]
         g = row["builder"]()
-        d = distances(g)
+        ctx = GraphAnalysis(g, distances(g))
         got: dict[str, str] = {"graph": name}
 
         params = is_strongly_regular(g)
@@ -297,7 +291,7 @@ def compute_table2(selection: Optional[list[int]] = None) -> tuple[list[dict[str
         if actual_srg != row["srg"]:
             diffs.append(CellDiff(name, "srg", str(row["srg"]), str(actual_srg)))
 
-        summ = spectral_summary(g, d)
+        summ = ctx.spectrum
         got["theta1"] = frac_str(row["theta1"])
         if abs(summ.theta1 - float(row["theta1"])) > SPECTRAL_TOL:
             diffs.append(CellDiff(name, "theta1", str(row["theta1"]), repr(summ.theta1)))
@@ -307,7 +301,7 @@ def compute_table2(selection: Optional[list[int]] = None) -> tuple[list[dict[str
             diffs.append(CellDiff(name, "lambda1", str(row["lambda1"]), repr(summ.lambda1)))
             got["lambda1"] = repr(summ.lambda1)
 
-        inf_k = _inf_edge_kappa(g, d)
+        inf_k = ctx.bm.inf_edge_kappa
         got["inf_kappa"] = frac_str(inf_k)
         if inf_k != row["inf_kappa"]:
             diffs.append(CellDiff(name, "inf_kappa", frac_str(row["inf_kappa"]), frac_str(inf_k)))
@@ -424,7 +418,7 @@ def compute_table3(selection: Optional[list[int]] = None) -> tuple[list[dict[str
     for row in _select(_table3_rows(), selection):
         name = row["graph"]
         g = row["builder"]()
-        d = distances(g)
+        ctx = GraphAnalysis(g, distances(g))
         got: dict[str, str] = {"graph": name}
 
         def cell(column: str, want, actual) -> None:
@@ -434,9 +428,9 @@ def compute_table3(selection: Optional[list[int]] = None) -> tuple[list[dict[str
 
         cell("|V|", row["V"], g.n)
         cell("D", row["D"], g.is_regular())
-        cell("L", row["L"], d.diameter)
+        cell("L", row["L"], ctx.d.diameter)
 
-        summ = spectral_summary(g, d)
+        summ = ctx.spectrum
         got["theta1"] = frac_str(row["theta1"])
         if abs(summ.theta1 - float(row["theta1"])) > SPECTRAL_TOL:
             diffs.append(CellDiff(name, "theta1", str(row["theta1"]), repr(summ.theta1)))
@@ -447,7 +441,7 @@ def compute_table3(selection: Optional[list[int]] = None) -> tuple[list[dict[str
             got["lambda1"] = repr(summ.lambda1)
 
         # theta1 must equal b1 - 1 for these distance-regular rows
-        arr = intersection_array(g, d)
+        arr = intersection_array(g, ctx.d)
         if arr is None:
             diffs.append(CellDiff(name, "distance-regular", "yes", "no"))
         elif row.get("check_b1", True):
@@ -457,7 +451,7 @@ def compute_table3(selection: Optional[list[int]] = None) -> tuple[list[dict[str
                     CellDiff(name, "theta1=b1-1", str(b1 - 1), repr(summ.theta1))
                 )
 
-        inf_k = _inf_edge_kappa(g, d)
+        inf_k = ctx.bm.inf_edge_kappa
         got["inf_kappa"] = frac_str(inf_k)
         if inf_k != row["inf_kappa"]:
             diffs.append(
@@ -480,8 +474,7 @@ def table_size(table_id: int) -> int:
     return len(_ROW_LISTS[table_id]())
 
 
-def _compute_one_row(task: tuple[int, int]) -> tuple[list[dict[str, str]], list[CellDiff]]:
-    table_id, index = task
+def _compute_row(table_id: int, index: int) -> tuple[list[dict[str, str]], list[CellDiff]]:
     return TABLES[table_id]([index])
 
 
@@ -490,13 +483,8 @@ def compute_table(table_id: int, jobs: int = 1) -> tuple[list[dict[str, str]], l
 
     Row order (and hence output) is identical for any job count.
     """
-    if jobs <= 1:
-        return TABLES[table_id]()
-    from multiprocessing import Pool
-
-    tasks = [(table_id, i) for i in range(table_size(table_id))]
-    with Pool(min(jobs, len(tasks))) as pool:
-        pieces = pool.map(_compute_one_row, tasks)
+    indices = list(range(table_size(table_id)))
+    pieces = map_shared(_compute_row, (table_id,), indices, jobs)
     rows = [row for piece_rows, _ in pieces for row in piece_rows]
     diffs = [diff for _, piece_diffs in pieces for diff in piece_diffs]
     return rows, diffs

@@ -113,3 +113,25 @@ def random_regular_graph(n: int, deg: int, rng: random.Random) -> Graph:
             return g
         for _ in range(2 * len(edges)):
             swap_once()
+
+
+def record_calls(monkeypatch, module: str, name: str) -> list[tuple]:
+    """Wrap ``curvlab.<module>.<name>`` in every curvlab module that bound
+    it and return the list that receives the positional arguments of each
+    call."""
+    import sys
+
+    original = getattr(sys.modules[f"curvlab.{module}"], name)
+    calls: list[tuple] = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not mod_name.startswith("curvlab"):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return calls

@@ -1,0 +1,60 @@
+"""Each per-graph quantity is computed once per command."""
+
+from curvlab import cli
+from curvlab.analysis import GraphAnalysis
+from curvlab.cli import main
+from curvlab.families import hypercube, johnson
+from curvlab.graphs import build_graph, distances
+from curvlab.isomorphism import find_isomorphism
+
+from helpers import record_calls
+
+
+def test_context_computes_each_quantity_once(monkeypatch):
+    g = johnson(6, 3)
+    kappas = record_calls(monkeypatch, "transport", "kappa")
+    bm = record_calls(monkeypatch, "sharpness", "bm_sharpness")
+    mu = record_calls(monkeypatch, "sharpness", "mu_graphs_all_cp")
+    spectra = record_calls(monkeypatch, "spectral", "spectral_summary")
+    ctx = GraphAnalysis(g, distances(g))
+    for _ in range(2):
+        for name in ("bm", "edge_kappas", "poles_and_antipoles", "mu_graphs", "spectrum"):
+            getattr(ctx, name)
+    assert list(ctx.edge_kappas) == g.edges()
+    assert (len(kappas), len(bm), len(mu), len(spectra)) == (90, 1, 1, 1)
+
+
+def test_analyze_one_kappa_per_edge_and_one_oracle(monkeypatch, capsys):
+    loaded = []
+
+    def load(text):
+        loaded.append(original_load(text))
+        return loaded[-1]
+
+    original_load = cli._load_input
+    monkeypatch.setattr(cli, "_load_input", load)
+    kappas = record_calls(monkeypatch, "transport", "kappa")
+    oracles = record_calls(monkeypatch, "graphs", "distances")
+    assert main(["analyze", "johnson:6:3"]) == 0
+    capsys.readouterr()
+    (g,) = loaded
+    assert g.edge_count == 90
+    assert len(kappas) == 90
+    assert sorted((x, y) for _, _, x, y in kappas) == g.edges()
+    assert sum(1 for args in oracles if args[0] is g) == 1
+
+
+def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
+    schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
+    assert main(["bakry-emery", "hypercube:3"]) == 0
+    capsys.readouterr()
+    assert sorted(x for _, x in schur) == list(range(8))
+
+
+def test_find_isomorphism_one_oracle_per_graph(monkeypatch):
+    g = hypercube(3)
+    perm = [3, 6, 0, 5, 7, 1, 4, 2]
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    oracles = record_calls(monkeypatch, "graphs", "distances")
+    assert find_isomorphism(g, h) is not None
+    assert [args[0] for args in oracles] == [g, h]

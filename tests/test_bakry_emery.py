@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvlab import bakry_emery
 from curvlab.bakry_emery import (
     be_curvature,
     be_upper_bound,
@@ -13,6 +14,8 @@ from curvlab.bakry_emery import (
     gamma2_value,
     s1pp_sharpness_test,
 )
+from curvlab.cli import main
+from curvlab.errors import FormCheckFailed
 from curvlab.families import (
     cocktail_party,
     complete,
@@ -211,25 +214,52 @@ class TestProductRule:
             assert abs(got - want) < TOL
 
 
+def _scan(g, d):
+    return conjecture_scan(g, d, [be_curvature(g, x, d).curvature for x in range(g.n)])
+
+
 class TestConjectureScan:
     def test_k5(self):
-        report = conjecture_scan(complete(5))
+        g = complete(5)
+        report = _scan(g, distances(g))
         assert abs(report.inf_curvature - 7 / 8) < TOL
         assert report.bound == Fraction(1, 4) + Fraction(1, 1)
         assert report.holds and report.weak_holds
 
     def test_petersen_triangle_free(self, petersen):
         g, d = petersen
-        report = conjecture_scan(g, d)
+        report = _scan(g, d)
         assert report.holds
         assert report.weak_bound == report.bound  # no triangles
 
     def test_shrikhande(self):
-        report = conjecture_scan(shrikhande())
+        g = shrikhande()
+        report = _scan(g, distances(g))
         assert report.holds
 
     def test_equality_on_self_centered_sharp_families(self, q4, cp4, j63, demi6):
         # margin is exactly zero (within tolerance) for these fixtures
         for g, d in (q4, cp4, j63, demi6):
-            report = conjecture_scan(g, d)
+            report = _scan(g, d)
             assert report.holds and abs(report.margin) < TOL
+
+
+class TestConsistencyChecks:
+    """A failed internal check is a typed verification error, exit 4 in the CLI."""
+
+    def test_schur_bisection_disagreement(self, monkeypatch, q3):
+        g, d = q3
+        monkeypatch.setattr(bakry_emery, "_curvature_bisect", lambda g, x, lo, hi: lo)
+        with pytest.raises(FormCheckFailed, match="disagree at 0"):
+            be_curvature(g, 0, d, verify=True)
+
+    def test_upper_bound_disagreement_exits_4(self, monkeypatch, capsys, q3):
+        g, d = q3
+        zero = Fraction(0)
+        monkeypatch.setattr(bakry_emery, "sphere_averages", lambda g, d, x, k: (zero, zero, zero))
+        with pytest.raises(FormCheckFailed):
+            be_upper_bound(g, d, 0)
+        assert main(["bakry-emery", "hypercube:3", "--vertex", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: upper bound expressions disagree\n"

@@ -52,6 +52,42 @@ def test_vertex_out_of_range_exit2(capsys, argv):
     assert code == 2 and out == "" and "outside [0,20)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "complete:1"],
+        ["classify", "complete:1"],
+        ["analyze", "complete:1"],
+        ["curvature", "complete:1", "--all-edges"],
+        ["bakry-emery", "complete:1"],
+        ["bakry-emery", "complete:1", "--vertex", "0"],
+    ],
+    ids=["sharpness", "classify", "analyze", "curvature", "be", "be-vertex"],
+)
+def test_edgeless_graph_exit3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "johnson:5:2", "--all-edges", "--jobs", "0"],
+        ["curvature", "johnson:5:2", "--all-edges", "--jobs", "-3"],
+        ["bakry-emery", "hypercube:3", "--jobs", "0"],
+        ["bakry-emery", "hypercube:3", "--vertex", "0", "--jobs", "-3"],
+        ["table", "1", "--jobs", "0"],
+    ],
+    ids=["curvature-0", "curvature-neg", "be-0", "be-vertex-neg", "table-0"],
+)
+def test_jobs_below_one_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--jobs: must be at least 1" in captured.err
+
+
 class TestGen:
     def test_hypercube_file(self, tmp_path, capsys):
         out = tmp_path / "q4.g6"
@@ -185,6 +221,11 @@ class TestBakryEmeryCmd:
         doc = json.loads(out)
         assert code == 0 and len(doc["rows"]) == 8
         assert doc["conjecture"]["holds"] is True
+
+    def test_jobs_output_deterministic(self, capsys):
+        _, serial, _ = run(capsys, "bakry-emery", "hypercube:3")
+        _, parallel, _ = run(capsys, "bakry-emery", "hypercube:3", "--jobs", "2")
+        assert serial == parallel
 
 
 class TestSharpnessCmd:

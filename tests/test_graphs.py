@@ -1,13 +1,16 @@
 """Graph core: construction, metric structure, degree decompositions,
 structural predicates, products."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from curvlab import graphs
 from curvlab.errors import (
     DuplicateEdge,
     EmptySphere,
+    IdentityViolated,
     NotAnEdge,
     SelfLoop,
     VertexOutOfRange,
@@ -332,3 +335,24 @@ class TestPoles:
         g, d = gosset_graph
         per_vertex, self_centered = poles_and_antipoles(g, d)
         assert self_centered and all(len(a) == 1 for a in per_vertex)
+
+
+class TestIdentityChecks:
+    """Identities that hold by construction raise a typed error when broken."""
+
+    def test_triangle_double_count(self, monkeypatch, q3):
+        g, _ = q3
+        monkeypatch.setattr(graphs, "triangle_count_edge", lambda g, x, y: 1)
+        with pytest.raises(IdentityViolated, match="double counting"):
+            triangle_count_vertex(g, 0)
+
+    def test_product_diameter(self, monkeypatch):
+        exact = graphs.distances
+
+        def stretched(g):
+            d = exact(g)
+            return dataclasses.replace(d, diameter=d.diameter + 1) if g.n == 6 else d
+
+        monkeypatch.setattr(graphs, "distances", stretched)
+        with pytest.raises(IdentityViolated, match="not additive"):
+            cartesian_product(complete(2), complete(3))

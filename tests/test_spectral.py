@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvlab.analysis import GraphAnalysis
 from curvlab.errors import Disconnected, IsolatedVertex
 from curvlab.families import (
     demi_cube,
@@ -93,37 +94,37 @@ class TestDistanceEigenfunction:
 class TestLichnerowicz:
     def test_j52_sharp(self):
         g = johnson(5, 2)
-        verdict = is_lichnerowicz_sharp(g, distances(g))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, distances(g)))
         assert verdict.is_sharp
         assert verdict.inf_edge_kappa == Fraction(5, 6)
 
     def test_shrikhande_not_sharp(self):
         g = shrikhande()
-        verdict = is_lichnerowicz_sharp(g, distances(g))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, distances(g)))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == Fraction(1, 3)
         assert abs(verdict.lambda1 - 2 / 3) < 1e-9
 
     def test_hall_not_sharp(self):
         g = load_fixture("hall")
-        verdict = is_lichnerowicz_sharp(g, distances(g))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, distances(g)))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == Fraction(-1, 10)
         assert abs(verdict.lambda1 - 1 / 2) < 1e-9
 
     def test_bm_sharp_graphs_are_lichnerowicz_sharp(self, q4, cp4, j63, demi6):
         for g, d in (q4, cp4, j63, demi6):
-            verdict = is_lichnerowicz_sharp(g, d)
+            verdict = is_lichnerowicz_sharp(GraphAnalysis(g, d))
             assert verdict.is_sharp and verdict.exact_certificate
 
     def test_petersen_mu1_not_sharp(self, petersen):
         # distance-regular with mu = 1 cannot be Lichnerowicz sharp
         g, d = petersen
-        verdict = is_lichnerowicz_sharp(g, d)
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, d))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == 0
 
     def test_lichnerowicz_inequality_on_fixtures(self, petersen, cp3, q3):
         for g, d in (petersen, cp3, q3):
-            verdict = is_lichnerowicz_sharp(g, d)
+            verdict = is_lichnerowicz_sharp(GraphAnalysis(g, d))
             assert float(verdict.inf_edge_kappa) <= verdict.lambda1 + 1e-9
