@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bakry-emery", help="Bakry-Emery infinity-curvature")
     p.add_argument("input")
     p.add_argument("--vertex", type=int, default=None)
-    p.add_argument("--all", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_bakry_emery)
 

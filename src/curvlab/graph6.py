@@ -119,20 +119,36 @@ def graph_to_json(g: Graph) -> dict[str, Any]:
     return doc
 
 
-def graph_from_json(doc: dict[str, Any]) -> Graph:
+def _json_int(value: Any) -> int:
+    # JSON true is an int to Python, and int() would also take 1.5 and "1"
+    if type(value) is not int:
+        raise FormatError(f"bad JSON graph document: {json.dumps(value)} is not an integer")
+    return value
+
+
+def graph_from_json(doc: Any) -> Graph:
+    """Build a graph from ``{"n": int, "edges": [[int, int], ...]}`` with an
+    optional ``"labels"`` list of ``n`` strings; anything else is a FormatError."""
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        n = _json_int(doc["n"])
+        edges = [(_json_int(u), _json_int(v)) for u, v in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad JSON graph document: {exc}") from exc
     labels = doc.get("labels")
+    if "labels" in doc and not (
+        isinstance(labels, list) and len(labels) == n and all(isinstance(s, str) for s in labels)
+    ):
+        raise FormatError(f"bad JSON graph document: labels must be a list of {n} strings")
     return build_graph(n, edges, labels=labels)
 
 
 def load_graph(path: str) -> Graph:
     """Load a graph from a .g6/.json file, sniffing the format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read().strip()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not text:
         raise FormatError(f"{path}: empty file")
     if text.lstrip().startswith("{"):

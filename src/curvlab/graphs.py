@@ -340,7 +340,7 @@ def intersection_array(
     return tuple(b), tuple(c[1:])
 
 
-def cartesian_product(g1: Graph, g2: Graph, verify: bool = True) -> Graph:
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product; vertex (u, v) maps to index u * g2.n + v.
 
     Degree additivity always holds; diameter additivity is checked when both
@@ -363,7 +363,7 @@ def cartesian_product(g1: Graph, g2: Graph, verify: bool = True) -> Graph:
             f"({g1.labels[u]},{g2.labels[v]})" for u in range(n1) for v in range(n2)
         )
     prod = build_graph(n1 * n2, edges, labels=labels)
-    if verify and n1 > 0 and n2 > 0:
+    if n1 > 0 and n2 > 0:
         d1, d2, dp = distances(g1), distances(g2), distances(prod)
         if d1.is_connected and d2.is_connected:
             if dp.diameter != d1.diameter + d2.diameter:

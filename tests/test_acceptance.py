@@ -40,7 +40,7 @@ from curvlab.sharpness import (
     degree_recursions,
 )
 from curvlab.spectral import normalized_laplacian_apply, verify_distance_eigenfunction
-from curvlab.tables import compute_table1, compute_table2, compute_table3
+from curvlab.tables import compute_table
 from curvlab.transport import (
     curvature_via_matching,
     geodesic_between,
@@ -87,8 +87,8 @@ def test_criterion_1_edge_curvature_lemmas():
 
 def test_criterion_2_tables_2_and_3():
     t0 = time.monotonic()
-    for table_id, compute in ((2, compute_table2), (3, compute_table3)):
-        _, diffs = compute()
+    for table_id in (2, 3):
+        _, diffs = compute_table(table_id)
         assert not diffs, f"table {table_id} mismatches: {diffs}"
         assert cli_main(["table", str(table_id)]) == 0
     _report(2, "tables 2 and 3 reproduce; CLI exits 0", t0)
@@ -96,7 +96,7 @@ def test_criterion_2_tables_2_and_3():
 
 def test_criterion_3_table_1():
     t0 = time.monotonic()
-    _, diffs = compute_table1()
+    _, diffs = compute_table(1)
     assert not diffs, f"table 1 mismatches: {diffs}"
     _report(3, "table 1 reproduces (|V|, (D,L), multiplicity, mu-graphs, spheres, arrays)", t0)
 

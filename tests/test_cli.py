@@ -217,7 +217,7 @@ class TestBakryEmeryCmd:
         assert code == 0 and abs(float(doc["curvature"]) - 1.0) < 1e-7
 
     def test_all(self, capsys):
-        code, out, _ = run(capsys, "bakry-emery", "hypercube:3", "--all")
+        code, out, _ = run(capsys, "bakry-emery", "hypercube:3")
         doc = json.loads(out)
         assert code == 0 and len(doc["rows"]) == 8
         assert doc["conjecture"]["holds"] is True

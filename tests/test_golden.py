@@ -15,6 +15,9 @@ CASES = {
     "analyze_johnson_6_3.txt": ["analyze", "johnson:6:3"],
     "analyze_kneser_5_2.txt": ["analyze", "kneser:5:2"],
     "bakry_emery_hypercube_3.txt": ["bakry-emery", "hypercube:3"],
+    "table_1.txt": ["table", "1", "--json"],
+    "table_2.txt": ["table", "2", "--json"],
+    "table_3.txt": ["table", "3", "--json"],
 }
 
 

@@ -1,14 +1,18 @@
 """graph6 codec and JSON edge-list format."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from curvlab.cli import main
 from curvlab.errors import FormatError
 from curvlab.graph6 import (
     decode_graph6,
     encode_graph6,
     graph_from_json,
     graph_to_json,
+    load_graph,
 )
 from curvlab.graphs import build_graph
 from curvlab.families import complete, hypercube
@@ -88,6 +92,58 @@ def test_json_roundtrip():
 def test_json_rejects_garbage():
     with pytest.raises(FormatError):
         graph_from_json({"edges": [[0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("bom.g6", b"\xff\xfe"),
+        ("labels.json", b'{"n": 2, "edges": [[0,1]], "labels": 5}'),
+        ("short_labels.json", b'{"n": 2, "edges": [[0,1]], "labels": ["a"]}'),
+        ("float_end.json", b'{"n": 2, "edges": [[0,1.5]]}'),
+        ("string_ends.json", b'{"n": 2, "edges": [["0","1"]]}'),
+        ("bool_n.json", b'{"n": true, "edges": [[0,1]]}'),
+    ],
+)
+def test_malformed_file_exit2(tmp_path, capsys, name, content):
+    # each of these was a traceback or was silently coerced by int()
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(FormatError):
+        load_graph(str(path))
+    assert main(["spectral", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# small JSON values of every type, so that graph documents get past the
+# parser; integers stay small because a valid document with a huge "n"
+# would really be built
+_JSON_SCALARS = st.one_of(
+    st.integers(-2, 8), st.booleans(), st.floats(), st.text(max_size=2), st.none()
+)
+_JSON_GRAPHS = st.fixed_dictionaries(
+    {"n": _JSON_SCALARS, "edges": st.lists(st.lists(_JSON_SCALARS, max_size=3), max_size=5)},
+    optional={"labels": st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4))},
+).map(lambda doc: json.dumps(doc).encode()[:64])
+
+
+@given(
+    content=st.one_of(
+        st.binary(max_size=64),
+        st.text(max_size=64).map(lambda s: s.encode()[:64]),
+        _JSON_GRAPHS,
+    ),
+    suffix=st.sampled_from([".g6", ".json"]),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_file_content_exits_cleanly(tmp_path, content, suffix):
+    path = tmp_path / f"graph{suffix}"
+    path.write_bytes(content)
+    assert main(["spectral", str(path)]) in (0, 2, 3)
 
 
 @given(st.text(max_size=30))
