@@ -14,7 +14,6 @@ import numpy as np
 NUMBA_ENABLED = False
 
 UNREACHABLE = -1
-_INF64 = np.int64(1) << 60
 # entries of the (block, m, m) temporary in is_antipodal_matrix; at 2**16
 # (256 KiB of int32) the repeated temporaries raised the peak RSS of a
 # strong-sphericity scan by 0.7 MiB
@@ -85,27 +84,29 @@ def is_antipodal_matrix(dist):
 def hungarian(cost):
     """Exact minimum-cost perfect assignment of a square int64 matrix.
 
-    Classic O(n^3) Hungarian algorithm with integer potentials; returns
-    (minimum total cost, row -> column assignment).
+    Classic O(n^3) Hungarian algorithm with integer potentials, over Python
+    ints; returns (minimum total cost, row -> column assignment).
     """
     n = cost.shape[0]
-    u = np.zeros(n + 1, dtype=np.int64)
-    v = np.zeros(n + 1, dtype=np.int64)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
+    rows = cost.tolist()
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, _INF64, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=np.bool_)
+        minv = [np.inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = _INF64
+            row, ui0 = rows[i0 - 1], u[i0]
+            delta = np.inf
             j1 = 0
             for j in range(1, n + 1):
                 if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                    cur = row[j - 1] - ui0 - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -128,12 +129,12 @@ def hungarian(cost):
             if j0 == 0:
                 break
     row_to_col = np.full(n, -1, dtype=np.int64)
-    total = np.int64(0)
+    total = 0
     for j in range(1, n + 1):
         if p[j] != 0:
             row_to_col[p[j] - 1] = j - 1
-            total += cost[p[j] - 1, j - 1]
-    return total, row_to_col
+            total += rows[p[j] - 1][j - 1]
+    return np.int64(total), row_to_col
 
 
 def interval_members(dist_x, dist_y, dxy):

@@ -122,6 +122,8 @@ def _check_vertices(g: Graph, *vertices: int) -> None:
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
+    if args.all_edges and (args.p is not None or args.plan):
+        raise InputError("--all-edges computes plain kappa; it takes neither --p nor --plan")
     g = _load_input(args.input)
     d = distances(g)
     if not d.is_connected:
@@ -142,9 +144,9 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     x, y = args.x, args.y
     _check_vertices(g, x, y)
     if args.p is not None:
-        p = Fraction(args.p)
+        p = args.p
         val = kappa_p(g, d, x, y, p)
-        print(f"kappa_{args.p}({x},{y}) = {frac_str(val.value)} ({val.method})")
+        print(f"kappa_{p}({x},{y}) = {frac_str(val.value)} ({val.method})")
         if args.plan:
             w, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
             print(json.dumps(plan.to_json(), sort_keys=True))
@@ -280,6 +282,23 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _idleness(text: str) -> Fraction:
+    """The ``--p`` value: an exact rational such as ``1/2`` or ``0.25``.
+
+    Exponents and texts over 100 characters are refused: ``1e999999999``
+    would build a billion-digit integer, and exact W1 values on a long
+    denominator can outgrow what ``str`` prints.
+    """
+    if len(text) > 100 or "e" in text.lower():
+        raise argparse.ArgumentTypeError(
+            f"not a plain fraction of at most 100 characters: {text[:40]!r}"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="curvlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -302,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("x", nargs="?", type=int, default=None)
     p.add_argument("y", nargs="?", type=int, default=None)
-    p.add_argument("--p", default=None, help="idleness as a fraction a/b")
+    p.add_argument("--p", type=_idleness, default=None, help="idleness as a fraction a/b")
     p.add_argument("--all-edges", action="store_true")
     p.add_argument("--plan", action="store_true", help="dump the optimal coupling")
     p.add_argument("--jobs", type=_jobs, default=1)

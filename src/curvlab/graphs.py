@@ -86,6 +86,12 @@ def _neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(nbrs) for nbrs in g.adjacency)
 
 
+# The largest vertex count build_graph accepts, checked before anything is
+# allocated: a file can name any n in a few bytes.  Every distance oracle is a
+# dense n x n int32 matrix, so the graphs analysed in practice are far smaller.
+MAX_VERTICES = 100_000
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -93,11 +99,13 @@ def build_graph(
 ) -> Graph:
     """Validate an edge list and build a Graph.
 
-    Rejects self-loops, duplicate edges (in either orientation) and
-    endpoints outside ``[0, n)``.
+    Rejects vertex counts outside ``[0, MAX_VERTICES]``, self-loops,
+    duplicate edges (in either orientation) and endpoints outside ``[0, n)``.
     """
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise VertexOutOfRange(f"vertex count {n} above MAX_VERTICES = {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:

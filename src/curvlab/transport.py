@@ -4,7 +4,9 @@ All arithmetic is exact rational: equal-mass measures reduce to an integer
 assignment problem (Hungarian kernel), general rational idleness reduces to
 integer min-cost flow after scaling to a common denominator.  Sharpness of
 curvature values is an equality of rationals, so no tolerances appear
-anywhere in this module.
+anywhere in this module.  ``kappa`` has one route, no fast path: the shared
+1-ball mass cancels and one assignment between the 1-ball differences is
+solved; ``wasserstein`` and ``kappa_p`` keep the full support as its oracle.
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ class CurvatureValue:
 
     value: Fraction
     flavour: str  # "kappa" | "kappa_p" | "kappa_lly"
-    method: str  # "assignment" | "matching" | "product-formula"
+    # "matching" (kappa at an edge whose reduced assignment costs C == |left|,
+    # i.e. a perfect adjacency matching) | "assignment" | "product-formula"
+    method: str
     p: Optional[Fraction] = None
 
 
@@ -166,10 +170,7 @@ def _wasserstein_assignment(
 ) -> tuple[Fraction, TransportPlan]:
     s1, s2 = m1.support, m2.support
     unit = m1.mass[0][1]
-    cost = np.empty((len(s1), len(s2)), dtype=np.int64)
-    for i, u in enumerate(s1):
-        for j, v in enumerate(s2):
-            cost[i, j] = d.d(u, v)
+    cost = d.dist[np.ix_(s1, s2)].astype(np.int64)
     total, row_to_col = _kernels.hungarian(cost)
     value = unit * int(total)
     entries = tuple(
@@ -307,34 +308,32 @@ def kappa_p(
         raise SamePair("curvature needs two distinct vertices")
     _require_regular(g)
     p = _as_fraction(p, "idleness")
-    if not (0 <= p <= 1):
-        raise BadIdleness(f"idleness {p} outside [0, 1]")
     w1, _ = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
     value = 1 - w1 / d.d(x, y)
     return CurvatureValue(value=value, flavour="kappa_p", method="assignment", p=p)
 
 
-def kappa(
-    g: Graph, d: DistanceOracle, x: int, y: int, try_matching: bool = True
-) -> CurvatureValue:
-    """The rescaled curvature (D+1)/D * kappa_{1/(D+1)}(x, y).
+def kappa(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:
+    """The rescaled curvature (D+1)/D * kappa_{1/(D+1)}(x, y), in one solve.
 
-    For adjacent pairs the triangle-and-matching fast path is attempted
-    first; the returned value records which route produced it.
+    W1 depends only on mu_x - mu_y, so the shared 1-ball atoms cancel and the
+    value is (D+1)/D - C/(D d(x,y)), C the assignment cost between
+    left = B1(x) - B1(y) and right = B1(y) - B1(x).  At an edge C >= |left|,
+    with equality exactly when a perfect adjacency matching exists: then the
+    value is (2+|N_xy|)/D and the method is "matching", else "assignment".
     """
     if x == y:
         raise SamePair("curvature needs two distinct vertices")
     deg = _require_regular(g)
     if not d.is_connected:
         raise Disconnected("curvature needs a connected graph")
-    if try_matching and d.d(x, y) == 1:
-        fast = curvature_via_matching(g, d, x, y)
-        if fast is not None:
-            return fast
-    p = Fraction(1, deg + 1)
-    kp = kappa_p(g, d, x, y, p)
-    value = Fraction(deg + 1, deg) * kp.value
-    return CurvatureValue(value=value, flavour="kappa", method="assignment")
+    bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
+    left, right = sorted(bx - by), sorted(by - bx)
+    c = int(_kernels.hungarian(d.dist[np.ix_(left, right)].astype(np.int64))[0])
+    dxy = d.d(x, y)
+    method = "matching" if dxy == 1 and c == len(left) else "assignment"
+    value = Fraction(deg + 1, deg) - Fraction(c, deg * dxy)
+    return CurvatureValue(value=value, flavour="kappa", method=method)
 
 
 def kappa_lly(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:

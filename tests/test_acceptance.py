@@ -307,4 +307,9 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
             else:
                 assert k_assign < bound, f"graph {index} edge ({u},{v})"
             assert k_assign <= bound
+            # kappa's reduced route against the full-support assignment, and
+            # its "matching" label against the Hopcroft-Karp certificate
+            reduced = kappa(g, d, u, v)
+            assert reduced.value == k_assign, f"graph {index} edge ({u},{v})"
+            assert (reduced.method == "matching") == (fast is not None)
     _report(8, "assignment vs exhaustive-coupling oracle on 200 random 4-regular graphs", t0)

@@ -1,12 +1,15 @@
 """CLI: subcommand behaviour, exit codes, deterministic output."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab.cli import main
 from curvlab.graph6 import decode_graph6, encode_graph6
@@ -86,6 +89,47 @@ def test_jobs_below_one_exit2(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "--jobs: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0"], ids=["not-a-number", "zero-denominator"])
+def test_bad_idleness_exit2(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", "hypercube:3", "0", "1", "--p", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --p" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--p", "1/2"], ["--plan"]], ids=["p", "plan"])
+def test_all_edges_rejects_pair_flags_exit2(capsys, flags):
+    # --all-edges prints plain kappa, so a pair flag there is a usage error
+    code, out, err = run(capsys, "curvature", "hypercube:3", "--all-edges", *flags)
+    assert code == 2 and out == "" and "--all-edges" in err
+
+
+@given(st.text(alphabet="0123456789/.+-_eE x", max_size=12) | st.text(max_size=12))
+@settings(max_examples=150, deadline=None)
+@example("0.5")
+@example("-1/2")
+@example("1e999999999")
+@example("1/" + "7" * 200)
+def test_any_idleness_text_exits_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["curvature", "cocktailparty:3", "0", "2", f"--p={text}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_huge_vertex_count_exit2(tmp_path, capsys):
+    # 30 bytes naming ten billion vertices; refused before any allocation
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 10000000000, "edges": []}')
+    code, out, err = run(capsys, "spectral", str(path))
+    assert code == 2 and out == "" and "MAX_VERTICES" in err
 
 
 class TestGen:

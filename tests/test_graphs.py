@@ -23,6 +23,7 @@ from curvlab.families import (
     johnson,
 )
 from curvlab.graphs import (
+    MAX_VERTICES,
     build_graph,
     cartesian_product,
     degree_triple,
@@ -63,6 +64,12 @@ class TestBuildGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             build_graph(3, [(0, 3)])
+
+    def test_rejects_vertex_count_above_cap(self):
+        # refused before any allocation, so no test needs a graph near the cap
+        for n in (MAX_VERTICES + 1, 10**10):
+            with pytest.raises(VertexOutOfRange, match="MAX_VERTICES"):
+                build_graph(n, [])
 
     def test_adjacency_sorted_symmetric(self):
         g = build_graph(4, [(2, 0), (3, 1), (0, 3)])

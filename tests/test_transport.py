@@ -26,6 +26,7 @@ from curvlab.families import (
     hypercube,
     johnson,
 )
+from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, cartesian_product, distances, interval
 from curvlab.transport import (
     Measure,
@@ -354,11 +355,46 @@ class TestMatchingFastPath:
 
     def test_agrees_with_assignment_when_it_fires(self, cp4):
         g, d = cp4
+        deg = g.is_regular()
         for u, v in g.edges():
             fast = curvature_via_matching(g, d, u, v)
-            slow = kappa(g, d, u, v, try_matching=False)
+            # the full-support assignment, independent of kappa's reduced route
+            slow = Fraction(deg + 1, deg) * kappa_p(g, d, u, v, Fraction(1, deg + 1)).value
             if fast is not None:
-                assert fast.value == slow.value
+                assert fast.value == slow
+
+
+class TestReducedRoute:
+    """kappa's assignment on the cancelled 1-ball support against the
+    full-support assignment of kappa_p, on pairs at distance >= 2."""
+
+    @staticmethod
+    def _check_far_pairs(g):
+        d = distances(g)
+        deg = g.is_regular()
+        p = Fraction(1, deg + 1)
+        checked = 0
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                if d.d(x, y) < 2:
+                    continue
+                got = kappa(g, d, x, y)
+                assert got.method == "assignment"
+                assert got.value == Fraction(deg + 1, deg) * kappa_p(g, d, x, y, p).value
+                checked += 1
+        return checked
+
+    def test_random_regular_graphs(self):
+        rng = random.Random(618)
+        checked = 0
+        for _ in range(12):
+            deg = rng.choice([3, 4, 5])
+            n = rng.choice([m for m in (8, 10, 12, 14) if m > deg + 1])
+            checked += self._check_far_pairs(random_regular_graph(n, deg, rng))
+        assert checked > 0
+
+    def test_chang1(self):
+        assert self._check_far_pairs(load_fixture("chang1")) == 28 * 27 // 2 - 168
 
 
 class TestDuality:
