@@ -122,8 +122,10 @@ def _check_vertices(g: Graph, *vertices: int) -> None:
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
-    if args.all_edges and (args.p is not None or args.plan):
-        raise InputError("--all-edges computes plain kappa; it takes neither --p nor --plan")
+    if args.all_edges and (args.x is not None or args.p is not None or args.plan):
+        raise InputError(
+            "--all-edges computes plain kappa on every edge; it takes no vertex pair, --p or --plan"
+        )
     g = _load_input(args.input)
     d = distances(g)
     if not d.is_connected:
@@ -363,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:  # argparse reads ``--opt=--`` as [] and never calls the type
+            ap.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         return args.fn(args)
     except (InputError, FormatError) as exc:

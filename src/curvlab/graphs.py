@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,9 +39,25 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    @property
+    # Derived views are cached on the instance; a frozen dataclass allows
+    # this because cached_property writes the instance ``__dict__`` directly.
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        for v in range(self.n):
+            indptr[v + 1] = indptr[v] + len(self.adjacency[v])
+        indices = np.fromiter(
+            (w for nbrs in self.adjacency for w in nbrs), dtype=np.int32, count=int(indptr[-1])
+        )
+        return indptr, indices
 
     @property
     def edge_count(self) -> int:
@@ -51,7 +67,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in _neighbor_sets(self)[u]
+        return v in self._neighbor_sets[u]
 
     def is_regular(self) -> Optional[int]:
         """The common degree if the graph is regular, else None."""
@@ -61,29 +77,13 @@ class Graph:
         return degs[0]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return _neighbor_sets(self)[v]
+        return self._neighbor_sets[v]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return _csr(self)
+        return self._csr
 
     def relabel(self, labels: Sequence[str] | None) -> "Graph":
         return Graph(self.n, self.adjacency, tuple(labels) if labels is not None else None)
-
-
-@lru_cache(maxsize=512)
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(g.n + 1, dtype=np.int32)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + len(g.adjacency[v])
-    indices = np.fromiter(
-        (w for nbrs in g.adjacency for w in nbrs), dtype=np.int32, count=int(indptr[-1])
-    )
-    return indptr, indices
-
-
-@lru_cache(maxsize=512)
-def _neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(nbrs) for nbrs in g.adjacency)
 
 
 # The largest vertex count build_graph accepts, checked before anything is
@@ -208,7 +208,7 @@ def sphere_averages(
 
 
 def triangle_count_edge(g: Graph, x: int, y: int) -> int:
-    nbrs = _neighbor_sets(g)
+    nbrs = g._neighbor_sets
     if y not in nbrs[x]:
         raise NotAnEdge(f"({x},{y}) is not an edge")
     return len(nbrs[x] & nbrs[y])
@@ -222,7 +222,7 @@ def triangle_count_vertex(g: Graph, x: int) -> int:
 
 
 def common_neighbors(g: Graph, x: int, y: int) -> frozenset[int]:
-    nbrs = _neighbor_sets(g)
+    nbrs = g._neighbor_sets
     return nbrs[x] & nbrs[y]
 
 
@@ -295,7 +295,7 @@ def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
         return None  # complete graph
     if k == 0:
         return SrgParams(n, 0, None, 0)
-    nbrs = _neighbor_sets(g)
+    nbrs = g._neighbor_sets
     lam: Optional[int] = None
     mu: Optional[int] = None
     for x in range(n):
@@ -396,6 +396,6 @@ def complement(g: Graph) -> Graph:
         (u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        if v not in _neighbor_sets(g)[u]
+        if v not in g._neighbor_sets[u]
     ]
     return build_graph(g.n, edges, labels=g.labels)

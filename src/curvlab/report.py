@@ -92,7 +92,7 @@ def analyze(
     if L >= 1:
         m = Fraction(2 * deg, L) - 2
         if m.denominator == 1 and m >= 0:
-            lam = lambda_m_check(g, d, int(m))
+            lam = lambda_m_check(ctx, int(m))
             report["lambda_m"] = {"m": int(m), "holds": lam.holds}
         else:
             report["lambda_m"] = {"m": None, "holds": False}

@@ -98,20 +98,19 @@ class LambdaVerdict:
     failing_edges: tuple[tuple[int, int], ...]
 
 
-def lambda_m_check(g: Graph, d: DistanceOracle, m: int) -> LambdaVerdict:
+def lambda_m_check(ctx: GraphAnalysis, m: int) -> LambdaVerdict:
     """Every edge lies in at least m triangles and the remaining
-    neighbourhoods admit a perfect adjacency matching."""
+    neighbourhoods admit a perfect adjacency matching, which is exactly
+    when ``kappa`` labels the edge "matching"."""
+    g = ctx.g
     if g.is_regular() is None:
         raise NotRegular("Lambda(m) is stated for regular graphs")
-    failing = []
-    for u, v in g.edges():
-        if triangle_count_edge(g, u, v) < m:
-            failing.append((u, v))
-            continue
-        left, right = matching_sides(g, u, v)
-        if perfect_matching_between(g, left, right) is None:
-            failing.append((u, v))
-    return LambdaVerdict(m=m, holds=not failing, failing_edges=tuple(failing))
+    failing = tuple(
+        (u, v)
+        for (u, v), value in ctx.edge_kappas.items()
+        if triangle_count_edge(g, u, v) < m or value.method != "matching"
+    )
+    return LambdaVerdict(m=m, holds=not failing, failing_edges=failing)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,18 @@ All arithmetic is exact rational: equal-mass measures reduce to an integer
 assignment problem (Hungarian kernel), general rational idleness reduces to
 integer min-cost flow after scaling to a common denominator.  Sharpness of
 curvature values is an equality of rationals, so no tolerances appear
-anywhere in this module.  ``kappa`` has one route, no fast path: the shared
+anywhere in this module.  W1 depends only on the difference of the two
+measures, so ``wasserstein`` leaves their shared mass in place and solves
+only the remainders.  ``kappa`` has one route, no fast path: the shared
 1-ball mass cancels and one assignment between the 1-ball differences is
-solved; ``wasserstein`` and ``kappa_p`` keep the full support as its oracle.
+solved.  Perfect adjacency matchings are decided by the same assignment
+kernel.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -146,54 +148,50 @@ def wasserstein(
 ) -> tuple[Fraction, TransportPlan]:
     """Exact W1 distance and an optimal plan attaining it.
 
-    Equal-mass atomic measures are solved as an integer assignment problem;
-    anything else goes through integer min-cost flow on the common
-    denominator scaling.
+    W1 depends only on m1 - m2, so the shared mass min(m1, m2) stays in
+    place as diagonal plan entries and only the two remainders travel: by
+    one integer assignment when they are equal uniform atoms, else by
+    integer min-cost flow on the common denominator scaling.
     """
     if not d.is_connected:
         raise Disconnected("Wasserstein distance needs a connected graph")
-    s1, s2 = m1.support, m2.support
-    masses1 = [m for _, m in m1.mass]
-    masses2 = [m for _, m in m2.mass]
-    if (
-        len(s1) == len(s2)
-        and len(set(masses1)) == 1
-        and len(set(masses2)) == 1
-        and masses1[0] == masses2[0]
-    ):
-        return _wasserstein_assignment(d, m1, m2)
-    return _wasserstein_flow(d, m1, m2)
-
-
-def _wasserstein_assignment(
-    d: DistanceOracle, m1: Measure, m2: Measure
-) -> tuple[Fraction, TransportPlan]:
-    s1, s2 = m1.support, m2.support
-    unit = m1.mass[0][1]
-    cost = d.dist[np.ix_(s1, s2)].astype(np.int64)
-    total, row_to_col = _kernels.hungarian(cost)
-    value = unit * int(total)
-    entries = tuple(
-        (s1[i], s2[int(row_to_col[i])], unit) for i in range(len(s1))
-    )
+    a, b = m1.as_dict(), m2.as_dict()
+    kept = [(v, v, min(m, b[v])) for v, m in m1.mass if v in b]
+    source = [(u, m - b.get(u, 0)) for u, m in m1.mass if m > b.get(u, 0)]
+    target = [(v, m - a.get(v, 0)) for v, m in m2.mass if m > a.get(v, 0)]
+    if len(source) == len(target) and len({m for _, m in source + target}) == 1:
+        value, moved = _wasserstein_assignment(d, source, target)
+    else:
+        value, moved = _wasserstein_flow(d, source, target)
+    entries = tuple(sorted(kept + moved))
     return value, TransportPlan(entries=entries, source=m1, target=m2)
 
 
+def _wasserstein_assignment(
+    d: DistanceOracle,
+    source: Sequence[tuple[int, Fraction]],
+    target: Sequence[tuple[int, Fraction]],
+) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
+    """W1 and plan entries between equal numbers of atoms of one common mass."""
+    us, vs = [u for u, _ in source], [v for v, _ in target]
+    unit = source[0][1]
+    total, row_to_col = _kernels.hungarian(d.dist[np.ix_(us, vs)].astype(np.int64))
+    return unit * int(total), [(u, vs[int(j)], unit) for u, j in zip(us, row_to_col)]
+
+
 def _wasserstein_flow(
-    d: DistanceOracle, m1: Measure, m2: Measure
-) -> tuple[Fraction, TransportPlan]:
-    denom = math.lcm(*(m.denominator for _, m in m1.mass + m2.mass))
-    supply = [int(m * denom) for _, m in m1.mass]
-    demand = [int(m * denom) for _, m in m2.mass]
-    s1, s2 = m1.support, m2.support
-    cost = [[d.d(u, v) for v in s2] for u in s1]
-    total, flow = _transportation(cost, supply, demand)
-    entries = tuple(
-        (s1[i], s2[j], Fraction(f, denom))
-        for (i, j), f in sorted(flow.items())
-        if f > 0
-    )
-    return Fraction(total, denom), TransportPlan(entries=entries, source=m1, target=m2)
+    d: DistanceOracle,
+    source: Sequence[tuple[int, Fraction]],
+    target: Sequence[tuple[int, Fraction]],
+) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
+    """W1 and plan entries between atoms of equal total rational mass."""
+    denom = math.lcm(*(m.denominator for _, m in (*source, *target)))
+    us, vs = [u for u, _ in source], [v for v, _ in target]
+    supply = [int(m * denom) for _, m in source]
+    demand = [int(m * denom) for _, m in target]
+    total, flow = _transportation(d.dist[np.ix_(us, vs)].tolist(), supply, demand)
+    entries = [(us[i], vs[j], Fraction(f, denom)) for (i, j), f in flow.items()]
+    return Fraction(total, denom), entries
 
 
 def _transportation(
@@ -371,64 +369,25 @@ def matching_sides(
     return left, right
 
 
-def max_bipartite_matching(
-    left: Sequence[int], right: Sequence[int], adj: Mapping[int, Sequence[int]]
-) -> dict[int, int]:
-    """Hopcroft-Karp maximum matching; returns a left -> right dict."""
-    INF = float("inf")
-    pair_l: dict[int, Optional[int]] = {u: None for u in left}
-    pair_r: dict[int, Optional[int]] = {v: None for v in right}
-    dist: dict[int, float] = {}
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in left:
-            if pair_l[u] is None:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                w = pair_r[v]
-                if w is None:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj.get(u, ()):
-            w = pair_r[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in left:
-            if pair_l[u] is None:
-                dfs(u)
-    return {u: v for u, v in pair_l.items() if v is not None}
-
-
 def perfect_matching_between(
     g: Graph, left: Sequence[int], right: Sequence[int]
 ) -> Optional[dict[int, int]]:
-    """A perfect adjacency matching between two disjoint vertex sets, if any."""
+    """A perfect adjacency matching between two disjoint vertex sets, if any.
+
+    One assignment with cost 1 on an edge and 2 off it costs ``len(left)``
+    exactly when every pair it picks is an edge.
+    """
     if len(left) != len(right):
         return None
-    rset = set(right)
-    adj = {u: [v for v in g.adjacency[u] if v in rset] for u in left}
-    matching = max_bipartite_matching(left, right, adj)
-    if len(matching) == len(left):
-        return matching
-    return None
+    rows = []
+    for u in left:
+        nbrs = g.neighbor_set(u)
+        rows.append([1 if v in nbrs else 2 for v in right])
+    cost = np.array(rows, dtype=np.int64).reshape(len(left), len(right))
+    total, row_to_col = _kernels.hungarian(cost)
+    if int(total) != len(left):
+        return None
+    return {u: right[int(j)] for u, j in zip(left, row_to_col)}
 
 
 def unique_perfect_matching(
@@ -484,17 +443,15 @@ def unique_perfect_matching(
 def curvature_via_matching(
     g: Graph, d: DistanceOracle, x: int, y: int
 ) -> Optional[CurvatureValue]:
-    """(2 + m)/D when the triangle-and-matching certificate applies, else None."""
-    deg = _require_regular(g)
+    """``kappa`` at an edge whose triangle-and-matching certificate applies, else None.
+
+    The certificate applies exactly when ``kappa`` labels the edge
+    "matching"; the value is then (2 + |N_xy|)/D.
+    """
     if d.d(x, y) != 1:
         raise NotAnEdge(f"({x},{y}) is not an edge")
-    m = len(common_neighbors(g, x, y))
-    left, right = matching_sides(g, x, y)
-    if perfect_matching_between(g, left, right) is None:
-        return None
-    return CurvatureValue(
-        value=Fraction(2 + m, deg), flavour="kappa", method="matching"
-    )
+    value = kappa(g, d, x, y)
+    return value if value.method == "matching" else None
 
 
 def certify_duality(

@@ -1,18 +1,21 @@
 """Independent oracles and generators used across the test suite.
 
 These deliberately avoid the code paths they check: Wasserstein by
-exhaustive bijection enumeration, intervals and antipodality by definition
-scan, random regular graphs by stub pairing.
+exhaustive bijection enumeration or by min-cost flow on the full,
+uncancelled supports, perfect matchings by permutation enumeration,
+intervals and antipodality by definition scan, random regular graphs by
+stub pairing.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 from curvlab.graphs import DistanceOracle, Graph, build_graph
-from curvlab.transport import Measure
+from curvlab.transport import Measure, _transportation
 
 
 def wasserstein_bruteforce(d: DistanceOracle, m1: Measure, m2: Measure) -> Fraction:
@@ -29,6 +32,35 @@ def wasserstein_bruteforce(d: DistanceOracle, m1: Measure, m2: Measure) -> Fract
         sum(d.d(u, v) for u, v in zip(s1, perm)) for perm in permutations(s2)
     )
     return unit * best
+
+
+def wasserstein_full_flow(d: DistanceOracle, m1: Measure, m2: Measure) -> Fraction:
+    """W1 by integer min-cost flow between the full supports.
+
+    Nothing cancels: mass shared by the two measures is a supply and a
+    demand like any other, so this checks routes that solve only the
+    remainder of m1 - m2.
+    """
+    denom = math.lcm(*(m.denominator for _, m in m1.mass + m2.mass))
+    cost = [[d.d(u, v) for v in m2.support] for u in m1.support]
+    supply = [int(m * denom) for _, m in m1.mass]
+    demand = [int(m * denom) for _, m in m2.mass]
+    total, _ = _transportation(cost, supply, demand)
+    return Fraction(total, denom)
+
+
+def edge_has_perfect_matching(g: Graph, x: int, y: int) -> bool:
+    """Whether N(x) \\ N[y] and N(y) \\ N[x] admit a perfect adjacency
+    matching, by enumerating every bijection between them."""
+    nx, ny = set(g.adjacency[x]), set(g.adjacency[y])
+    left = sorted(nx - ny - {y})
+    right = sorted(ny - nx - {x})
+    if len(left) != len(right):
+        return False
+    return any(
+        all(v in g.adjacency[u] for u, v in zip(left, perm))
+        for perm in permutations(right)
+    )
 
 
 def interval_bruteforce(d: DistanceOracle, x: int, y: int) -> frozenset[int]:

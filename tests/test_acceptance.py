@@ -51,7 +51,7 @@ from curvlab.transport import (
     wasserstein,
 )
 
-from helpers import random_regular_graph, wasserstein_bruteforce
+from helpers import edge_has_perfect_matching, random_regular_graph, wasserstein_bruteforce
 
 BE_TOL = 1e-7
 
@@ -301,15 +301,17 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
             # value when it fires, a strict upper bound when it cannot
             tri = len(common_neighbors(g, u, v))
             bound = Fraction(2 + tri, deg)
+            matched = edge_has_perfect_matching(g, u, v)
             fast = curvature_via_matching(g, d, u, v)
-            if fast is not None:
+            assert (fast is not None) == matched, f"graph {index} edge ({u},{v})"
+            if matched:
                 assert fast.value == k_assign, f"graph {index} edge ({u},{v})"
             else:
                 assert k_assign < bound, f"graph {index} edge ({u},{v})"
             assert k_assign <= bound
-            # kappa's reduced route against the full-support assignment, and
-            # its "matching" label against the Hopcroft-Karp certificate
+            # kappa's reduced route against the bijection oracle, and its
+            # "matching" label against the enumerated perfect matchings
             reduced = kappa(g, d, u, v)
             assert reduced.value == k_assign, f"graph {index} edge ({u},{v})"
-            assert (reduced.method == "matching") == (fast is not None)
+            assert (reduced.method == "matching") == matched
     _report(8, "assignment vs exhaustive-coupling oracle on 200 random 4-regular graphs", t0)

@@ -100,10 +100,14 @@ def test_bad_idleness_exit2(capsys, text):
     assert "argument --p" in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--p", "1/2"], ["--plan"]], ids=["p", "plan"])
+@pytest.mark.parametrize(
+    "flags", [["--p", "1/2"], ["--plan"], ["0", "1"]], ids=["p", "plan", "pair"]
+)
 def test_all_edges_rejects_pair_flags_exit2(capsys, flags):
-    # --all-edges prints plain kappa, so a pair flag there is a usage error
-    code, out, err = run(capsys, "curvature", "hypercube:3", "--all-edges", *flags)
+    # --all-edges prints plain kappa on every edge, so a pair or a pair flag
+    # there is a usage error; the pair must precede --all-edges, or argparse
+    # rejects it as unrecognized before curvlab sees it
+    code, out, err = run(capsys, "curvature", "hypercube:3", *flags, "--all-edges")
     assert code == 2 and out == "" and "--all-edges" in err
 
 
@@ -113,6 +117,7 @@ def test_all_edges_rejects_pair_flags_exit2(capsys, flags):
 @example("-1/2")
 @example("1e999999999")
 @example("1/" + "7" * 200)
+@example("--")
 def test_any_idleness_text_exits_cleanly(text):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

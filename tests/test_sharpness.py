@@ -71,15 +71,15 @@ class TestBMSharpness:
 class TestLambdaM:
     def test_hypercube_lambda0(self, q4):
         g, d = q4
-        assert lambda_m_check(g, d, 0).holds
+        assert lambda_m_check(GraphAnalysis(g, d), 0).holds
 
     def test_gosset_lambda16(self, gosset_graph):
         g, d = gosset_graph
-        assert lambda_m_check(g, d, 16).holds
+        assert lambda_m_check(GraphAnalysis(g, d), 16).holds
 
     def test_k4_lambda3_fails(self):
         g = complete(4)
-        verdict = lambda_m_check(g, distances(g), 3)
+        verdict = lambda_m_check(GraphAnalysis(g, distances(g)), 3)
         assert not verdict.holds and len(verdict.failing_edges) == g.edge_count
 
     def test_prop_equivalence_on_self_centered(self, cp4, j63, petersen):
@@ -90,7 +90,7 @@ class TestLambdaM:
             deg, L = g.is_regular(), d.diameter
             m = Fraction(2 * deg, L) - 2
             sharp = bm_sharpness(GraphAnalysis(g, d)).is_bm_sharp
-            lam = m.denominator == 1 and m >= 0 and lambda_m_check(g, d, int(m)).holds
+            lam = m.denominator == 1 and m >= 0 and lambda_m_check(GraphAnalysis(g, d), int(m)).holds
             assert sharp == lam
 
 

@@ -30,6 +30,7 @@ from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, cartesian_product, distances, interval
 from curvlab.transport import (
     Measure,
+    TransportPlan,
     certify_duality,
     curvature_via_matching,
     geodesic_between,
@@ -47,7 +48,12 @@ from curvlab.transport import (
     wasserstein,
 )
 
-from helpers import random_regular_graph, wasserstein_bruteforce
+from helpers import (
+    edge_has_perfect_matching,
+    random_regular_graph,
+    wasserstein_bruteforce,
+    wasserstein_full_flow,
+)
 
 
 class TestMeasures:
@@ -122,15 +128,18 @@ class TestWasserstein:
 
     def test_flow_path_matches_assignment(self, q3):
         # p = 1/4 gives equal masses on Q3, so both routes must agree;
-        # force the flow route by perturbing nothing but the solver choice
+        # force the flow route by perturbing nothing but the solver choice,
+        # on the full supports
         from curvlab.transport import _wasserstein_assignment, _wasserstein_flow
 
         g, d = q3
         for x, y in [(0, 1), (0, 3), (0, 7), (2, 5)]:
             m1 = idle_measure(g, x, Fraction(1, 4))
             m2 = idle_measure(g, y, Fraction(1, 4))
-            wa, plan_a = _wasserstein_assignment(d, m1, m2)
-            wf, plan_f = _wasserstein_flow(d, m1, m2)
+            wa, entries_a = _wasserstein_assignment(d, m1.mass, m2.mass)
+            wf, entries_f = _wasserstein_flow(d, m1.mass, m2.mass)
+            plan_a = TransportPlan(tuple(entries_a), m1, m2)
+            plan_f = TransportPlan(tuple(entries_f), m1, m2)
             assert wa == wf
             assert plan_a.cost(d) == plan_f.cost(d) == wa
 
@@ -224,8 +233,8 @@ class TestWasserstein:
                 )
 
             m1, m2 = random_units(), random_units()
-            w_flow, plan = _wasserstein_flow(d, m1, m2)
-            assert plan.cost(d) == w_flow
+            w_flow, entries = _wasserstein_flow(d, m1.mass, m2.mass)
+            assert TransportPlan(tuple(entries), m1, m2).cost(d) == w_flow
             units1 = [v for v, m in m1.mass for _ in range(int(m * scale))]
             units2 = [v for v, m in m2.mass for _ in range(int(m * scale))]
             cost = np.array(
@@ -337,6 +346,7 @@ class TestMatchingFastPath:
         g, d = q4
         val = curvature_via_matching(g, d, 0, 1)
         assert val is not None and val.value == Fraction(2, 4)
+        assert edge_has_perfect_matching(g, 0, 1)
 
     def test_gosset(self, gosset_graph):
         g, d = gosset_graph
@@ -347,26 +357,33 @@ class TestMatchingFastPath:
         g, d = demi6
         val = curvature_via_matching(g, d, 0, g.adjacency[0][0])
         assert val is not None and val.value == Fraction(10, 15)
+        assert edge_has_perfect_matching(g, 0, g.adjacency[0][0])
 
     def test_pentagon_has_no_matching(self):
         g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
         d = distances(g)
+        assert not edge_has_perfect_matching(g, 0, 1)
         assert curvature_via_matching(g, d, 0, 1) is None
 
     def test_agrees_with_assignment_when_it_fires(self, cp4):
         g, d = cp4
         deg = g.is_regular()
+        p = Fraction(1, deg + 1)
         for u, v in g.edges():
             fast = curvature_via_matching(g, d, u, v)
-            # the full-support assignment, independent of kappa's reduced route
-            slow = Fraction(deg + 1, deg) * kappa_p(g, d, u, v, Fraction(1, deg + 1)).value
+            # the matching label against bijection enumeration, and the value
+            # against min-cost flow on the full, uncancelled 1-ball supports
+            assert (fast is not None) == edge_has_perfect_matching(g, u, v)
+            slow = Fraction(deg + 1, deg) * (
+                1 - wasserstein_full_flow(d, idle_measure(g, u, p), idle_measure(g, v, p))
+            )
             if fast is not None:
                 assert fast.value == slow
 
 
 class TestReducedRoute:
-    """kappa's assignment on the cancelled 1-ball support against the
-    full-support assignment of kappa_p, on pairs at distance >= 2."""
+    """kappa's assignment on the cancelled 1-ball support against min-cost
+    flow on the full, uncancelled 1-ball supports, on pairs at distance >= 2."""
 
     @staticmethod
     def _check_far_pairs(g):
@@ -380,7 +397,8 @@ class TestReducedRoute:
                     continue
                 got = kappa(g, d, x, y)
                 assert got.method == "assignment"
-                assert got.value == Fraction(deg + 1, deg) * kappa_p(g, d, x, y, p).value
+                w1 = wasserstein_full_flow(d, idle_measure(g, x, p), idle_measure(g, y, p))
+                assert got.value == Fraction(deg + 1, deg) * (1 - w1 / d.d(x, y))
                 checked += 1
         return checked
 
