@@ -1,11 +1,12 @@
 """Bakry-Emery Gamma-calculus and normalized infinity-curvature.
 
 The curvature at x is the best constant K with Gamma2(f)(x) >= K Gamma(f)(x)
-for all f.  Both quadratic forms live on the 2-ball of x; fixing f(x) = 0
-(both forms are shift invariant) and eliminating the 2-sphere coordinates by
-a Schur complement reduces the problem to a smallest eigenvalue on the
-1-sphere coordinates.  A positive-semidefiniteness bisection provides an
-independent cross-check.
+for all f.  Both quadratic forms live on the 2-ball B2(x) and are assembled
+there, on the basis [x] + S1(x) + S2(x), never on the whole vertex set.
+Fixing f(x) = 0 (both forms are shift invariant) and eliminating the
+2-sphere coordinates by a Schur complement reduces the problem to a
+smallest eigenvalue on the 1-sphere coordinates.  A positive-semidefiniteness
+bisection provides an independent cross-check.
 
 Form matrices are floats assembled from exact rational Laplacian entries;
 sharpness verdicts use a 1e-7 tolerance.  The upper bound
@@ -68,40 +69,6 @@ class QuadraticForm:
     matrix: np.ndarray
 
 
-def _laplacian_matrix(g: Graph) -> np.ndarray:
-    m = np.zeros((g.n, g.n), dtype=np.float64)
-    for x in range(g.n):
-        deg = g.degree(x)
-        m[x, x] = -1.0
-        for y in g.adjacency[x]:
-            m[x, y] = 1.0 / deg
-    return m
-
-
-def _gamma_matrix_at(g: Graph, w: int) -> np.ndarray:
-    """Matrix of the bilinear form (f, h) -> Gamma(f, h)(w) on all vertices."""
-    n = g.n
-    h = np.zeros((n, n), dtype=np.float64)
-    nbrs = list(g.adjacency[w])
-    for z in nbrs:
-        h[z, z] += 1.0
-        h[z, w] -= 1.0
-        h[w, z] -= 1.0
-        h[w, w] += 1.0
-    return h / (2.0 * g.degree(w))
-
-
-def _gamma2_matrix_at(g: Graph, x: int) -> np.ndarray:
-    lap = _laplacian_matrix(g)
-    gx = _gamma_matrix_at(g, x)
-    acc = -1.0 * gx  # M[x, x] = -1 term of Delta Gamma
-    degx = g.degree(x)
-    for y in g.adjacency[x]:
-        acc = acc + _gamma_matrix_at(g, y) / degx
-    b = 0.5 * (acc - gx @ lap - lap.T @ gx)
-    return 0.5 * (b + b.T)
-
-
 def _ball_partition(g: Graph, x: int) -> tuple[list[int], list[int]]:
     """(1-sphere, 2-sphere) of x via a local BFS."""
     s1 = sorted(g.adjacency[x])
@@ -110,25 +77,47 @@ def _ball_partition(g: Graph, x: int) -> tuple[list[int], list[int]]:
     return s1, s2
 
 
+def _local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """(basis, |S1|, Gamma, Gamma2) at x, both matrices over the basis
+    ``[x] + S1 + S2`` of B2(x).
+
+    Gamma(., .)(w) for w in B1(x) and the Laplacian rows of B1(x) touch no
+    vertex outside B2(x), so the forms are complete on this basis.
+    """
+    s1, s2 = _ball_partition(g, x)
+    basis = [x] + s1 + s2
+    pos = {v: i for i, v in enumerate(basis)}
+    m = len(basis)
+
+    def gamma_at(w: int) -> np.ndarray:
+        i, js = pos[w], [pos[z] for z in g.adjacency[w]]
+        h = np.zeros((m, m), dtype=np.float64)
+        h[js, js] = 1.0
+        h[js, i] = h[i, js] = -1.0
+        h[i, i] = len(js)
+        return h / (2.0 * len(js))
+
+    # Laplacian rows of B1(x); the rows of S2 never meet the Gamma form at x
+    lap = np.zeros((m, m), dtype=np.float64)
+    for i, v in enumerate(basis[: 1 + len(s1)]):
+        lap[i, [pos[z] for z in g.adjacency[v]]] = 1.0 / g.degree(v)
+        lap[i, i] = -1.0
+
+    gx = gamma_at(x)
+    acc = -1.0 * gx  # M[x, x] = -1 term of Delta Gamma
+    degx = g.degree(x)
+    for y in g.adjacency[x]:
+        acc = acc + gamma_at(y) / degx
+    b = 0.5 * (acc - gx @ lap - lap.T @ gx)
+    return basis, len(s1), gx, 0.5 * (b + b.T)
+
+
 def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
     """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x."""
-    s1, s2 = _ball_partition(g, x)
-    basis1 = tuple([x] + s1)
-    basis2 = tuple([x] + s1 + s2)
-    gx = _gamma_matrix_at(g, x)
-    g2x = _gamma2_matrix_at(g, x)
-    idx1 = np.array(basis1)
-    idx2 = np.array(basis2)
-    # Both forms vanish outside their stated balls.
-    mask = np.ones(g.n, dtype=bool)
-    mask[list(basis2)] = False
-    if mask.any():
-        outside = np.abs(g2x[mask]).max()
-        if outside > 1e-9:
-            raise FormCheckFailed("Gamma2 form leaks outside the 2-ball")
+    basis, ds, gx, g2x = _local_forms(g, x)
     return (
-        QuadraticForm(basis=basis1, matrix=gx[np.ix_(idx1, idx1)]),
-        QuadraticForm(basis=basis2, matrix=g2x[np.ix_(idx2, idx2)]),
+        QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
+        QuadraticForm(basis=tuple(basis), matrix=g2x),
     )
 
 
@@ -145,17 +134,13 @@ class BEReport:
 
 
 def _curvature_schur(g: Graph, x: int) -> float:
-    s1, s2 = _ball_partition(g, x)
-    ds, ms = len(s1), len(s2)
-    basis = [x] + s1 + s2
-    idx = np.array(basis)
-    b = _gamma2_matrix_at(g, x)[np.ix_(idx, idx)]
+    _, ds, _, b = _local_forms(g, x)
     # fix f(x) = 0: both forms are invariant under adding constants
     b = b[1:, 1:]
     b11 = b[:ds, :ds]
     b12 = b[:ds, ds:]
     b22 = b[ds:, ds:]
-    if ms > 0:
+    if b22.size:
         evals, evecs = np.linalg.eigh(b22)
         if evals.min() < -1e-8:
             raise FormCheckFailed("Gamma2 block over the 2-sphere is not PSD")
@@ -173,13 +158,9 @@ def _curvature_schur(g: Graph, x: int) -> float:
 
 def _curvature_bisect(g: Graph, x: int, lo: float, hi: float, iters: int = 60) -> float:
     """Largest K with Gamma2 - K Gamma PSD at x, by bisection."""
-    s1, s2 = _ball_partition(g, x)
-    ds = len(s1)
-    basis = [x] + s1 + s2
-    idx = np.array(basis)
-    b = _gamma2_matrix_at(g, x)[np.ix_(idx, idx)][1:, 1:]
-    a = np.zeros_like(b)
-    a[:ds, :ds] = np.eye(ds) / (2.0 * g.degree(x))
+    _, _, a, b = _local_forms(g, x)
+    # fix f(x) = 0, as in the Schur route
+    a, b = a[1:, 1:], b[1:, 1:]
 
     def psd(k: float) -> bool:
         return float(np.linalg.eigvalsh(b - k * a).min()) >= -PSD_TOL

@@ -38,9 +38,9 @@ from .sharpness import bm_sharpness, classify
 from .spectral import spectral_summary
 from .tables import compute_table, render_table
 from .transport import (
+    _kappa_p_plan,
     idle_measure,
     kappa,
-    kappa_p,
     transport_geodesic,
     wasserstein,
 )
@@ -147,10 +147,9 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     _check_vertices(g, x, y)
     if args.p is not None:
         p = args.p
-        val = kappa_p(g, d, x, y, p)
+        val, plan = _kappa_p_plan(g, d, x, y, p)
         print(f"kappa_{p}({x},{y}) = {frac_str(val.value)} ({val.method})")
         if args.plan:
-            w, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
             print(json.dumps(plan.to_json(), sort_keys=True))
         return 0
     val = kappa(g, d, x, y)

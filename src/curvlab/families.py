@@ -11,10 +11,13 @@ provenance only and never consulted by algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from math import prod
 from typing import Any
 
-from .errors import BadParam
+from . import graphs
+from .errors import BadParam, VertexOutOfRange
 from .graphs import Graph, build_graph, cartesian_product, induced_subgraph
 
 
@@ -149,9 +152,13 @@ def shrikhande() -> Graph:
 
 
 def hamming(n: int, d: int) -> Graph:
-    """The Hamming graph H(d, n) = (K_n)^d."""
-    if n < 1 or d < 1:
-        raise BadParam(f"hamming needs n, d >= 1, got ({n},{d})")
+    """The Hamming graph H(d, n) = (K_n)^d.
+
+    n = 1 is refused: (K_1)^d is one vertex for every d, yet it would take
+    d - 1 products to build, so no vertex count could bound the work.
+    """
+    if n < 2 or d < 1:
+        raise BadParam(f"hamming needs n >= 2 and d >= 1, got ({n},{d})")
     g = complete(n)
     out = g
     for _ in range(d - 1):
@@ -163,13 +170,8 @@ def doob(n: int, m: int) -> Graph:
     """Doob graph: Cartesian product of n copies of K_4 and m Shrikhande graphs."""
     if n < 0 or m < 1:
         raise BadParam(f"doob needs n >= 0 and m >= 1, got ({n},{m})")
-    out: Graph | None = None
-    for _ in range(n):
-        out = complete(4) if out is None else cartesian_product(out, complete(4))
-    for _ in range(m):
-        out = shrikhande() if out is None else cartesian_product(out, shrikhande())
-    assert out is not None
-    return out
+    factors = [complete(4)] * n + [shrikhande()] * m
+    return reduce(cartesian_product, factors)
 
 
 def lattice(n: int) -> Graph:
@@ -186,20 +188,45 @@ def triangular(n: int) -> Graph:
     return johnson(n, 2)
 
 
+def _power(base: int, exp: int) -> int:
+    """base ** exp, or a partial power above MAX_VERTICES once one passes it."""
+    out = 1
+    while base >= 2 and exp > 0 and out <= graphs.MAX_VERTICES:
+        out, exp = out * base, exp - 1
+    return out
+
+
+def _binomial(n: int, k: int) -> int:
+    """C(n, k), or a partial C(n, i) above MAX_VERTICES once one passes it.
+
+    C(n, i) grows with i up to n/2, at least doubling, so this stops within
+    a few steps whatever the parameters.
+    """
+    out = 1
+    for i in range(min(k, n - k)):
+        out = out * (n - i) // (i + 1)
+        if out > graphs.MAX_VERTICES:
+            break
+    return out
+
+
+# name -> (generator, parameter count, vertex count from the parameters).
+# The counts are exact up to MAX_VERTICES; any count above it stands for
+# "too many", and invalid parameters are left to the generator to refuse.
 FAMILIES = {
-    "hypercube": (hypercube, 1),
-    "cocktailparty": (cocktail_party, 1),
-    "complete": (complete, 1),
-    "johnson": (johnson, 2),
-    "kneser": (kneser, 2),
-    "demicube": (demi_cube, 1),
-    "gosset": (gosset, 0),
-    "schlafli": (schlafli, 0),
-    "shrikhande": (shrikhande, 0),
-    "hamming": (hamming, 2),
-    "doob": (doob, 2),
-    "lattice": (lattice, 1),
-    "triangular": (triangular, 1),
+    "hypercube": (hypercube, 1, lambda n: _power(2, n)),
+    "cocktailparty": (cocktail_party, 1, lambda n: 2 * n),
+    "complete": (complete, 1, lambda n: n),
+    "johnson": (johnson, 2, _binomial),
+    "kneser": (kneser, 2, _binomial),
+    "demicube": (demi_cube, 1, lambda n: _power(2, n - 1)),
+    "gosset": (gosset, 0, lambda: 56),
+    "schlafli": (schlafli, 0, lambda: 27),
+    "shrikhande": (shrikhande, 0, lambda: 16),
+    "hamming": (hamming, 2, _power),
+    "doob": (doob, 2, lambda n, m: _power(4, n) * _power(16, m)),
+    "lattice": (lattice, 1, lambda n: n * n),
+    "triangular": (triangular, 1, lambda n: _binomial(n, 2)),
 }
 
 
@@ -261,11 +288,25 @@ class FamilySpec:
         return self.family
 
 
+def _vertex_count(spec: FamilySpec) -> int:
+    if spec.family == "product":
+        return prod(_vertex_count(f) for f in spec.factors)
+    _, _, count = FAMILIES[spec.family]
+    return count(*spec.params)
+
+
 def from_spec(spec: FamilySpec) -> Graph:
+    """Build the graph of ``spec``; specs whose vertex count, worked out
+    from the parameters alone, exceeds ``graphs.MAX_VERTICES`` are refused
+    before any generator runs."""
+    if _vertex_count(spec) > graphs.MAX_VERTICES:
+        raise VertexOutOfRange(
+            f"{spec.describe()} has more than MAX_VERTICES = {graphs.MAX_VERTICES} vertices"
+        )
     if spec.family == "product":
         out = from_spec(spec.factors[0])
         for factor in spec.factors[1:]:
             out = cartesian_product(out, from_spec(factor))
         return out
-    fn, _ = FAMILIES[spec.family]
+    fn, _, _ = FAMILIES[spec.family]
     return fn(*spec.params)

@@ -92,6 +92,13 @@ class Graph:
 MAX_VERTICES = 100_000
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise VertexOutOfRange(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise VertexOutOfRange(f"vertex count {n} above MAX_VERTICES = {MAX_VERTICES}")
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -102,10 +109,7 @@ def build_graph(
     Rejects vertex counts outside ``[0, MAX_VERTICES]``, self-loops,
     duplicate edges (in either orientation) and endpoints outside ``[0, n)``.
     """
-    if n < 0:
-        raise VertexOutOfRange(f"negative vertex count {n}")
-    if n > MAX_VERTICES:
-        raise VertexOutOfRange(f"vertex count {n} above MAX_VERTICES = {MAX_VERTICES}")
+    _check_vertex_count(n)
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -355,6 +359,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     factors are connected.
     """
     n1, n2 = g1.n, g2.n
+    _check_vertex_count(n1 * n2)
     edges: list[tuple[int, int]] = []
     for u in range(n1):
         for v in range(n2):

@@ -302,13 +302,20 @@ def kappa_p(
     g: Graph, d: DistanceOracle, x: int, y: int, p: Fraction | int
 ) -> CurvatureValue:
     """p-idleness Ollivier-Ricci curvature 1 - W1(mu_x^p, mu_y^p)/d(x,y)."""
+    return _kappa_p_plan(g, d, x, y, p)[0]
+
+
+def _kappa_p_plan(
+    g: Graph, d: DistanceOracle, x: int, y: int, p: Fraction | int
+) -> tuple[CurvatureValue, TransportPlan]:
+    """``kappa_p`` together with the optimal plan of its one W1 solve."""
     if x == y:
         raise SamePair("curvature needs two distinct vertices")
     _require_regular(g)
     p = _as_fraction(p, "idleness")
-    w1, _ = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
+    w1, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
     value = 1 - w1 / d.d(x, y)
-    return CurvatureValue(value=value, flavour="kappa_p", method="assignment", p=p)
+    return CurvatureValue(value=value, flavour="kappa_p", method="assignment", p=p), plan
 
 
 def kappa(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:

@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, perfect matchings by permutation enumeration,
-intervals and antipodality by definition scan, random regular graphs by
-stub pairing.
+intervals and antipodality by definition scan, Bakry-Emery forms by dense
+assembly over the whole vertex set, random regular graphs by stub pairing.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
 
 from curvlab.graphs import DistanceOracle, Graph, build_graph
 from curvlab.transport import Measure, _transportation
@@ -61,6 +63,33 @@ def edge_has_perfect_matching(g: Graph, x: int, y: int) -> bool:
         all(v in g.adjacency[u] for u, v in zip(left, perm))
         for perm in permutations(right)
     )
+
+
+def dense_gamma_forms(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gamma and Gamma2 matrices at x over all n vertices, from the
+    whole n x n Laplacian and one n x n Gamma matrix per neighbour."""
+    n = g.n
+    lap = np.zeros((n, n), dtype=np.float64)
+    for v in range(n):
+        lap[v, v] = -1.0
+        for z in g.adjacency[v]:
+            lap[v, z] = 1.0 / g.degree(v)
+
+    def gamma_at(w: int) -> np.ndarray:
+        h = np.zeros((n, n), dtype=np.float64)
+        for z in g.adjacency[w]:
+            h[z, z] += 1.0
+            h[z, w] -= 1.0
+            h[w, z] -= 1.0
+            h[w, w] += 1.0
+        return h / (2.0 * g.degree(w))
+
+    gx = gamma_at(x)
+    acc = -1.0 * gx
+    for y in g.adjacency[x]:
+        acc = acc + gamma_at(y) / g.degree(x)
+    b = 0.5 * (acc - gx @ lap - lap.T @ gx)
+    return gx, 0.5 * (b + b.T)
 
 
 def interval_bruteforce(d: DistanceOracle, x: int, y: int) -> frozenset[int]:

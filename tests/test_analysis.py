@@ -1,5 +1,8 @@
 """Each per-graph quantity is computed once per command."""
 
+import json
+from fractions import Fraction
+
 from curvlab import cli
 from curvlab.analysis import GraphAnalysis
 from curvlab.cli import main
@@ -49,6 +52,17 @@ def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
     assert sorted(x for _, x in schur) == list(range(8))
+
+
+def test_curvature_plan_one_w1_solve(monkeypatch, capsys):
+    solves = record_calls(monkeypatch, "transport", "wasserstein")
+    assert main(["curvature", "hypercube:3", "0", "7", "--p", "1/2", "--plan"]) == 0
+    value_line, plan_line = capsys.readouterr().out.splitlines()
+    assert value_line == "kappa_1/2(0,7) = 1/3 (assignment)"
+    entries = json.loads(plan_line)["entries"]
+    # the plan moves W1 = (1 - 1/3) * d(0, 7) = 2; Q3 distance is the Hamming weight
+    assert sum(Fraction(m) * bin(u ^ v).count("1") for u, v, m in entries) == 2
+    assert len(solves) == 1
 
 
 def test_find_isomorphism_one_oracle_per_graph(monkeypatch):

@@ -1,7 +1,9 @@
 """Gamma calculus and the infinity-curvature pipeline."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvlab import bakry_emery
@@ -24,9 +26,14 @@ from curvlab.families import (
     johnson,
     shrikhande,
 )
-from curvlab.graphs import cartesian_product, distances
+from curvlab.fixtures import load_fixture
+from curvlab.graphs import build_graph, cartesian_product, distances
+from helpers import dense_gamma_forms, random_regular_graph
 
 TOL = 1e-7
+
+# the irregular 6-vertex graph of TestS1ppTest, whose 1-sphere out-degrees differ
+LOPSIDED_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
 
 
 class TestGammaValues:
@@ -69,6 +76,61 @@ class TestGammaValues:
             _, form_g2 = gamma_forms(g, 0)
             scaled = form_g2.matrix * (4.0 * deg * deg)
             assert np.abs(scaled - np.round(scaled)).max() < 1e-9
+
+
+class TestLocalAssembly:
+    """The forms assembled on B2(x) against the dense n x n assembly."""
+
+    FIXTURES = ("q3", "q4", "cp3", "cp4", "j63", "demi6", "gosset_graph", "petersen", "cp3_squared")
+
+    @pytest.fixture(scope="class")
+    def corpus(self, request):
+        graphs = [request.getfixturevalue(name)[0] for name in self.FIXTURES]
+        graphs += [
+            load_fixture("chang1"),
+            build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+            build_graph(6, LOPSIDED_EDGES),
+        ]
+        rng = random.Random(8)
+        graphs += [random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5))]
+        return graphs
+
+    def test_local_forms_equal_dense_restriction(self, corpus):
+        checked = 0
+        for g in corpus:
+            d = distances(g)
+            for x in range(g.n):
+                basis, ds, gx, g2x = bakry_emery._local_forms(g, x)
+                s1, s2 = d.sphere(x, 1), d.sphere(x, 2)
+                assert basis == [x, *s1, *s2] and ds == len(s1)
+                dense_g, dense_g2 = dense_gamma_forms(g, x)
+                idx = np.ix_(basis, basis)
+                assert np.abs(gx - dense_g[idx]).max() <= 1e-12
+                assert np.abs(g2x - dense_g2[idx]).max() <= 1e-12
+                checked += 1
+        assert checked >= 250
+
+    def test_dense_gamma2_vanishes_outside_the_2_ball(self, corpus):
+        outside_seen = 0
+        for g in corpus:
+            d = distances(g)
+            for x in range(g.n):
+                dense_g, dense_g2 = dense_gamma_forms(g, x)
+                beyond1, beyond2 = d.dist[x] > 1, d.dist[x] > 2
+                assert not dense_g[beyond1].any() and not dense_g[:, beyond1].any()
+                assert np.abs(dense_g2[beyond2]).max(initial=0.0) <= 1e-12
+                assert np.abs(dense_g2[:, beyond2]).max(initial=0.0) <= 1e-12
+                outside_seen += int(beyond2.any())
+        # q3, q4, demi6, cp3_squared, Chang1 and the random graphs reach past B2
+        assert outside_seen >= 100
+
+    def test_gamma_forms_read_the_local_assembly(self, j63):
+        g, _ = j63
+        form_g, form_g2 = gamma_forms(g, 5)
+        basis, ds, gx, g2x = bakry_emery._local_forms(g, 5)
+        assert form_g.basis == tuple(basis[: 1 + ds]) and form_g2.basis == tuple(basis)
+        assert np.array_equal(form_g.matrix, gx[: 1 + ds, : 1 + ds])
+        assert np.array_equal(form_g2.matrix, g2x)
 
 
 class TestClosedForms:
@@ -141,15 +203,11 @@ class TestS1ppTest:
 
     def test_irregular_sphere_not_applicable(self):
         # pentagon prism-ish graph where out-degrees differ
-        from curvlab.graphs import build_graph
-
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         d = distances(g)
         applicable, lam1, passes = s1pp_sharpness_test(g, d, 0)
         assert applicable  # C5 is S1-out regular
-        g2 = build_graph(
-            6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-        )
+        g2 = build_graph(6, LOPSIDED_EDGES)
         d2 = distances(g2)
         out = s1pp_sharpness_test(g2, d2, 0)
         assert out[0] in (True, False)  # smoke: no crash on a lopsided sphere

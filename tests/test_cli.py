@@ -5,14 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from curvlab import graphs
 from curvlab.cli import main
+from curvlab.families import FAMILIES
 from curvlab.graph6 import decode_graph6, encode_graph6
+
+from helpers import record_calls
 
 
 def run(capsys, *argv):
@@ -167,6 +172,85 @@ class TestGen:
         run(capsys, "gen", "johnson", "6", "3", "-o", str(out))
         text = out.read_text().strip()
         assert encode_graph6(decode_graph6(text)) == text
+
+    @pytest.mark.parametrize(
+        "spec",
+        [["hypercube", "40"], ["hamming", "10", "10"], ["product", "hypercube:10", "hypercube:10"]],
+        ids=["hypercube-40", "hamming-10-10", "product-q10-q10"],
+    )
+    def test_vertex_count_refused_before_any_generator(self, monkeypatch, capsys, spec):
+        built = record_calls(monkeypatch, "graphs", "build_graph")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", *spec)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == "" and "more than MAX_VERTICES = 100000" in err
+        assert built == []
+
+    def test_hamming_of_one_vertex_refused(self, capsys):
+        # (K_1)^d has one vertex for every d but takes d - 1 products to build
+        code, out, err = run(capsys, "gen", "hamming", "1", "1000000000")
+        assert code == 2 and out == "" and "hamming needs n >= 2" in err
+
+
+FUZZ_CAP = 200
+FAMILY_NAMES = sorted(FAMILIES) + ["product", "Cocktail-Party", "demi_cube", "nosuch", ""]
+FUZZ_PARAM = st.integers(-2, 12) | st.integers() | st.text(alphabet="0123456789:x -", max_size=4)
+
+
+def _spec_text(name: str, params: list) -> str:
+    return ":".join([name, *map(str, params)])
+
+
+# well-formed specs: a known family with its own number of small parameters
+FUZZ_VALID_SPEC = st.sampled_from(sorted(FAMILIES)).flatmap(
+    lambda name: st.builds(
+        _spec_text, st.just(name), st.lists(st.integers(0, 9), min_size=FAMILIES[name][1],
+                                             max_size=FAMILIES[name][1])
+    )
+)
+FUZZ_SPEC = FUZZ_VALID_SPEC | st.builds(
+    _spec_text, st.sampled_from(FAMILY_NAMES), st.lists(FUZZ_PARAM, max_size=3)
+)
+FUZZ_GEN_ARGS = st.one_of(
+    FUZZ_VALID_SPEC.map(lambda text: text.split(":")),
+    st.lists(FUZZ_VALID_SPEC, min_size=2, max_size=3).map(lambda specs: ["product", *specs]),
+    st.builds(lambda name, params: [name, *map(str, params)],
+              st.sampled_from(FAMILY_NAMES), st.lists(FUZZ_PARAM, max_size=3)),
+    st.lists(FUZZ_SPEC, max_size=3).map(lambda specs: ["product", *specs]),
+    st.lists(FUZZ_SPEC | st.text(max_size=8), max_size=3),
+)
+
+
+@given(FUZZ_GEN_ARGS, st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(["hypercube", "40"], False)
+@example(["hamming", "1", str(10**12)], False)
+@example(["product", "hypercube:40", "complete:0"], False)
+@example(["product", "complete:0", "hypercube:40"], True)
+@example(["johnson", str(10**30), str(5 * 10**29)], False)
+@example(["doob", "0", str(10**15)], False)
+@example(["kneser", "4", "2"], True)
+@example(["product", "hypercube:4", "cocktailparty:5"], False)
+def test_any_gen_spec_exits_cleanly(args, as_json):
+    # family parameters may name any size; the cap is lowered, and read at
+    # call time, so no generator ever starts on a graph above it
+    args = [a for a in args if not a.startswith(("-o", "--o", "-h", "--h"))]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "MAX_VERTICES", FUZZ_CAP)
+        built = record_calls(mp, "graphs", "build_graph")
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(["gen", *args, *(["--json"] if as_json else [])])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert all(n <= FUZZ_CAP for n, *_ in built), (args, [n for n, *_ in built])
+    if code == 0:
+        text = out.getvalue()
+        n = json.loads(text)["n"] if as_json else decode_graph6(text.strip()).n
+        assert n <= FUZZ_CAP
 
 
 class TestAnalyze:

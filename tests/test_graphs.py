@@ -39,7 +39,7 @@ from curvlab.graphs import (
     triangle_count_vertex,
 )
 
-from helpers import interval_bruteforce
+from helpers import interval_bruteforce, record_calls
 
 
 class TestBuildGraph:
@@ -324,6 +324,16 @@ class TestCartesianProduct:
     def test_degree_additive(self):
         prod = cartesian_product(johnson(5, 2), complete(3))
         assert prod.is_regular() == 6 + 2
+
+    def test_vertex_count_checked_before_the_edge_list(self, monkeypatch):
+        # Q3 x Q3 has 64 vertices; under a cap of 40 no edge list may be built
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 40)
+        built = record_calls(monkeypatch, "graphs", "build_graph")
+        q3 = hypercube(3)
+        built.clear()
+        with pytest.raises(VertexOutOfRange, match="vertex count 64 above MAX_VERTICES = 40"):
+            cartesian_product(q3, q3)
+        assert built == []
 
 
 class TestPoles:
