@@ -323,33 +323,27 @@ def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
 def intersection_array(
     g: Graph, d: DistanceOracle
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """((b_0..b_{L-1}), (c_1..c_L)) when g is distance-regular, else None."""
+    """((b_0..b_{L-1}), (c_1..c_L)) when g is distance-regular, else None.
+
+    Entry (x, y) of ``(dist == k) @ A`` counts the neighbours of y at
+    distance k from x, so b_j and c_j are the products for k = j + 1 and
+    k = j - 1, each read where dist == j, when that reading is constant.
+    """
     if not d.is_connected or g.is_regular() is None:
         return None
     L = d.diameter
-    b = [-1] * L
-    c = [-1] * (L + 1)
-    b[0] = g.is_regular()  # type: ignore[assignment]
-    for x in range(g.n):
-        for y in range(g.n):
-            j = d.d(x, y)
-            if j < 1:
-                continue
-            t = degree_triple(g, d, x, y)
-            if c[j] == -1:
-                c[j] = t.d_minus
-            elif c[j] != t.d_minus:
-                return None
-            if j < L:
-                if b[j] == -1:
-                    b[j] = t.d_plus
-                elif b[j] != t.d_plus:
-                    return None
-            elif t.d_plus != 0:
-                return None
-    if any(v == -1 for v in b) or any(v == -1 for v in c[1:]):
+    adj = _kernels._adjacency(*g.csr(), g.n)
+    at = [(d.dist == k).astype(np.float64) @ adj for k in range(L + 1)]
+
+    def constant(k: int, j: int) -> Optional[int]:
+        values = at[k][d.dist == j]
+        return int(values[0]) if values.min() == values.max() else None
+
+    b = tuple(constant(j + 1, j) for j in range(L))
+    c = tuple(constant(j - 1, j) for j in range(1, L + 1))
+    if None in b or None in c:
         return None
-    return tuple(b), tuple(c[1:])
+    return b, c  # type: ignore[return-value]
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:

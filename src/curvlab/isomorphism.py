@@ -1,10 +1,17 @@
-"""Graph isomorphism by invariant refinement plus backtracking.
+"""Graph isomorphism by individualize-and-refine.
 
-Good enough for the desk-scale graphs handled here (a few hundred
-vertices).  Vertex colors start from degree/distance profiles and are
-refined by neighbour color multisets; the backtracking search maps one
-vertex at a time, always picking an uncovered vertex adjacent to the
-mapped region and pruning on exact adjacency agreement.
+The search colours the disjoint union of the two graphs, so that a colour
+means the same thing in both halves.  Every vertex starts with its distance
+profile, the sorted row of its distance oracle, and colours are refined by
+neighbour-colour multisets until the colouring is stable.  Colour ids are
+ranks of the sorted signatures, so they agree between the halves.  When the
+halves hold different colour counts, no isomorphism extends the choices made
+so far.  Otherwise one g1 vertex of a smallest open class is individualized
+against each g2 vertex of that class in turn: every class is split by
+distance to the pair, and refinement runs again.  This is the search of
+McKay-Piperno, *Practical graph isomorphism II* (arXiv 1301.1493), without
+the canonical labelling.  A discrete colouring pairs the vertices, and the
+pairing is returned only once it is verified to be an isomorphism.
 """
 
 from __future__ import annotations
@@ -12,29 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+import numpy as np
+
 from .graphs import DistanceOracle, Graph, distances
-
-
-def _invariant(g: Graph, d: DistanceOracle) -> tuple:
-    dist_profile = tuple(sorted(tuple(sorted(Counter(int(v) for v in row).items())) for row in d.dist))
-    tri = sum(
-        len(g.neighbor_set(u) & g.neighbor_set(v)) for u, v in g.edges()
-    )
-    return (g.n, tuple(sorted(g.degrees)), g.edge_count, tri, dist_profile)
-
-
-def _refined_colors(g: Graph, d: DistanceOracle) -> list[int]:
-    colors = [hash((g.degree(v), tuple(sorted(Counter(int(x) for x in d.dist[v]).items())))) for v in range(g.n)]
-    for _ in range(g.n):
-        table: dict[tuple, int] = {}
-        new = []
-        for v in range(g.n):
-            sig = (colors[v], tuple(sorted(colors[w] for w in g.adjacency[v])))
-            new.append(table.setdefault(sig, len(table)))
-        if new == colors:
-            break
-        colors = new
-    return colors
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
@@ -49,91 +36,49 @@ def find_isomorphism_with(
     g1: Graph, d1: DistanceOracle, g2: Graph, d2: DistanceOracle
 ) -> Optional[tuple[int, ...]]:
     """:func:`find_isomorphism` for graphs whose distance oracles the caller holds."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return None
-    if _invariant(g1, d1) != _invariant(g2, d2):
-        return None
     n = g1.n
-    if n == 0:
-        return ()
-    c1 = _refined_colors(g1, d1)
-    c2 = _refined_colors(g2, d2)
-    # Color ids are hash-derived per graph; renumber jointly so classes compare.
-    joint: dict[int, int] = {}
-    c1 = [joint.setdefault(c, len(joint)) for c in c1]
-    c2 = [joint.setdefault(c, len(joint)) for c in c2]
-    if Counter(c1) != Counter(c2):
+    if n != g2.n or g1.edge_count != g2.edge_count:
+        return None
+    # vertex v of g2 is vertex n + v of the union
+    adjacency = g1.adjacency + tuple(tuple(n + w for w in nbrs) for nbrs in g2.adjacency)
+    rows1, rows2 = d1.dist.tolist(), d2.dist.tolist()
+
+    def refine(signatures: list) -> Optional[list[int]]:
+        """The stable refinement of the union coloured by ``signatures``, or
+        None as soon as its two halves hold different colour counts."""
+        while True:
+            ids = {s: i for i, s in enumerate(sorted(set(signatures)))}
+            colors = [ids[s] for s in signatures]
+            if Counter(colors[:n]) != Counter(colors[n:]):
+                return None
+            signatures = [
+                (c, tuple(sorted(colors[w] for w in nbrs))) for c, nbrs in zip(colors, adjacency)
+            ]
+            if len(set(signatures)) == len(ids):
+                return colors
+
+    def search(colors: list[int]) -> Optional[tuple[int, ...]]:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)  # the g1 half of a cell comes first
+        open_cells = [cell for cell in cells.values() if len(cell) > 2]
+        if not open_cells:
+            mapping = [0] * n
+            for v, u in cells.values():
+                mapping[v] = u - n
+            return tuple(mapping) if verify_isomorphism(g1, g2, tuple(mapping)) else None
+        cell = min(open_cells, key=len)
+        v = cell[0]
+        for u in cell[len(cell) // 2 :]:
+            split = refine(list(zip(colors, rows1[v] + rows2[u - n])))
+            found = None if split is None else search(split)
+            if found is not None:
+                return found
         return None
 
-    adj1 = [g1.neighbor_set(v) for v in range(n)]
-    adj2 = [g2.neighbor_set(v) for v in range(n)]
-    dist1 = d1.dist
-    dist2 = d2.dist
-    mapping = [-1] * n
-    inverse = [-1] * n
-    mapped: list[int] = []
-
-    def order_vertices() -> list[int]:
-        # BFS-ish order over g1 keeps each new vertex attached to mapped ones.
-        seen = [False] * n
-        order: list[int] = []
-        for root in sorted(range(n), key=lambda v: (-g1.degree(v), v)):
-            if seen[root]:
-                continue
-            stack = [root]
-            seen[root] = True
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                for w in sorted(adj1[v], key=lambda x: (-g1.degree(x), x)):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-        return order
-
-    order = order_vertices()
-
-    def candidates(v: int) -> list[int]:
-        mapped_nbrs = [mapping[w] for w in adj1[v] if mapping[w] >= 0]
-        if mapped_nbrs:
-            cands = set(adj2[mapped_nbrs[0]])
-            for u in mapped_nbrs[1:]:
-                cands &= adj2[u]
-        else:
-            cands = set(range(n))
-        return sorted(
-            u for u in cands if inverse[u] < 0 and c2[u] == c1[v] and g2.degree(u) == g1.degree(v)
-        )
-
-    def feasible(v: int, u: int) -> bool:
-        # distance profile to the mapped region must match exactly; this
-        # subsumes adjacency consistency and prunes symmetric products fast
-        for w in mapped:
-            if dist1[v, w] != dist2[u, mapping[w]]:
-                return False
-        deg_in_mapped_1 = sum(1 for w in adj1[v] if mapping[w] >= 0)
-        deg_in_mapped_2 = sum(1 for w in adj2[u] if inverse[w] >= 0)
-        return deg_in_mapped_1 == deg_in_mapped_2
-
-    def search(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for u in candidates(v):
-            if feasible(v, u):
-                mapping[v] = u
-                inverse[u] = v
-                mapped.append(v)
-                if search(idx + 1):
-                    return True
-                mapped.pop()
-                mapping[v] = -1
-                inverse[u] = -1
-        return False
-
-    if search(0):
-        return tuple(mapping)
-    return None
+    profiles = np.sort(d1.dist, axis=1).tolist() + np.sort(d2.dist, axis=1).tolist()
+    colors = refine([tuple(row) for row in profiles])
+    return None if colors is None else search(colors)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

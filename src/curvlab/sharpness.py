@@ -42,8 +42,6 @@ from .graphs import (
 from .isomorphism import find_isomorphism_with
 from .spectral import adjacency_spectrum
 from .transport import (
-    matching_sides,
-    perfect_matching_between,
     tpm_transport_map,
     idle_measure,
     wasserstein,
@@ -142,15 +140,17 @@ def pole_facts(g: Graph, d: DistanceOracle, x: int) -> PoleFacts:
             tri_ok = False
             failures.append(f"edge ({x},{y}) lies in {triangle_count_edge(g, x, y)} triangles")
             continue
-        left, right = matching_sides(g, x, y)
-        matching = perfect_matching_between(g, left, right)
-        if matching is None:
+        # the shared 1-ball mass cancels, so the plan moves N(x)\N[y] onto
+        # N(y)\N[x]; every atom moves at least 1, and by exactly 1 in an
+        # optimal plan iff a perfect adjacency matching exists
+        p = Fraction(1, deg + 1)
+        w1, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
+        matching = {u: v for u, v, _ in plan.entries if u != v}
+        if any(d.d(u, v) != 1 for u, v in matching.items()):
             match_ok = False
             failures.append(f"edge ({x},{y}) has no perfect matching")
             continue
         plan_cost = tpm_transport_map(g, d, x, y, matching).cost
-        p = Fraction(1, deg + 1)
-        w1, _ = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
         if plan_cost != want_cost or w1 != want_cost:
             cost_ok = False
             failures.append(

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, perfect matchings by permutation enumeration,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
-assembly over the whole vertex set, random regular graphs by stub pairing.
+assembly over the whole vertex set, intersection arrays by a scan of every
+ordered vertex pair, isomorphism by permutation enumeration, random regular
+graphs by stub pairing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from itertools import permutations
 
 import numpy as np
 
-from curvlab.graphs import DistanceOracle, Graph, build_graph
+from curvlab.families import FamilySpec, from_spec
+from curvlab.fixtures import FIXTURE_NAMES, load_fixture
+from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple
 from curvlab.transport import Measure, _transportation
 
 
@@ -126,6 +130,57 @@ def ambient_spherical_bruteforce(d: DistanceOracle) -> bool:
             if not antipodal_bruteforce(sub):
                 return False
     return True
+
+
+def intersection_array_by_pairs(
+    g: Graph, d: DistanceOracle
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """((b_0..b_{L-1}), (c_1..c_L)) from the degree triple of every ordered
+    vertex pair, or None when g is not distance-regular."""
+    if not d.is_connected or g.is_regular() is None:
+        return None
+    L = d.diameter
+    b: list[set[int]] = [set() for _ in range(L)]
+    c: list[set[int]] = [set() for _ in range(L + 1)]
+    for x in range(g.n):
+        for y in range(g.n):
+            j = d.d(x, y)
+            t = degree_triple(g, d, x, y)
+            if j < L:
+                b[j].add(t.d_plus)
+            if j > 0:
+                c[j].add(t.d_minus)
+    if any(len(values) != 1 for values in b + c[1:]):
+        return None
+    return tuple(v for (v,) in b), tuple(v for (v,) in c[1:])
+
+
+def isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:
+    """Whether some permutation of g1's vertices carries its edges onto g2's."""
+    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+        return False
+    edges2 = {frozenset(e) for e in g2.edges()}
+    return any(
+        all(frozenset((p[u], p[v])) in edges2 for u, v in g1.edges())
+        for p in permutations(range(g1.n))
+    )
+
+
+# one small member of every family, a product and every fixture
+SAMPLE_GRAPHS = (
+    "hypercube:4", "cocktailparty:4", "complete:5", "johnson:6:3", "kneser:5:2",
+    "kneser:7:2", "demicube:6", "gosset", "schlafli", "shrikhande", "hamming:3:3",
+    "doob:1:1", "lattice:4", "triangular:6", "hypercube:2 x cocktailparty:3",
+    *FIXTURE_NAMES,
+)
+
+
+def sample_graph(name: str) -> Graph:
+    """The graph of a ``SAMPLE_GRAPHS`` entry."""
+    if name in FIXTURE_NAMES:
+        return load_fixture(name)
+    specs = [FamilySpec.parse(text) for text in name.split(" x ")]
+    return from_spec(specs[0] if len(specs) == 1 else FamilySpec("product", factors=tuple(specs)))
 
 
 def assignment_bruteforce(cost) -> int:

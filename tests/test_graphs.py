@@ -2,6 +2,7 @@
 structural predicates, products."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,14 @@ from curvlab.graphs import (
     triangle_count_vertex,
 )
 
-from helpers import interval_bruteforce, record_calls
+from helpers import (
+    SAMPLE_GRAPHS,
+    intersection_array_by_pairs,
+    interval_bruteforce,
+    random_regular_graph,
+    record_calls,
+    sample_graph,
+)
 
 
 class TestBuildGraph:
@@ -302,6 +310,28 @@ class TestIntersectionArray:
         # path P4 is not distance-regular (and not regular)
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         assert intersection_array(g, distances(g)) is None
+
+    def test_single_vertex(self):
+        g = build_graph(1, [])
+        assert intersection_array(g, distances(g)) == ((), ())
+
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+    def test_matches_pair_scan_on_samples(self, name):
+        g = sample_graph(name)
+        d = distances(g)
+        assert intersection_array(g, d) == intersection_array_by_pairs(g, d)
+
+    def test_matches_pair_scan_on_small_and_random_graphs(self):
+        rng = random.Random(7)
+        cases = [build_graph(1, []), build_graph(2, [(0, 1)])]
+        cases += [random_regular_graph(n, deg, rng) for n, deg in [(8, 3), (10, 4), (12, 3)] * 5]
+        arrays = []
+        for g in cases:
+            d = distances(g)
+            arrays.append(intersection_array(g, d))
+            assert arrays[-1] == intersection_array_by_pairs(g, d)
+        assert arrays[:2] == [((), ()), ((1,), (1,))]
+        assert arrays.count(None) > len(arrays) // 2
 
 
 class TestCartesianProduct:

@@ -40,7 +40,7 @@ from curvlab.sharpness import (
     unique_antipole_check,
 )
 
-from helpers import ambient_spherical_bruteforce
+from helpers import ambient_spherical_bruteforce, record_calls
 
 
 class TestBMSharpness:
@@ -113,6 +113,22 @@ class TestPoleFacts:
         g, d = demi6
         facts = pole_facts(g, d, 0)
         assert facts.ok and facts.expected_triangles == 8
+
+    def test_one_assignment_per_edge(self, q4, monkeypatch):
+        g, d = q4
+        solves = record_calls(monkeypatch, "_kernels", "hungarian")
+        assert pole_facts(g, d, 0).ok
+        assert len(solves) == 4  # one per edge at the pole
+
+    def test_c5_has_no_matching(self):
+        # at each edge of C5 the two far neighbours lie at distance 2
+        g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        facts = pole_facts(g, distances(g), 0)
+        assert (facts.triangles_ok, facts.matching_ok, facts.cost_ok) == (True, False, True)
+        assert facts.failures == (
+            "edge (0,1) has no perfect matching",
+            "edge (0,4) has no perfect matching",
+        )
 
     def test_not_a_pole(self):
         # 3-regular with eccentricities {3, 4}: vertex 0 misses the diameter
