@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Capture the outputs of the byte-identity gate into one directory.
+
+Runs the command-line interface of this checkout (its ``src`` directory)
+on a fixed command list and writes each command's stdout to
+``OUTDIR/<name>.out``; a command that exits non-zero or writes to stderr
+also gets ``OUTDIR/<name>.err`` with its exit code and stderr.  The
+commands are ``table 1|2|3 --json``; full and ``--skip-spherical``
+``analyze`` and ``spectral`` on Gosset, Hall, Chang1 and J(6,3)xCP(4);
+and ``bakry-emery`` (default, ``--jobs 2`` and ``--vertex 0``) on those
+four and J(6,3)xCP(2).  The two products are built with ``gen product``
+into ``OUTDIR/inputs`` and every command runs there, so the input names
+that reports print are the same in every capture.
+
+Capture once before a change and once after it, from two checkouts, and
+compare:
+
+    python3 scripts/capture_outputs.py /tmp/before   # at the parent
+    python3 scripts/capture_outputs.py /tmp/after    # with the change
+    diff -r /tmp/before /tmp/after
+
+The 30 commands run one after another and take about 20 s on a 2-core
+machine.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PRODUCTS = {
+    "j63xcp4.g6": ("johnson:6:3", "cocktailparty:4"),
+    "j63xcp2.g6": ("johnson:6:3", "cocktailparty:2"),
+}
+ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
+BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(output name, CLI argv) for every gated command."""
+    out = [(f"table{t}", ["table", str(t), "--json"]) for t in (1, 2, 3)]
+    for g in ANALYZED:
+        stem = g.removesuffix(".g6")
+        out.append((f"analyze-{stem}", ["analyze", g]))
+        out.append((f"analyze-skip-spherical-{stem}", ["analyze", g, "--skip-spherical"]))
+        out.append((f"spectral-{stem}", ["spectral", g]))
+    for g in BAKRY_EMERY:
+        stem = g.removesuffix(".g6")
+        out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
+        out.append((f"bakry-emery-jobs2-{stem}", ["bakry-emery", g, "--jobs", "2"]))
+        out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
+    return out
+
+
+def run(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "curvlab.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: capture_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    inputs = outdir / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    for name, factors in PRODUCTS.items():
+        proc = run(["gen", "product", *factors, "-o", name], inputs)
+        if proc.returncode != 0:
+            print(f"gen {name} failed: {proc.stderr}", file=sys.stderr)
+            return 1
+    for name, cli_argv in commands():
+        proc = run(cli_argv, inputs)
+        (outdir / f"{name}.out").write_text(proc.stdout)
+        if proc.returncode != 0 or proc.stderr:
+            (outdir / f"{name}.err").write_text(f"exit {proc.returncode}\n{proc.stderr}")
+        print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

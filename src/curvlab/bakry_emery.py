@@ -22,13 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BadParam, Disconnected, FormCheckFailed, IsolatedVertex, NotRegular
-from .graphs import (
-    DistanceOracle,
-    Graph,
-    distances,
-    sphere_averages,
-    triangle_count_vertex,
-)
+from .graphs import DistanceOracle, Graph, triangle_count_vertex
 from .spectral import normalized_laplacian_apply
 
 SHARP_TOL = 1e-7
@@ -69,12 +63,14 @@ class QuadraticForm:
     matrix: np.ndarray
 
 
-def _ball_partition(g: Graph, x: int) -> tuple[list[int], list[int]]:
-    """(1-sphere, 2-sphere) of x via a local BFS."""
+def _ball_partition(g: Graph, x: int) -> tuple[list[int], list[int], list[int]]:
+    """(S1, S2, out-degrees) of x via a local BFS: the sorted 1- and
+    2-spheres, and for each S1 vertex in that order its neighbours in S2."""
     s1 = sorted(g.adjacency[x])
-    seen = set(s1) | {x}
-    s2 = sorted({z for y in s1 for z in g.adjacency[y] if z not in seen})
-    return s1, s2
+    ball = set(s1) | {x}
+    out = [[z for z in g.adjacency[y] if z not in ball] for y in s1]
+    s2 = sorted({z for zs in out for z in zs})
+    return s1, s2, [len(zs) for zs in out]
 
 
 def _local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
@@ -84,7 +80,7 @@ def _local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarr
     Gamma(., .)(w) for w in B1(x) and the Laplacian rows of B1(x) touch no
     vertex outside B2(x), so the forms are complete on this basis.
     """
-    s1, s2 = _ball_partition(g, x)
+    s1, s2, _ = _ball_partition(g, x)
     basis = [x] + s1 + s2
     pos = {v: i for i, v in enumerate(basis)}
     m = len(basis)
@@ -178,21 +174,13 @@ def _curvature_bisect(g: Graph, x: int, lo: float, hi: float, iters: int = 60) -
     return lo
 
 
-def be_curvature(
-    g: Graph,
-    x: int,
-    d: DistanceOracle | None = None,
-    verify: bool = False,
-) -> BEReport:
+def be_curvature(g: Graph, x: int, *, verify: bool = False) -> BEReport:
     """Normalized Bakry-Emery infinity-curvature at x with sharpness data.
 
-    ``verify=True`` re-derives the value by the PSD bisection and demands
-    agreement within 1e-7.
+    Everything is read off the 2-ball B2(x), so the rest of the graph, and
+    whether it is connected, does not matter.  ``verify=True`` re-derives
+    the value by the PSD bisection and demands agreement within 1e-7.
     """
-    if d is None:
-        d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("Bakry-Emery curvature needs a connected graph")
     if g.degree(x) == 0:
         raise IsolatedVertex(f"Bakry-Emery curvature is not defined at isolated vertex {x}")
     k = _curvature_schur(g, x)
@@ -206,9 +194,9 @@ def be_curvature(
     upper: Optional[Fraction] = None
     sharp = False
     if deg is not None:
-        upper = be_upper_bound(g, d, x)
+        upper = be_upper_bound(g, x)
         sharp = abs(k - float(upper)) < SHARP_TOL
-    s1_reg, lam1, _passes = s1pp_sharpness_test(g, d, x)
+    s1_reg, lam1, _passes = s1pp_sharpness_test(g, x)
     return BEReport(
         vertex=x,
         curvature=k,
@@ -219,27 +207,27 @@ def be_curvature(
     )
 
 
-def be_upper_bound(g: Graph, d: DistanceOracle, x: int) -> Fraction:
+def be_upper_bound(g: Graph, x: int) -> Fraction:
     """Exact upper bound 2/D + #triangles(x)/D^2 for a D-regular graph.
 
-    Also evaluated as (3 + D - av_1^+(x)) / (2D); the two expressions must
-    agree.
+    Also evaluated as (3 + D - av_1^+(x)) / (2D), with the mean out-degree
+    av_1^+(x) of the 1-sphere read off the ball partition; the two
+    expressions must agree.
     """
     deg = g.is_regular()
     if deg is None:
         raise NotRegular("the curvature upper bound is stated for regular graphs")
     tri = triangle_count_vertex(g, x)
     via_triangles = Fraction(2, deg) + Fraction(tri, deg * deg)
-    av_plus = sphere_averages(g, d, x, 1)[2]
+    s1, _, out_degrees = _ball_partition(g, x)
+    av_plus = Fraction(sum(out_degrees), len(s1))
     via_average = (3 + deg - av_plus) / (2 * deg)
     if via_triangles != via_average:
         raise FormCheckFailed("upper bound expressions disagree")
     return via_triangles
 
 
-def s1pp_sharpness_test(
-    g: Graph, d: DistanceOracle, x: int
-) -> tuple[bool, Optional[float], Optional[bool]]:
+def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
     """(applicable, lambda1, passes) for the weighted 1-sphere Laplacian test.
 
     Applicable only at S1-out regular vertices.  The weighted graph S1''(x)
@@ -248,12 +236,8 @@ def s1pp_sharpness_test(
     the vertex is infinity-curvature sharp iff the smallest nonzero
     eigenvalue of its Laplacian is at least D/2.
     """
-    s1, s2 = _ball_partition(g, x)
-    out_degrees = set()
-    dist_x = d.dist[x]
-    for y in s1:
-        out_degrees.add(sum(1 for z in g.adjacency[y] if dist_x[z] == 2))
-    if len(out_degrees) != 1:
+    s1, s2, out_degrees = _ball_partition(g, x)
+    if len(set(out_degrees)) != 1:
         return False, None, None
     k = len(s1)
     pos = {y: i for i, y in enumerate(s1)}

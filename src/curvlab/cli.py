@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import GraphAnalysis
-from .bakry_emery import BEReport, be_curvature, conjecture_scan
+from .bakry_emery import be_curvature, conjecture_scan
 from .errors import (
     CurvlabError,
     FormatError,
@@ -179,10 +179,6 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     return 0
 
 
-def _vertex_be(g: Graph, d: DistanceOracle, x: int) -> BEReport:
-    return be_curvature(g, x, d)
-
-
 def cmd_bakry_emery(args: argparse.Namespace) -> int:
     g = _load_input(args.input)
     d = distances(g)
@@ -190,9 +186,9 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
         raise PreconditionError("input graph is disconnected")
     if args.vertex is not None:
         _check_vertices(g, args.vertex)
-        print(json.dumps(be_row(_vertex_be(g, d, args.vertex)), sort_keys=True, indent=2))
+        print(json.dumps(be_row(be_curvature(g, args.vertex)), sort_keys=True, indent=2))
         return 0
-    reports = map_shared(_vertex_be, (g, d), range(g.n), args.jobs)
+    reports = map_shared(be_curvature, (g,), range(g.n), args.jobs)
     doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
         scan = conjecture_scan(g, d, [r.curvature for r in reports])

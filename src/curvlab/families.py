@@ -210,23 +210,25 @@ def _binomial(n: int, k: int) -> int:
     return out
 
 
-# name -> (generator, parameter count, vertex count from the parameters).
-# The counts are exact up to MAX_VERTICES; any count above it stands for
-# "too many", and invalid parameters are left to the generator to refuse.
+# name -> (generator, parameter count, vertex count and degree from the
+# parameters).  The vertex counts are exact up to MAX_VERTICES; any count
+# above it stands for "too many".  Degrees are read only once the vertex
+# count has passed, when they are exact.  Invalid parameters are left to
+# the generator to refuse.
 FAMILIES = {
-    "hypercube": (hypercube, 1, lambda n: _power(2, n)),
-    "cocktailparty": (cocktail_party, 1, lambda n: 2 * n),
-    "complete": (complete, 1, lambda n: n),
-    "johnson": (johnson, 2, _binomial),
-    "kneser": (kneser, 2, _binomial),
-    "demicube": (demi_cube, 1, lambda n: _power(2, n - 1)),
-    "gosset": (gosset, 0, lambda: 56),
-    "schlafli": (schlafli, 0, lambda: 27),
-    "shrikhande": (shrikhande, 0, lambda: 16),
-    "hamming": (hamming, 2, _power),
-    "doob": (doob, 2, lambda n, m: _power(4, n) * _power(16, m)),
-    "lattice": (lattice, 1, lambda n: n * n),
-    "triangular": (triangular, 1, lambda n: _binomial(n, 2)),
+    "hypercube": (hypercube, 1, lambda n: _power(2, n), lambda n: n),
+    "cocktailparty": (cocktail_party, 1, lambda n: 2 * n, lambda n: 2 * n - 2),
+    "complete": (complete, 1, lambda n: n, lambda n: n - 1),
+    "johnson": (johnson, 2, _binomial, lambda n, k: k * (n - k)),
+    "kneser": (kneser, 2, _binomial, lambda n, k: _binomial(n - k, k)),
+    "demicube": (demi_cube, 1, lambda n: _power(2, n - 1), lambda n: _binomial(n, 2)),
+    "gosset": (gosset, 0, lambda: 56, lambda: 27),
+    "schlafli": (schlafli, 0, lambda: 27, lambda: 16),
+    "shrikhande": (shrikhande, 0, lambda: 16, lambda: 6),
+    "hamming": (hamming, 2, _power, lambda n, d: d * (n - 1)),
+    "doob": (doob, 2, lambda n, m: _power(4, n) * _power(16, m), lambda n, m: 3 * n + 6 * m),
+    "lattice": (lattice, 1, lambda n: n * n, lambda n: 2 * n - 2),
+    "triangular": (triangular, 1, lambda n: _binomial(n, 2), lambda n: 2 * n - 4),
 }
 
 
@@ -291,22 +293,33 @@ class FamilySpec:
 def _vertex_count(spec: FamilySpec) -> int:
     if spec.family == "product":
         return prod(_vertex_count(f) for f in spec.factors)
-    _, _, count = FAMILIES[spec.family]
-    return count(*spec.params)
+    return FAMILIES[spec.family][2](*spec.params)
+
+
+def _degree(spec: FamilySpec) -> int:
+    """The common degree; a product adds the degrees of its factors."""
+    if spec.family == "product":
+        return sum(_degree(f) for f in spec.factors)
+    return FAMILIES[spec.family][3](*spec.params)
 
 
 def from_spec(spec: FamilySpec) -> Graph:
-    """Build the graph of ``spec``; specs whose vertex count, worked out
-    from the parameters alone, exceeds ``graphs.MAX_VERTICES`` are refused
+    """Build the graph of ``spec``; specs whose vertex count, then edge
+    count (vertices x degree / 2), worked out from the parameters alone,
+    exceeds ``graphs.MAX_VERTICES``, then ``graphs.MAX_EDGES``, are refused
     before any generator runs."""
-    if _vertex_count(spec) > graphs.MAX_VERTICES:
+    vertices = _vertex_count(spec)
+    if vertices > graphs.MAX_VERTICES:
         raise VertexOutOfRange(
             f"{spec.describe()} has more than MAX_VERTICES = {graphs.MAX_VERTICES} vertices"
+        )
+    if vertices * _degree(spec) > 2 * graphs.MAX_EDGES:
+        raise BadParam(
+            f"{spec.describe()} has more than MAX_EDGES = {graphs.MAX_EDGES} edges"
         )
     if spec.family == "product":
         out = from_spec(spec.factors[0])
         for factor in spec.factors[1:]:
             out = cartesian_product(out, from_spec(factor))
         return out
-    fn, _, _ = FAMILIES[spec.family]
-    return fn(*spec.params)
+    return FAMILIES[spec.family][0](*spec.params)

@@ -90,6 +90,10 @@ class Graph:
 # allocated: a file can name any n in a few bytes.  Every distance oracle is a
 # dense n x n int32 matrix, so the graphs analysed in practice are far smaller.
 MAX_VERTICES = 100_000
+# The largest edge count a family spec may ask for, worked out from its
+# parameters before any generator runs: a vertex count under MAX_VERTICES
+# can still mean billions of edges (``complete:100000``).
+MAX_EDGES = 10**6
 
 
 def _check_vertex_count(n: int) -> None:
@@ -252,26 +256,28 @@ def mu_graph(g: Graph, d: DistanceOracle, x: int, z: int) -> Graph:
     return sub
 
 
+def _cocktail_party_m(g: Graph, members: frozenset[int]) -> Optional[int]:
+    """m such that ``members`` induces CP(m) in g, else None.
+
+    The set must have an even, non-zero size 2m with every member adjacent
+    to exactly 2m - 2 others.  Each member then misses exactly one other,
+    and missing is symmetric, so the partner pairing is an involution.
+    """
+    size = len(members)
+    if size == 0 or size % 2 != 0:
+        return None
+    nbrs = g._neighbor_sets
+    if any(len(nbrs[v] & members) != size - 2 for v in members):
+        return None
+    return size // 2
+
+
 def is_cocktail_party(g: Graph) -> Optional[int]:
     """m such that g is CP(m): 2m vertices, each with a unique non-neighbour.
 
     CP(1), two isolated vertices, is accepted.
     """
-    if g.n == 0 or g.n % 2 != 0:
-        return None
-    m = g.n // 2
-    want_degree = 2 * m - 2
-    if any(g.degree(v) != want_degree for v in range(g.n)):
-        return None
-    partner = [-1] * g.n
-    for v in range(g.n):
-        others = set(range(g.n)) - {v} - set(g.adjacency[v])
-        if len(others) != 1:
-            return None
-        partner[v] = next(iter(others))
-    if any(partner[partner[v]] != v for v in range(g.n)):
-        return None
-    return m
+    return _cocktail_party_m(g, frozenset(range(g.n)))
 
 
 @dataclass(frozen=True)
@@ -388,13 +394,3 @@ def poles_and_antipoles(
     per_vertex = tuple(d.sphere(x, L) for x in range(g.n))
     self_centered = all(len(a) > 0 for a in per_vertex)
     return per_vertex, self_centered
-
-
-def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g._neighbor_sets[u]
-    ]
-    return build_graph(g.n, edges, labels=g.labels)

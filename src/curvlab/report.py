@@ -118,7 +118,7 @@ def analyze(
         report["strongly_spherical"] = sph.holds
 
     if not skip_be:
-        rows = [be_curvature(g, x, d) for x in range(g.n)]
+        rows = [be_curvature(g, x) for x in range(g.n)]
         report["bakry_emery"] = {
             "inf_curvature": float_str(min(row.curvature for row in rows)),
             "rows": [be_row(row) for row in rows],

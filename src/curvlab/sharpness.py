@@ -29,13 +29,12 @@ from .families import FamilySpec, from_spec
 from .graphs import (
     DistanceOracle,
     Graph,
+    _cocktail_party_m,
     degree_triple,
     distances,
     induced_subgraph,
     interval,
-    is_cocktail_party,
     is_strongly_regular,
-    mu_graph,
     poles_and_antipoles,
     triangle_count_edge,
 )
@@ -268,18 +267,21 @@ class MuGraphVerdict:
 
 
 def mu_graphs_all_cp(g: Graph, d: DistanceOracle) -> MuGraphVerdict:
-    """Every distance-2 pair's mu-graph is a cocktail party graph."""
+    """Every distance-2 pair's mu-graph is a cocktail party graph.
+
+    The pairs are taken in row-major order and each mu-graph is read off
+    the common neighbours N(x) & N(y), without building it.
+    """
     if not d.is_connected:
         raise Disconnected("mu-graph scan needs a connected graph")
+    nbrs = g._neighbor_sets
     counts: Counter[int] = Counter()
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if d.d(x, y) != 2:
-                continue
-            m = is_cocktail_party(mu_graph(g, d, x, y))
-            if m is None:
-                return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, y))
-            counts[m] += 1
+    pairs = ((x, y) for x in range(g.n) for y in d.sphere(x, 2) if y > x)
+    for x, y in pairs:
+        m = _cocktail_party_m(g, nbrs[x] & nbrs[y])
+        if m is None:
+            return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, y))
+        counts[m] += 1
     return MuGraphVerdict(True, tuple(sorted(counts.items())), None)
 
 

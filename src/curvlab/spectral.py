@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
 
+from . import _kernels
 from .errors import Disconnected, IsolatedVertex, NotRegular
 from .graphs import DistanceOracle, Graph
 
@@ -56,11 +57,7 @@ def normalized_laplacian_apply(
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u in range(g.n):
-        for v in g.adjacency[u]:
-            a[u, v] = 1.0
-    return a
+    return _kernels._adjacency(*g.csr(), g.n)
 
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:

@@ -5,14 +5,16 @@ exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, perfect matchings by permutation enumeration,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set, intersection arrays by a scan of every
-ordered vertex pair, isomorphism by permutation enumeration, random regular
-graphs by stub pairing.
+ordered vertex pair, isomorphism by permutation enumeration, cocktail
+party graphs by their complement, mu-graphs by building each one, random
+regular graphs by stub pairing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
-from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple
+from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, mu_graph
+from curvlab.sharpness import MuGraphVerdict
 from curvlab.transport import Measure, _transportation
 
 
@@ -164,6 +167,33 @@ def isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:
         all(frozenset((p[u], p[v])) in edges2 for u, v in g1.edges())
         for p in permutations(range(g1.n))
     )
+
+
+def cocktail_party_bruteforce(g: Graph) -> int | None:
+    """m such that g is CP(m), read as: g has vertices and its complement
+    is a perfect matching, every vertex in exactly one non-edge."""
+    non_edges = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    ]
+    covered = sorted(v for e in non_edges for v in e)
+    if g.n == 0 or covered != list(range(g.n)):
+        return None
+    return g.n // 2
+
+
+def mu_graphs_by_subgraphs(g: Graph, d: DistanceOracle) -> MuGraphVerdict:
+    """The mu-graph scan that builds every distance-2 pair's mu-graph as a
+    graph, in row-major pair order, and recognises it by its complement."""
+    counts: Counter[int] = Counter()
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if d.d(x, y) != 2:
+                continue
+            m = cocktail_party_bruteforce(mu_graph(g, d, x, y))
+            if m is None:
+                return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, y))
+            counts[m] += 1
+    return MuGraphVerdict(True, tuple(sorted(counts.items())), None)
 
 
 # one small member of every family, a product and every fixture

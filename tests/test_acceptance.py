@@ -127,9 +127,9 @@ def test_criterion_4_bakry_emery_closed_forms():
         deg, L = g.is_regular(), d.diameter
         want = 1.0 / deg + 1.0 / L
         for x in range(g.n):
-            got = be_curvature(g, x, d).curvature
+            got = be_curvature(g, x).curvature
             assert abs(got - want) < BE_TOL, f"{name} vertex {x}: {got} != {want}"
-            applicable, lam1, passes = s1pp_sharpness_test(g, d, x)
+            applicable, lam1, passes = s1pp_sharpness_test(g, x)
             assert applicable and lam1 >= deg / 2.0 - BE_TOL and passes, (
                 f"{name} vertex {x}: S1'' lambda1 {lam1} < D/2"
             )

@@ -24,11 +24,19 @@ from curvlab.families import (
     demi_cube,
     hypercube,
     johnson,
+    kneser,
+    lattice,
     shrikhande,
 )
 from curvlab.fixtures import load_fixture
-from curvlab.graphs import build_graph, cartesian_product, distances
-from helpers import dense_gamma_forms, random_regular_graph
+from curvlab.graphs import (
+    build_graph,
+    cartesian_product,
+    degree_triple,
+    distances,
+    sphere_averages,
+)
+from helpers import dense_gamma_forms, random_regular_graph, record_calls
 
 TOL = 1e-7
 
@@ -156,46 +164,54 @@ class TestClosedForms:
         assert report.is_sharp
 
 
+class TestLocality:
+    def test_no_distance_oracle(self, monkeypatch):
+        # every Bakry-Emery quantity at x is read off the 2-ball B2(x)
+        g = hypercube(3)
+        calls = record_calls(monkeypatch, "graphs", "distances")
+        report = be_curvature(g, 0)
+        assert calls == []
+        assert abs(report.curvature - 2 / 3) < TOL and report.is_sharp
+
+
 class TestUpperBound:
     def test_triangle_free(self, q4):
-        g, d = q4
-        assert be_upper_bound(g, d, 0) == Fraction(2, 4)
+        g, _ = q4
+        assert be_upper_bound(g, 0) == Fraction(2, 4)
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
-        assert be_upper_bound(g, d, 0) == Fraction(2, 27) + Fraction(216, 27 * 27)
+        g, _ = gosset_graph
+        assert be_upper_bound(g, 0) == Fraction(2, 27) + Fraction(216, 27 * 27)
 
     def test_demi5(self):
         g = demi_cube(5)
-        d = distances(g)
-        assert be_upper_bound(g, d, 0) == Fraction(1, 2)
+        assert be_upper_bound(g, 0) == Fraction(1, 2)
 
     def test_curvature_below_bound(self, cp4, j63):
-        for g, d in (cp4, j63):
+        for g, _ in (cp4, j63):
             for x in range(g.n):
-                report = be_curvature(g, x, d)
+                report = be_curvature(g, x)
                 assert report.curvature <= float(report.upper_bound) + 1e-9
 
 
 class TestS1ppTest:
     def test_hypercube_passes(self, q4):
-        g, d = q4
-        applicable, lam1, passes = s1pp_sharpness_test(g, d, 0)
+        g, _ = q4
+        applicable, lam1, passes = s1pp_sharpness_test(g, 0)
         assert applicable and passes
         assert abs(lam1 - 2.0) < TOL  # equality case D/2
 
     def test_gosset_passes(self, gosset_graph):
-        g, d = gosset_graph
-        applicable, lam1, passes = s1pp_sharpness_test(g, d, 0)
+        g, _ = gosset_graph
+        applicable, lam1, passes = s1pp_sharpness_test(g, 0)
         assert applicable and passes and lam1 >= 13.5 - TOL
 
     def test_demi5_sharp_below_dl_value(self):
         # the odd demi-cube attains its local upper bound 1/2, which sits
         # strictly below 1/D + 1/L = 3/5
         g = demi_cube(5)
-        d = distances(g)
-        report = be_curvature(g, 0, d, verify=True)
-        applicable, _, passes = s1pp_sharpness_test(g, d, 0)
+        report = be_curvature(g, 0, verify=True)
+        applicable, _, passes = s1pp_sharpness_test(g, 0)
         assert applicable and passes
         assert abs(report.curvature - 1 / 2) < TOL
         assert report.is_sharp
@@ -204,55 +220,57 @@ class TestS1ppTest:
     def test_irregular_sphere_not_applicable(self):
         # pentagon prism-ish graph where out-degrees differ
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        d = distances(g)
-        applicable, lam1, passes = s1pp_sharpness_test(g, d, 0)
+        applicable, lam1, passes = s1pp_sharpness_test(g, 0)
         assert applicable  # C5 is S1-out regular
         g2 = build_graph(6, LOPSIDED_EDGES)
-        d2 = distances(g2)
-        out = s1pp_sharpness_test(g2, d2, 0)
+        out = s1pp_sharpness_test(g2, 0)
         assert out[0] in (True, False)  # smoke: no crash on a lopsided sphere
+
+
+def _equivalence_corpus():
+    corpus = [
+        hypercube(3),
+        cocktail_party(3),
+        johnson(5, 2),
+        demi_cube(5),
+        kneser(5, 2),
+        shrikhande(),
+        complete(5),
+        lattice(3),
+        kneser(7, 2),
+        build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+        load_fixture("chang1"),
+    ]
+    rng = random.Random(5)
+    return corpus + [random_regular_graph(rng.choice([8, 10]), 4, rng) for _ in range(3)]
 
 
 class TestSharpnessEquivalence:
     def test_value_sharpness_iff_sphere_test(self):
         # two independent routes must agree: equality of the curvature with
         # its local upper bound, and the weighted 1-sphere eigenvalue test
-        import random
-        import sys
-
-        sys.path.insert(0, "tests")
-        from curvlab.families import kneser, lattice
-        from curvlab.fixtures import load_fixture
-        from curvlab.graphs import build_graph
-        from helpers import random_regular_graph
-
-        corpus = [
-            hypercube(3),
-            cocktail_party(3),
-            johnson(5, 2),
-            demi_cube(5),
-            kneser(5, 2),
-            shrikhande(),
-            complete(5),
-            lattice(3),
-            kneser(7, 2),
-            build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
-            load_fixture("chang1"),
-        ]
-        rng = random.Random(5)
-        corpus += [random_regular_graph(rng.choice([8, 10]), 4, rng) for _ in range(3)]
         checked = 0
-        for g in corpus:
-            d = distances(g)
+        for g in _equivalence_corpus():
             for x in range(min(g.n, 4)):
-                applicable, lam1, passes = s1pp_sharpness_test(g, d, x)
+                applicable, lam1, passes = s1pp_sharpness_test(g, x)
                 if not applicable:
                     continue
-                rep = be_curvature(g, x, d)
+                rep = be_curvature(g, x)
                 value_sharp = abs(rep.curvature - float(rep.upper_bound)) < TOL
                 assert value_sharp == passes, (g.n, x, rep.curvature, lam1)
                 checked += 1
         assert checked >= 40
+
+    def test_partition_out_degrees_match_sphere_averages(self):
+        # the ball partition is the only source of S1, S2 and the S1
+        # out-degrees; the distance oracle reads the same off its rows
+        for g in _equivalence_corpus():
+            d = distances(g)
+            for x in range(g.n):
+                s1, s2, out = bakry_emery._ball_partition(g, x)
+                assert (tuple(s1), tuple(s2)) == (d.sphere(x, 1), d.sphere(x, 2))
+                assert out == [degree_triple(g, d, x, y).d_plus for y in s1]
+                assert Fraction(sum(out), len(s1)) == sphere_averages(g, d, x, 1)[2]
 
 
 class TestProductRule:
@@ -273,7 +291,7 @@ class TestProductRule:
 
 
 def _scan(g, d):
-    return conjecture_scan(g, d, [be_curvature(g, x, d).curvature for x in range(g.n)])
+    return conjecture_scan(g, d, [be_curvature(g, x).curvature for x in range(g.n)])
 
 
 class TestConjectureScan:
@@ -306,17 +324,22 @@ class TestConsistencyChecks:
     """A failed internal check is a typed verification error, exit 4 in the CLI."""
 
     def test_schur_bisection_disagreement(self, monkeypatch, q3):
-        g, d = q3
+        g, _ = q3
         monkeypatch.setattr(bakry_emery, "_curvature_bisect", lambda g, x, lo, hi: lo)
         with pytest.raises(FormCheckFailed, match="disagree at 0"):
-            be_curvature(g, 0, d, verify=True)
+            be_curvature(g, 0, verify=True)
 
     def test_upper_bound_disagreement_exits_4(self, monkeypatch, capsys, q3):
-        g, d = q3
-        zero = Fraction(0)
-        monkeypatch.setattr(bakry_emery, "sphere_averages", lambda g, d, x, k: (zero, zero, zero))
+        g, _ = q3
+        partition = bakry_emery._ball_partition
+
+        def no_out_degrees(g, x):
+            s1, s2, out = partition(g, x)
+            return s1, s2, [0] * len(out)
+
+        monkeypatch.setattr(bakry_emery, "_ball_partition", no_out_degrees)
         with pytest.raises(FormCheckFailed):
-            be_upper_bound(g, d, 0)
+            be_upper_bound(g, 0)
         assert main(["bakry-emery", "hypercube:3", "--vertex", "0"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

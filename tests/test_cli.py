@@ -174,16 +174,22 @@ class TestGen:
         assert encode_graph6(decode_graph6(text)) == text
 
     @pytest.mark.parametrize(
-        "spec",
-        [["hypercube", "40"], ["hamming", "10", "10"], ["product", "hypercube:10", "hypercube:10"]],
-        ids=["hypercube-40", "hamming-10-10", "product-q10-q10"],
+        "spec,refusal",
+        [
+            (["hypercube", "40"], "MAX_VERTICES = 100000 vertices"),
+            (["hamming", "10", "10"], "MAX_VERTICES = 100000 vertices"),
+            (["product", "hypercube:10", "hypercube:10"], "MAX_VERTICES = 100000 vertices"),
+            (["complete", "100000"], "MAX_EDGES = 1000000 edges"),
+            (["kneser", "5000", "1"], "MAX_EDGES = 1000000 edges"),
+        ],
+        ids=["hypercube-40", "hamming-10-10", "product-q10-q10", "complete-100000", "kneser-5000-1"],
     )
-    def test_vertex_count_refused_before_any_generator(self, monkeypatch, capsys, spec):
+    def test_vertex_count_refused_before_any_generator(self, monkeypatch, capsys, spec, refusal):
         built = record_calls(monkeypatch, "graphs", "build_graph")
         start = time.perf_counter()
         code, out, err = run(capsys, "gen", *spec)
         assert time.perf_counter() - start < 2.0
-        assert code == 2 and out == "" and "more than MAX_VERTICES = 100000" in err
+        assert code == 2 and out == "" and f"more than {refusal}" in err
         assert built == []
 
     def test_hamming_of_one_vertex_refused(self, capsys):
@@ -359,6 +365,12 @@ class TestBakryEmeryCmd:
         _, serial, _ = run(capsys, "bakry-emery", "hypercube:3")
         _, parallel, _ = run(capsys, "bakry-emery", "hypercube:3", "--jobs", "2")
         assert serial == parallel
+
+    def test_disconnected_exit3(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"n": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]}))
+        code, out, err = run(capsys, "bakry-emery", str(path))
+        assert code == 3 and out == "" and err == "error: input graph is disconnected\n"
 
 
 class TestSharpnessCmd:

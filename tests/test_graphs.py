@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvlab import graphs
 from curvlab.errors import (
@@ -42,6 +43,7 @@ from curvlab.graphs import (
 
 from helpers import (
     SAMPLE_GRAPHS,
+    cocktail_party_bruteforce,
     intersection_array_by_pairs,
     interval_bruteforce,
     random_regular_graph,
@@ -260,6 +262,24 @@ class TestCocktailPartyRecognition:
 
     def test_rejects_path(self):
         assert is_cocktail_party(build_graph(3, [(0, 1), (1, 2)])) is None
+
+    @given(st.integers(min_value=0, max_value=8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_complement_oracle(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if n % 2 == 0 and data.draw(st.booleans()):
+            # near a cocktail party graph: every pair but a perfect
+            # matching, then a few pairs toggled
+            perm = data.draw(st.permutations(range(n)))
+            matching = {tuple(sorted(perm[i : i + 2])) for i in range(0, n, 2)}
+            edges = {e for e in pairs if e not in matching}
+            if pairs:
+                for e in data.draw(st.lists(st.sampled_from(pairs), max_size=2)):
+                    edges ^= {e}
+        else:
+            edges = {e for e in pairs if data.draw(st.booleans())}
+        g = build_graph(n, sorted(edges))
+        assert is_cocktail_party(g) == cocktail_party_bruteforce(g)
 
 
 class TestStronglyRegular:

@@ -1,5 +1,6 @@
 """Sharpness predicates, structural theorems, and classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,14 @@ from curvlab.sharpness import (
     unique_antipole_check,
 )
 
-from helpers import ambient_spherical_bruteforce, record_calls
+from helpers import (
+    SAMPLE_GRAPHS,
+    ambient_spherical_bruteforce,
+    mu_graphs_by_subgraphs,
+    random_regular_graph,
+    record_calls,
+    sample_graph,
+)
 
 
 class TestBMSharpness:
@@ -262,6 +270,22 @@ class TestMuGraphsAllCP:
     def test_petersen_fails(self, petersen):
         g, d = petersen
         assert not mu_graphs_all_cp(g, d).holds
+
+    def test_matches_subgraph_scan(self, monkeypatch):
+        # same verdict, m-values and failure pair as building every
+        # mu-graph, without building any
+        rng = random.Random(11)
+        corpus = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        corpus += [
+            random_regular_graph(n, deg, rng)
+            for n, deg in [(rng.choice([8, 10, 12]), rng.choice([3, 4])) for _ in range(10)]
+        ]
+        cases = [(g, distances(g)) for g in corpus]
+        want = [mu_graphs_by_subgraphs(g, d) for g, d in cases]
+        assert any(v.holds for v in want) and not all(v.holds for v in want)
+        built = record_calls(monkeypatch, "graphs", "induced_subgraph")
+        assert [mu_graphs_all_cp(g, d) for g, d in cases] == want
+        assert built == []
 
 
 class TestLocalSrg:
