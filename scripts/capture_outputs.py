@@ -6,11 +6,13 @@ on a fixed command list and writes each command's stdout to
 ``OUTDIR/<name>.out``; a command that exits non-zero or writes to stderr
 also gets ``OUTDIR/<name>.err`` with its exit code and stderr.  The
 commands are ``table 1|2|3 --json``; full and ``--skip-spherical``
-``analyze`` and ``spectral`` on Gosset, Hall, Chang1 and J(6,3)xCP(4);
-and ``bakry-emery`` (default, ``--jobs 2`` and ``--vertex 0``) on those
-four and J(6,3)xCP(2).  The two products are built with ``gen product``
-into ``OUTDIR/inputs`` and every command runs there, so the input names
-that reports print are the same in every capture.
+``analyze``, ``spectral``, ``classify`` and ``sharpness`` on Gosset, Hall,
+Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default, ``--jobs 2`` and
+``--vertex 0``) on those four and J(6,3)xCP(2); ``curvature --all-edges``
+on Chang1; and ``gen johnson 8 4`` and ``gen kneser 9 4``, as graph6 and
+as ``--json``.  The two products are built with ``gen product`` into
+``OUTDIR/inputs`` and every command runs there, so the input names that
+reports print are the same in every capture.
 
 Capture once before a change and once after it, from two checkouts, and
 compare:
@@ -19,7 +21,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 30 commands run one after another and take about 20 s on a 2-core
+The 43 commands run one after another and take about 30 s on a 2-core
 machine.
 """
 
@@ -38,6 +40,7 @@ PRODUCTS = {
 }
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
+GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -48,11 +51,18 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"analyze-{stem}", ["analyze", g]))
         out.append((f"analyze-skip-spherical-{stem}", ["analyze", g, "--skip-spherical"]))
         out.append((f"spectral-{stem}", ["spectral", g]))
+        out.append((f"classify-{stem}", ["classify", g]))
+        out.append((f"sharpness-{stem}", ["sharpness", g]))
     for g in BAKRY_EMERY:
         stem = g.removesuffix(".g6")
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
         out.append((f"bakry-emery-jobs2-{stem}", ["bakry-emery", g, "--jobs", "2"]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
+    out.append(("curvature-all-edges-chang1", ["curvature", "chang1", "--all-edges"]))
+    for spec in GENERATED:
+        stem = "-".join(spec)
+        out.append((f"gen-{stem}", ["gen", *spec]))
+        out.append((f"gen-json-{stem}", ["gen", *spec, "--json"]))
     return out
 
 

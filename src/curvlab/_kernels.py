@@ -48,18 +48,18 @@ def _frontier_bfs(adj):
     return dist
 
 
-def bfs_all_pairs(indptr, indices, n):
-    """All-pairs hop distances of a CSR graph; unreachable entries are -1."""
-    return _frontier_bfs(_adjacency(indptr, indices, n))
+def bfs_all_pairs(adj):
+    """All-pairs hop distances of a dense 0/1 adjacency; unreachable entries are -1."""
+    return _frontier_bfs(adj)
 
 
-def induced_distances(indptr, indices, members, n):
-    """All-pairs BFS inside the subgraph induced on ``members``.
+def induced_distances(adj, members):
+    """All-pairs BFS inside the subgraph that ``members`` induces in ``adj``.
 
     ``members`` is an int32 array of distinct vertex ids; distances are hop
     counts of the induced subgraph, -1 where unreachable within it.
     """
-    return _frontier_bfs(_adjacency(indptr, indices, n)[np.ix_(members, members)])
+    return _frontier_bfs(adj[np.ix_(members, members)])
 
 
 def is_antipodal_matrix(dist):

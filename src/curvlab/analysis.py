@@ -3,17 +3,17 @@
 The predicates of the paper share a few exact per-graph quantities: the
 edge-curvature table, the Bonnet-Myers verdict built on it, the antipole
 lists, the mu-graph scan and the spectrum.  :class:`GraphAnalysis` holds a
-graph with its distance oracle and computes each of those at most once, on
-first use; the predicates that need them take the context instead of
-``(g, d)``.  A context lives as long as its caller keeps it, so nothing is
-shared between graphs or commands.
+graph with the distance oracle the graph caches, and computes each of those
+at most once, on first use; the predicates that need them take the context
+instead of ``(g, d)``.  A context lives as long as its caller keeps it, so
+nothing is shared between graphs or commands.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import DistanceOracle, Graph, poles_and_antipoles
+from .graphs import Graph, distances, poles_and_antipoles
 from .sharpness import MuGraphVerdict, SharpnessVerdict, bm_sharpness, mu_graphs_all_cp
 from .spectral import SpectralSummary, spectral_summary
 from .transport import CurvatureValue, kappa
@@ -22,9 +22,9 @@ from .transport import CurvatureValue, kappa
 class GraphAnalysis:
     """A graph, its distance oracle and the shared quantities derived from them."""
 
-    def __init__(self, g: Graph, d: DistanceOracle) -> None:
+    def __init__(self, g: Graph) -> None:
         self.g = g
-        self.d = d
+        self.d = distances(g)
 
     @cached_property
     def edge_kappas(self) -> dict[tuple[int, int], CurvatureValue]:
@@ -45,4 +45,4 @@ class GraphAnalysis:
 
     @cached_property
     def spectrum(self) -> SpectralSummary:
-        return spectral_summary(self.g, self.d)
+        return spectral_summary(self.g)

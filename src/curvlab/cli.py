@@ -69,6 +69,14 @@ def _load_input(text: str) -> Graph:
     return from_spec(FamilySpec.parse(text))
 
 
+def _load_connected(text: str) -> Graph:
+    """:func:`_load_input`, refusing a disconnected graph."""
+    g = _load_input(text)
+    if not distances(g).is_connected:
+        raise PreconditionError("input graph is disconnected")
+    return g
+
+
 def _write_graph(g: Graph, out: str | None, as_json: bool) -> None:
     if as_json or (out is not None and out.endswith(".json")):
         payload = json.dumps(graph_to_json(g), sort_keys=True, indent=2) + "\n"
@@ -88,13 +96,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_input(args.input)
-    d = distances(g)
-    if not d.is_connected:
-        raise PreconditionError("input graph is disconnected")
     report = analyze(
-        g,
-        d,
+        _load_connected(args.input),
         name=args.name or args.input,
         skip_be=args.skip_be,
         skip_spherical=args.skip_spherical,
@@ -126,10 +129,8 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         raise InputError(
             "--all-edges computes plain kappa on every edge; it takes no vertex pair, --p or --plan"
         )
-    g = _load_input(args.input)
+    g = _load_connected(args.input)
     d = distances(g)
-    if not d.is_connected:
-        raise PreconditionError("input graph is disconnected")
     if g.is_regular() is None:
         raise PreconditionError("curvature needs a regular graph")
     if args.all_edges:
@@ -163,11 +164,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    g = _load_input(args.input)
-    d = distances(g)
-    if not d.is_connected:
-        raise PreconditionError("input graph is disconnected")
-    summ = spectral_summary(g, d)
+    summ = spectral_summary(_load_connected(args.input))
     doc = {
         "lambda1": float_str(summ.lambda1),
         "lambda1_multiplicity": summ.lambda1_multiplicity,
@@ -180,10 +177,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_bakry_emery(args: argparse.Namespace) -> int:
-    g = _load_input(args.input)
-    d = distances(g)
-    if not d.is_connected:
-        raise PreconditionError("input graph is disconnected")
+    g = _load_connected(args.input)
     if args.vertex is not None:
         _check_vertices(g, args.vertex)
         print(json.dumps(be_row(be_curvature(g, args.vertex)), sort_keys=True, indent=2))
@@ -191,7 +185,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
     reports = map_shared(be_curvature, (g,), range(g.n), args.jobs)
     doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
-        scan = conjecture_scan(g, d, [r.curvature for r in reports])
+        scan = conjecture_scan(g, distances(g), [r.curvature for r in reports])
         doc["conjecture"] = {
             "inf_curvature": float_str(scan.inf_curvature),
             "bound": frac_str(scan.bound),
@@ -205,9 +199,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
-    g = _load_input(args.input)
-    d = distances(g)
-    verdict = bm_sharpness(GraphAnalysis(g, d))
+    verdict = bm_sharpness(GraphAnalysis(_load_input(args.input)))
     doc = {
         "inf_kappa": frac_str(verdict.inf_edge_kappa),
         "two_over_L": frac_str(verdict.two_over_l),
@@ -221,9 +213,7 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    g = _load_input(args.input)
-    d = distances(g)
-    match = classify(GraphAnalysis(g, d))
+    match = classify(GraphAnalysis(_load_input(args.input)))
     doc = {
         "matched": match.matched.to_json() if match.matched else None,
         "description": match.matched.describe() if match.matched else None,

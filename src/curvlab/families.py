@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import prod
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from . import graphs
 from .errors import BadParam, VertexOutOfRange
@@ -52,36 +52,39 @@ def cocktail_party(n: int) -> Graph:
     return build_graph(2 * n, edges, labels=labels)
 
 
-def johnson(n: int, k: int) -> Graph:
-    """k-subsets of an n-set, adjacent when they share k-1 elements."""
-    if not (1 <= k <= n - 1):
-        raise BadParam(f"johnson needs 1 <= k <= n-1, got ({n},{k})")
+def _subset_graph(n: int, k: int, neighbours: Callable[[tuple, tuple], Iterable[tuple]]) -> Graph:
+    """The k-subsets of {1..n} in lexicographic order, each joined to the
+    sorted k-subsets that ``neighbours(subset, complement)`` yields."""
     verts = list(combinations(range(1, n + 1), k))
     index = {s: i for i, s in enumerate(verts)}
     edges = []
-    for i, u in enumerate(verts):
-        su = set(u)
-        for v in verts[i + 1 :]:
-            if len(su & set(v)) == k - 1:
-                edges.append((i, index[v]))
+    for i, s in enumerate(verts):
+        for t in neighbours(s, tuple(v for v in range(1, n + 1) if v not in s)):
+            j = index[t]
+            if i < j:
+                edges.append((i, j))
     labels = tuple("{" + ",".join(map(str, s)) + "}" for s in verts)
     return build_graph(len(verts), edges, labels=labels)
+
+
+def johnson(n: int, k: int) -> Graph:
+    """k-subsets of an n-set, adjacent when they share k-1 elements: a
+    neighbour swaps one element for one of the complement."""
+    if not (1 <= k <= n - 1):
+        raise BadParam(f"johnson needs 1 <= k <= n-1, got ({n},{k})")
+
+    def swaps(s: tuple, rest: tuple) -> Iterable[tuple]:
+        return (tuple(sorted(s[:p] + s[p + 1 :] + (b,))) for p in range(k) for b in rest)
+
+    return _subset_graph(n, k, swaps)
 
 
 def kneser(n: int, k: int) -> Graph:
-    """k-subsets of an n-set, adjacent when disjoint."""
+    """k-subsets of an n-set, adjacent when disjoint: the neighbours are the
+    k-subsets of the complement."""
     if not (k >= 1 and n >= 2 * k):
         raise BadParam(f"kneser needs n >= 2k >= 2, got ({n},{k})")
-    verts = list(combinations(range(1, n + 1), k))
-    index = {s: i for i, s in enumerate(verts)}
-    edges = []
-    for i, u in enumerate(verts):
-        su = set(u)
-        for v in verts[i + 1 :]:
-            if not su & set(v):
-                edges.append((i, index[v]))
-    labels = tuple("{" + ",".join(map(str, s)) + "}" for s in verts)
-    return build_graph(len(verts), edges, labels=labels)
+    return _subset_graph(n, k, lambda s, rest: combinations(rest, k))
 
 
 def demi_cube(n: int) -> Graph:

@@ -2,8 +2,10 @@
 
 Vertices are dense integers ``0..n-1``; optional string labels carry
 generator provenance but never enter any algorithm.  Graphs are immutable
-and hashable; the distance oracle is a dense int32 matrix with ``-1``
-marking unreachable pairs.
+and hashable, and each one owns its derived views: neighbour sets, CSR
+arrays, the dense float64 adjacency and the distance oracle, a dense int32
+matrix with ``-1`` marking unreachable pairs.  Each view is computed on
+first use and kept as long as the graph.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .errors import (
 )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph given by sorted adjacency lists."""
@@ -41,6 +48,10 @@ class Graph:
 
     # Derived views are cached on the instance; a frozen dataclass allows
     # this because cached_property writes the instance ``__dict__`` directly.
+    # A pickle carries none of them: worker processes rebuild what they use.
+    def __reduce__(self):
+        return Graph, (self.n, self.adjacency, self.labels)
+
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
@@ -58,6 +69,18 @@ class Graph:
             (w for nbrs in self.adjacency for w in nbrs), dtype=np.int32, count=int(indptr[-1])
         )
         return indptr, indices
+
+    @cached_property
+    def dense_adjacency(self) -> np.ndarray:
+        """Read-only float64 0/1 adjacency matrix."""
+        return _read_only(_kernels._adjacency(*self._csr, self.n))
+
+    @cached_property
+    def _distances(self) -> DistanceOracle:
+        dist = _read_only(_kernels.bfs_all_pairs(self.dense_adjacency))
+        connected = bool((dist >= 0).all()) if self.n > 0 else True
+        diameter = int(dist.max()) if self.n > 0 else 0
+        return DistanceOracle(dist=dist, diameter=diameter, is_connected=connected)
 
     @property
     def edge_count(self) -> int:
@@ -78,9 +101,6 @@ class Graph:
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._neighbor_sets[v]
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._csr
 
     def relabel(self, labels: Sequence[str] | None) -> "Graph":
         return Graph(self.n, self.adjacency, tuple(labels) if labels is not None else None)
@@ -159,11 +179,8 @@ class DistanceOracle:
 
 
 def distances(g: Graph) -> DistanceOracle:
-    indptr, indices = g.csr()
-    dist = _kernels.bfs_all_pairs(indptr, indices, g.n)
-    connected = bool((dist >= 0).all()) if g.n > 0 else True
-    diameter = int(dist.max()) if g.n > 0 else 0
-    return DistanceOracle(dist=dist, diameter=diameter, is_connected=connected)
+    """The distance oracle of g, computed on first use and kept on g."""
+    return g._distances
 
 
 def interval(d: DistanceOracle, x: int, y: int) -> frozenset[int]:
@@ -338,8 +355,7 @@ def intersection_array(
     if not d.is_connected or g.is_regular() is None:
         return None
     L = d.diameter
-    adj = _kernels._adjacency(*g.csr(), g.n)
-    at = [(d.dist == k).astype(np.float64) @ adj for k in range(L + 1)]
+    at = [(d.dist == k).astype(np.float64) @ g.dense_adjacency for k in range(L + 1)]
 
     def constant(k: int, j: int) -> Optional[int]:
         values = at[k][d.dist == j]

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import DistanceOracle, Graph, distances
+from .graphs import Graph, distances
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
@@ -29,16 +29,10 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
 
     The returned tuple maps vertex v of g1 to ``result[v]`` in g2.
     """
-    return find_isomorphism_with(g1, distances(g1), g2, distances(g2))
-
-
-def find_isomorphism_with(
-    g1: Graph, d1: DistanceOracle, g2: Graph, d2: DistanceOracle
-) -> Optional[tuple[int, ...]]:
-    """:func:`find_isomorphism` for graphs whose distance oracles the caller holds."""
     n = g1.n
     if n != g2.n or g1.edge_count != g2.edge_count:
         return None
+    d1, d2 = distances(g1), distances(g2)
     # vertex v of g2 is vertex n + v of the union
     adjacency = g1.adjacency + tuple(tuple(n + w for w in nbrs) for nbrs in g2.adjacency)
     rows1, rows2 = d1.dist.tolist(), d2.dist.tolist()

@@ -13,7 +13,7 @@ from typing import Any
 from .analysis import GraphAnalysis
 from .bakry_emery import BEReport, be_curvature
 from .errors import PreconditionUnmet
-from .graphs import DistanceOracle, Graph
+from .graphs import Graph, distances
 from .sharpness import (
     classify,
     is_strongly_spherical,
@@ -48,12 +48,12 @@ def be_row(row: BEReport) -> dict[str, Any]:
 
 def analyze(
     g: Graph,
-    d: DistanceOracle,
     name: str = "graph",
     skip_be: bool = False,
     skip_spherical: bool = False,
 ) -> dict[str, Any]:
     """Run the full predicate pipeline and return the report dict."""
+    d = distances(g)
     deg = g.is_regular()
     L = d.diameter
     report: dict[str, Any] = {
@@ -68,7 +68,7 @@ def analyze(
     if not d.is_connected or deg is None:
         return report
 
-    ctx = GraphAnalysis(g, d)
+    ctx = GraphAnalysis(g)
     verdict = ctx.bm
     _, self_centered = ctx.poles_and_antipoles
     report["inf_kappa"] = frac_str(verdict.inf_edge_kappa)

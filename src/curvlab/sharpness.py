@@ -31,14 +31,13 @@ from .graphs import (
     Graph,
     _cocktail_party_m,
     degree_triple,
-    distances,
     induced_subgraph,
     interval,
     is_strongly_regular,
     poles_and_antipoles,
     triangle_count_edge,
 )
-from .isomorphism import find_isomorphism_with
+from .isomorphism import find_isomorphism
 from .spectral import adjacency_spectrum
 from .transport import (
     tpm_transport_map,
@@ -225,8 +224,7 @@ def unique_antipole_check(g: Graph, d: DistanceOracle) -> AntipoleCountVerdict:
 def is_antipodal(g: Graph, d: DistanceOracle, subset: frozenset[int] | set[int]) -> bool:
     """Antipodality of the induced subgraph on ``subset`` in its own metric."""
     members = np.array(sorted(subset), dtype=np.int32)
-    indptr, indices = g.csr()
-    dm = _kernels.induced_distances(indptr, indices, members, g.n)
+    dm = _kernels.induced_distances(g.dense_adjacency, members)
     if (dm < 0).any():
         raise DisconnectedSubset("subset does not induce a connected subgraph")
     return bool(_kernels.is_antipodal_matrix(dm))
@@ -245,15 +243,15 @@ def is_strongly_spherical(g: Graph, d: DistanceOracle) -> SphericalVerdict:
     """
     if not d.is_connected:
         raise Disconnected("strong sphericity needs a connected graph")
-    indptr, indices = g.csr()
     if not _kernels.is_antipodal_matrix(d.dist):
         return SphericalVerdict(False, None)
+    adj = g.dense_adjacency
     for x in range(g.n):
         for y in range(x + 1, g.n):
             members = _kernels.interval_members(d.dist[x], d.dist[y], d.d(x, y))
             if members.shape[0] == g.n:
                 continue  # the full graph was already checked
-            dm = _kernels.induced_distances(indptr, indices, members, g.n)
+            dm = _kernels.induced_distances(adj, members)
             if (dm < 0).any() or not _kernels.is_antipodal_matrix(dm):
                 return SphericalVerdict(False, (x, y))
     return SphericalVerdict(True, None)
@@ -472,8 +470,7 @@ def classify(ctx: GraphAnalysis) -> ClassificationMatch:
     if not candidates:
         return ClassificationMatch(None, None, "no list member matches (|V|, D, L)")
     for spec in candidates:
-        h = from_spec(spec)
-        witness = find_isomorphism_with(h, distances(h), g, d)
+        witness = find_isomorphism(from_spec(spec), g)
         if witness is not None:
             return ClassificationMatch(spec, witness, "matched")
     return ClassificationMatch(None, None, "invariants matched but no isomorphism found")

@@ -15,9 +15,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import Disconnected, IsolatedVertex, NotRegular
-from .graphs import DistanceOracle, Graph
+from .graphs import DistanceOracle, Graph, distances
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
@@ -56,13 +55,9 @@ def normalized_laplacian_apply(
     return out
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _kernels._adjacency(*g.csr(), g.n)
-
-
 def adjacency_spectrum(g: Graph) -> np.ndarray:
     """Adjacency eigenvalues in descending order."""
-    return np.linalg.eigvalsh(adjacency_matrix(g))[::-1]
+    return np.linalg.eigvalsh(g.dense_adjacency)[::-1]
 
 
 def laplacian_spectrum(g: Graph) -> np.ndarray:
@@ -74,20 +69,15 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
     degs = np.array(g.degrees, dtype=np.float64)
     if (degs == 0).any():
         raise IsolatedVertex("laplacian spectrum needs minimum degree 1")
-    a = adjacency_matrix(g)
     scale = 1.0 / np.sqrt(degs)
-    sym = scale[:, None] * a * scale[None, :]
+    sym = scale[:, None] * g.dense_adjacency * scale[None, :]
     eigs = np.linalg.eigvalsh(sym)
     return np.sort(1.0 - eigs)
 
 
-def spectral_summary(g: Graph, d: DistanceOracle | None = None) -> SpectralSummary:
+def spectral_summary(g: Graph) -> SpectralSummary:
     """Smallest positive Laplace eigenvalue, its multiplicity, and theta1."""
-    from .graphs import distances
-
-    if d is None:
-        d = distances(g)
-    if not d.is_connected:
+    if not distances(g).is_connected:
         raise Disconnected("spectral summary needs a connected graph")
     lap = laplacian_spectrum(g)
     positive = lap[lap > VALUE_TOL]

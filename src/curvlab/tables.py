@@ -31,12 +31,11 @@ from .fixtures import load_fixture
 from .graphs import (
     Graph,
     build_graph,
-    distances,
     induced_subgraph,
     intersection_array,
     is_strongly_regular,
 )
-from .isomorphism import find_isomorphism_with
+from .isomorphism import find_isomorphism
 from .parallel import map_shared
 from .report import frac_str
 
@@ -98,14 +97,13 @@ def _sphere_cell(ctx: GraphAnalysis, want: Sphere) -> str:
     """``want``'s tag if every 1-sphere matches it, else the first that does not."""
     g = ctx.g
     reference = want.build()
-    reference_d = distances(reference) if reference.edge_count else None
     for x in range(g.n):
         sphere, _ = induced_subgraph(g, g.adjacency[x])
-        if reference_d is None:
+        if not reference.edge_count:
             # an edgeless reference needs no search: compare order and size
             if sphere.n != reference.n or sphere.edge_count != 0:
                 return f"S1({x}) has {sphere.n} vertices, {sphere.edge_count} edges"
-        elif find_isomorphism_with(sphere, distances(sphere), reference, reference_d) is None:
+        elif find_isomorphism(sphere, reference) is None:
             return f"S1({x}) is not {want}"
     return want.tag
 
@@ -245,8 +243,7 @@ def compute_row(table_id: int, index: int) -> tuple[dict[str, str], list[CellDif
     """One row's cells, recomputed from its graph, and its mismatches."""
     table = TABLES[table_id]
     row = table.rows[index]
-    g = row.build()
-    ctx = GraphAnalysis(g, distances(g))
+    ctx = GraphAnalysis(row.build())
     cells = {"graph": row.name}
     diffs = []
     for column, want in zip(table.columns, row.golden, strict=True):

@@ -16,7 +16,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -97,6 +97,20 @@ def dense_gamma_forms(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
         acc = acc + gamma_at(y) / g.degree(x)
     b = 0.5 * (acc - gx @ lap - lap.T @ gx)
     return gx, 0.5 * (b + b.T)
+
+
+def subset_graph_by_pairs(n: int, k: int, adjacent) -> Graph:
+    """The k-subsets of {1..n} in lexicographic order, joined when
+    ``adjacent(s, t)`` holds for their sets, by comparing every pair: the
+    definition that ``johnson`` and ``kneser`` generate directly."""
+    verts = list(combinations(range(1, n + 1), k))
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(verts)), 2)
+        if adjacent(set(verts[i]), set(verts[j]))
+    ]
+    labels = tuple("{" + ",".join(map(str, s)) + "}" for s in verts)
+    return build_graph(len(verts), edges, labels=labels)
 
 
 def interval_bruteforce(d: DistanceOracle, x: int, y: int) -> frozenset[int]:

@@ -168,7 +168,7 @@ def test_criterion_5_structural_theorem_suite():
         for (z, w), value in pair_kappas.items():
             assert value <= Fraction(2, d.d(z, w)), name
         # sharpness forces L <= D and L | 2D
-        verdict = bm_sharpness(GraphAnalysis(g, d))
+        verdict = bm_sharpness(GraphAnalysis(g))
         assert verdict.is_bm_sharp and verdict.l_le_d and verdict.l_divides_2d, name
         # self-centered sharp graphs have constant curvature 2/L
         assert all(v == two_over_l for v in pair_kappas.values()), name
@@ -251,12 +251,12 @@ def test_criterion_7_cartesian_product_sharpness():
 
     sharp_prod = cartesian_product(cp3, cp3)
     d_sharp = distances(sharp_prod)
-    verdict = bm_sharpness(GraphAnalysis(sharp_prod, d_sharp))
+    verdict = bm_sharpness(GraphAnalysis(sharp_prod))
     assert verdict.is_bm_sharp and verdict.inf_edge_kappa == Fraction(1, 2)
 
     mixed = cartesian_product(q2, cp3)
     d_mixed = distances(mixed)
-    verdict = bm_sharpness(GraphAnalysis(mixed, d_mixed))
+    verdict = bm_sharpness(GraphAnalysis(mixed))
     assert not verdict.is_bm_sharp
 
     # factor-curvature scaling verified exactly on every product edge

@@ -6,9 +6,10 @@ from fractions import Fraction
 from curvlab import cli
 from curvlab.analysis import GraphAnalysis
 from curvlab.cli import main
-from curvlab.families import hypercube, johnson
-from curvlab.graphs import build_graph, distances
+from curvlab.families import FamilySpec, from_spec, hypercube, johnson
+from curvlab.graphs import build_graph
 from curvlab.isomorphism import find_isomorphism
+from curvlab.report import analyze
 
 from helpers import record_calls
 
@@ -19,7 +20,7 @@ def test_context_computes_each_quantity_once(monkeypatch):
     bm = record_calls(monkeypatch, "sharpness", "bm_sharpness")
     mu = record_calls(monkeypatch, "sharpness", "mu_graphs_all_cp")
     spectra = record_calls(monkeypatch, "spectral", "spectral_summary")
-    ctx = GraphAnalysis(g, distances(g))
+    ctx = GraphAnalysis(g)
     for _ in range(2):
         for name in ("bm", "edge_kappas", "poles_and_antipoles", "mu_graphs", "spectrum"):
             getattr(ctx, name)
@@ -37,14 +38,28 @@ def test_analyze_one_kappa_per_edge_and_one_oracle(monkeypatch, capsys):
     original_load = cli._load_input
     monkeypatch.setattr(cli, "_load_input", load)
     kappas = record_calls(monkeypatch, "transport", "kappa")
-    oracles = record_calls(monkeypatch, "graphs", "distances")
+    oracles = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
     assert main(["analyze", "johnson:6:3"]) == 0
     capsys.readouterr()
     (g,) = loaded
     assert g.edge_count == 90
     assert len(kappas) == 90
     assert sorted((x, y) for _, _, x, y in kappas) == g.edges()
-    assert sum(1 for args in oracles if args[0] is g) == 1
+    assert sum(1 for args in oracles if args[0] is g.dense_adjacency) == 1
+
+
+def test_analyze_product_one_oracle_per_graph(monkeypatch):
+    # the input and the classification candidate are each built with their
+    # two factors, and cartesian_product's diameter check computes all six
+    # oracles; the isomorphism search reads the candidate's from its cache
+    spec = FamilySpec(
+        "product", factors=(FamilySpec("johnson", (6, 3)), FamilySpec("cocktailparty", (4,)))
+    )
+    oracles = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
+    report = analyze(from_spec(spec), skip_be=True, skip_spherical=True)
+    assert report["classification"]["reason"] == "matched"
+    adjacencies = {id(args[0]) for args in oracles}
+    assert len(adjacencies) == len(oracles) == 6
 
 
 def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
@@ -69,6 +84,8 @@ def test_find_isomorphism_one_oracle_per_graph(monkeypatch):
     g = hypercube(3)
     perm = [3, 6, 0, 5, 7, 1, 4, 2]
     h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    oracles = record_calls(monkeypatch, "graphs", "distances")
+    oracles = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
     assert find_isomorphism(g, h) is not None
-    assert [args[0] for args in oracles] == [g, h]
+    assert find_isomorphism(h, g) is not None
+    (first,), (second,) = oracles
+    assert first is g.dense_adjacency and second is h.dense_adjacency

@@ -33,6 +33,8 @@ from curvlab.graphs import (
 )
 from curvlab.isomorphism import are_isomorphic
 
+from helpers import subset_graph_by_pairs
+
 
 class TestHypercube:
     def test_k2(self):
@@ -87,6 +89,11 @@ class TestJohnson:
         with pytest.raises(BadParam):
             johnson(4, 4)
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in range(1, n)])
+    def test_matches_pairwise_definition(self, n, k):
+        # same vertex order, labels and adjacency as comparing every pair
+        assert johnson(n, k) == subset_graph_by_pairs(n, k, lambda s, t: len(s & t) == k - 1)
+
 
 class TestKneser:
     def test_petersen(self):
@@ -102,6 +109,10 @@ class TestKneser:
         g = kneser(4, 2)
         assert g.n == 6 and g.is_regular() == 1
         assert not distances(g).is_connected
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in range(1, n // 2 + 1)])
+    def test_matches_pairwise_definition(self, n, k):
+        assert kneser(n, k) == subset_graph_by_pairs(n, k, lambda s, t: not s & t)
 
 
 class TestDemiCube:

@@ -2,6 +2,7 @@
 structural predicates, products."""
 
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -121,6 +122,30 @@ class TestDistances:
         for x in range(n):
             for y in range(n):
                 assert (m[x] + m[y] >= m[x, y]).all()
+
+
+class TestCachedViews:
+    """Each graph computes its dense adjacency and distance oracle once."""
+
+    def test_oracle_is_cached(self):
+        g = hypercube(3)
+        assert distances(g) is distances(g)
+        assert g.dense_adjacency is g.dense_adjacency
+
+    def test_views_are_read_only(self):
+        g = hypercube(3)
+        with pytest.raises(ValueError):
+            distances(g).dist[0, 1] = 2
+        with pytest.raises(ValueError):
+            g.dense_adjacency[0, 1] = 0.0
+
+    def test_pickle_carries_no_cached_view(self):
+        g = hypercube(3)
+        distances(g), g.neighbor_set(0), g.degrees
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == g and clone.labels == g.labels
+        assert set(vars(clone)) == {"n", "adjacency", "labels"}
+        assert (distances(clone).dist == distances(g).dist).all()
 
 
 class TestInterval:

@@ -56,8 +56,7 @@ def test_bfs_all_pairs_matches_reference(n, data):
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in possible if data.draw(st.booleans())]
     g = build_graph(n, edges)
-    indptr, indices = g.csr()
-    dist = _kernels.bfs_all_pairs(indptr, indices, n)
+    dist = _kernels.bfs_all_pairs(g.dense_adjacency)
     for s in range(n):
         assert list(dist[s]) == _bfs_reference(g.adjacency, n, s)
 
@@ -65,21 +64,17 @@ def test_bfs_all_pairs_matches_reference(n, data):
 def test_induced_distances_respect_subgraph():
     # path 0-1-2-3 plus chord 0-3; induced on {0,1,3}: edges 0-1 and 0-3 only
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    indptr, indices = g.csr()
     members = np.array([0, 1, 3], dtype=np.int32)
-    dm = _kernels.induced_distances(indptr, indices, members, 4)
+    dm = _kernels.induced_distances(g.dense_adjacency, members)
     assert dm[0, 1] == 1 and dm[0, 2] == 1 and dm[1, 2] == 2
 
 
 def test_antipodal_matrix():
     # 4-cycle is antipodal, path is not
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    indptr, indices = c4.csr()
-    d = _kernels.bfs_all_pairs(indptr, indices, 4)
-    assert _kernels.is_antipodal_matrix(d)
+    assert _kernels.is_antipodal_matrix(_kernels.bfs_all_pairs(c4.dense_adjacency))
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    indptr, indices = p3.csr()
-    d = _kernels.bfs_all_pairs(indptr, indices, 3)
+    d = _kernels.bfs_all_pairs(p3.dense_adjacency)
     assert not _kernels.is_antipodal_matrix(d)
 
 
@@ -108,8 +103,7 @@ def graphs_with_subsets(draw):
 @settings(max_examples=150, deadline=None)
 def test_induced_distances_match_reference(case):
     g, members = case
-    indptr, indices = g.csr()
-    dm = _kernels.induced_distances(indptr, indices, np.array(members, dtype=np.int32), g.n)
+    dm = _kernels.induced_distances(g.dense_adjacency, np.array(members, dtype=np.int32))
     sub, verts = induced_subgraph(g, members)
     assert list(verts) == members
     for s in range(sub.n):

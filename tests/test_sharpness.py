@@ -55,39 +55,39 @@ class TestBMSharpness:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hypercubes_sharp(self, n):
         g = hypercube(n)
-        v = bm_sharpness(GraphAnalysis(g, distances(g)))
+        v = bm_sharpness(GraphAnalysis(g))
         assert v.is_bm_sharp and v.inf_edge_kappa == Fraction(2, n)
         assert v.l_le_d and v.l_divides_2d
 
     def test_j52_not_sharp(self):
         g = johnson(5, 2)
-        v = bm_sharpness(GraphAnalysis(g, distances(g)))
+        v = bm_sharpness(GraphAnalysis(g))
         assert not v.is_bm_sharp
         assert v.inf_edge_kappa == Fraction(5, 6) and v.two_over_l == 1
 
     def test_cp3_squared_sharp(self, cp3_squared):
         g, d = cp3_squared
-        v = bm_sharpness(GraphAnalysis(g, d))
+        v = bm_sharpness(GraphAnalysis(g))
         assert v.is_bm_sharp and v.inf_edge_kappa == Fraction(1, 2)
 
     def test_divisibility_on_sharp_fixtures(self, j63, demi6, gosset_graph):
         for g, d in (j63, demi6, gosset_graph):
-            v = bm_sharpness(GraphAnalysis(g, d))
+            v = bm_sharpness(GraphAnalysis(g))
             assert v.is_bm_sharp and v.l_le_d and v.l_divides_2d
 
 
 class TestLambdaM:
     def test_hypercube_lambda0(self, q4):
         g, d = q4
-        assert lambda_m_check(GraphAnalysis(g, d), 0).holds
+        assert lambda_m_check(GraphAnalysis(g), 0).holds
 
     def test_gosset_lambda16(self, gosset_graph):
         g, d = gosset_graph
-        assert lambda_m_check(GraphAnalysis(g, d), 16).holds
+        assert lambda_m_check(GraphAnalysis(g), 16).holds
 
     def test_k4_lambda3_fails(self):
         g = complete(4)
-        verdict = lambda_m_check(GraphAnalysis(g, distances(g)), 3)
+        verdict = lambda_m_check(GraphAnalysis(g), 3)
         assert not verdict.holds and len(verdict.failing_edges) == g.edge_count
 
     def test_prop_equivalence_on_self_centered(self, cp4, j63, petersen):
@@ -97,8 +97,8 @@ class TestLambdaM:
             assert self_centered
             deg, L = g.is_regular(), d.diameter
             m = Fraction(2 * deg, L) - 2
-            sharp = bm_sharpness(GraphAnalysis(g, d)).is_bm_sharp
-            lam = m.denominator == 1 and m >= 0 and lambda_m_check(GraphAnalysis(g, d), int(m)).holds
+            sharp = bm_sharpness(GraphAnalysis(g)).is_bm_sharp
+            lam = m.denominator == 1 and m >= 0 and lambda_m_check(GraphAnalysis(g), int(m)).holds
             assert sharp == lam
 
 
@@ -252,7 +252,7 @@ class TestStronglySpherical:
         # which additionally needs equal degree/diameter ratios
         g = cartesian_product(hypercube(2), cocktail_party(3))
         d = distances(g)
-        assert not bm_sharpness(GraphAnalysis(g, d)).is_bm_sharp
+        assert not bm_sharpness(GraphAnalysis(g)).is_bm_sharp
         assert is_strongly_spherical(g, d).holds
 
 
@@ -291,27 +291,27 @@ class TestMuGraphsAllCP:
 class TestLocalSrg:
     def test_gosset(self, gosset_graph):
         g, d = gosset_graph
-        verdict = local_srg_check(GraphAnalysis(g, d))
+        verdict = local_srg_check(GraphAnalysis(g))
         assert verdict.holds
         assert verdict.params == (27, 16, 10, 8)
         assert verdict.theta == 4
 
     def test_j63(self, j63):
         g, d = j63
-        verdict = local_srg_check(GraphAnalysis(g, d))
+        verdict = local_srg_check(GraphAnalysis(g))
         assert verdict.holds
         assert verdict.params == (9, 4, 1, 2)
         assert verdict.theta == 1
 
     def test_demi6(self, demi6):
         g, d = demi6
-        verdict = local_srg_check(GraphAnalysis(g, d))
+        verdict = local_srg_check(GraphAnalysis(g))
         assert verdict.holds and verdict.params == (15, 8, 4, 4)
 
     def test_precondition(self, petersen):
         g, d = petersen
         with pytest.raises(PreconditionUnmet):
-            local_srg_check(GraphAnalysis(g, d))
+            local_srg_check(GraphAnalysis(g))
 
 
 class TestSspNcp:
@@ -333,17 +333,17 @@ class TestSspNcp:
 class TestFourCycleLemma:
     def test_hypercube(self, q4):
         g, d = q4
-        verdict = four_cycle_lemma_check(GraphAnalysis(g, d))
+        verdict = four_cycle_lemma_check(GraphAnalysis(g))
         assert verdict.holds and verdict.checked_edges == g.edge_count
 
     def test_c4(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert four_cycle_lemma_check(GraphAnalysis(g, distances(g))).holds
+        assert four_cycle_lemma_check(GraphAnalysis(g)).holds
 
     def test_c5_vacuous(self):
         # pentagon edges have curvature 1/2 >= 2/D = 1, false; nothing to check
         g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        verdict = four_cycle_lemma_check(GraphAnalysis(g, distances(g)))
+        verdict = four_cycle_lemma_check(GraphAnalysis(g))
         assert verdict.holds and verdict.checked_edges == 0
 
 
@@ -430,28 +430,28 @@ class TestBigProductStructure:
 class TestClassify:
     def test_octahedron(self):
         g = cocktail_party(3)
-        match = classify(GraphAnalysis(g, distances(g)))
+        match = classify(GraphAnalysis(g))
         assert match.matched == FamilySpec("cocktailparty", (3,))
         assert verify_isomorphism(from_spec(match.matched), g, match.iso_witness)
 
     def test_hypercube(self, q4):
         g, d = q4
-        match = classify(GraphAnalysis(g, d))
+        match = classify(GraphAnalysis(g))
         assert match.matched == FamilySpec("hypercube", (4,))
 
     def test_gosset(self, gosset_graph):
         g, d = gosset_graph
-        match = classify(GraphAnalysis(g, d))
+        match = classify(GraphAnalysis(g))
         assert match.matched == FamilySpec("gosset", ())
 
     def test_q2_times_cp3_rejected(self):
         g = cartesian_product(hypercube(2), cocktail_party(3))
-        match = classify(GraphAnalysis(g, distances(g)))
+        match = classify(GraphAnalysis(g))
         assert match.matched is None and "not Bonnet-Myers sharp" in match.reason
 
     def test_product_match(self, cp3_squared):
         g, d = cp3_squared
-        match = classify(GraphAnalysis(g, d))
+        match = classify(GraphAnalysis(g))
         assert match.matched is not None and match.matched.family == "product"
         assert verify_isomorphism(from_spec(match.matched), g, match.iso_witness)
 
@@ -459,30 +459,30 @@ class TestClassify:
         # 160 vertices; the matched factor order differs from the input's
         g = cartesian_product(johnson(6, 3), cocktail_party(4))
         d = distances(g)
-        assert bm_sharpness(GraphAnalysis(g, d)).inf_edge_kappa == Fraction(2, 5)
-        match = classify(GraphAnalysis(g, d))
+        assert bm_sharpness(GraphAnalysis(g)).inf_edge_kappa == Fraction(2, 5)
+        match = classify(GraphAnalysis(g))
         assert match.matched is not None and match.matched.family == "product"
         assert verify_isomorphism(from_spec(match.matched), g, match.iso_witness)
 
     def test_petersen_unmatched(self, petersen):
         g, d = petersen
-        match = classify(GraphAnalysis(g, d))
+        match = classify(GraphAnalysis(g))
         assert match.matched is None
 
     def test_d2_sharp_is_cp(self):
         # every (D,2)-sharp graph here gets recognized as a cocktail party
         for n in (3, 4, 5):
             g = cocktail_party(n)
-            match = classify(GraphAnalysis(g, distances(g)))
+            match = classify(GraphAnalysis(g))
             assert match.matched == FamilySpec("cocktailparty", (n,))
 
     def test_dd_sharp_is_hypercube(self):
         for n in (2, 3, 4):
             g = hypercube(n)
-            match = classify(GraphAnalysis(g, distances(g)))
+            match = classify(GraphAnalysis(g))
             assert match.matched == FamilySpec("hypercube", (n,))
 
     def test_single_edge(self):
         g = complete(2)
-        match = classify(GraphAnalysis(g, distances(g)))
+        match = classify(GraphAnalysis(g))
         assert match.matched == FamilySpec("hypercube", (1,))

@@ -48,7 +48,7 @@ class TestLaplacianApply:
 class TestSpectralSummary:
     def test_petersen(self, petersen):
         g, d = petersen
-        s = spectral_summary(g, d)
+        s = spectral_summary(g)
         assert abs(s.lambda1 - 2 / 3) < 1e-9
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -65,13 +65,13 @@ class TestSpectralSummary:
 
     def test_regular_theta_lambda_relation(self, j63, q4, cp4, demi6, gosset_graph, petersen):
         for g, d in (j63, q4, cp4, demi6, gosset_graph, petersen):
-            s = spectral_summary(g, d)
+            s = spectral_summary(g)
             assert abs(s.lambda1 - (1 - s.theta1 / g.is_regular())) < 1e-9
 
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
-            spectral_summary(g, distances(g))
+            spectral_summary(g)
 
 
 class TestDistanceEigenfunction:
@@ -94,37 +94,37 @@ class TestDistanceEigenfunction:
 class TestLichnerowicz:
     def test_j52_sharp(self):
         g = johnson(5, 2)
-        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, distances(g)))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
         assert verdict.is_sharp
         assert verdict.inf_edge_kappa == Fraction(5, 6)
 
     def test_shrikhande_not_sharp(self):
         g = shrikhande()
-        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, distances(g)))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == Fraction(1, 3)
         assert abs(verdict.lambda1 - 2 / 3) < 1e-9
 
     def test_hall_not_sharp(self):
         g = load_fixture("hall")
-        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, distances(g)))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == Fraction(-1, 10)
         assert abs(verdict.lambda1 - 1 / 2) < 1e-9
 
     def test_bm_sharp_graphs_are_lichnerowicz_sharp(self, q4, cp4, j63, demi6):
         for g, d in (q4, cp4, j63, demi6):
-            verdict = is_lichnerowicz_sharp(GraphAnalysis(g, d))
+            verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
             assert verdict.is_sharp and verdict.exact_certificate
 
     def test_petersen_mu1_not_sharp(self, petersen):
         # distance-regular with mu = 1 cannot be Lichnerowicz sharp
         g, d = petersen
-        verdict = is_lichnerowicz_sharp(GraphAnalysis(g, d))
+        verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == 0
 
     def test_lichnerowicz_inequality_on_fixtures(self, petersen, cp3, q3):
         for g, d in (petersen, cp3, q3):
-            verdict = is_lichnerowicz_sharp(GraphAnalysis(g, d))
+            verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
             assert float(verdict.inf_edge_kappa) <= verdict.lambda1 + 1e-9
