@@ -9,10 +9,13 @@ commands are ``table 1|2|3 --json``; full and ``--skip-spherical``
 ``analyze``, ``spectral``, ``classify`` and ``sharpness`` on Gosset, Hall,
 Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default, ``--jobs 2`` and
 ``--vertex 0``) on those four and J(6,3)xCP(2); ``curvature --all-edges``
-on Chang1; and ``gen johnson 8 4`` and ``gen kneser 9 4``, as graph6 and
-as ``--json``.  The two products are built with ``gen product`` into
-``OUTDIR/inputs`` and every command runs there, so the input names that
-reports print are the same in every capture.
+(default and ``--jobs 2``) on Chang1; ``curvature`` on single pairs, with
+and without ``--p`` and ``--plan``, one of them a refused equal pair;
+``transport-geodesic`` on the 3-cube, along a full-length path and a
+refused short one; and ``gen johnson 8 4`` and ``gen kneser 9 4``, as
+graph6 and as ``--json``.  The two products are built with ``gen
+product`` into ``OUTDIR/inputs`` and every command runs there, so the input
+names that reports print are the same in every capture.
 
 Capture once before a change and once after it, from two checkouts, and
 compare:
@@ -21,7 +24,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 43 commands run one after another and take about 30 s on a 2-core
+The 52 commands run one after another and take about 30 s on a 2-core
 machine.
 """
 
@@ -41,6 +44,17 @@ PRODUCTS = {
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
+# (output name, CLI argv); the last of each kind exits 3
+PAIRS = (
+    ("curvature-gosset-0-1", ["curvature", "gosset", "0", "1"]),
+    ("curvature-chang1-0-5", ["curvature", "chang1", "0", "5"]),
+    ("curvature-hall-0-40", ["curvature", "hall", "0", "40"]),
+    ("curvature-plan-gosset-0-1", ["curvature", "gosset", "0", "1", "--plan"]),
+    ("curvature-p-plan-hall-3-50", ["curvature", "hall", "3", "50", "--p", "1/2", "--plan"]),
+    ("curvature-chang1-0-0", ["curvature", "chang1", "0", "0"]),
+    ("transport-geodesic-q3", ["transport-geodesic", "hypercube:3", "--path", "0,1,3,7", "--z", "0"]),
+    ("transport-geodesic-q3-short", ["transport-geodesic", "hypercube:3", "--path", "0,1,3", "--z", "0"]),
+)
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -59,6 +73,10 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"bakry-emery-jobs2-{stem}", ["bakry-emery", g, "--jobs", "2"]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
     out.append(("curvature-all-edges-chang1", ["curvature", "chang1", "--all-edges"]))
+    out.append(
+        ("curvature-all-edges-jobs2-chang1", ["curvature", "chang1", "--all-edges", "--jobs", "2"])
+    )
+    out.extend(PAIRS)
     for spec in GENERATED:
         stem = "-".join(spec)
         out.append((f"gen-{stem}", ["gen", *spec]))

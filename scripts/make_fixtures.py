@@ -98,8 +98,7 @@ def verify_chang(graphs: list[Graph]) -> None:
         summ = spectral_summary(g)
         assert abs(summ.theta1 - 4.0) < 1e-9
         assert abs(summ.lambda1 - 2.0 / 3.0) < 1e-9
-        d = distances(g)
-        inf_k = min(kappa(g, d, u, v).value for u, v in g.edges())
+        inf_k = min(kappa(g, u, v).value for u, v in g.edges())
         assert str(inf_k) == "1/3", f"chang{i + 1}: inf kappa {inf_k}"
     for i in range(3):
         for j in range(i + 1, 3):
@@ -386,37 +385,37 @@ def _mpow(x: int, k: int) -> int:
 def verify_locally_petersen(g: Graph, name: str, want_n: int, want_array) -> None:
     assert g.n == want_n, f"{name}: {g.n} vertices"
     assert g.is_regular() == 10, f"{name}: not 10-regular"
-    d = distances(g)
-    assert d.is_connected, f"{name}: disconnected"
+    assert distances(g).is_connected, f"{name}: disconnected"
     petersen = kneser(5, 2)
     for x in range(g.n):
         sphere, _ = induced_subgraph(g, g.adjacency[x])
         assert are_isomorphic(sphere, petersen), f"{name}: not locally Petersen at {x}"
-    arr = intersection_array(g, d)
+    arr = intersection_array(g)
     assert arr == want_array, f"{name}: intersection array {arr}"
     summ = spectral_summary(g)
     assert abs(summ.theta1 - 5.0) < 1e-9, f"{name}: theta1 {summ.theta1}"
     assert abs(summ.lambda1 - 0.5) < 1e-9, f"{name}: lambda1 {summ.lambda1}"
-    inf_k = min(kappa(g, d, u, v).value for u, v in g.edges())
+    inf_k = min(kappa(g, u, v).value for u, v in g.edges())
     assert str(inf_k) == "-1/10", f"{name}: inf kappa {inf_k}"
     print(f"{name} verified: {want_n} vertices, locally Petersen, ia {arr}, "
           f"theta1=5, lambda1=1/2, inf kappa=-1/10")
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
+def build_fixtures() -> dict[str, Graph]:
+    """Every bundled fixture keyed by its file stem, each one verified."""
     changs = chang_graphs()
     verify_chang(changs)
-    for i, g in enumerate(changs):
-        (OUT / f"chang{i + 1}.g6").write_text(encode_graph6(g) + "\n")
-
     cs = conway_smith()
     verify_locally_petersen(cs, "conway-smith", 63, ((10, 6, 4, 1), (1, 2, 6, 10)))
-    (OUT / "conway_smith.g6").write_text(encode_graph6(cs) + "\n")
-
     hall = hall_graph()
     verify_locally_petersen(hall, "hall", 65, ((10, 6, 4), (1, 2, 5)))
-    (OUT / "hall.g6").write_text(encode_graph6(hall) + "\n")
+    return {**{f"chang{i + 1}": g for i, g in enumerate(changs)}, "conway_smith": cs, "hall": hall}
+
+
+def main() -> None:
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, g in build_fixtures().items():
+        (OUT / f"{name}.g6").write_text(encode_graph6(g) + "\n")
     print("fixtures written to", OUT)
 
 

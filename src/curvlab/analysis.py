@@ -3,33 +3,33 @@
 The predicates of the paper share a few exact per-graph quantities: the
 edge-curvature table, the Bonnet-Myers verdict built on it, the antipole
 lists, the mu-graph scan and the spectrum.  :class:`GraphAnalysis` holds a
-graph with the distance oracle the graph caches, and computes each of those
-at most once, on first use; the predicates that need them take the context
-instead of ``(g, d)``.  A context lives as long as its caller keeps it, so
-nothing is shared between graphs or commands.
+graph and computes each of those at most once, on first use; the
+predicates that need them take the context instead of the graph.  The
+distance oracle is not among them: the graph caches its own.  A context
+lives as long as its caller keeps it, so nothing is shared between graphs
+or commands.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import Graph, distances, poles_and_antipoles
+from .graphs import Graph, poles_and_antipoles
 from .sharpness import MuGraphVerdict, SharpnessVerdict, bm_sharpness, mu_graphs_all_cp
 from .spectral import SpectralSummary, spectral_summary
 from .transport import CurvatureValue, kappa
 
 
 class GraphAnalysis:
-    """A graph, its distance oracle and the shared quantities derived from them."""
+    """A graph and the shared quantities derived from it."""
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-        self.d = distances(g)
 
     @cached_property
     def edge_kappas(self) -> dict[tuple[int, int], CurvatureValue]:
         """``kappa`` of every edge, keyed ``(u, v)`` with ``u < v`` in ``g.edges()`` order."""
-        return {(u, v): kappa(self.g, self.d, u, v) for u, v in self.g.edges()}
+        return {(u, v): kappa(self.g, u, v) for u, v in self.g.edges()}
 
     @cached_property
     def bm(self) -> SharpnessVerdict:
@@ -37,11 +37,11 @@ class GraphAnalysis:
 
     @cached_property
     def poles_and_antipoles(self) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        return poles_and_antipoles(self.g, self.d)
+        return poles_and_antipoles(self.g)
 
     @cached_property
     def mu_graphs(self) -> MuGraphVerdict:
-        return mu_graphs_all_cp(self.g, self.d)
+        return mu_graphs_all_cp(self.g)
 
     @cached_property
     def spectrum(self) -> SpectralSummary:

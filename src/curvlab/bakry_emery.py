@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BadParam, Disconnected, FormCheckFailed, IsolatedVertex, NotRegular
-from .graphs import DistanceOracle, Graph, triangle_count_vertex
+from .graphs import Graph, distances, triangle_count_vertex
 from .spectral import normalized_laplacian_apply
 
 SHARP_TOL = 1e-7
@@ -277,9 +277,7 @@ class ConjectureReport:
     weak_holds: bool
 
 
-def conjecture_scan(
-    g: Graph, d: DistanceOracle, curvatures: Sequence[float]
-) -> ConjectureReport:
+def conjecture_scan(g: Graph, curvatures: Sequence[float]) -> ConjectureReport:
     """Compare inf_x K(x) against 1/D + 1/L and the weaker certified bound
     1/D + 1/L + max_x #triangles(x)/(2 D^2).
 
@@ -291,6 +289,7 @@ def conjecture_scan(
         raise NotRegular("the conjecture scanner needs a regular graph")
     if deg == 0:
         raise IsolatedVertex("the conjecture scanner needs at least one edge")
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("the conjecture scanner needs a connected graph")
     if len(curvatures) != g.n:

@@ -113,7 +113,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _edge_kappa(
     g: Graph, d: DistanceOracle, edge: tuple[int, int]
 ) -> tuple[tuple[int, int], Fraction, str]:
-    val = kappa(g, d, *edge)
+    g._adopt_distances(d)
+    val = kappa(g, *edge)
     return edge, val.value, val.method
 
 
@@ -130,14 +131,13 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             "--all-edges computes plain kappa on every edge; it takes no vertex pair, --p or --plan"
         )
     g = _load_connected(args.input)
-    d = distances(g)
     if g.is_regular() is None:
         raise PreconditionError("curvature needs a regular graph")
     if args.all_edges:
         edges = g.edges()
         if not edges:
             raise NoEdges("the graph has no edges")
-        rows = map_shared(_edge_kappa, (g, d), edges, args.jobs)
+        rows = map_shared(_edge_kappa, (g, distances(g)), edges, args.jobs)
         for (u, v), val, method in rows:
             print(f"{u} {v} {frac_str(val)} ({method})")
         print(f"inf = {frac_str(min(val for _, val, _ in rows))}")
@@ -148,17 +148,16 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     _check_vertices(g, x, y)
     if args.p is not None:
         p = args.p
-        val, plan = _kappa_p_plan(g, d, x, y, p)
+        val, plan = _kappa_p_plan(g, x, y, p)
         print(f"kappa_{p}({x},{y}) = {frac_str(val.value)} ({val.method})")
         if args.plan:
             print(json.dumps(plan.to_json(), sort_keys=True))
         return 0
-    val = kappa(g, d, x, y)
+    val = kappa(g, x, y)
     print(f"kappa({x},{y}) = {frac_str(val.value)} ({val.method})")
     if args.plan:
-        deg = g.is_regular()
-        p = Fraction(1, deg + 1)
-        w, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
+        p = Fraction(1, g.is_regular() + 1)
+        w, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
         print(json.dumps(plan.to_json(), sort_keys=True))
     return 0
 
@@ -185,7 +184,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
     reports = map_shared(be_curvature, (g,), range(g.n), args.jobs)
     doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
-        scan = conjecture_scan(g, distances(g), [r.curvature for r in reports])
+        scan = conjecture_scan(g, [r.curvature for r in reports])
         doc["conjecture"] = {
             "inf_curvature": float_str(scan.inf_curvature),
             "bound": frac_str(scan.bound),
@@ -242,13 +241,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_transport_geodesic(args: argparse.Namespace) -> int:
     g = _load_input(args.input)
-    d = distances(g)
     try:
         path = tuple(int(v) for v in args.path.split(","))
     except ValueError as exc:
         raise InputError(f"bad path {args.path!r}") from exc
     _check_vertices(g, *path, args.z)
-    tg = transport_geodesic(g, d, path, args.z)
+    tg = transport_geodesic(g, path, args.z)
     doc = {
         "base": list(tg.base),
         "waypoints": list(tg.waypoints),

@@ -48,9 +48,13 @@ class Graph:
 
     # Derived views are cached on the instance; a frozen dataclass allows
     # this because cached_property writes the instance ``__dict__`` directly.
-    # A pickle carries none of them: worker processes rebuild what they use.
+    # A pickle carries none of them; a worker rebuilds what it reads.
     def __reduce__(self):
         return Graph, (self.n, self.adjacency, self.labels)
+
+    def _adopt_distances(self, d: DistanceOracle) -> None:
+        """Keep d, the oracle this graph had before pickling, unless it has one."""
+        self.__dict__.setdefault("_distances", d)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -183,8 +187,9 @@ def distances(g: Graph) -> DistanceOracle:
     return g._distances
 
 
-def interval(d: DistanceOracle, x: int, y: int) -> frozenset[int]:
+def interval(g: Graph, x: int, y: int) -> frozenset[int]:
     """All vertices on geodesics from x to y."""
+    d = distances(g)
     dxy = d.d(x, y)
     if dxy < 0:
         return frozenset()
@@ -201,7 +206,8 @@ class DegreeTriple:
     d_plus: int
 
 
-def degree_triple(g: Graph, d: DistanceOracle, x: int, y: int) -> DegreeTriple:
+def degree_triple(g: Graph, x: int, y: int) -> DegreeTriple:
+    d = distances(g)
     dxy = d.d(x, y)
     minus = zero = plus = 0
     for z in g.adjacency[y]:
@@ -215,16 +221,14 @@ def degree_triple(g: Graph, d: DistanceOracle, x: int, y: int) -> DegreeTriple:
     return DegreeTriple(minus, zero, plus)
 
 
-def sphere_averages(
-    g: Graph, d: DistanceOracle, x: int, k: int
-) -> tuple[Fraction, Fraction, Fraction]:
+def sphere_averages(g: Graph, x: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Exact mean (in, spherical, out) degrees over the k-sphere of x."""
-    sphere = d.sphere(x, k)
+    sphere = distances(g).sphere(x, k)
     if not sphere:
         raise EmptySphere(f"S_{k}({x}) is empty")
     tm = tz = tp = 0
     for y in sphere:
-        t = degree_triple(g, d, x, y)
+        t = degree_triple(g, x, y)
         tm += t.d_minus
         tz += t.d_zero
         tp += t.d_plus
@@ -265,10 +269,11 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
     return sub, verts
 
 
-def mu_graph(g: Graph, d: DistanceOracle, x: int, z: int) -> Graph:
+def mu_graph(g: Graph, x: int, z: int) -> Graph:
     """Induced subgraph on the common neighbours of a distance-2 pair."""
-    if d.d(x, z) != 2:
-        raise WrongDistance(f"d({x},{z}) = {d.d(x, z)} != 2")
+    dxz = distances(g).d(x, z)
+    if dxz != 2:
+        raise WrongDistance(f"d({x},{z}) = {dxz} != 2")
     sub, _ = induced_subgraph(g, sorted(common_neighbors(g, x, z)))
     return sub
 
@@ -343,15 +348,14 @@ def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
     return SrgParams(n, k, lam, mu)
 
 
-def intersection_array(
-    g: Graph, d: DistanceOracle
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def intersection_array(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """((b_0..b_{L-1}), (c_1..c_L)) when g is distance-regular, else None.
 
     Entry (x, y) of ``(dist == k) @ A`` counts the neighbours of y at
     distance k from x, so b_j and c_j are the products for k = j + 1 and
     k = j - 1, each read where dist == j, when that reading is constant.
     """
+    d = distances(g)
     if not d.is_connected or g.is_regular() is None:
         return None
     L = d.diameter
@@ -371,8 +375,9 @@ def intersection_array(
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product; vertex (u, v) maps to index u * g2.n + v.
 
-    Degree additivity always holds; diameter additivity is checked when both
-    factors are connected.
+    Degrees add, and so do distances: d((u, v), (u', v')) = d1(u, u') +
+    d2(v, v').  The product of two connected factors is therefore connected,
+    with diameter diam(g1) + diam(g2).
     """
     n1, n2 = g1.n, g2.n
     _check_vertex_count(n1 * n2)
@@ -391,19 +396,12 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
         labels = tuple(
             f"({g1.labels[u]},{g2.labels[v]})" for u in range(n1) for v in range(n2)
         )
-    prod = build_graph(n1 * n2, edges, labels=labels)
-    if n1 > 0 and n2 > 0:
-        d1, d2, dp = distances(g1), distances(g2), distances(prod)
-        if d1.is_connected and d2.is_connected:
-            if dp.diameter != d1.diameter + d2.diameter:
-                raise IdentityViolated("product diameter is not additive")
-    return prod
+    return build_graph(n1 * n2, edges, labels=labels)
 
 
-def poles_and_antipoles(
-    g: Graph, d: DistanceOracle
-) -> tuple[tuple[tuple[int, ...], ...], bool]:
+def poles_and_antipoles(g: Graph) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """Per-vertex antipole lists {y : d(x,y) = diam} and the self-centered flag."""
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("antipoles need a connected graph")
     L = d.diameter

@@ -2,8 +2,10 @@
 
 The arguments that every task of a sweep shares, such as a graph and its
 distance oracle, reach each worker once, through the pool initializer; a
-task then carries only its own item.  Workers are spawned fresh, so a pool
-never inherits the threads of the parent process.
+task then carries only its own item.  A pickled graph carries none of its
+cached views, so a sweep that reads the oracle passes it along.  Workers
+are spawned fresh, so a pool never inherits the threads of the parent
+process.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def analyze(
         report["local_srg"] = {"holds": None, "reason": str(exc)}
 
     if not skip_spherical:
-        sph = is_strongly_spherical(g, d)
+        sph = is_strongly_spherical(g)
         report["strongly_spherical"] = sph.holds
 
     if not skip_be:

@@ -27,10 +27,10 @@ from .errors import (
 )
 from .families import FamilySpec, from_spec
 from .graphs import (
-    DistanceOracle,
     Graph,
     _cocktail_party_m,
     degree_triple,
+    distances,
     induced_subgraph,
     interval,
     is_strongly_regular,
@@ -49,8 +49,8 @@ if TYPE_CHECKING:
     from .analysis import GraphAnalysis
 
 
-def _require_connected_regular(g: Graph, d: DistanceOracle) -> int:
-    if not d.is_connected:
+def _require_connected_regular(g: Graph) -> int:
+    if not distances(g).is_connected:
         raise Disconnected("predicate needs a connected graph")
     deg = g.is_regular()
     if deg is None:
@@ -70,12 +70,12 @@ class SharpnessVerdict:
 
 def bm_sharpness(ctx: GraphAnalysis) -> SharpnessVerdict:
     """Exact infimum of edge curvature compared against 2/diameter."""
-    g, d = ctx.g, ctx.d
-    deg = _require_connected_regular(g, d)
+    g = ctx.g
+    deg = _require_connected_regular(g)
     if g.edge_count == 0:
         raise NoEdges("the edge-curvature infimum needs at least one edge")
     witness, value = min(ctx.edge_kappas.items(), key=lambda item: item[1].value)
-    L = d.diameter
+    L = distances(g).diameter
     two_over_l = Fraction(2, L)
     return SharpnessVerdict(
         inf_edge_kappa=value.value,
@@ -123,9 +123,10 @@ class PoleFacts:
         return self.triangles_ok and self.matching_ok and self.cost_ok
 
 
-def pole_facts(g: Graph, d: DistanceOracle, x: int) -> PoleFacts:
+def pole_facts(g: Graph, x: int) -> PoleFacts:
     """Triangle count, matching and optimal transport cost facts at a pole."""
-    deg = _require_connected_regular(g, d)
+    deg = _require_connected_regular(g)
+    d = distances(g)
     L = d.diameter
     if d.eccentricity(x) != L:
         raise NotAPole(f"vertex {x} has eccentricity {d.eccentricity(x)} < {L}")
@@ -142,13 +143,13 @@ def pole_facts(g: Graph, d: DistanceOracle, x: int) -> PoleFacts:
         # N(y)\N[x]; every atom moves at least 1, and by exactly 1 in an
         # optimal plan iff a perfect adjacency matching exists
         p = Fraction(1, deg + 1)
-        w1, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
+        w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
         matching = {u: v for u, v, _ in plan.entries if u != v}
-        if any(d.d(u, v) != 1 for u, v in matching.items()):
+        if any(not g.has_edge(u, v) for u, v in matching.items()):
             match_ok = False
             failures.append(f"edge ({x},{y}) has no perfect matching")
             continue
-        plan_cost = tpm_transport_map(g, d, x, y, matching).cost
+        plan_cost = tpm_transport_map(g, x, y, matching).cost
         if plan_cost != want_cost or w1 != want_cost:
             cost_ok = False
             failures.append(
@@ -170,15 +171,16 @@ class RecursionVerdict:
     failure: Optional[tuple[int, int, str]]  # (k, vertex, which identity)
 
 
-def degree_recursions(g: Graph, d: DistanceOracle, x: int) -> RecursionVerdict:
+def degree_recursions(g: Graph, x: int) -> RecursionVerdict:
     """The three in/out/spherical degree identities on every sphere of a pole."""
-    deg = _require_connected_regular(g, d)
+    deg = _require_connected_regular(g)
+    d = distances(g)
     L = d.diameter
     if d.eccentricity(x) != L:
         raise NotAPole(f"vertex {x} is not a pole")
     for k in range(1, L + 1):
         for y in d.sphere(x, k):
-            t = degree_triple(g, d, x, y)
+            t = degree_triple(g, x, y)
             if t.d_plus - t.d_minus != deg * (1 - Fraction(2 * k, L)):
                 return RecursionVerdict(False, (k, y, "out-minus-in"))
             if 2 * t.d_plus + t.d_zero != 2 * deg * (1 - Fraction(k, L)):
@@ -194,12 +196,12 @@ class CoverVerdict:
     failure: Optional[tuple[int, int]]
 
 
-def interval_cover_check(g: Graph, d: DistanceOracle) -> CoverVerdict:
+def interval_cover_check(g: Graph) -> CoverVerdict:
     """Every antipole pair's interval covers the whole vertex set."""
-    per_vertex, _ = poles_and_antipoles(g, d)
+    per_vertex, _ = poles_and_antipoles(g)
     for x in range(g.n):
         for y in per_vertex[x]:
-            if x < y and len(interval(d, x, y)) != g.n:
+            if x < y and len(interval(g, x, y)) != g.n:
                 return CoverVerdict(False, (x, y))
     return CoverVerdict(True, None)
 
@@ -211,9 +213,9 @@ class AntipoleCountVerdict:
     failure: Optional[int]
 
 
-def unique_antipole_check(g: Graph, d: DistanceOracle) -> AntipoleCountVerdict:
+def unique_antipole_check(g: Graph) -> AntipoleCountVerdict:
     """At most one antipole per vertex; exactly one when self-centered."""
-    per_vertex, self_centered = poles_and_antipoles(g, d)
+    per_vertex, self_centered = poles_and_antipoles(g)
     for x, antipoles in enumerate(per_vertex):
         if len(antipoles) > 1:
             return AntipoleCountVerdict(False, False, x)
@@ -221,7 +223,7 @@ def unique_antipole_check(g: Graph, d: DistanceOracle) -> AntipoleCountVerdict:
     return AntipoleCountVerdict(True, exactly_one, None)
 
 
-def is_antipodal(g: Graph, d: DistanceOracle, subset: frozenset[int] | set[int]) -> bool:
+def is_antipodal(g: Graph, subset: frozenset[int] | set[int]) -> bool:
     """Antipodality of the induced subgraph on ``subset`` in its own metric."""
     members = np.array(sorted(subset), dtype=np.int32)
     dm = _kernels.induced_distances(g.dense_adjacency, members)
@@ -236,11 +238,12 @@ class SphericalVerdict:
     failure: Optional[tuple[int, int]]  # first interval whose subgraph fails
 
 
-def is_strongly_spherical(g: Graph, d: DistanceOracle) -> SphericalVerdict:
+def is_strongly_spherical(g: Graph) -> SphericalVerdict:
     """The graph and all its intervals are antipodal.
 
     Each interval is measured with the metric of its induced subgraph.
     """
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("strong sphericity needs a connected graph")
     if not _kernels.is_antipodal_matrix(d.dist):
@@ -264,12 +267,13 @@ class MuGraphVerdict:
     failure: Optional[tuple[int, int]]
 
 
-def mu_graphs_all_cp(g: Graph, d: DistanceOracle) -> MuGraphVerdict:
+def mu_graphs_all_cp(g: Graph) -> MuGraphVerdict:
     """Every distance-2 pair's mu-graph is a cocktail party graph.
 
     The pairs are taken in row-major order and each mu-graph is read off
     the common neighbours N(x) & N(y), without building it.
     """
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("mu-graph scan needs a connected graph")
     nbrs = g._neighbor_sets
@@ -298,9 +302,9 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     Preconditions: self-centered Bonnet-Myers sharp with uniform cocktail
     party mu-graphs of the predicted size.
     """
-    g, d = ctx.g, ctx.d
-    deg = _require_connected_regular(g, d)
-    L = d.diameter
+    g = ctx.g
+    deg = _require_connected_regular(g)
+    L = distances(g).diameter
     if L < 2:
         raise PreconditionUnmet("local srg structure needs diameter >= 2")
     _, self_centered = ctx.poles_and_antipoles
@@ -331,15 +335,15 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     return LocalSrgVerdict(True, (nu, k, lam, mu), theta, None)
 
 
-def ssp_ncp(g: Graph, d: DistanceOracle, x: int) -> tuple[bool, bool]:
+def ssp_ncp(g: Graph, x: int) -> tuple[bool, bool]:
     """(small sphere property, non-clustering property) at x."""
     deg = g.is_regular()
     if deg is None:
         raise NotRegular("SSP/NCP are stated for regular graphs")
-    s2 = d.sphere(x, 2)
+    s2 = distances(g).sphere(x, 2)
     ssp = len(s2) <= comb(deg, 2)
     ncp = True
-    if s2 and all(degree_triple(g, d, x, z).d_minus == 2 for z in s2):
+    if s2 and all(degree_triple(g, x, z).d_minus == 2 for z in s2):
         s1 = g.adjacency[x]
         for y1, y2 in combinations(s1, 2):
             joint = sum(
@@ -362,7 +366,7 @@ def four_cycle_lemma_check(ctx: GraphAnalysis) -> FourCycleVerdict:
     """For triangle-free edges with curvature >= 2/D, every adjacent edge
     pair extends to a 4-cycle."""
     g = ctx.g
-    deg = _require_connected_regular(g, ctx.d)
+    deg = _require_connected_regular(g)
     threshold = Fraction(2, deg)
     checked = 0
     violations: list[tuple[int, int, int]] = []
@@ -445,8 +449,8 @@ def classify(ctx: GraphAnalysis) -> ClassificationMatch:
     """Match a self-centered Bonnet-Myers sharp graph against the known list
     (the five families and their equal-ratio Cartesian products), confirming
     by explicit isomorphism."""
-    g, d = ctx.g, ctx.d
-    deg = _require_connected_regular(g, d)
+    g = ctx.g
+    deg = _require_connected_regular(g)
     _, self_centered = ctx.poles_and_antipoles
     if not self_centered:
         return ClassificationMatch(None, None, "not self-centered")
@@ -457,7 +461,7 @@ def classify(ctx: GraphAnalysis) -> ClassificationMatch:
             None,
             f"not Bonnet-Myers sharp (inf kappa {verdict.inf_edge_kappa} != {verdict.two_over_l})",
         )
-    L = d.diameter
+    L = distances(g).diameter
     bases = _list_base_specs(g.n)
     ratio = Fraction(deg, L)
     candidates: list[FamilySpec] = []

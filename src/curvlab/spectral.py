@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 import numpy as np
 
 from .errors import Disconnected, IsolatedVertex, NotRegular
-from .graphs import DistanceOracle, Graph, distances
+from .graphs import Graph, distances
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
@@ -96,13 +96,12 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     )
 
 
-def verify_distance_eigenfunction(
-    g: Graph, d: DistanceOracle, x: int
-) -> tuple[bool, Optional[int]]:
+def verify_distance_eigenfunction(g: Graph, x: int) -> tuple[bool, Optional[int]]:
     """Exact check that f = d(x, .) - L/2 satisfies Delta f + (2/L) f = 0.
 
     Returns (True, None) on success, else (False, first violating vertex).
     """
+    d = distances(g)
     L = d.diameter
     if L == 0:
         return True, None
@@ -132,7 +131,8 @@ def is_lichnerowicz_sharp(ctx: GraphAnalysis) -> LichnerowiczVerdict:
     carries an exact certificate (minimality of lambda1 still rests on the
     float spectrum).
     """
-    g, d = ctx.g, ctx.d
+    g = ctx.g
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("Lichnerowicz verdict needs a connected graph")
     if g.is_regular() is None:
@@ -145,7 +145,7 @@ def is_lichnerowicz_sharp(ctx: GraphAnalysis) -> LichnerowiczVerdict:
     if sharp and inf_edge_kappa == Fraction(2, d.diameter):
         for x in range(g.n):
             if d.eccentricity(x) == d.diameter:
-                ok, _ = verify_distance_eigenfunction(g, d, x)
+                ok, _ = verify_distance_eigenfunction(g, x)
                 if ok:
                     certificate = True
                     witness = x

@@ -31,6 +31,7 @@ from .fixtures import load_fixture
 from .graphs import (
     Graph,
     build_graph,
+    distances,
     induced_subgraph,
     intersection_array,
     is_strongly_regular,
@@ -131,12 +132,12 @@ INF_KAPPA = Column("inf_kappa", lambda ctx, _: ctx.bm.inf_edge_kappa)
 
 _TABLE1 = Table(
     columns=(
-        Column("(D,L)", lambda ctx, _: (ctx.g.is_regular(), ctx.d.diameter)),
+        Column("(D,L)", lambda ctx, _: (ctx.g.is_regular(), distances(ctx.g).diameter)),
         VERTICES,
         Column("dim", lambda ctx, _: ctx.spectrum.lambda1_multiplicity),
         Column("mu-graph", _mu_cell),
         Column("S1(x)", _sphere_cell),
-        Column("array", lambda ctx, _: intersection_array(ctx.g, ctx.d)),
+        Column("array", lambda ctx, _: intersection_array(ctx.g)),
     ),
     rows=(
         *(
@@ -199,7 +200,7 @@ _TABLE2 = Table(
 
 def _theta1_is_b1_minus_1(ctx: GraphAnalysis, row: Row) -> Iterator[tuple[str, str, str]]:
     """theta1 must equal b1 - 1 for these distance-regular rows."""
-    arr = intersection_array(ctx.g, ctx.d)
+    arr = intersection_array(ctx.g)
     if arr is None:
         yield "distance-regular", "yes", "no"
     elif row.name != "Kneser(7,2)":  # exempt: see its row
@@ -213,7 +214,7 @@ _TABLE3 = Table(
     columns=(
         VERTICES,
         Column("D", lambda ctx, _: ctx.g.is_regular()),
-        Column("L", lambda ctx, _: ctx.d.diameter),
+        Column("L", lambda ctx, _: distances(ctx.g).diameter),
         THETA1,
         LAMBDA1,
         INF_KAPPA,

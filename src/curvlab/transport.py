@@ -39,7 +39,7 @@ from .errors import (
     UnbalancedTransport,
     WrongDistance,
 )
-from .graphs import DistanceOracle, Graph, common_neighbors, interval
+from .graphs import DistanceOracle, Graph, common_neighbors, distances, interval
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ class TransportPlan:
         if col != {v: m for v, m in self.target.mass}:
             raise ValueError("column marginals do not match the target measure")
 
-    def cost(self, d: DistanceOracle) -> Fraction:
+    def cost(self, g: Graph) -> Fraction:
+        d = distances(g)
         total = Fraction(0)
         for u, v, m in self.entries:
             duv = d.d(u, v)
@@ -143,9 +144,7 @@ class CurvatureValue:
     p: Optional[Fraction] = None
 
 
-def wasserstein(
-    d: DistanceOracle, m1: Measure, m2: Measure
-) -> tuple[Fraction, TransportPlan]:
+def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
     """Exact W1 distance and an optimal plan attaining it.
 
     W1 depends only on m1 - m2, so the shared mass min(m1, m2) stays in
@@ -153,6 +152,7 @@ def wasserstein(
     one integer assignment when they are equal uniform atoms, else by
     integer min-cost flow on the common denominator scaling.
     """
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("Wasserstein distance needs a connected graph")
     a, b = m1.as_dict(), m2.as_dict()
@@ -298,27 +298,25 @@ def _require_regular(g: Graph) -> int:
     return deg
 
 
-def kappa_p(
-    g: Graph, d: DistanceOracle, x: int, y: int, p: Fraction | int
-) -> CurvatureValue:
+def kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> CurvatureValue:
     """p-idleness Ollivier-Ricci curvature 1 - W1(mu_x^p, mu_y^p)/d(x,y)."""
-    return _kappa_p_plan(g, d, x, y, p)[0]
+    return _kappa_p_plan(g, x, y, p)[0]
 
 
 def _kappa_p_plan(
-    g: Graph, d: DistanceOracle, x: int, y: int, p: Fraction | int
+    g: Graph, x: int, y: int, p: Fraction | int
 ) -> tuple[CurvatureValue, TransportPlan]:
     """``kappa_p`` together with the optimal plan of its one W1 solve."""
     if x == y:
         raise SamePair("curvature needs two distinct vertices")
     _require_regular(g)
     p = _as_fraction(p, "idleness")
-    w1, plan = wasserstein(d, idle_measure(g, x, p), idle_measure(g, y, p))
-    value = 1 - w1 / d.d(x, y)
+    w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
+    value = 1 - w1 / distances(g).d(x, y)
     return CurvatureValue(value=value, flavour="kappa_p", method="assignment", p=p), plan
 
 
-def kappa(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:
+def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
     """The rescaled curvature (D+1)/D * kappa_{1/(D+1)}(x, y), in one solve.
 
     W1 depends only on mu_x - mu_y, so the shared 1-ball atoms cancel and the
@@ -330,6 +328,7 @@ def kappa(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:
     if x == y:
         raise SamePair("curvature needs two distinct vertices")
     deg = _require_regular(g)
+    d = distances(g)
     if not d.is_connected:
         raise Disconnected("curvature needs a connected graph")
     bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
@@ -341,15 +340,15 @@ def kappa(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:
     return CurvatureValue(value=value, flavour="kappa", method=method)
 
 
-def kappa_lly(g: Graph, d: DistanceOracle, x: int, y: int) -> CurvatureValue:
+def kappa_lly(g: Graph, x: int, y: int) -> CurvatureValue:
     """Lin-Lu-Yau curvature for adjacent pairs of a regular graph.
 
     Exposed through the identity with the rescaled idleness-1/(D+1)
     curvature; only defined here for neighbours.
     """
-    if d.d(x, y) != 1:
+    if not g.has_edge(x, y):
         raise NotAnEdge("kappa_LLY is exposed for adjacent pairs only")
-    inner = kappa(g, d, x, y)
+    inner = kappa(g, x, y)
     return CurvatureValue(
         value=inner.value, flavour="kappa_lly", method=inner.method
     )
@@ -447,22 +446,20 @@ def unique_perfect_matching(
     return matching
 
 
-def curvature_via_matching(
-    g: Graph, d: DistanceOracle, x: int, y: int
-) -> Optional[CurvatureValue]:
+def curvature_via_matching(g: Graph, x: int, y: int) -> Optional[CurvatureValue]:
     """``kappa`` at an edge whose triangle-and-matching certificate applies, else None.
 
     The certificate applies exactly when ``kappa`` labels the edge
     "matching"; the value is then (2 + |N_xy|)/D.
     """
-    if d.d(x, y) != 1:
+    if not g.has_edge(x, y):
         raise NotAnEdge(f"({x},{y}) is not an edge")
-    value = kappa(g, d, x, y)
+    value = kappa(g, x, y)
     return value if value.method == "matching" else None
 
 
 def certify_duality(
-    d: DistanceOracle,
+    g: Graph,
     m1: Measure,
     m2: Measure,
     plan: TransportPlan,
@@ -474,6 +471,7 @@ def certify_duality(
     duality a True verdict certifies both the plan and the potential as
     optimal.
     """
+    d = distances(g)
     closure = sorted(
         set(m1.support) | set(m2.support) | {u for u, _, _ in plan.entries} | {v for _, v, _ in plan.entries}
     )
@@ -487,7 +485,7 @@ def certify_duality(
     dual = sum(
         (Fraction(potential[v]) * (m1(v) - m2(v)) for v in closure), Fraction(0)
     )
-    return plan.cost(d) == dual
+    return plan.cost(g) == dual
 
 
 @dataclass(frozen=True)
@@ -505,16 +503,13 @@ class TransportMap:
                 return w
         raise KeyError(v)
 
-    def displacements(self, d: DistanceOracle) -> dict[int, int]:
+    def displacements(self, g: Graph) -> dict[int, int]:
+        d = distances(g)
         return {u: d.d(u, w) for u, w in self.mapping}
 
 
 def tpm_transport_map(
-    g: Graph,
-    d: DistanceOracle,
-    x: int,
-    y: int,
-    matching: Mapping[int, int],
+    g: Graph, x: int, y: int, matching: Mapping[int, int]
 ) -> TransportMap:
     """Transport map based on triangles and a perfect matching along edge (x, y).
 
@@ -522,7 +517,7 @@ def tpm_transport_map(
     neighbours move along their matching edge.  Cost is (D-1-m)/(D+1).
     """
     deg = _require_regular(g)
-    if d.d(x, y) != 1:
+    if not g.has_edge(x, y):
         raise NotAnEdge(f"({x},{y}) is not an edge")
     left, right = matching_sides(g, x, y)
     if sorted(matching.keys()) != sorted(left) or sorted(matching.values()) != sorted(right):
@@ -538,7 +533,7 @@ def tpm_transport_map(
     return TransportMap(source=x, target=y, mapping=mapping, cost=cost)
 
 
-def unique_tpm_transport_map(g: Graph, d: DistanceOracle, x: int, y: int) -> TransportMap:
+def unique_tpm_transport_map(g: Graph, x: int, y: int) -> TransportMap:
     """The unique triangle-and-matching transport map along an edge.
 
     Raises NotBMSharp when the perfect matching is missing or ambiguous,
@@ -550,7 +545,7 @@ def unique_tpm_transport_map(g: Graph, d: DistanceOracle, x: int, y: int) -> Tra
         raise NotBMSharp(
             f"edge ({x},{y}): no uniquely determined perfect matching"
         )
-    return tpm_transport_map(g, d, x, y, matching)
+    return tpm_transport_map(g, x, y, matching)
 
 
 @dataclass(frozen=True)
@@ -562,9 +557,7 @@ class TransportGeodesic:
     length: int
 
 
-def transport_geodesic(
-    g: Graph, d: DistanceOracle, geodesic: Sequence[int], z: int
-) -> TransportGeodesic:
+def transport_geodesic(g: Graph, geodesic: Sequence[int], z: int) -> TransportGeodesic:
     """Push z through the concatenated unique transport maps along a geodesic.
 
     The geodesic must have full length diam(G); z must lie in the 1-ball of
@@ -572,6 +565,7 @@ def transport_geodesic(
     corresponding edge.
     """
     path = tuple(geodesic)
+    d = distances(g)
     L = d.diameter
     if len(path) != L + 1:
         raise NotFullLength(
@@ -586,7 +580,7 @@ def transport_geodesic(
         raise PreconditionUnmet(f"{z} is not in the 1-ball of {path[0]}")
     waypoints = [z]
     for a, b in zip(path, path[1:]):
-        t = unique_tpm_transport_map(g, d, a, b)
+        t = unique_tpm_transport_map(g, a, b)
         waypoints.append(t.apply(waypoints[-1]))
     total_steps = sum(d.d(u, v) for u, v in zip(waypoints, waypoints[1:]))
     length = d.d(waypoints[0], waypoints[-1])
@@ -596,12 +590,15 @@ def transport_geodesic(
 
 
 def geodesic_between(
-    g: Graph, d: DistanceOracle, x: int, y: int, via: Sequence[int] = ()
+    g: Graph, x: int, y: int, via: Sequence[int] = ()
 ) -> tuple[int, ...]:
     """Some geodesic from x to y passing through the (ordered) via vertices."""
+    d = distances(g)
     stops = [x, *via, y]
-    total = sum(d.d(a, b) for a, b in zip(stops, stops[1:]))
-    if total != d.d(x, y):
+    legs = [d.d(a, b) for a, b in zip(stops, stops[1:])]
+    if min(legs) < 0:
+        raise Disconnected(f"no path joins the stops {stops}")
+    if sum(legs) != d.d(x, y):
         raise PreconditionUnmet("via vertices do not lie on a common geodesic")
     path = [x]
     for a, b in zip(stops, stops[1:]):
@@ -614,9 +611,7 @@ def geodesic_between(
     return tuple(path)
 
 
-def interval_antipole(
-    g: Graph, d: DistanceOracle, x: int, y: int, x1: int
-) -> int:
+def interval_antipole(g: Graph, x: int, y: int, x1: int) -> int:
     """The unique z in [x, y] with d(x1, z) = d(x, y), for x1 a neighbour of x
     inside the interval.
 
@@ -624,10 +619,11 @@ def interval_antipole(
     geodesic through x1 and y, and by brute-force scan of the interval; the
     two must agree.
     """
+    d = distances(g)
     k = d.d(x, y)
     if k < 1:
         raise SamePair("interval antipole needs distinct endpoints")
-    iv = interval(d, x, y)
+    iv = interval(g, x, y)
     if x1 not in iv or d.d(x, x1) != 1:
         raise PreconditionUnmet(f"{x1} is not in [x,y] and adjacent to {x}")
     brute = [z for z in sorted(iv) if d.d(x1, z) == k]
@@ -639,8 +635,8 @@ def interval_antipole(
     far = [w for w in range(g.n) if d.d(x, w) == L and d.d(x1, w) == L - 1 and d.d(y, w) == L - k]
     if not far:
         raise NoAntipole(f"no full-length geodesic extends [{x},{y}] through {x1}")
-    path = geodesic_between(g, d, x, far[0], via=(x1, y))
-    tg = transport_geodesic(g, d, path, x)
+    path = geodesic_between(g, x, far[0], via=(x1, y))
+    tg = transport_geodesic(g, path, x)
     candidate = tg.waypoints[k]
     if candidate != brute[0]:
         raise NoAntipole(
@@ -649,11 +645,12 @@ def interval_antipole(
     return candidate
 
 
-def switching_map(g: Graph, d: DistanceOracle, x: int, y: int) -> dict[int, int]:
+def switching_map(g: Graph, x: int, y: int) -> dict[int, int]:
     """The involution pairing each common neighbour of a distance-2 pair with
     its unique non-neighbour inside the mu-graph."""
-    if d.d(x, y) != 2:
-        raise WrongDistance(f"d({x},{y}) = {d.d(x, y)} != 2")
+    dxy = distances(g).d(x, y)
+    if dxy != 2:
+        raise WrongDistance(f"d({x},{y}) = {dxy} != 2")
     members = sorted(common_neighbors(g, x, y))
     member_set = set(members)
     sigma: dict[int, int] = {}

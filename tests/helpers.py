@@ -162,7 +162,7 @@ def intersection_array_by_pairs(
     for x in range(g.n):
         for y in range(g.n):
             j = d.d(x, y)
-            t = degree_triple(g, d, x, y)
+            t = degree_triple(g, x, y)
             if j < L:
                 b[j].add(t.d_plus)
             if j > 0:
@@ -203,7 +203,7 @@ def mu_graphs_by_subgraphs(g: Graph, d: DistanceOracle) -> MuGraphVerdict:
         for y in range(x + 1, g.n):
             if d.d(x, y) != 2:
                 continue
-            m = cocktail_party_bruteforce(mu_graph(g, d, x, y))
+            m = cocktail_party_bruteforce(mu_graph(g, x, y))
             if m is None:
                 return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, y))
             counts[m] += 1

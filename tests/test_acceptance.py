@@ -60,8 +60,8 @@ def _report(number: int, label: str, started: float) -> None:
     print(f"ACCEPTANCE {number} PASS: {label} ({time.monotonic() - started:.1f}s)")
 
 
-def _all_edge_kappas(g, d):
-    return [kappa(g, d, u, v).value for u, v in g.edges()]
+def _all_edge_kappas(g):
+    return [kappa(g, u, v).value for u, v in g.edges()]
 
 
 def test_criterion_1_edge_curvature_lemmas():
@@ -77,8 +77,7 @@ def test_criterion_1_edge_curvature_lemmas():
         cases.append((demi_cube(n), Fraction(4, n), f"demi-cube({n})"))
     cases.append((gosset(), Fraction(2, 3), "Gosset"))
     for g, want, name in cases:
-        d = distances(g)
-        for value in _all_edge_kappas(g, d):
+        for value in _all_edge_kappas(g):
             assert value == want, f"{name}: edge curvature {value} != {want}"
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"
@@ -157,7 +156,7 @@ def test_criterion_5_structural_theorem_suite():
         two_over_l = Fraction(2, L)
 
         pair_kappas = {
-            (z, w): kappa(g, d, z, w).value
+            (z, w): kappa(g, z, w).value
             for z in range(g.n)
             for w in range(z + 1, g.n)
         }
@@ -173,13 +172,13 @@ def test_criterion_5_structural_theorem_suite():
         # self-centered sharp graphs have constant curvature 2/L
         assert all(v == two_over_l for v in pair_kappas.values()), name
         # antipole intervals cover the whole vertex set
-        assert interval_cover_check(g, d).holds, name
+        assert interval_cover_check(g).holds, name
         # pole facts and degree recursions at every vertex
         for x in range(g.n):
-            assert pole_facts(g, d, x).ok, f"{name} vertex {x}"
-            assert degree_recursions(g, d, x).holds, f"{name} vertex {x}"
+            assert pole_facts(g, x).ok, f"{name} vertex {x}"
+            assert degree_recursions(g, x).holds, f"{name} vertex {x}"
         # Laplacian identity Delta f = 1 - 2 d(x,.)/L for f = d(x,.)
-        per_vertex, self_centered = poles_and_antipoles(g, d)
+        per_vertex, self_centered = poles_and_antipoles(g)
         assert self_centered, name
         for x in range(g.n):
             f = {v: Fraction(d.d(x, v)) for v in range(g.n)}
@@ -188,30 +187,30 @@ def test_criterion_5_structural_theorem_suite():
                 assert image[z] == 1 - Fraction(2 * d.d(x, z), L), name
         # d(x,.) - L/2 is an exact eigenfunction at every pole
         for x in range(g.n):
-            ok, _ = verify_distance_eigenfunction(g, d, x)
+            ok, _ = verify_distance_eigenfunction(g, x)
             assert ok, f"{name} vertex {x}"
         # antipole bijection: both 1-ball slices of an interval agree
         for x in range(g.n):
             for y in range(x + 1, g.n):
-                iv = interval(d, x, y)
+                iv = interval(g, x, y)
                 side_x = sum(1 for z in iv if d.d(x, z) <= 1)
                 side_y = sum(1 for z in iv if d.d(y, z) <= 1)
                 assert side_x == side_y, name
         # all mu-graphs are cocktail party graphs
-        assert mu_graphs_all_cp(g, d).holds, name
+        assert mu_graphs_all_cp(g).holds, name
         # transport-geodesic lengths: L-1 at the endpoints, else L-2
         for x in range(g.n):
             antipole = per_vertex[x][0]
-            path = geodesic_between(g, d, x, antipole)
+            path = geodesic_between(g, x, antipole)
             for z in (x, *g.adjacency[x]):
-                tg = transport_geodesic(g, d, path, z)
+                tg = transport_geodesic(g, path, z)
                 on_ends = tg.waypoints[0] == x or tg.waypoints[-1] == path[-1]
                 assert tg.length == (L - 1 if on_ends else L - 2), f"{name} {x} {z}"
         # transport antipole agrees with brute force (x = 0 slice)
         x = 0
         for y in range(1, g.n):
-            for x1 in sorted(interval(d, x, y) & set(g.adjacency[x])):
-                interval_antipole(g, d, x, y, x1)  # raises on any disagreement
+            for x1 in sorted(interval(g, x, y) & set(g.adjacency[x])):
+                interval_antipole(g, x, y, x1)  # raises on any disagreement
     _report(5, "structural theorem suite on every classification-list fixture", t0)
 
 
@@ -228,7 +227,7 @@ def test_criterion_6_strong_sphericity():
     ]
     for name, builder in positive:
         g = builder()
-        assert is_strongly_spherical(g, distances(g)).holds, name
+        assert is_strongly_spherical(g).holds, name
     negative = [
         ("Petersen", lambda: kneser(5, 2)),
         ("Shrikhande", shrikhande),
@@ -236,7 +235,7 @@ def test_criterion_6_strong_sphericity():
     ]
     for name, builder in negative:
         g = builder()
-        assert not is_strongly_spherical(g, distances(g)).holds, name
+        assert not is_strongly_spherical(g).holds, name
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"criterion 6 took {elapsed:.1f}s"
     _report(6, "strong sphericity verdicts on families, products, and non-members", t0)
@@ -265,14 +264,14 @@ def test_criterion_7_cartesian_product_sharpness():
         deg1, deg2 = g1.is_regular(), g2.is_regular()
         total = deg1 + deg2
         for u1, v1 in g1.edges():
-            factor = kappa(g1, d1, u1, v1).value
+            factor = kappa(g1, u1, v1).value
             for w in range(n2):
-                got = kappa(prod, d_prod, u1 * n2 + w, v1 * n2 + w).value
+                got = kappa(prod, u1 * n2 + w, v1 * n2 + w).value
                 assert got == Fraction(deg1, total) * factor
         for u2, v2 in g2.edges():
-            factor = kappa(g2, d2, u2, v2).value
+            factor = kappa(g2, u2, v2).value
             for w in range(g1.n):
-                got = kappa(prod, d_prod, w * n2 + u2, w * n2 + v2).value
+                got = kappa(prod, w * n2 + u2, w * n2 + v2).value
                 assert got == Fraction(deg2, total) * factor
 
     check_product_edges(cp3, d_cp3, cp3, d_cp3, sharp_prod, d_sharp)
@@ -292,8 +291,8 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
         for u, v in g.edges():
             m1 = idle_measure(g, u, p)
             m2 = idle_measure(g, v, p)
-            w_assign, plan = wasserstein(d, m1, m2)
-            assert plan.cost(d) == w_assign
+            w_assign, plan = wasserstein(g, m1, m2)
+            assert plan.cost(g) == w_assign
             w_brute = wasserstein_bruteforce(d, m1, m2)
             assert w_assign == w_brute, f"graph {index} edge ({u},{v})"
             k_assign = Fraction(deg + 1, deg) * (1 - w_assign)
@@ -302,7 +301,7 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
             tri = len(common_neighbors(g, u, v))
             bound = Fraction(2 + tri, deg)
             matched = edge_has_perfect_matching(g, u, v)
-            fast = curvature_via_matching(g, d, u, v)
+            fast = curvature_via_matching(g, u, v)
             assert (fast is not None) == matched, f"graph {index} edge ({u},{v})"
             if matched:
                 assert fast.value == k_assign, f"graph {index} edge ({u},{v})"
@@ -311,7 +310,7 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
             assert k_assign <= bound
             # kappa's reduced route against the bijection oracle, and its
             # "matching" label against the enumerated perfect matchings
-            reduced = kappa(g, d, u, v)
+            reduced = kappa(g, u, v)
             assert reduced.value == k_assign, f"graph {index} edge ({u},{v})"
             assert (reduced.method == "matching") == matched
     _report(8, "assignment vs exhaustive-coupling oracle on 200 random 4-regular graphs", t0)

@@ -44,14 +44,14 @@ def test_analyze_one_kappa_per_edge_and_one_oracle(monkeypatch, capsys):
     (g,) = loaded
     assert g.edge_count == 90
     assert len(kappas) == 90
-    assert sorted((x, y) for _, _, x, y in kappas) == g.edges()
+    assert sorted((x, y) for _, x, y in kappas) == g.edges()
     assert sum(1 for args in oracles if args[0] is g.dense_adjacency) == 1
 
 
 def test_analyze_product_one_oracle_per_graph(monkeypatch):
-    # the input and the classification candidate are each built with their
-    # two factors, and cartesian_product's diameter check computes all six
-    # oracles; the isomorphism search reads the candidate's from its cache
+    # one oracle for the input and one for the classification candidate,
+    # which the isomorphism search reads from its cache; cartesian_product
+    # computes none, so the four factors get none
     spec = FamilySpec(
         "product", factors=(FamilySpec("johnson", (6, 3)), FamilySpec("cocktailparty", (4,)))
     )
@@ -59,7 +59,7 @@ def test_analyze_product_one_oracle_per_graph(monkeypatch):
     report = analyze(from_spec(spec), skip_be=True, skip_spherical=True)
     assert report["classification"]["reason"] == "matched"
     adjacencies = {id(args[0]) for args in oracles}
-    assert len(adjacencies) == len(oracles) == 6
+    assert len(adjacencies) == len(oracles) == 2
 
 
 def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):

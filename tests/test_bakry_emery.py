@@ -269,8 +269,8 @@ class TestSharpnessEquivalence:
             for x in range(g.n):
                 s1, s2, out = bakry_emery._ball_partition(g, x)
                 assert (tuple(s1), tuple(s2)) == (d.sphere(x, 1), d.sphere(x, 2))
-                assert out == [degree_triple(g, d, x, y).d_plus for y in s1]
-                assert Fraction(sum(out), len(s1)) == sphere_averages(g, d, x, 1)[2]
+                assert out == [degree_triple(g, x, y).d_plus for y in s1]
+                assert Fraction(sum(out), len(s1)) == sphere_averages(g, x, 1)[2]
 
 
 class TestProductRule:
@@ -290,33 +290,33 @@ class TestProductRule:
             assert abs(got - want) < TOL
 
 
-def _scan(g, d):
-    return conjecture_scan(g, d, [be_curvature(g, x).curvature for x in range(g.n)])
+def _scan(g):
+    return conjecture_scan(g, [be_curvature(g, x).curvature for x in range(g.n)])
 
 
 class TestConjectureScan:
     def test_k5(self):
         g = complete(5)
-        report = _scan(g, distances(g))
+        report = _scan(g)
         assert abs(report.inf_curvature - 7 / 8) < TOL
         assert report.bound == Fraction(1, 4) + Fraction(1, 1)
         assert report.holds and report.weak_holds
 
     def test_petersen_triangle_free(self, petersen):
-        g, d = petersen
-        report = _scan(g, d)
+        g, _ = petersen
+        report = _scan(g)
         assert report.holds
         assert report.weak_bound == report.bound  # no triangles
 
     def test_shrikhande(self):
         g = shrikhande()
-        report = _scan(g, distances(g))
+        report = _scan(g)
         assert report.holds
 
     def test_equality_on_self_centered_sharp_families(self, q4, cp4, j63, demi6):
         # margin is exactly zero (within tolerance) for these fixtures
-        for g, d in (q4, cp4, j63, demi6):
-            report = _scan(g, d)
+        for g, _ in (q4, cp4, j63, demi6):
+            report = _scan(g)
             assert report.holds and abs(report.margin) < TOL
 
 

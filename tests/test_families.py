@@ -183,7 +183,7 @@ class TestSelfCenteredness:
     )
     def test_families_self_centered(self, builder):
         g = builder()
-        _, self_centered = poles_and_antipoles(g, distances(g))
+        _, self_centered = poles_and_antipoles(g)
         assert self_centered
 
 
@@ -202,7 +202,7 @@ class TestMuGraphFamilies:
         g = builder()
         d = distances(g)
         z = d.sphere(0, 2)[0]
-        assert is_cocktail_party(mu_graph(g, d, 0, z)) == m
+        assert is_cocktail_party(mu_graph(g, 0, z)) == m
 
 
 class TestFamilySpec:

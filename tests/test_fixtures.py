@@ -1,9 +1,15 @@
-"""Bundled fixture integrity: parameters and spectra, plus the env override."""
+"""Bundled fixture integrity: parameters and spectra, the script that
+builds the files, plus the env override."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
+import curvlab.fixtures
 from curvlab.errors import FormatError
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
+from curvlab.graph6 import encode_graph6
 from curvlab.graphs import distances, induced_subgraph, intersection_array, is_strongly_regular
 from curvlab.isomorphism import are_isomorphic
 from curvlab.families import johnson, kneser
@@ -33,7 +39,7 @@ def test_conway_smith_structure():
     g = load_fixture("conway_smith")
     d = distances(g)
     assert (g.n, g.is_regular(), d.diameter) == (63, 10, 4)
-    assert intersection_array(g, d) == ((10, 6, 4, 1), (1, 2, 6, 10))
+    assert intersection_array(g) == ((10, 6, 4, 1), (1, 2, 6, 10))
     sphere, _ = induced_subgraph(g, g.adjacency[0])
     assert are_isomorphic(sphere, kneser(5, 2))
 
@@ -42,9 +48,23 @@ def test_hall_structure():
     g = load_fixture("hall")
     d = distances(g)
     assert (g.n, g.is_regular(), d.diameter) == (65, 10, 3)
-    assert intersection_array(g, d) == ((10, 6, 4), (1, 2, 5))
+    assert intersection_array(g) == ((10, 6, 4), (1, 2, 5))
     sphere, _ = induced_subgraph(g, g.adjacency[0])
     assert are_isomorphic(sphere, kneser(5, 2))
+
+
+def test_make_fixtures_reproduces_bundled_files():
+    # build_fixtures runs every construction and verify_* check of the script;
+    # its main(), which writes into the package, is not called
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = script.build_fixtures()
+    assert tuple(built) == FIXTURE_NAMES
+    bundled = Path(curvlab.fixtures.__file__).resolve().parent
+    for name, g in built.items():
+        assert (bundled / f"{name}.g6").read_bytes() == (encode_graph6(g) + "\n").encode()
 
 
 def test_unknown_fixture():

@@ -1,7 +1,6 @@
 """Graph core: construction, metric structure, degree decompositions,
 structural predicates, products."""
 
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -22,8 +21,12 @@ from curvlab.errors import (
 from curvlab.families import (
     cocktail_party,
     complete,
+    doob,
+    hamming,
     hypercube,
     johnson,
+    lattice,
+    shrikhande,
 )
 from curvlab.graphs import (
     MAX_VERTICES,
@@ -147,69 +150,79 @@ class TestCachedViews:
         assert set(vars(clone)) == {"n", "adjacency", "labels"}
         assert (distances(clone).dist == distances(g).dist).all()
 
+    def test_clone_adopts_the_pickled_oracle(self, monkeypatch):
+        g = hypercube(4)
+        d = distances(g)
+        clone, shipped = pickle.loads(pickle.dumps((g, d)))
+        bfs = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
+        clone._adopt_distances(shipped)
+        assert distances(clone) is shipped and bfs == []
+        g._adopt_distances(shipped)
+        assert distances(g) is d
+
 
 class TestInterval:
     def test_hypercube_antipodal_pair_covers(self, q3):
-        g, d = q3
-        assert interval(d, 0, 7) == frozenset(range(8))
+        g, _ = q3
+        assert interval(g, 0, 7) == frozenset(range(8))
 
     def test_same_vertex(self, q3):
-        _, d = q3
-        assert interval(d, 5, 5) == frozenset({5})
+        g, _ = q3
+        assert interval(g, 5, 5) == frozenset({5})
 
     def test_four_cycle_opposite(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert interval(distances(g), 0, 2) == frozenset(range(4))
+        assert interval(g, 0, 2) == frozenset(range(4))
 
     def test_matches_bruteforce(self, j63):
         g, d = j63
         for x in range(0, g.n, 3):
             for y in range(g.n):
-                assert interval(d, x, y) == interval_bruteforce(d, x, y)
+                assert interval(g, x, y) == interval_bruteforce(d, x, y)
 
 
 class TestDegreeTriples:
     def test_hypercube_neighbour(self, q3):
-        g, d = q3
-        t = degree_triple(g, d, 0, 1)
+        g, _ = q3
+        t = degree_triple(g, 0, 1)
         assert (t.d_minus, t.d_zero, t.d_plus) == (1, 0, 2)
 
     def test_cp3_neighbour(self, cp3):
-        g, d = cp3
+        g, _ = cp3
         y = g.adjacency[0][0]
-        t = degree_triple(g, d, 0, y)
+        t = degree_triple(g, 0, y)
         assert (t.d_minus, t.d_zero, t.d_plus) == (1, 2, 1)
 
     def test_gosset_neighbour(self, gosset_graph):
-        g, d = gosset_graph
+        g, _ = gosset_graph
         y = g.adjacency[0][0]
-        t = degree_triple(g, d, 0, y)
+        t = degree_triple(g, 0, y)
         assert (t.d_minus, t.d_zero, t.d_plus) == (1, 16, 10)
 
     def test_triple_sums_to_degree(self, demi6):
-        g, d = demi6
+        g, _ = demi6
         for y in range(1, g.n):
-            t = degree_triple(g, d, 0, y)
+            t = degree_triple(g, 0, y)
             assert t.d_minus + t.d_zero + t.d_plus == g.degree(y)
 
 
 class TestSphereAverages:
     def test_q3_first_sphere(self, q3):
-        g, d = q3
-        assert sphere_averages(g, d, 0, 1) == (1, 0, 2)
+        g, _ = q3
+        assert sphere_averages(g, 0, 1) == (1, 0, 2)
 
     def test_q3_last_sphere(self, q3):
-        g, d = q3
-        assert sphere_averages(g, d, 0, 3) == (3, 0, 0)
+        g, _ = q3
+        assert sphere_averages(g, 0, 3) == (3, 0, 0)
 
     def test_j63_second_sphere(self, j63):
-        g, d = j63
-        assert sphere_averages(g, d, 0, 2)[0] == 4
+        g, _ = j63
+        assert sphere_averages(g, 0, 2)[0] == 4
 
     def test_empty_sphere_raises(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(EmptySphere):
-            sphere_averages(g, d, 0, 4)
+            sphere_averages(g, 0, 4)
 
     def test_edge_double_counting(self, demi6):
         # av_k^+ |S_k| = av_{k+1}^- |S_{k+1}| for regular graphs
@@ -221,8 +234,8 @@ class TestSphereAverages:
                 if k == 0:
                     out_mass = Fraction(g.degree(x))
                 else:
-                    out_mass = sphere_averages(g, d, x, k)[2] * len(sk)
-                in_mass = sphere_averages(g, d, x, k + 1)[0] * len(sk1)
+                    out_mass = sphere_averages(g, x, k)[2] * len(sk)
+                in_mass = sphere_averages(g, x, k + 1)[0] * len(sk1)
                 assert out_mass == in_mass
 
 
@@ -257,22 +270,22 @@ class TestMuGraphs:
     def test_hypercube_two_points(self, q4):
         g, d = q4
         z = d.sphere(0, 2)[0]
-        assert is_cocktail_party(mu_graph(g, d, 0, z)) == 1
+        assert is_cocktail_party(mu_graph(g, 0, z)) == 1
 
     def test_johnson_quadrangle(self, j63):
         g, d = j63
         z = d.sphere(0, 2)[0]
-        assert is_cocktail_party(mu_graph(g, d, 0, z)) == 2
+        assert is_cocktail_party(mu_graph(g, 0, z)) == 2
 
     def test_gosset_cp5(self, gosset_graph):
         g, d = gosset_graph
         z = d.sphere(0, 2)[0]
-        assert is_cocktail_party(mu_graph(g, d, 0, z)) == 5
+        assert is_cocktail_party(mu_graph(g, 0, z)) == 5
 
     def test_wrong_distance(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(WrongDistance):
-            mu_graph(g, d, 0, 1)
+            mu_graph(g, 0, 1)
 
 
 class TestCocktailPartyRecognition:
@@ -339,32 +352,32 @@ class TestStronglyRegular:
 
 class TestIntersectionArray:
     def test_hypercube(self, q4):
-        g, d = q4
-        assert intersection_array(g, d) == ((4, 3, 2, 1), (1, 2, 3, 4))
+        g, _ = q4
+        assert intersection_array(g) == ((4, 3, 2, 1), (1, 2, 3, 4))
 
     def test_johnson(self, j63):
-        g, d = j63
-        assert intersection_array(g, d) == ((9, 4, 1), (1, 4, 9))
+        g, _ = j63
+        assert intersection_array(g) == ((9, 4, 1), (1, 4, 9))
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
-        b, c = intersection_array(g, d)
+        g, _ = gosset_graph
+        b, c = intersection_array(g)
         assert (c[1], c[2]) == (10, 27)
 
     def test_non_distance_regular(self):
         # path P4 is not distance-regular (and not regular)
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert intersection_array(g, distances(g)) is None
+        assert intersection_array(g) is None
 
     def test_single_vertex(self):
         g = build_graph(1, [])
-        assert intersection_array(g, distances(g)) == ((), ())
+        assert intersection_array(g) == ((), ())
 
     @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
     def test_matches_pair_scan_on_samples(self, name):
         g = sample_graph(name)
         d = distances(g)
-        assert intersection_array(g, d) == intersection_array_by_pairs(g, d)
+        assert intersection_array(g) == intersection_array_by_pairs(g, d)
 
     def test_matches_pair_scan_on_small_and_random_graphs(self):
         rng = random.Random(7)
@@ -373,7 +386,7 @@ class TestIntersectionArray:
         arrays = []
         for g in cases:
             d = distances(g)
-            arrays.append(intersection_array(g, d))
+            arrays.append(intersection_array(g))
             assert arrays[-1] == intersection_array_by_pairs(g, d)
         assert arrays[:2] == [((), ()), ((1,), (1,))]
         assert arrays.count(None) > len(arrays) // 2
@@ -390,11 +403,28 @@ class TestCartesianProduct:
         g = cartesian_product(cartesian_product(complete(2), complete(2)), complete(2))
         assert are_isomorphic(g, hypercube(3))
 
-    def test_diameter_additive(self, cp3):
-        g1 = cocktail_party(3)
-        g2 = hypercube(2)
-        prod = cartesian_product(g1, g2)
-        assert distances(prod).diameter == 2 + 2
+    @pytest.mark.parametrize(
+        "factors, build",
+        [
+            pytest.param(
+                lambda: (cocktail_party(3), hypercube(2)), lambda f: cartesian_product(*f), id="cp3xq2"
+            ),
+            pytest.param(
+                lambda: (johnson(6, 3), cocktail_party(2)), lambda f: cartesian_product(*f), id="j63xcp2"
+            ),
+            pytest.param(lambda: (complete(3), complete(3)), lambda f: lattice(3), id="lattice3"),
+            pytest.param(
+                lambda: (complete(3),) * 3, lambda f: hamming(3, 3), id="hamming3_3"
+            ),
+            pytest.param(lambda: (complete(4), shrikhande()), lambda f: doob(1, 1), id="doob1_1"),
+        ],
+    )
+    def test_diameter_additive(self, factors, build):
+        # cartesian_product builds no oracle to check this identity itself
+        fs = factors()
+        d = distances(build(fs))
+        assert d.is_connected
+        assert d.diameter == sum(distances(f).diameter for f in fs)
 
     def test_degree_additive(self):
         prod = cartesian_product(johnson(5, 2), complete(3))
@@ -413,19 +443,19 @@ class TestCartesianProduct:
 
 class TestPoles:
     def test_hypercube_self_centered_unique_antipole(self, q4):
-        g, d = q4
-        per_vertex, self_centered = poles_and_antipoles(g, d)
+        g, _ = q4
+        per_vertex, self_centered = poles_and_antipoles(g)
         assert self_centered
         assert all(len(a) == 1 and a[0] == v ^ 15 for v, a in enumerate(per_vertex))
 
     def test_path_not_self_centered(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        _, self_centered = poles_and_antipoles(g, distances(g))
+        _, self_centered = poles_and_antipoles(g)
         assert not self_centered
 
     def test_gosset_self_centered(self, gosset_graph):
-        g, d = gosset_graph
-        per_vertex, self_centered = poles_and_antipoles(g, d)
+        g, _ = gosset_graph
+        per_vertex, self_centered = poles_and_antipoles(g)
         assert self_centered and all(len(a) == 1 for a in per_vertex)
 
 
@@ -437,14 +467,3 @@ class TestIdentityChecks:
         monkeypatch.setattr(graphs, "triangle_count_edge", lambda g, x, y: 1)
         with pytest.raises(IdentityViolated, match="double counting"):
             triangle_count_vertex(g, 0)
-
-    def test_product_diameter(self, monkeypatch):
-        exact = graphs.distances
-
-        def stretched(g):
-            d = exact(g)
-            return dataclasses.replace(d, diameter=d.diameter + 1) if g.n == 6 else d
-
-        monkeypatch.setattr(graphs, "distances", stretched)
-        with pytest.raises(IdentityViolated, match="not additive"):
-            cartesian_product(complete(2), complete(3))

@@ -136,7 +136,7 @@ print("numba", _kernels.NUMBA_ENABLED)
 g = johnson(5, 2)
 d = distances(g)
 print("dist", int(d.dist.sum()), d.diameter)
-vals = sorted(str(kappa(g, d, u, v).value) for u, v in g.edges())
+vals = sorted(str(kappa(g, u, v).value) for u, v in g.edges())
 print("kappa", vals[0], vals[-1], len(vals))
 cost = (np.arange(49, dtype=np.int64).reshape(7, 7) * 13) % 17
 print("hungarian", int(_kernels.hungarian(cost)[0]))

@@ -66,23 +66,23 @@ class TestBMSharpness:
         assert v.inf_edge_kappa == Fraction(5, 6) and v.two_over_l == 1
 
     def test_cp3_squared_sharp(self, cp3_squared):
-        g, d = cp3_squared
+        g, _ = cp3_squared
         v = bm_sharpness(GraphAnalysis(g))
         assert v.is_bm_sharp and v.inf_edge_kappa == Fraction(1, 2)
 
     def test_divisibility_on_sharp_fixtures(self, j63, demi6, gosset_graph):
-        for g, d in (j63, demi6, gosset_graph):
+        for g, _ in (j63, demi6, gosset_graph):
             v = bm_sharpness(GraphAnalysis(g))
             assert v.is_bm_sharp and v.l_le_d and v.l_divides_2d
 
 
 class TestLambdaM:
     def test_hypercube_lambda0(self, q4):
-        g, d = q4
+        g, _ = q4
         assert lambda_m_check(GraphAnalysis(g), 0).holds
 
     def test_gosset_lambda16(self, gosset_graph):
-        g, d = gosset_graph
+        g, _ = gosset_graph
         assert lambda_m_check(GraphAnalysis(g), 16).holds
 
     def test_k4_lambda3_fails(self):
@@ -93,7 +93,7 @@ class TestLambdaM:
     def test_prop_equivalence_on_self_centered(self, cp4, j63, petersen):
         # self-centered: BM-sharp <=> Lambda(2D/L - 2)
         for g, d in (cp4, j63, petersen):
-            _, self_centered = poles_and_antipoles(g, d)
+            _, self_centered = poles_and_antipoles(g)
             assert self_centered
             deg, L = g.is_regular(), d.diameter
             m = Fraction(2 * deg, L) - 2
@@ -104,34 +104,34 @@ class TestLambdaM:
 
 class TestPoleFacts:
     def test_q3(self, q3):
-        g, d = q3
-        facts = pole_facts(g, d, 0)
+        g, _ = q3
+        facts = pole_facts(g, 0)
         assert facts.ok
         assert facts.expected_triangles == 0
         assert facts.expected_cost == Fraction(1, 2)
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
-        facts = pole_facts(g, d, 0)
+        g, _ = gosset_graph
+        facts = pole_facts(g, 0)
         assert facts.ok
         assert facts.expected_triangles == 16
         assert facts.expected_cost == Fraction(10, 28)
 
     def test_demi6(self, demi6):
-        g, d = demi6
-        facts = pole_facts(g, d, 0)
+        g, _ = demi6
+        facts = pole_facts(g, 0)
         assert facts.ok and facts.expected_triangles == 8
 
     def test_one_assignment_per_edge(self, q4, monkeypatch):
-        g, d = q4
+        g, _ = q4
         solves = record_calls(monkeypatch, "_kernels", "hungarian")
-        assert pole_facts(g, d, 0).ok
+        assert pole_facts(g, 0).ok
         assert len(solves) == 4  # one per edge at the pole
 
     def test_c5_has_no_matching(self):
         # at each edge of C5 the two far neighbours lie at distance 2
         g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        facts = pole_facts(g, distances(g), 0)
+        facts = pole_facts(g, 0)
         assert (facts.triangles_ok, facts.matching_ok, facts.cost_ok) == (True, False, True)
         assert facts.failures == (
             "edge (0,1) has no perfect matching",
@@ -149,21 +149,21 @@ class TestPoleFacts:
         d = distances(g)
         assert d.eccentricity(0) == 3 and d.diameter == 4
         with pytest.raises(NotAPole):
-            pole_facts(g, d, 0)
+            pole_facts(g, 0)
 
 
 class TestDegreeRecursions:
     def test_hypercube(self, q4):
-        g, d = q4
-        assert degree_recursions(g, d, 0).holds
+        g, _ = q4
+        assert degree_recursions(g, 0).holds
 
     def test_j63_first_sphere(self, j63):
         g, d = j63
-        assert degree_recursions(g, d, 0).holds
+        assert degree_recursions(g, 0).holds
         from curvlab.graphs import degree_triple
 
         for y in d.sphere(0, 1):
-            t = degree_triple(g, d, 0, y)
+            t = degree_triple(g, 0, y)
             assert t.d_plus - t.d_minus == 3  # 9 (1 - 2/3)
 
     def test_gosset_antipole_sphere(self, gosset_graph):
@@ -171,105 +171,104 @@ class TestDegreeRecursions:
         from curvlab.graphs import degree_triple
 
         y = d.sphere(0, 3)[0]
-        t = degree_triple(g, d, 0, y)
+        t = degree_triple(g, 0, y)
         assert t.d_plus - t.d_minus == -27
 
     def test_fails_on_non_sharp(self, petersen):
-        g, d = petersen
-        assert not degree_recursions(g, d, 0).holds
+        g, _ = petersen
+        assert not degree_recursions(g, 0).holds
 
 
 class TestIntervalCover:
     def test_hypercube(self, q4):
-        g, d = q4
-        assert interval_cover_check(g, d).holds
+        g, _ = q4
+        assert interval_cover_check(g).holds
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
-        assert interval_cover_check(g, d).holds
+        g, _ = gosset_graph
+        assert interval_cover_check(g).holds
 
     def test_petersen_fails(self, petersen):
-        g, d = petersen
-        assert not interval_cover_check(g, d).holds
+        g, _ = petersen
+        assert not interval_cover_check(g).holds
 
 
 class TestUniqueAntipole:
     def test_hypercube(self, q4):
-        g, d = q4
-        verdict = unique_antipole_check(g, d)
+        g, _ = q4
+        verdict = unique_antipole_check(g)
         assert verdict.holds and verdict.exactly_one_each
 
     def test_cp(self, cp4):
-        g, d = cp4
-        verdict = unique_antipole_check(g, d)
+        g, _ = cp4
+        verdict = unique_antipole_check(g)
         assert verdict.holds and verdict.exactly_one_each
 
     def test_six_cycle(self):
         g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        verdict = unique_antipole_check(g, distances(g))
+        verdict = unique_antipole_check(g)
         assert verdict.holds and verdict.exactly_one_each
 
 
 class TestAntipodal:
     def test_full_hypercube(self, q4):
-        g, d = q4
-        assert is_antipodal(g, d, set(range(g.n)))
+        g, _ = q4
+        assert is_antipodal(g, set(range(g.n)))
 
     def test_p3_not_antipodal(self):
         # the middle vertex has no partner whose interval covers the path
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert not is_antipodal(g, distances(g), {0, 1, 2})
+        assert not is_antipodal(g, {0, 1, 2})
 
     def test_star_not_antipodal(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert not is_antipodal(g, distances(g), {0, 1, 2, 3})
+        assert not is_antipodal(g, {0, 1, 2, 3})
 
     def test_disconnected_subset(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(DisconnectedSubset):
-            is_antipodal(g, d, {0, 7})
+            is_antipodal(g, {0, 7})
 
 
 class TestStronglySpherical:
     def test_families_positive(self, q3, q4, cp3, cp4, j63):
-        for g, d in (q3, q4, cp3, cp4, j63):
-            assert is_strongly_spherical(g, d).holds
+        for g, _ in (q3, q4, cp3, cp4, j63):
+            assert is_strongly_spherical(g).holds
 
     def test_negative(self, petersen):
-        g, d = petersen
-        assert not is_strongly_spherical(g, d).holds
+        g, _ = petersen
+        assert not is_strongly_spherical(g).holds
         sh = shrikhande()
-        assert not is_strongly_spherical(sh, distances(sh)).holds
+        assert not is_strongly_spherical(sh).holds
 
     def test_modes_agree_on_list_fixtures(self, q3, cp3, j63):
         # the induced metric of an interval agrees with the restricted
         # ambient one on these list members
         for g, d in (q3, cp3, j63):
-            assert is_strongly_spherical(g, d).holds == ambient_spherical_bruteforce(d)
+            assert is_strongly_spherical(g).holds == ambient_spherical_bruteforce(d)
 
     def test_unequal_ratio_product_still_spherical(self):
         # sphericity needs only list-member factors, unlike sharpness,
         # which additionally needs equal degree/diameter ratios
         g = cartesian_product(hypercube(2), cocktail_party(3))
-        d = distances(g)
         assert not bm_sharpness(GraphAnalysis(g)).is_bm_sharp
-        assert is_strongly_spherical(g, d).holds
+        assert is_strongly_spherical(g).holds
 
 
 class TestMuGraphsAllCP:
     def test_q4(self, q4):
-        g, d = q4
-        verdict = mu_graphs_all_cp(g, d)
+        g, _ = q4
+        verdict = mu_graphs_all_cp(g)
         assert verdict.holds and verdict.m_values == ((1, 48),)
 
     def test_k3_vacuous(self):
         g = complete(3)
-        verdict = mu_graphs_all_cp(g, distances(g))
+        verdict = mu_graphs_all_cp(g)
         assert verdict.holds and verdict.m_values == ()
 
     def test_petersen_fails(self, petersen):
-        g, d = petersen
-        assert not mu_graphs_all_cp(g, d).holds
+        g, _ = petersen
+        assert not mu_graphs_all_cp(g).holds
 
     def test_matches_subgraph_scan(self, monkeypatch):
         # same verdict, m-values and failure pair as building every
@@ -284,55 +283,55 @@ class TestMuGraphsAllCP:
         want = [mu_graphs_by_subgraphs(g, d) for g, d in cases]
         assert any(v.holds for v in want) and not all(v.holds for v in want)
         built = record_calls(monkeypatch, "graphs", "induced_subgraph")
-        assert [mu_graphs_all_cp(g, d) for g, d in cases] == want
+        assert [mu_graphs_all_cp(g) for g, d in cases] == want
         assert built == []
 
 
 class TestLocalSrg:
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
+        g, _ = gosset_graph
         verdict = local_srg_check(GraphAnalysis(g))
         assert verdict.holds
         assert verdict.params == (27, 16, 10, 8)
         assert verdict.theta == 4
 
     def test_j63(self, j63):
-        g, d = j63
+        g, _ = j63
         verdict = local_srg_check(GraphAnalysis(g))
         assert verdict.holds
         assert verdict.params == (9, 4, 1, 2)
         assert verdict.theta == 1
 
     def test_demi6(self, demi6):
-        g, d = demi6
+        g, _ = demi6
         verdict = local_srg_check(GraphAnalysis(g))
         assert verdict.holds and verdict.params == (15, 8, 4, 4)
 
     def test_precondition(self, petersen):
-        g, d = petersen
+        g, _ = petersen
         with pytest.raises(PreconditionUnmet):
             local_srg_check(GraphAnalysis(g))
 
 
 class TestSspNcp:
     def test_hypercube(self, q4):
-        g, d = q4
-        assert ssp_ncp(g, d, 0) == (True, True)
+        g, _ = q4
+        assert ssp_ncp(g, 0) == (True, True)
 
     def test_k4_vacuous(self):
         g = complete(4)
-        ssp, ncp = ssp_ncp(g, distances(g), 0)
+        ssp, ncp = ssp_ncp(g, 0)
         assert ssp and ncp
 
     def test_triangle_free_sharp_pole(self, q3):
-        g, d = q3
+        g, _ = q3
         for x in range(g.n):
-            assert ssp_ncp(g, d, x) == (True, True)
+            assert ssp_ncp(g, x) == (True, True)
 
 
 class TestFourCycleLemma:
     def test_hypercube(self, q4):
-        g, d = q4
+        g, _ = q4
         verdict = four_cycle_lemma_check(GraphAnalysis(g))
         assert verdict.holds and verdict.checked_edges == g.edge_count
 
@@ -365,18 +364,18 @@ class TestBigProductStructure:
         from curvlab.transport import kappa
 
         for u, v in g.edges():
-            assert kappa(g, d, u, v).value == want
+            assert kappa(g, u, v).value == want
         rng = random.Random(7)
         for _ in range(300):
             z, w = rng.sample(range(g.n), 2)
-            assert kappa(g, d, z, w).value == want
+            assert kappa(g, z, w).value == want
 
     def test_cover_and_antipole_bijection(self, big):
         g, d = big
-        assert interval_cover_check(g, d).holds
+        assert interval_cover_check(g).holds
         for x in range(g.n):
             for y in range(x + 1, g.n):
-                iv = interval(d, x, y)
+                iv = interval(g, x, y)
                 side_x = sum(1 for z in iv if d.d(x, z) <= 1)
                 side_y = sum(1 for z in iv if d.d(y, z) <= 1)
                 assert side_x == side_y
@@ -399,10 +398,10 @@ class TestBigProductStructure:
             assert (lhs == rhs).all(), f"pole {x}"
 
     def test_pole_facts_and_recursions_sample(self, big):
-        g, d = big
+        g, _ = big
         for x in range(0, g.n, 20):
-            assert pole_facts(g, d, x).ok
-            assert degree_recursions(g, d, x).holds
+            assert pole_facts(g, x).ok
+            assert degree_recursions(g, x).holds
 
     def test_transport_geodesic_lengths_sample(self, big):
         from curvlab.graphs import poles_and_antipoles
@@ -410,18 +409,18 @@ class TestBigProductStructure:
 
         g, d = big
         L = d.diameter
-        per_vertex, self_centered = poles_and_antipoles(g, d)
+        per_vertex, self_centered = poles_and_antipoles(g)
         assert self_centered
         for x in range(0, g.n, 40):
-            path = geodesic_between(g, d, x, per_vertex[x][0])
+            path = geodesic_between(g, x, per_vertex[x][0])
             for z in (x, *g.adjacency[x]):
-                tg = transport_geodesic(g, d, path, z)
+                tg = transport_geodesic(g, path, z)
                 on_ends = tg.waypoints[0] == x or tg.waypoints[-1] == path[-1]
                 assert tg.length == (L - 1 if on_ends else L - 2)
 
     def test_mu_graphs_uniform(self, big):
-        g, d = big
-        verdict = mu_graphs_all_cp(g, d)
+        g, _ = big
+        verdict = mu_graphs_all_cp(g)
         assert verdict.holds
         # product mu-graphs mix the factor sizes CP(2) and CP(3)
         assert [m for m, _ in verdict.m_values] == [1, 2, 3]
@@ -435,12 +434,12 @@ class TestClassify:
         assert verify_isomorphism(from_spec(match.matched), g, match.iso_witness)
 
     def test_hypercube(self, q4):
-        g, d = q4
+        g, _ = q4
         match = classify(GraphAnalysis(g))
         assert match.matched == FamilySpec("hypercube", (4,))
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
+        g, _ = gosset_graph
         match = classify(GraphAnalysis(g))
         assert match.matched == FamilySpec("gosset", ())
 
@@ -450,7 +449,7 @@ class TestClassify:
         assert match.matched is None and "not Bonnet-Myers sharp" in match.reason
 
     def test_product_match(self, cp3_squared):
-        g, d = cp3_squared
+        g, _ = cp3_squared
         match = classify(GraphAnalysis(g))
         assert match.matched is not None and match.matched.family == "product"
         assert verify_isomorphism(from_spec(match.matched), g, match.iso_witness)
@@ -458,14 +457,13 @@ class TestClassify:
     def test_mixed_product_match(self):
         # 160 vertices; the matched factor order differs from the input's
         g = cartesian_product(johnson(6, 3), cocktail_party(4))
-        d = distances(g)
         assert bm_sharpness(GraphAnalysis(g)).inf_edge_kappa == Fraction(2, 5)
         match = classify(GraphAnalysis(g))
         assert match.matched is not None and match.matched.family == "product"
         assert verify_isomorphism(from_spec(match.matched), g, match.iso_witness)
 
     def test_petersen_unmatched(self, petersen):
-        g, d = petersen
+        g, _ = petersen
         match = classify(GraphAnalysis(g))
         assert match.matched is None
 

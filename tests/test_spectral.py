@@ -13,7 +13,7 @@ from curvlab.families import (
     shrikhande,
 )
 from curvlab.fixtures import load_fixture
-from curvlab.graphs import build_graph, distances
+from curvlab.graphs import build_graph
 from curvlab.spectral import (
     is_lichnerowicz_sharp,
     normalized_laplacian_apply,
@@ -47,7 +47,7 @@ class TestLaplacianApply:
 
 class TestSpectralSummary:
     def test_petersen(self, petersen):
-        g, d = petersen
+        g, _ = petersen
         s = spectral_summary(g)
         assert abs(s.lambda1 - 2 / 3) < 1e-9
 
@@ -64,7 +64,7 @@ class TestSpectralSummary:
         assert s.lambda1_multiplicity == 2 * n - 1
 
     def test_regular_theta_lambda_relation(self, j63, q4, cp4, demi6, gosset_graph, petersen):
-        for g, d in (j63, q4, cp4, demi6, gosset_graph, petersen):
+        for g, _ in (j63, q4, cp4, demi6, gosset_graph, petersen):
             s = spectral_summary(g)
             assert abs(s.lambda1 - (1 - s.theta1 / g.is_regular())) < 1e-9
 
@@ -78,16 +78,16 @@ class TestDistanceEigenfunction:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_hypercubes(self, n):
         g = hypercube(n)
-        ok, witness = verify_distance_eigenfunction(g, distances(g), 0)
+        ok, witness = verify_distance_eigenfunction(g, 0)
         assert ok and witness is None
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
-        assert verify_distance_eigenfunction(g, d, 0) == (True, None)
+        g, _ = gosset_graph
+        assert verify_distance_eigenfunction(g, 0) == (True, None)
 
     def test_petersen_fails(self, petersen):
-        g, d = petersen
-        ok, witness = verify_distance_eigenfunction(g, d, 0)
+        g, _ = petersen
+        ok, witness = verify_distance_eigenfunction(g, 0)
         assert not ok and witness is not None
 
 
@@ -113,18 +113,18 @@ class TestLichnerowicz:
         assert abs(verdict.lambda1 - 1 / 2) < 1e-9
 
     def test_bm_sharp_graphs_are_lichnerowicz_sharp(self, q4, cp4, j63, demi6):
-        for g, d in (q4, cp4, j63, demi6):
+        for g, _ in (q4, cp4, j63, demi6):
             verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
             assert verdict.is_sharp and verdict.exact_certificate
 
     def test_petersen_mu1_not_sharp(self, petersen):
         # distance-regular with mu = 1 cannot be Lichnerowicz sharp
-        g, d = petersen
+        g, _ = petersen
         verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
         assert not verdict.is_sharp
         assert verdict.inf_edge_kappa == 0
 
     def test_lichnerowicz_inequality_on_fixtures(self, petersen, cp3, q3):
-        for g, d in (petersen, cp3, q3):
+        for g, _ in (petersen, cp3, q3):
             verdict = is_lichnerowicz_sharp(GraphAnalysis(g))
             assert float(verdict.inf_edge_kappa) <= verdict.lambda1 + 1e-9

@@ -59,12 +59,11 @@ def test_spectral_cells_fail_beyond_tolerance(capsys, monkeypatch):
 
 
 def test_table_1_builds_each_sphere_reference_oracle_once(monkeypatch):
-    # 11 row graphs, 6 sphere references, the 132 1-spheres of the rows
-    # whose reference has edges (an edgeless one is matched by counting),
-    # and the 2 factors of lattice(3): cartesian_product's diameter check
-    # computes the product's oracle, which the reference then reads from its
-    # cache; an oracle per vertex for the reference would add 132 more
+    # 11 row graphs, 6 sphere references and the 132 1-spheres of the rows
+    # whose reference has edges (an edgeless one is matched by counting);
+    # cartesian_product computes no oracle, so lattice(3)'s factors get none,
+    # and an oracle per vertex for the reference would add 132 more
     calls = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
     _, diffs = compute_table(1)
     assert not diffs
-    assert len(calls) == 11 + 6 + 132 + 2
+    assert len(calls) == 11 + 6 + 132

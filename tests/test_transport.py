@@ -9,6 +9,7 @@ import pytest
 
 from curvlab.errors import (
     BadIdleness,
+    Disconnected,
     MuGraphNotCP,
     NoAntipole,
     NotAnEdge,
@@ -45,12 +46,14 @@ from curvlab.transport import (
     tpm_transport_map,
     transport_geodesic,
     unique_perfect_matching,
+    unique_tpm_transport_map,
     wasserstein,
 )
 
 from helpers import (
     edge_has_perfect_matching,
     random_regular_graph,
+    record_calls,
     wasserstein_bruteforce,
     wasserstein_full_flow,
 )
@@ -90,31 +93,30 @@ class TestMeasures:
         from curvlab.errors import Disconnected
 
         g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        d = distances(g)
         with pytest.raises(Disconnected):
-            kappa(g, d, 0, 1)
+            kappa(g, 0, 1)
 
 
 class TestWasserstein:
     def test_identical_measures(self, q3):
-        g, d = q3
+        g, _ = q3
         m = idle_measure(g, 0, Fraction(1, 4))
-        w, plan = wasserstein(d, m, m)
-        assert w == 0 and plan.cost(d) == 0
+        w, plan = wasserstein(g, m, m)
+        assert w == 0 and plan.cost(g) == 0
 
     def test_q3_neighbours(self, q3):
-        g, d = q3
+        g, _ = q3
         w, plan = wasserstein(
-            d, idle_measure(g, 0, Fraction(1, 4)), idle_measure(g, 1, Fraction(1, 4))
+            g, idle_measure(g, 0, Fraction(1, 4)), idle_measure(g, 1, Fraction(1, 4))
         )
         assert w == Fraction(1, 2)
-        assert plan.cost(d) == w
+        assert plan.cost(g) == w
 
     def test_cp3_neighbours(self, cp3):
-        g, d = cp3
+        g, _ = cp3
         y = g.adjacency[0][0]
         w, _ = wasserstein(
-            d, idle_measure(g, 0, Fraction(1, 5)), idle_measure(g, y, Fraction(1, 5))
+            g, idle_measure(g, 0, Fraction(1, 5)), idle_measure(g, y, Fraction(1, 5))
         )
         assert w == Fraction(1, 5)
 
@@ -123,7 +125,7 @@ class TestWasserstein:
         p = Fraction(1, 4)
         for x, y in [(0, 1), (0, 5), (2, 7)]:
             m1, m2 = idle_measure(g, x, p), idle_measure(g, y, p)
-            w, _ = wasserstein(d, m1, m2)
+            w, _ = wasserstein(g, m1, m2)
             assert w == wasserstein_bruteforce(d, m1, m2)
 
     def test_flow_path_matches_assignment(self, q3):
@@ -141,7 +143,7 @@ class TestWasserstein:
             plan_a = TransportPlan(tuple(entries_a), m1, m2)
             plan_f = TransportPlan(tuple(entries_f), m1, m2)
             assert wa == wf
-            assert plan_a.cost(d) == plan_f.cost(d) == wa
+            assert plan_a.cost(g) == plan_f.cost(g) == wa
 
     def test_dual_enumeration_oracle(self):
         # independent dual-side oracle: max of sum phi d(m1 - m2) over all
@@ -155,8 +157,8 @@ class TestWasserstein:
             (idle_measure(g, 1, Fraction(2, 5)), idle_measure(g, 4, Fraction(1, 7))),
         ]
         for m1, m2 in cases:
-            w, plan = wasserstein(d, m1, m2)
-            assert plan.cost(d) == w
+            w, plan = wasserstein(g, m1, m2)
+            assert plan.cost(g) == w
             best = max(
                 sum((Fraction(phi[v]) * (m1(v) - m2(v)) for v in range(g.n)), Fraction(0))
                 for phi in iproduct(range(-L, L + 1), repeat=g.n)
@@ -191,8 +193,8 @@ class TestWasserstein:
                 )
 
             m1, m2 = random_measure(), random_measure()
-            w, plan = wasserstein(d, m1, m2)
-            assert plan.cost(d) == w
+            w, plan = wasserstein(g, m1, m2)
+            assert plan.cost(g) == w
             best = max(
                 sum((Fraction(phi[v]) * (m1(v) - m2(v)) for v in range(n)), Fraction(0))
                 for phi in iproduct(range(-L, L + 1), repeat=n)
@@ -234,7 +236,7 @@ class TestWasserstein:
 
             m1, m2 = random_units(), random_units()
             w_flow, entries = _wasserstein_flow(d, m1.mass, m2.mass)
-            assert TransportPlan(tuple(entries), m1, m2).cost(d) == w_flow
+            assert TransportPlan(tuple(entries), m1, m2).cost(g) == w_flow
             units1 = [v for v, m in m1.mass for _ in range(int(m * scale))]
             units2 = [v for v, m in m2.mass for _ in range(int(m * scale))]
             cost = np.array(
@@ -252,10 +254,10 @@ class TestWasserstein:
         assert isinstance(info.value, VerificationError)
 
     def test_plan_marginals_validated(self, q3):
-        g, d = q3
+        g, _ = q3
         m1 = idle_measure(g, 0, Fraction(1, 4))
         m2 = idle_measure(g, 7, Fraction(1, 4))
-        _, plan = wasserstein(d, m1, m2)
+        _, plan = wasserstein(g, m1, m2)
         rows = {}
         for u, v, m in plan.entries:
             rows[u] = rows.get(u, Fraction(0)) + m
@@ -264,113 +266,108 @@ class TestWasserstein:
 
 class TestKappaP:
     def test_cp3(self, cp3):
-        g, d = cp3
+        g, _ = cp3
         y = g.adjacency[0][0]
-        assert kappa_p(g, d, 0, y, Fraction(1, 5)).value == Fraction(4, 5)
+        assert kappa_p(g, 0, y, Fraction(1, 5)).value == Fraction(4, 5)
 
     def test_idleness_one_is_flat(self, q3):
-        g, d = q3
-        assert kappa_p(g, d, 0, 1, 1).value == 0
-        assert kappa_p(g, d, 0, 7, 1).value == 0
+        g, _ = q3
+        assert kappa_p(g, 0, 1, 1).value == 0
+        assert kappa_p(g, 0, 7, 1).value == 0
 
     def test_q3(self, q3):
-        g, d = q3
-        assert kappa_p(g, d, 0, 1, Fraction(1, 4)).value == Fraction(1, 2)
+        g, _ = q3
+        assert kappa_p(g, 0, 1, Fraction(1, 4)).value == Fraction(1, 2)
 
     def test_lly_scaling_above_threshold(self, q3):
         # kappa_p / (1 - p) is constant for idleness above 1/(D+1)
-        g, d = q3
-        base = kappa(g, d, 0, 1).value
+        g, _ = q3
+        base = kappa(g, 0, 1).value
         for p in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
-            assert kappa_p(g, d, 0, 1, p).value == (1 - p) * base
+            assert kappa_p(g, 0, 1, p).value == (1 - p) * base
 
     def test_same_pair_rejected(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(SamePair):
-            kappa_p(g, d, 3, 3, Fraction(1, 4))
+            kappa_p(g, 3, 3, Fraction(1, 4))
 
 
 class TestKappa:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_hypercube(self, n):
         g = hypercube(n)
-        d = distances(g)
-        assert kappa(g, d, 0, 1).value == Fraction(2, n)
+        assert kappa(g, 0, 1).value == Fraction(2, n)
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
+        g, _ = gosset_graph
         y = g.adjacency[0][0]
-        assert kappa(g, d, 0, y).value == Fraction(2, 3)
+        assert kappa(g, 0, y).value == Fraction(2, 3)
 
     def test_johnson(self, j63):
-        g, d = j63
+        g, _ = j63
         y = g.adjacency[0][0]
-        assert kappa(g, d, 0, y).value == Fraction(2, 3)
+        assert kappa(g, 0, y).value == Fraction(2, 3)
 
     def test_k3_edge(self):
         g = complete(3)
-        d = distances(g)
-        assert kappa(g, d, 0, 1).value == Fraction(3, 2)
+        assert kappa(g, 0, 1).value == Fraction(3, 2)
 
     def test_k2_edge(self):
         # the smallest sharp graph: kappa = 2 = 2/L at L = 1
         g = complete(2)
-        d = distances(g)
-        assert kappa(g, d, 0, 1).value == 2
+        assert kappa(g, 0, 1).value == 2
 
     def test_c5_edge(self):
         # pentagon: one unit of mass must travel distance 2
         g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        d = distances(g)
-        val = kappa(g, d, 0, 1)
+        val = kappa(g, 0, 1)
         assert val.value == Fraction(1, 2) and val.method == "assignment"
 
     def test_not_regular(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotRegular):
-            kappa(g, distances(g), 0, 1)
+            kappa(g, 0, 1)
 
     def test_lly_identity(self, demi6):
-        g, d = demi6
+        g, _ = demi6
         y = g.adjacency[0][0]
-        assert kappa_lly(g, d, 0, y).value == kappa(g, d, 0, y).value
+        assert kappa_lly(g, 0, y).value == kappa(g, 0, y).value
 
     def test_lly_needs_edge(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(NotAnEdge):
-            kappa_lly(g, d, 0, 3)
+            kappa_lly(g, 0, 3)
 
 
 class TestMatchingFastPath:
     def test_hypercube(self, q4):
-        g, d = q4
-        val = curvature_via_matching(g, d, 0, 1)
+        g, _ = q4
+        val = curvature_via_matching(g, 0, 1)
         assert val is not None and val.value == Fraction(2, 4)
         assert edge_has_perfect_matching(g, 0, 1)
 
     def test_gosset(self, gosset_graph):
-        g, d = gosset_graph
-        val = curvature_via_matching(g, d, 0, g.adjacency[0][0])
+        g, _ = gosset_graph
+        val = curvature_via_matching(g, 0, g.adjacency[0][0])
         assert val is not None and val.value == Fraction(18, 27)
 
     def test_demi6(self, demi6):
-        g, d = demi6
-        val = curvature_via_matching(g, d, 0, g.adjacency[0][0])
+        g, _ = demi6
+        val = curvature_via_matching(g, 0, g.adjacency[0][0])
         assert val is not None and val.value == Fraction(10, 15)
         assert edge_has_perfect_matching(g, 0, g.adjacency[0][0])
 
     def test_pentagon_has_no_matching(self):
         g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        d = distances(g)
         assert not edge_has_perfect_matching(g, 0, 1)
-        assert curvature_via_matching(g, d, 0, 1) is None
+        assert curvature_via_matching(g, 0, 1) is None
 
     def test_agrees_with_assignment_when_it_fires(self, cp4):
         g, d = cp4
         deg = g.is_regular()
         p = Fraction(1, deg + 1)
         for u, v in g.edges():
-            fast = curvature_via_matching(g, d, u, v)
+            fast = curvature_via_matching(g, u, v)
             # the matching label against bijection enumeration, and the value
             # against min-cost flow on the full, uncancelled 1-ball supports
             assert (fast is not None) == edge_has_perfect_matching(g, u, v)
@@ -395,7 +392,7 @@ class TestReducedRoute:
             for y in range(x + 1, g.n):
                 if d.d(x, y) < 2:
                     continue
-                got = kappa(g, d, x, y)
+                got = kappa(g, x, y)
                 assert got.method == "assignment"
                 w1 = wasserstein_full_flow(d, idle_measure(g, x, p), idle_measure(g, y, p))
                 assert got.value == Fraction(deg + 1, deg) * (1 - w1 / d.d(x, y))
@@ -417,36 +414,36 @@ class TestReducedRoute:
 
 class TestDuality:
     def test_zero_potential_identity(self, q3):
-        g, d = q3
+        g, _ = q3
         m = idle_measure(g, 0, Fraction(1, 4))
-        _, plan = wasserstein(d, m, m)
-        assert certify_duality(d, m, m, plan, {v: 0 for v in range(g.n)})
+        _, plan = wasserstein(g, m, m)
+        assert certify_duality(g, m, m, plan, {v: 0 for v in range(g.n)})
 
     def test_distance_potential_antipole_pair(self, q3):
         g, d = q3
         my = idle_measure(g, 7, Fraction(1, 4))
         mx = idle_measure(g, 0, Fraction(1, 4))
-        w, plan = wasserstein(d, my, mx)
+        w, plan = wasserstein(g, my, mx)
         phi = {v: Fraction(d.d(0, v)) for v in range(g.n)}
-        assert certify_duality(d, my, mx, plan, phi)
+        assert certify_duality(g, my, mx, plan, phi)
 
     def test_distance_potential_neighbour_pair(self, q3):
         g, d = q3
         my = idle_measure(g, 1, Fraction(1, 4))
         mx = idle_measure(g, 0, Fraction(1, 4))
-        w, plan = wasserstein(d, my, mx)
+        w, plan = wasserstein(g, my, mx)
         assert w == Fraction(1, 2)
         phi = {v: Fraction(d.d(0, v)) for v in range(g.n)}
-        assert certify_duality(d, my, mx, plan, phi)
+        assert certify_duality(g, my, mx, plan, phi)
 
     def test_not_lipschitz_rejected(self, q3):
         g, d = q3
         m1 = idle_measure(g, 0, Fraction(1, 4))
         m2 = idle_measure(g, 1, Fraction(1, 4))
-        _, plan = wasserstein(d, m1, m2)
+        _, plan = wasserstein(g, m1, m2)
         bad = {v: 5 * d.d(0, v) for v in range(g.n)}
         with pytest.raises(NotLipschitz):
-            certify_duality(d, m1, m2, plan, bad)
+            certify_duality(g, m1, m2, plan, bad)
 
     def test_distance_potential_certifies_on_sharp_fixtures(
         self, q4, cp4, j63, demi6, gosset_graph
@@ -460,8 +457,8 @@ class TestDuality:
             targets = [g.adjacency[x][0], d.sphere(x, d.diameter)[0]]
             for y in targets:
                 my, mx = idle_measure(g, y, p), idle_measure(g, x, p)
-                _, plan = wasserstein(d, my, mx)
-                assert certify_duality(d, my, mx, plan, phi)
+                _, plan = wasserstein(g, my, mx)
+                assert certify_duality(g, my, mx, plan, phi)
 
 
 class TestTpmMap:
@@ -469,28 +466,39 @@ class TestTpmMap:
         g, d = q3
         left, right = matching_sides(g, 0, 1)
         matching = perfect_matching_between(g, left, right)
-        t = tpm_transport_map(g, d, 0, 1, matching)
+        t = tpm_transport_map(g, 0, 1, matching)
         assert t.cost == Fraction(1, 2)
         assert all(d.d(u, v) <= 1 for u, v in t.mapping)
 
     def test_gosset_cost(self, gosset_graph):
-        g, d = gosset_graph
+        g, _ = gosset_graph
         y = g.adjacency[0][0]
         left, right = matching_sides(g, 0, y)
         matching = perfect_matching_between(g, left, right)
-        assert tpm_transport_map(g, d, 0, y, matching).cost == Fraction(10, 28)
+        assert tpm_transport_map(g, 0, y, matching).cost == Fraction(10, 28)
 
     def test_cp3_cost(self, cp3):
-        g, d = cp3
+        g, _ = cp3
         y = g.adjacency[0][0]
         left, right = matching_sides(g, 0, y)
         matching = perfect_matching_between(g, left, right)
-        assert tpm_transport_map(g, d, 0, y, matching).cost == Fraction(1, 5)
+        assert tpm_transport_map(g, 0, y, matching).cost == Fraction(1, 5)
 
     def test_bad_matching_rejected(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(NotPerfectMatching):
-            tpm_transport_map(g, d, 0, 1, {2: 5})
+            tpm_transport_map(g, 0, 1, {2: 5})
+
+    def test_maps_build_no_distance_oracle(self, monkeypatch):
+        # "is (x, y) an edge" is a neighbour-set lookup; the graph is built
+        # while recording, so a generator's oracle would show here too
+        bfs = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
+        g = johnson(6, 3)
+        y = g.adjacency[0][0]
+        left, right = matching_sides(g, 0, y)
+        by_matching = tpm_transport_map(g, 0, y, perfect_matching_between(g, left, right))
+        assert unique_tpm_transport_map(g, 0, y) == by_matching
+        assert bfs == []
 
 
 class TestUniqueMatching:
@@ -509,37 +517,44 @@ class TestUniqueMatching:
 
 class TestTransportGeodesic:
     def test_q3_lengths(self, q3):
-        g, d = q3
-        path = geodesic_between(g, d, 0, 7)
+        g, _ = q3
+        path = geodesic_between(g, 0, 7)
         for z in (0, *g.adjacency[0]):
-            tg = transport_geodesic(g, d, path, z)
+            tg = transport_geodesic(g, path, z)
             on_ends = (tg.waypoints[0] == path[0]) or (tg.waypoints[-1] == path[-1])
             assert tg.length == (2 if on_ends else 1)
 
     def test_waypoints_start_repeats_for_base(self, q3):
-        g, d = q3
-        path = geodesic_between(g, d, 0, 7)
-        tg = transport_geodesic(g, d, path, 0)
+        g, _ = q3
+        path = geodesic_between(g, 0, 7)
+        tg = transport_geodesic(g, path, 0)
         assert tg.waypoints[0] == tg.waypoints[1] == 0
 
     def test_gosset_antipole_of_x1(self, gosset_graph):
         g, d = gosset_graph
         far = d.sphere(0, 3)[0]
-        path = geodesic_between(g, d, 0, far)
-        tg = transport_geodesic(g, d, path, 0)
+        path = geodesic_between(g, 0, far)
+        tg = transport_geodesic(g, path, 0)
         assert d.d(path[1], tg.waypoints[3]) == 3
 
     def test_short_path_rejected(self, q3):
-        g, d = q3
+        g, _ = q3
         with pytest.raises(NotFullLength):
-            transport_geodesic(g, d, (0, 1, 3), 0)
+            transport_geodesic(g, (0, 1, 3), 0)
 
     def test_geodesic_between_rejects_off_path_via(self, q3):
         from curvlab.errors import PreconditionUnmet
 
-        g, d = q3
+        g, _ = q3
         with pytest.raises(PreconditionUnmet):
-            geodesic_between(g, d, 0, 3, via=(4,))  # 4 not on any 0-3 geodesic
+            geodesic_between(g, 0, 3, via=(4,))  # 4 not on any 0-3 geodesic
+
+    def test_geodesic_between_disconnected_pair(self):
+        g = build_graph(4, [(0, 1), (2, 3)])  # 2K2
+        with pytest.raises(Disconnected):
+            geodesic_between(g, 0, 2)
+        with pytest.raises(Disconnected):
+            geodesic_between(g, 0, 1, via=(2,))
 
     def test_structured_error_without_sharpness(self, petersen):
         # girth 5 leaves no perfect matching for the step maps
@@ -547,23 +562,23 @@ class TestTransportGeodesic:
 
         g, d = petersen
         far = d.sphere(0, 2)[0]
-        path = geodesic_between(g, d, 0, far)
+        path = geodesic_between(g, 0, far)
         with pytest.raises(NotBMSharp):
-            transport_geodesic(g, d, path, 0)
+            transport_geodesic(g, path, 0)
 
     def test_switching_recursion_reproduces_waypoints(self, q4, j63, gosset_graph):
         # the waypoints of z = x0 also arise by iterating switching maps:
         # x0(k) = sigma_{x0(k-1), x_k}(x_{k-1}); two independent routes
         from curvlab.graphs import poles_and_antipoles
 
-        for g, d in (q4, j63, gosset_graph):
-            per_vertex, _ = poles_and_antipoles(g, d)
+        for g, _ in (q4, j63, gosset_graph):
+            per_vertex, _ = poles_and_antipoles(g)
             for x in range(0, g.n, max(1, g.n // 4)):
-                path = geodesic_between(g, d, x, per_vertex[x][0])
-                tg = transport_geodesic(g, d, path, x)
+                path = geodesic_between(g, x, per_vertex[x][0])
+                tg = transport_geodesic(g, path, x)
                 prev = x  # x0(1) = x0
                 for k in range(2, len(path)):
-                    sigma = switching_map(g, d, prev, path[k])
+                    sigma = switching_map(g, prev, path[k])
                     prev = sigma[path[k - 1]]
                     assert prev == tg.waypoints[k], (x, k)
 
@@ -571,10 +586,10 @@ class TestTransportGeodesic:
         # total waypoint displacement equals the summed per-step costs
         g, d = q4
         deg, L = 4, 4
-        path = geodesic_between(g, d, 0, 15)
+        path = geodesic_between(g, 0, 15)
         total = sum(
-            d.d(transport_geodesic(g, d, path, z).waypoints[0],
-                transport_geodesic(g, d, path, z).waypoints[-1])
+            d.d(transport_geodesic(g, path, z).waypoints[0],
+                transport_geodesic(g, path, z).waypoints[-1])
             for z in (0, *g.adjacency[0])
         )
         expected = Fraction(L * (deg + 1) - 2 * deg, 1)
@@ -583,59 +598,59 @@ class TestTransportGeodesic:
 
 class TestIntervalAntipole:
     def test_q3(self, q3):
-        g, d = q3
-        assert interval_antipole(g, d, 0, 3, 1) == 2
+        g, _ = q3
+        assert interval_antipole(g, 0, 3, 1) == 2
 
     def test_cp3_switching_partner(self, cp3):
         g, d = cp3
         x = 0
         y = [v for v in range(g.n) if d.d(x, v) == 2][0]
-        sigma = switching_map(g, d, x, y)
-        for x1 in interval(d, x, y) & set(g.adjacency[x]):
-            assert interval_antipole(g, d, x, y, x1) == sigma[x1]
+        sigma = switching_map(g, x, y)
+        for x1 in interval(g, x, y) & set(g.adjacency[x]):
+            assert interval_antipole(g, x, y, x1) == sigma[x1]
 
     def test_j63_brute_force_agreement(self, j63):
         g, d = j63
         x = 0
         for y in range(1, g.n):
-            for x1 in sorted(interval(d, x, y) & set(g.adjacency[x]))[:2]:
-                z = interval_antipole(g, d, x, y, x1)
-                assert z in interval(d, x, y) and d.d(x1, z) == d.d(x, y)
+            for x1 in sorted(interval(g, x, y) & set(g.adjacency[x]))[:2]:
+                z = interval_antipole(g, x, y, x1)
+                assert z in interval(g, x, y) and d.d(x1, z) == d.d(x, y)
 
     def test_petersen_has_no_unique_antipole(self, petersen):
         g, d = petersen
         x = 0
         y = d.sphere(x, 2)[0]
-        x1 = sorted(interval(d, x, y) & set(g.adjacency[x]))[0]
+        x1 = sorted(interval(g, x, y) & set(g.adjacency[x]))[0]
         with pytest.raises(NoAntipole):
-            interval_antipole(g, d, x, y, x1)
+            interval_antipole(g, x, y, x1)
 
 
 class TestSwitchingMap:
     def test_q4_swaps_common_pair(self, q4):
         g, d = q4
         z = d.sphere(0, 2)[0]
-        sigma = switching_map(g, d, 0, z)
+        sigma = switching_map(g, 0, z)
         (a, b), (c, e) = sigma.items()
         assert {a, b} == {c, e} and a == e and b == c
 
     def test_gosset_involution(self, gosset_graph):
         g, d = gosset_graph
         z = d.sphere(0, 2)[0]
-        sigma = switching_map(g, d, 0, z)
+        sigma = switching_map(g, 0, z)
         assert len(sigma) == 10
         assert all(sigma[sigma[v]] == v and sigma[v] != v for v in sigma)
 
     def test_demi6_involution(self, demi6):
         g, d = demi6
         z = d.sphere(0, 2)[0]
-        assert len(switching_map(g, d, 0, z)) == 6
+        assert len(switching_map(g, 0, z)) == 6
 
     def test_petersen_rejected(self, petersen):
         g, d = petersen
         z = d.sphere(0, 2)[0]
         with pytest.raises(MuGraphNotCP):
-            switching_map(g, d, 0, z)
+            switching_map(g, 0, z)
 
 
 class TestPairBounds:
@@ -644,13 +659,13 @@ class TestPairBounds:
         g, d = cp3_squared
         for z in range(0, g.n, 5):
             for w in range(z + 1, g.n):
-                assert kappa(g, d, z, w).value <= Fraction(2, d.d(z, w))
+                assert kappa(g, z, w).value <= Fraction(2, d.d(z, w))
 
     def test_inf_over_edges_equals_inf_over_pairs(self, cp3):
-        g, d = cp3
-        edge_inf = min(kappa(g, d, u, v).value for u, v in g.edges())
+        g, _ = cp3
+        edge_inf = min(kappa(g, u, v).value for u, v in g.edges())
         pair_inf = min(
-            kappa(g, d, z, w).value
+            kappa(g, z, w).value
             for z in range(g.n)
             for w in range(z + 1, g.n)
         )
@@ -661,40 +676,36 @@ class TestProductFormula:
     def test_q2_times_k3(self):
         g1, g2 = hypercube(2), complete(3)
         prod = cartesian_product(g1, g2)
-        d = distances(prod)
-        d1, d2 = distances(g1), distances(g2)
         n2 = g2.n
-        k1 = kappa(g1, d1, 0, 1).value  # an edge of Q2
-        k2 = kappa(g2, d2, 0, 1).value  # an edge of K3
+        k1 = kappa(g1, 0, 1).value  # an edge of Q2
+        k2 = kappa(g2, 0, 1).value  # an edge of K3
         for u1, v1 in g1.edges():
             for w in range(n2):
-                got = kappa(prod, d, u1 * n2 + w, v1 * n2 + w).value
-                assert got == Fraction(2, 4) * kappa(g1, d1, u1, v1).value
+                got = kappa(prod, u1 * n2 + w, v1 * n2 + w).value
+                assert got == Fraction(2, 4) * kappa(g1, u1, v1).value
         for u2, v2 in g2.edges():
             for w in range(g1.n):
-                got = kappa(prod, d, w * n2 + u2, w * n2 + v2).value
-                assert got == Fraction(2, 4) * kappa(g2, d2, u2, v2).value
+                got = kappa(prod, w * n2 + u2, w * n2 + v2).value
+                assert got == Fraction(2, 4) * kappa(g2, u2, v2).value
         assert k1 == 1 and k2 == Fraction(3, 2)
 
     def test_cp3_squared_edges(self, cp3_squared):
-        g, d = cp3_squared
+        g, _ = cp3_squared
         base = cocktail_party(3)
-        db = distances(base)
-        k_base = kappa(base, db, 0, base.adjacency[0][0]).value
+        k_base = kappa(base, 0, base.adjacency[0][0]).value
         scaled = Fraction(4, 8) * k_base
         for u, v in g.edges():
-            assert kappa(g, d, u, v).value == scaled
+            assert kappa(g, u, v).value == scaled
 
     def test_scaled_value_carries_method_tag(self, cp3_squared):
         from curvlab.transport import scaled_product_curvature
 
-        g, d = cp3_squared
+        g, _ = cp3_squared
         base = cocktail_party(3)
-        db = distances(base)
-        factor = kappa(base, db, 0, base.adjacency[0][0])
+        factor = kappa(base, 0, base.adjacency[0][0])
         derived = scaled_product_curvature(factor, 4, 8)
         assert derived.method == "product-formula"
-        assert derived.value == kappa(g, d, 0, g.adjacency[0][0]).value
+        assert derived.value == kappa(g, 0, g.adjacency[0][0]).value
 
 
 class TestRandomRegularAgainstOracle:
@@ -707,5 +718,5 @@ class TestRandomRegularAgainstOracle:
             p = Fraction(1, 5)
             for u, v in g.edges():
                 m1, m2 = idle_measure(g, u, p), idle_measure(g, v, p)
-                w, _ = wasserstein(d, m1, m2)
+                w, _ = wasserstein(g, m1, m2)
                 assert w == wasserstein_bruteforce(d, m1, m2)
