@@ -20,13 +20,6 @@ UNREACHABLE = -1
 _ANTIPODAL_BLOCK = 1 << 14
 
 
-def _adjacency(indptr, indices, n):
-    """Dense float64 0/1 adjacency of a CSR graph."""
-    adj = np.zeros((n, n), dtype=np.float64)
-    adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
-    return adj
-
-
 def _frontier_bfs(adj):
     """Hop distances from every source of a dense adjacency; -1 where unreachable.
 

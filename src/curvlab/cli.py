@@ -31,7 +31,7 @@ from .errors import (
 from .families import FamilySpec, from_spec
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .graph6 import encode_graph6, graph_to_json, load_graph
-from .graphs import DistanceOracle, Graph, distances
+from .graphs import Graph, distances
 from .parallel import map_shared
 from .report import analyze, be_row, float_str, frac_str, report_json
 from .sharpness import bm_sharpness, classify
@@ -77,21 +77,25 @@ def _load_connected(text: str) -> Graph:
     return g
 
 
-def _write_graph(g: Graph, out: str | None, as_json: bool) -> None:
-    if as_json or (out is not None and out.endswith(".json")):
-        payload = json.dumps(graph_to_json(g), sort_keys=True, indent=2) + "\n"
-    else:
-        payload = encode_graph6(g) + "\n"
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload)
+def _emit(text: str, out: str | None) -> None:
+    """Write text to stdout, or to the ``-o`` path when one is given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"{out}: cannot write: {exc.strerror}") from exc
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = _parse_spec_args(args.spec)
-    g = from_spec(spec)
-    _write_graph(g, args.output, args.json)
+    g = from_spec(_parse_spec_args(args.spec))
+    out = args.output
+    if args.json or (out is not None and out.endswith(".json")):
+        text = json.dumps(graph_to_json(g), sort_keys=True, indent=2) + "\n"
+    else:
+        text = encode_graph6(g) + "\n"
+    _emit(text, out)
     return 0
 
 
@@ -102,18 +106,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         skip_be=args.skip_be,
         skip_spherical=args.skip_spherical,
     )
-    text = report_json(report) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report_json(report) + "\n", args.output)
     return 0
 
 
-def _edge_kappa(
-    g: Graph, d: DistanceOracle, edge: tuple[int, int]
-) -> tuple[tuple[int, int], Fraction, str]:
-    g._adopt_distances(d)
+def _edge_kappa(g: Graph, edge: tuple[int, int]) -> tuple[tuple[int, int], Fraction, str]:
     val = kappa(g, *edge)
     return edge, val.value, val.method
 
@@ -137,7 +134,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         edges = g.edges()
         if not edges:
             raise NoEdges("the graph has no edges")
-        rows = map_shared(_edge_kappa, (g, distances(g)), edges, args.jobs)
+        rows = map_shared(_edge_kappa, (g,), edges, args.jobs)
         for (u, v), val, method in rows:
             print(f"{u} {v} {frac_str(val)} ({method})")
         print(f"inf = {frac_str(min(val for _, val, _ in rows))}")

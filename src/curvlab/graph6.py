@@ -98,20 +98,6 @@ def decode_graph6(s: str) -> Graph:
     return build_graph(n, edges)
 
 
-def read_graph6_file(path: str) -> list[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    return [decode_graph6(line) for line in lines]
-
-
-def write_graph6_file(path: str, graphs: list[Graph] | Graph) -> None:
-    if isinstance(graphs, Graph):
-        graphs = [graphs]
-    with open(path, "w", encoding="ascii") as fh:
-        for g in graphs:
-            fh.write(encode_graph6(g) + "\n")
-
-
 def graph_to_json(g: Graph) -> dict[str, Any]:
     doc: dict[str, Any] = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if g.labels is not None:
@@ -149,6 +135,8 @@ def load_graph(path: str) -> Graph:
             text = fh.read().strip()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from exc
     if not text:
         raise FormatError(f"{path}: empty file")
     if text.lstrip().startswith("{"):

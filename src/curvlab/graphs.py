@@ -2,10 +2,11 @@
 
 Vertices are dense integers ``0..n-1``; optional string labels carry
 generator provenance but never enter any algorithm.  Graphs are immutable
-and hashable, and each one owns its derived views: neighbour sets, CSR
-arrays, the dense float64 adjacency and the distance oracle, a dense int32
-matrix with ``-1`` marking unreachable pairs.  Each view is computed on
-first use and kept as long as the graph.
+and hashable, and each one owns its derived views: neighbour sets, degrees,
+the dense float64 adjacency and the distance oracle, a dense int32 matrix
+with ``-1`` marking unreachable pairs.  Each view is computed on first use,
+kept as long as the graph and read-only.  A pickled graph carries its
+distance oracle if it has computed one, and no other view.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ class Graph:
 
     # Derived views are cached on the instance; a frozen dataclass allows
     # this because cached_property writes the instance ``__dict__`` directly.
-    # A pickle carries none of them; a worker rebuilds what it reads.
+    # A pickle carries the distance oracle once computed, so a worker process
+    # repeats no all-pairs BFS, and rebuilds every other view it reads.
     def __reduce__(self):
-        return Graph, (self.n, self.adjacency, self.labels)
-
-    def _adopt_distances(self, d: DistanceOracle) -> None:
-        """Keep d, the oracle this graph had before pickling, unless it has one."""
-        self.__dict__.setdefault("_distances", d)
+        args = (self.n, self.adjacency, self.labels)
+        if "_distances" not in self.__dict__:
+            return Graph, args
+        return Graph, args, {"_distances": self._distances}
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -65,23 +66,19 @@ class Graph:
         return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        for v in range(self.n):
-            indptr[v + 1] = indptr[v] + len(self.adjacency[v])
-        indices = np.fromiter(
-            (w for nbrs in self.adjacency for w in nbrs), dtype=np.int32, count=int(indptr[-1])
-        )
-        return indptr, indices
-
-    @cached_property
     def dense_adjacency(self) -> np.ndarray:
         """Read-only float64 0/1 adjacency matrix."""
-        return _read_only(_kernels._adjacency(*self._csr, self.n))
+        adj = np.zeros((self.n, self.n), dtype=np.float64)
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        cols = np.fromiter(
+            (w for nbrs in self.adjacency for w in nbrs), dtype=np.intp, count=len(rows)
+        )
+        adj[rows, cols] = 1.0
+        return _read_only(adj)
 
     @cached_property
     def _distances(self) -> DistanceOracle:
-        dist = _read_only(_kernels.bfs_all_pairs(self.dense_adjacency))
+        dist = _kernels.bfs_all_pairs(self.dense_adjacency)
         connected = bool((dist >= 0).all()) if self.n > 0 else True
         diameter = int(dist.max()) if self.n > 0 else 0
         return DistanceOracle(dist=dist, diameter=diameter, is_connected=connected)
@@ -162,11 +159,21 @@ def build_graph(
 
 @dataclass(frozen=True, eq=False)
 class DistanceOracle:
-    """All-pairs BFS distances; ``dist[x, y] == -1`` means unreachable."""
+    """All-pairs BFS distances; ``dist[x, y] == -1`` means unreachable.
+
+    ``dist`` is read-only, also in an unpickled copy: pickle drops numpy's
+    flag, so an oracle pickles as its constructor call.
+    """
 
     dist: np.ndarray
     diameter: int
     is_connected: bool
+
+    def __post_init__(self) -> None:
+        _read_only(self.dist)
+
+    def __reduce__(self):
+        return DistanceOracle, (self.dist, self.diameter, self.is_connected)
 
     def d(self, x: int, y: int) -> int:
         return int(self.dist[x, y])
@@ -176,10 +183,6 @@ class DistanceOracle:
 
     def sphere(self, x: int, k: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.flatnonzero(self.dist[x] == k))
-
-    def ball(self, x: int, k: int) -> tuple[int, ...]:
-        row = self.dist[x]
-        return tuple(int(v) for v in np.flatnonzero((row >= 0) & (row <= k)))
 
 
 def distances(g: Graph) -> DistanceOracle:

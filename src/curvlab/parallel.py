@@ -1,11 +1,17 @@
 """Process pools for sweeps made of independent tasks.
 
-The arguments that every task of a sweep shares, such as a graph and its
-distance oracle, reach each worker once, through the pool initializer; a
-task then carries only its own item.  A pickled graph carries none of its
-cached views, so a sweep that reads the oracle passes it along.  Workers
-are spawned fresh, so a pool never inherits the threads of the parent
-process.
+The arguments that every task of a sweep shares, such as a graph, reach
+each worker once, through a queue that the pool initializer reads; a task
+then carries only its own item.  A pickled graph carries its distance
+oracle when the parent has computed one, and no other cached view.
+Workers are spawned fresh, so a pool never inherits the threads of the
+parent process.
+
+The shared arguments are not the pool's ``initargs``: those travel in the
+spawn handshake, and once they pass the pipe buffer (64 KiB; an oracle of
+more than 128 vertices does) the parent waits for each worker to import
+curvlab before it starts the next one.  Through the queue the workers
+start together.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ def pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _init_worker(*shared: Any) -> None:
+def _init_worker(inbox: Any) -> None:
     global _shared
-    _shared = shared
+    _shared = inbox.get()
 
 
 def _call_shared(fn: Callable[..., T], item: Any) -> T:
@@ -49,5 +55,9 @@ def map_shared(
     size = pool_size(jobs, len(items))
     if size == 1:
         return [fn(*shared, item) for item in items]
-    with get_context("spawn").Pool(size, initializer=_init_worker, initargs=shared) as pool:
+    ctx = get_context("spawn")
+    inbox = ctx.SimpleQueue()
+    with ctx.Pool(size, initializer=_init_worker, initargs=(inbox,)) as pool:
+        for _ in range(size):
+            inbox.put(shared)
         return pool.map(partial(_call_shared, fn), items)

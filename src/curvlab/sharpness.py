@@ -29,6 +29,7 @@ from .families import FamilySpec, from_spec
 from .graphs import (
     Graph,
     _cocktail_party_m,
+    common_neighbors,
     degree_triple,
     distances,
     induced_subgraph,
@@ -276,11 +277,10 @@ def mu_graphs_all_cp(g: Graph) -> MuGraphVerdict:
     d = distances(g)
     if not d.is_connected:
         raise Disconnected("mu-graph scan needs a connected graph")
-    nbrs = g._neighbor_sets
     counts: Counter[int] = Counter()
     pairs = ((x, y) for x in range(g.n) for y in d.sphere(x, 2) if y > x)
     for x, y in pairs:
-        m = _cocktail_party_m(g, nbrs[x] & nbrs[y])
+        m = _cocktail_party_m(g, common_neighbors(g, x, y))
         if m is None:
             return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, y))
         counts[m] += 1

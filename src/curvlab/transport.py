@@ -8,8 +8,9 @@ anywhere in this module.  W1 depends only on the difference of the two
 measures, so ``wasserstein`` leaves their shared mass in place and solves
 only the remainders.  ``kappa`` has one route, no fast path: the shared
 1-ball mass cancels and one assignment between the 1-ball differences is
-solved.  Perfect adjacency matchings are decided by the same assignment
-kernel.
+solved.  At an edge, the cost of that assignment also says whether the
+difference neighbourhoods have a perfect adjacency matching: ``kappa``
+labels the edge "matching" exactly then.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class CurvatureValue:
     value: Fraction
     flavour: str  # "kappa" | "kappa_p" | "kappa_lly"
     # "matching" (kappa at an edge whose reduced assignment costs C == |left|,
-    # i.e. a perfect adjacency matching) | "assignment" | "product-formula"
+    # i.e. a perfect adjacency matching) | "assignment"
     method: str
     p: Optional[Fraction] = None
 
@@ -354,17 +355,6 @@ def kappa_lly(g: Graph, x: int, y: int) -> CurvatureValue:
     )
 
 
-def scaled_product_curvature(
-    factor_value: CurvatureValue, deg_factor: int, deg_total: int
-) -> CurvatureValue:
-    """Curvature of a product edge obtained from a factor edge curvature."""
-    return CurvatureValue(
-        value=Fraction(deg_factor, deg_total) * factor_value.value,
-        flavour="kappa",
-        method="product-formula",
-    )
-
-
 def matching_sides(
     g: Graph, x: int, y: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -373,27 +363,6 @@ def matching_sides(
     left = tuple(u for u in g.adjacency[x] if u not in nxy and u != y)
     right = tuple(v for v in g.adjacency[y] if v not in nxy and v != x)
     return left, right
-
-
-def perfect_matching_between(
-    g: Graph, left: Sequence[int], right: Sequence[int]
-) -> Optional[dict[int, int]]:
-    """A perfect adjacency matching between two disjoint vertex sets, if any.
-
-    One assignment with cost 1 on an edge and 2 off it costs ``len(left)``
-    exactly when every pair it picks is an edge.
-    """
-    if len(left) != len(right):
-        return None
-    rows = []
-    for u in left:
-        nbrs = g.neighbor_set(u)
-        rows.append([1 if v in nbrs else 2 for v in right])
-    cost = np.array(rows, dtype=np.int64).reshape(len(left), len(right))
-    total, row_to_col = _kernels.hungarian(cost)
-    if int(total) != len(left):
-        return None
-    return {u: right[int(j)] for u, j in zip(left, row_to_col)}
 
 
 def unique_perfect_matching(
@@ -446,18 +415,6 @@ def unique_perfect_matching(
     return matching
 
 
-def curvature_via_matching(g: Graph, x: int, y: int) -> Optional[CurvatureValue]:
-    """``kappa`` at an edge whose triangle-and-matching certificate applies, else None.
-
-    The certificate applies exactly when ``kappa`` labels the edge
-    "matching"; the value is then (2 + |N_xy|)/D.
-    """
-    if not g.has_edge(x, y):
-        raise NotAnEdge(f"({x},{y}) is not an edge")
-    value = kappa(g, x, y)
-    return value if value.method == "matching" else None
-
-
 def certify_duality(
     g: Graph,
     m1: Measure,
@@ -490,7 +447,7 @@ def certify_duality(
 
 @dataclass(frozen=True)
 class TransportMap:
-    """A bijective transport map on 1-balls with its displacement record."""
+    """A bijective transport map on 1-balls and its cost."""
 
     source: int
     target: int
@@ -502,10 +459,6 @@ class TransportMap:
             if u == v:
                 return w
         raise KeyError(v)
-
-    def displacements(self, g: Graph) -> dict[int, int]:
-        d = distances(g)
-        return {u: d.d(u, w) for u, w in self.mapping}
 
 
 def tpm_transport_map(

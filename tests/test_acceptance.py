@@ -42,7 +42,6 @@ from curvlab.sharpness import (
 from curvlab.spectral import normalized_laplacian_apply, verify_distance_eigenfunction
 from curvlab.tables import compute_table
 from curvlab.transport import (
-    curvature_via_matching,
     geodesic_between,
     idle_measure,
     interval_antipole,
@@ -300,17 +299,14 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
             # value when it fires, a strict upper bound when it cannot
             tri = len(common_neighbors(g, u, v))
             bound = Fraction(2 + tri, deg)
-            matched = edge_has_perfect_matching(g, u, v)
-            fast = curvature_via_matching(g, u, v)
-            assert (fast is not None) == matched, f"graph {index} edge ({u},{v})"
-            if matched:
-                assert fast.value == k_assign, f"graph {index} edge ({u},{v})"
-            else:
-                assert k_assign < bound, f"graph {index} edge ({u},{v})"
-            assert k_assign <= bound
             # kappa's reduced route against the bijection oracle, and its
             # "matching" label against the enumerated perfect matchings
+            matched = edge_has_perfect_matching(g, u, v)
             reduced = kappa(g, u, v)
             assert reduced.value == k_assign, f"graph {index} edge ({u},{v})"
-            assert (reduced.method == "matching") == matched
+            assert (reduced.method == "matching") == matched, f"graph {index} edge ({u},{v})"
+            if matched:
+                assert k_assign == bound, f"graph {index} edge ({u},{v})"
+            else:
+                assert k_assign < bound, f"graph {index} edge ({u},{v})"
     _report(8, "assignment vs exhaustive-coupling oracle on 200 random 4-regular graphs", t0)

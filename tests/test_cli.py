@@ -42,6 +42,29 @@ def test_import_pulls_in_no_scipy_or_numba():
     assert out.strip() == "[]"
 
 
+def test_every_public_name_resolves():
+    import curvlab
+
+    assert [name for name in curvlab.__all__ if not hasattr(curvlab, name)] == []
+    assert len(set(curvlab.__all__)) == len(curvlab.__all__)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{tmp}"],
+        ["gen", "hypercube", "2", "-o", "{tmp}/missing/x.g6"],
+        ["analyze", "hypercube:2", "-o", "{tmp}/missing/x.json"],
+    ],
+    ids=["read-directory", "gen-write", "analyze-write"],
+)
+def test_os_error_exit2(tmp_path, capsys, argv):
+    # an unreadable input or an unwritable -o path was a traceback and exit 1
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -115,6 +115,12 @@ def test_malformed_file_exit2(tmp_path, capsys, name, content):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unreadable_input_is_a_format_error(tmp_path):
+    # a directory was an IsADirectoryError traceback
+    with pytest.raises(FormatError, match="cannot read"):
+        load_graph(str(tmp_path))
+
+
 # small JSON values of every type, so that graph documents get past the
 # parser; integers stay small because a valid document with a huge "n"
 # would really be built

@@ -143,22 +143,29 @@ class TestCachedViews:
             g.dense_adjacency[0, 1] = 0.0
 
     def test_pickle_carries_no_cached_view(self):
+        # a graph that has not computed its oracle pickles as its fields
         g = hypercube(3)
-        distances(g), g.neighbor_set(0), g.degrees
+        g.dense_adjacency, g.neighbor_set(0), g.degrees
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g and clone.labels == g.labels
         assert set(vars(clone)) == {"n", "adjacency", "labels"}
         assert (distances(clone).dist == distances(g).dist).all()
 
-    def test_clone_adopts_the_pickled_oracle(self, monkeypatch):
+    def test_pickle_carries_a_computed_oracle(self, monkeypatch):
+        # a computed oracle travels with the graph, read-only, and no other view does
         g = hypercube(4)
         d = distances(g)
-        clone, shipped = pickle.loads(pickle.dumps((g, d)))
+        g.dense_adjacency, g.neighbor_set(0), g.degrees
+        clone = pickle.loads(pickle.dumps(g))
+        assert set(vars(clone)) == {"n", "adjacency", "labels", "_distances"}
         bfs = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
-        clone._adopt_distances(shipped)
-        assert distances(clone) is shipped and bfs == []
-        g._adopt_distances(shipped)
-        assert distances(g) is d
+        shipped = distances(clone)
+        assert bfs == []
+        assert (shipped.dist == d.dist).all()
+        assert (shipped.diameter, shipped.is_connected) == (d.diameter, d.is_connected)
+        with pytest.raises(ValueError):
+            shipped.dist[0, 1] = 2
+        assert not pickle.loads(pickle.dumps(d)).dist.flags.writeable
 
 
 class TestInterval:

@@ -1,5 +1,7 @@
 """Pool sizing and the shared-argument map."""
 
+import operator
+
 import pytest
 
 from curvlab import parallel
@@ -37,3 +39,10 @@ def test_map_shared_pool_matches_in_process(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     items = list(range(7))
     assert map_shared(pow, (2,), items, jobs=2) == [2**x for x in items]
+
+
+def test_map_shared_pool_takes_shared_arguments_past_the_pipe_buffer(monkeypatch):
+    # 128 KiB of shared data, twice the pipe buffer, reaches every worker
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    blob = bytes(range(256)) * 512
+    assert map_shared(operator.getitem, (blob,), [0, 255, 131071], jobs=2) == [0, 255, 255]

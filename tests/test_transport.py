@@ -28,12 +28,11 @@ from curvlab.families import (
     johnson,
 )
 from curvlab.fixtures import load_fixture
-from curvlab.graphs import build_graph, cartesian_product, distances, interval
+from curvlab.graphs import build_graph, cartesian_product, common_neighbors, distances, interval
 from curvlab.transport import (
     Measure,
     TransportPlan,
     certify_duality,
-    curvature_via_matching,
     geodesic_between,
     idle_measure,
     interval_antipole,
@@ -41,7 +40,6 @@ from curvlab.transport import (
     kappa_lly,
     kappa_p,
     matching_sides,
-    perfect_matching_between,
     switching_map,
     tpm_transport_map,
     transport_geodesic,
@@ -339,43 +337,60 @@ class TestKappa:
             kappa_lly(g, 0, 3)
 
 
+def _certificate(g, x, y):
+    """(2 + |N_xy|)/D, kappa at an edge with a perfect adjacency matching."""
+    return Fraction(2 + len(common_neighbors(g, x, y)), g.is_regular())
+
+
 class TestMatchingFastPath:
+    """kappa labels an edge "matching" exactly when its difference
+    neighbourhoods have a perfect adjacency matching, and its value is then
+    (2 + |N_xy|)/D."""
+
     def test_hypercube(self, q4):
         g, _ = q4
-        val = curvature_via_matching(g, 0, 1)
-        assert val is not None and val.value == Fraction(2, 4)
+        val = kappa(g, 0, 1)
         assert edge_has_perfect_matching(g, 0, 1)
+        assert val.method == "matching" and val.value == _certificate(g, 0, 1) == Fraction(2, 4)
 
     def test_gosset(self, gosset_graph):
+        # 10 vertices a side: the unique matching is the witness, as
+        # enumerating 10! bijections would be slow
         g, _ = gosset_graph
-        val = curvature_via_matching(g, 0, g.adjacency[0][0])
-        assert val is not None and val.value == Fraction(18, 27)
+        y = g.adjacency[0][0]
+        val = kappa(g, 0, y)
+        assert unique_perfect_matching(g, *matching_sides(g, 0, y)) is not None
+        assert val.method == "matching" and val.value == _certificate(g, 0, y) == Fraction(18, 27)
 
     def test_demi6(self, demi6):
         g, _ = demi6
-        val = curvature_via_matching(g, 0, g.adjacency[0][0])
-        assert val is not None and val.value == Fraction(10, 15)
-        assert edge_has_perfect_matching(g, 0, g.adjacency[0][0])
+        y = g.adjacency[0][0]
+        val = kappa(g, 0, y)
+        assert edge_has_perfect_matching(g, 0, y)
+        assert val.method == "matching" and val.value == _certificate(g, 0, y) == Fraction(10, 15)
 
     def test_pentagon_has_no_matching(self):
         g = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        val = kappa(g, 0, 1)
         assert not edge_has_perfect_matching(g, 0, 1)
-        assert curvature_via_matching(g, 0, 1) is None
+        assert val.method == "assignment" and val.value < _certificate(g, 0, 1)
 
     def test_agrees_with_assignment_when_it_fires(self, cp4):
         g, d = cp4
         deg = g.is_regular()
         p = Fraction(1, deg + 1)
         for u, v in g.edges():
-            fast = curvature_via_matching(g, u, v)
+            val = kappa(g, u, v)
             # the matching label against bijection enumeration, and the value
             # against min-cost flow on the full, uncancelled 1-ball supports
-            assert (fast is not None) == edge_has_perfect_matching(g, u, v)
+            matched = edge_has_perfect_matching(g, u, v)
+            assert (val.method == "matching") == matched
             slow = Fraction(deg + 1, deg) * (
                 1 - wasserstein_full_flow(d, idle_measure(g, u, p), idle_measure(g, v, p))
             )
-            if fast is not None:
-                assert fast.value == slow
+            assert val.value == slow
+            if matched:
+                assert val.value == _certificate(g, u, v)
 
 
 class TestReducedRoute:
@@ -465,7 +480,7 @@ class TestTpmMap:
     def test_q3_cost(self, q3):
         g, d = q3
         left, right = matching_sides(g, 0, 1)
-        matching = perfect_matching_between(g, left, right)
+        matching = unique_perfect_matching(g, left, right)
         t = tpm_transport_map(g, 0, 1, matching)
         assert t.cost == Fraction(1, 2)
         assert all(d.d(u, v) <= 1 for u, v in t.mapping)
@@ -474,14 +489,14 @@ class TestTpmMap:
         g, _ = gosset_graph
         y = g.adjacency[0][0]
         left, right = matching_sides(g, 0, y)
-        matching = perfect_matching_between(g, left, right)
+        matching = unique_perfect_matching(g, left, right)
         assert tpm_transport_map(g, 0, y, matching).cost == Fraction(10, 28)
 
     def test_cp3_cost(self, cp3):
         g, _ = cp3
         y = g.adjacency[0][0]
         left, right = matching_sides(g, 0, y)
-        matching = perfect_matching_between(g, left, right)
+        matching = unique_perfect_matching(g, left, right)
         assert tpm_transport_map(g, 0, y, matching).cost == Fraction(1, 5)
 
     def test_bad_matching_rejected(self, q3):
@@ -496,7 +511,7 @@ class TestTpmMap:
         g = johnson(6, 3)
         y = g.adjacency[0][0]
         left, right = matching_sides(g, 0, y)
-        by_matching = tpm_transport_map(g, 0, y, perfect_matching_between(g, left, right))
+        by_matching = tpm_transport_map(g, 0, y, unique_perfect_matching(g, left, right))
         assert unique_tpm_transport_map(g, 0, y) == by_matching
         assert bfs == []
 
@@ -696,16 +711,6 @@ class TestProductFormula:
         scaled = Fraction(4, 8) * k_base
         for u, v in g.edges():
             assert kappa(g, u, v).value == scaled
-
-    def test_scaled_value_carries_method_tag(self, cp3_squared):
-        from curvlab.transport import scaled_product_curvature
-
-        g, _ = cp3_squared
-        base = cocktail_party(3)
-        factor = kappa(base, 0, base.adjacency[0][0])
-        derived = scaled_product_curvature(factor, 4, 8)
-        assert derived.method == "product-formula"
-        assert derived.value == kappa(g, 0, g.adjacency[0][0]).value
 
 
 class TestRandomRegularAgainstOracle:
