@@ -100,6 +100,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.output and not Path(args.output).parent.is_dir():
+        _emit("", args.output)  # fails now as it would after the analysis
     report = analyze(
         _load_connected(args.input),
         name=args.name or args.input,

@@ -38,7 +38,7 @@ from .graphs import (
     poles_and_antipoles,
     triangle_count_edge,
 )
-from .isomorphism import find_isomorphism
+from .isomorphism import automorphism_orbits, find_isomorphism
 from .spectral import adjacency_spectrum
 from .transport import (
     tpm_transport_map,
@@ -242,15 +242,32 @@ class SphericalVerdict:
 def is_strongly_spherical(g: Graph) -> SphericalVerdict:
     """The graph and all its intervals are antipodal.
 
-    Each interval is measured with the metric of its induced subgraph.
+    Each interval is measured with the metric of its induced subgraph.  The
+    whole graph is checked first, so a graph that fails there makes no
+    automorphism search.  The intervals are then scanned in row-major order,
+    (x, y) with x < y, but only in the rows of orbit representatives, the
+    smallest vertex of each orbit of the automorphism group.
+
+    Representatives suffice: an automorphism s maps I(x, y) onto I(sx, sy)
+    and the induced subgraph onto the induced subgraph, so the two are
+    antipodal together.  Of all pairs in the orbit of {x, y}, take the
+    row-major first, (a, b).  Then a is a representative, since an
+    automorphism taking a to the smaller representative of its orbit would
+    give an earlier pair.  So ``failure`` is the full scan's, and no second
+    scan is needed: the full scan's first failing pair is the row-major
+    first of its orbit, so it lies in a representative's row, and every pair
+    scanned before it in the reduced order comes before it in the full order
+    too, where it held.  Each automorphism behind the orbits was verified
+    edge by edge (:func:`curvlab.isomorphism.automorphism_orbits`).
     """
     d = distances(g)
     if not d.is_connected:
         raise Disconnected("strong sphericity needs a connected graph")
     if not _kernels.is_antipodal_matrix(d.dist):
         return SphericalVerdict(False, None)
+    representatives, _ = automorphism_orbits(g)
     adj = g.dense_adjacency
-    for x in range(g.n):
+    for x in sorted(set(representatives)):
         for y in range(x + 1, g.n):
             members = _kernels.interval_members(d.dist[x], d.dist[y], d.d(x, y))
             if members.shape[0] == g.n:

@@ -5,9 +5,10 @@ exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, perfect matchings by permutation enumeration,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set, intersection arrays by a scan of every
-ordered vertex pair, isomorphism by permutation enumeration, cocktail
-party graphs by their complement, mu-graphs by building each one, random
-regular graphs by stub pairing.
+ordered vertex pair, isomorphism and automorphism orbits by permutation
+enumeration, strong sphericity by the full row-major interval scan,
+cocktail party graphs by their complement, mu-graphs by building each one,
+random regular graphs by stub pairing.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from curvlab import _kernels
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
-from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, mu_graph
-from curvlab.sharpness import MuGraphVerdict
+from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, distances, mu_graph
+from curvlab.sharpness import MuGraphVerdict, SphericalVerdict
 from curvlab.transport import Measure, _transportation
 
 
@@ -170,6 +172,32 @@ def intersection_array_by_pairs(
     if any(len(values) != 1 for values in b + c[1:]):
         return None
     return tuple(v for (v,) in b), tuple(v for (v,) in c[1:])
+
+
+def spherical_row_major(g: Graph) -> SphericalVerdict:
+    """Strong sphericity by the whole-graph check and then every interval
+    I(x, y), x < y, in row-major order, with no automorphism used."""
+    d = distances(g)
+    if not _kernels.is_antipodal_matrix(d.dist):
+        return SphericalVerdict(False, None)
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            members = _kernels.interval_members(d.dist[x], d.dist[y], d.d(x, y))
+            dm = _kernels.induced_distances(g.dense_adjacency, members)
+            if (dm < 0).any() or not _kernels.is_antipodal_matrix(dm):
+                return SphericalVerdict(False, (x, y))
+    return SphericalVerdict(True, None)
+
+
+def orbit_representatives_bruteforce(g: Graph) -> tuple[int, ...]:
+    """The smallest vertex of each vertex's automorphism orbit, by
+    enumerating every permutation."""
+    edges = {frozenset(e) for e in g.edges()}
+    automorphisms = [
+        p for p in permutations(range(g.n))
+        if all(frozenset((p[u], p[v])) in edges for u, v in g.edges())
+    ]
+    return tuple(min(p[x] for p in automorphisms) for x in range(g.n))
 
 
 def isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:

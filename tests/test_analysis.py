@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from curvlab import cli
 from curvlab.analysis import GraphAnalysis
 from curvlab.cli import main
@@ -89,3 +91,22 @@ def test_find_isomorphism_one_oracle_per_graph(monkeypatch):
     assert find_isomorphism(h, g) is not None
     (first,), (second,) = oracles
     assert first is g.dense_adjacency and second is h.dense_adjacency
+
+
+@pytest.mark.parametrize(
+    "argv, searches",
+    [
+        (["analyze", "hypercube:3"], 1),
+        (["analyze", "hypercube:3", "--skip-spherical"], 0),
+        (["table", "1"], 0),
+        (["classify", "johnson:6:3"], 0),
+        # both fail the whole-graph antipodality check
+        (["analyze", "shrikhande"], 0),
+        (["analyze", "chang1"], 0),
+    ],
+)
+def test_automorphism_search_only_for_the_interval_scan(monkeypatch, capsys, argv, searches):
+    orbits = record_calls(monkeypatch, "isomorphism", "automorphism_orbits")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(orbits) == searches

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvlab import graphs
+from curvlab import cli, graphs
 from curvlab.cli import main
+from curvlab.errors import InputError
 from curvlab.families import FAMILIES
 from curvlab.graph6 import decode_graph6, encode_graph6
 
@@ -63,6 +64,19 @@ def test_os_error_exit2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_analyze_refuses_output_path_before_the_analysis(tmp_path, capsys, monkeypatch, parent):
+    def analyze(*args, **kwargs):
+        raise AssertionError("analyze ran before the -o path was checked")
+
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / parent / "x.json")
+    monkeypatch.setattr(cli, "analyze", analyze)
+    with pytest.raises(InputError) as late:
+        cli._emit("", out)
+    assert run(capsys, "analyze", "hypercube:2", "-o", out) == (2, "", f"error: {late.value}\n")
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,22 @@ from curvlab.families import (
     schlafli,
     shrikhande,
 )
+from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, induced_subgraph
-from curvlab.isomorphism import are_isomorphic, find_isomorphism, verify_isomorphism
+from curvlab.isomorphism import (
+    are_isomorphic,
+    automorphism_orbits,
+    find_isomorphism,
+    verify_isomorphism,
+)
 
-from helpers import SAMPLE_GRAPHS, isomorphic_bruteforce, sample_graph
+from helpers import (
+    SAMPLE_GRAPHS,
+    isomorphic_bruteforce,
+    orbit_representatives_bruteforce,
+    record_calls,
+    sample_graph,
+)
 
 
 def _relabelled(g, perm):
@@ -88,3 +100,36 @@ def test_verdict_matches_bruteforce_on_small_graphs(n, data):
     mapping = find_isomorphism(g, h)
     assert (mapping is not None) == isomorphic_bruteforce(g, h)
     assert mapping is None or verify_isomorphism(g, h, mapping)
+
+
+@given(st.integers(min_value=0, max_value=7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_orbits_match_bruteforce_on_small_graphs(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if data.draw(st.booleans()):
+        # a disjoint union of relabelled copies of one graph: symmetric, and
+        # disconnected when there are two copies
+        half = n // 2
+        copy = [(u, v) for u, v in pairs if v < half and data.draw(st.booleans())]
+        edges = copy + [(u + half, v + half) for u, v in copy]
+        g = _relabelled(build_graph(n, edges), data.draw(st.permutations(range(n))))
+    else:
+        g = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+    representatives, automorphisms = automorphism_orbits(g)
+    assert representatives == orbit_representatives_bruteforce(g)
+    assert all(verify_isomorphism(g, g, sigma) for sigma in automorphisms)
+
+
+def test_chang1_has_two_orbits():
+    g = load_fixture("chang1")
+    representatives, automorphisms = automorphism_orbits(g)
+    assert len(set(representatives)) == 2
+    assert all(verify_isomorphism(g, g, sigma) for sigma in automorphisms)
+
+
+def test_discrete_colouring_makes_no_search(monkeypatch):
+    # an asymmetric graph whose distance profiles already tell every vertex apart
+    g = build_graph(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)])
+    searches = record_calls(monkeypatch, "isomorphism", "_search_from")
+    assert automorphism_orbits(g) == (tuple(range(6)), ())
+    assert searches == []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,8 +25,9 @@ from curvlab.graphs import (
     interval,
     poles_and_antipoles,
 )
-from curvlab.isomorphism import verify_isomorphism
+from curvlab.isomorphism import automorphism_orbits, verify_isomorphism
 from curvlab.sharpness import (
+    SphericalVerdict,
     bm_sharpness,
     classify,
     degree_recursions,
@@ -48,6 +50,7 @@ from helpers import (
     random_regular_graph,
     record_calls,
     sample_graph,
+    spherical_row_major,
 )
 
 
@@ -230,6 +233,40 @@ class TestAntipodal:
             is_antipodal(g, {0, 7})
 
 
+def _cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _rhombic_dodecahedron():
+    octahedron = [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    cube = list(product((1, -1), repeat=3))
+    return build_graph(14, [
+        (a, 6 + b) for a, o in enumerate(octahedron) for b, c in enumerate(cube)
+        if all(oi in (0, ci) for oi, ci in zip(o, c))
+    ])
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+# antipodal graphs beside SAMPLE_GRAPHS, some relabelled; all but
+# J(6,3)xCP(2) fail strong sphericity
+_SPHERICAL_CASES = {
+    "C6": lambda: _cycle(6),
+    "C8": lambda: _cycle(8),
+    "C6xK2": lambda: cartesian_product(_cycle(6), complete(2)),
+    "rhombic dodecahedron": _rhombic_dodecahedron,
+    "shuffled C6xK2": lambda: _shuffled(cartesian_product(_cycle(6), complete(2)), 1),
+    "shuffled rhombic dodecahedron": lambda: _shuffled(_rhombic_dodecahedron(), 2),
+    "shuffled J(6,3)xCP(2)": lambda: _shuffled(
+        cartesian_product(johnson(6, 3), cocktail_party(2)), 3
+    ),
+}
+
+
 class TestStronglySpherical:
     def test_families_positive(self, q3, q4, cp3, cp4, j63):
         for g, _ in (q3, q4, cp3, cp4, j63):
@@ -253,6 +290,27 @@ class TestStronglySpherical:
         g = cartesian_product(hypercube(2), cocktail_party(3))
         assert not bm_sharpness(GraphAnalysis(g)).is_bm_sharp
         assert is_strongly_spherical(g).holds
+
+    @pytest.mark.parametrize(
+        "name, failure", [("C6", (0, 2)), ("C8", (0, 2)), ("C6xK2", (0, 4))]
+    )
+    def test_failure_pair(self, name, failure):
+        # antipodal as a whole; the first interval that is not is a path
+        g = _SPHERICAL_CASES[name]()
+        assert is_strongly_spherical(g) == SphericalVerdict(False, failure)
+
+    def test_failure_pair_outside_representatives(self):
+        # two orbits, octahedron vertices 0-5 and cube vertices 6-13; the
+        # first failing interval ends at cube vertex 10, which is neither a
+        # representative nor in the orbit of the row it fails in
+        g = _SPHERICAL_CASES["rhombic dodecahedron"]()
+        assert automorphism_orbits(g)[0] == (0,) * 6 + (6,) * 8
+        assert is_strongly_spherical(g) == SphericalVerdict(False, (0, 10))
+
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS + tuple(_SPHERICAL_CASES))
+    def test_representatives_agree_with_full_scan(self, name):
+        g = _SPHERICAL_CASES[name]() if name in _SPHERICAL_CASES else sample_graph(name)
+        assert is_strongly_spherical(g) == spherical_row_major(g)
 
 
 class TestMuGraphsAllCP:
