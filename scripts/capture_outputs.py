@@ -7,15 +7,15 @@ on a fixed command list and writes each command's stdout to
 also gets ``OUTDIR/<name>.err`` with its exit code and stderr.  The
 commands are ``table 1|2|3 --json``; full and ``--skip-spherical``
 ``analyze``, ``spectral``, ``classify`` and ``sharpness`` on Gosset, Hall,
-Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default, ``--jobs 2`` and
-``--vertex 0``) on those four and J(6,3)xCP(2); ``curvature --all-edges``
-(default and ``--jobs 2``) on Chang1; ``curvature`` on single pairs, with
-and without ``--p`` and ``--plan``, one of them a refused equal pair;
-``transport-geodesic`` on the 3-cube, along a full-length path and a
-refused short one; and ``gen johnson 8 4`` and ``gen kneser 9 4``, as
-graph6 and as ``--json``.  The two products are built with ``gen
-product`` into ``OUTDIR/inputs`` and every command runs there, so the input
-names that reports print are the same in every capture.
+Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default and ``--vertex 0``) on
+those four and J(6,3)xCP(2); ``curvature --all-edges`` on Chang1;
+``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
+one of them a refused equal pair; ``transport-geodesic`` on the 3-cube,
+along a full-length path and a refused short one; and ``gen johnson 8 4``
+and ``gen kneser 9 4``, as graph6 and as ``--json``.  The two products
+are built with ``gen product`` into ``OUTDIR/inputs`` and every command
+runs there, so the input names that reports print are the same in every
+capture.
 
 Capture once before a change and once after it, from two checkouts, and
 compare:
@@ -24,7 +24,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 52 commands run one after another and take about 30 s on a 2-core
+The 46 commands run one after another and take about 30 s on a 2-core
 machine.
 """
 
@@ -70,12 +70,8 @@ def commands() -> list[tuple[str, list[str]]]:
     for g in BAKRY_EMERY:
         stem = g.removesuffix(".g6")
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
-        out.append((f"bakry-emery-jobs2-{stem}", ["bakry-emery", g, "--jobs", "2"]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
     out.append(("curvature-all-edges-chang1", ["curvature", "chang1", "--all-edges"]))
-    out.append(
-        ("curvature-all-edges-jobs2-chang1", ["curvature", "chang1", "--all-edges", "--jobs", "2"])
-    )
     out.extend(PAIRS)
     for spec in GENERATED:
         stem = "-".join(spec)

@@ -32,7 +32,6 @@ from .families import FamilySpec, from_spec
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .graph6 import encode_graph6, graph_to_json, load_graph
 from .graphs import Graph, distances
-from .parallel import map_shared
 from .report import analyze, be_row, float_str, frac_str, report_json
 from .sharpness import bm_sharpness, classify
 from .spectral import spectral_summary
@@ -112,11 +111,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _edge_kappa(g: Graph, edge: tuple[int, int]) -> tuple[tuple[int, int], Fraction, str]:
-    val = kappa(g, *edge)
-    return edge, val.value, val.method
-
-
 def _check_vertices(g: Graph, *vertices: int) -> None:
     """Reject vertex ids outside [0, n); numpy would wrap negative ones."""
     for v in vertices:
@@ -136,10 +130,10 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         edges = g.edges()
         if not edges:
             raise NoEdges("the graph has no edges")
-        rows = map_shared(_edge_kappa, (g,), edges, args.jobs)
-        for (u, v), val, method in rows:
-            print(f"{u} {v} {frac_str(val)} ({method})")
-        print(f"inf = {frac_str(min(val for _, val, _ in rows))}")
+        values = [kappa(g, u, v) for u, v in edges]
+        for (u, v), val in zip(edges, values):
+            print(f"{u} {v} {frac_str(val.value)} ({val.method})")
+        print(f"inf = {frac_str(min(val.value for val in values))}")
         return 0
     if args.x is None or args.y is None:
         raise InputError("curvature needs x and y (or --all-edges)")
@@ -180,7 +174,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
         _check_vertices(g, args.vertex)
         print(json.dumps(be_row(be_curvature(g, args.vertex)), sort_keys=True, indent=2))
         return 0
-    reports = map_shared(be_curvature, (g,), range(g.n), args.jobs)
+    reports = [be_curvature(g, x) for x in range(g.n)]
     doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
         scan = conjecture_scan(g, [r.curvature for r in reports])
@@ -223,7 +217,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows, diffs = compute_table(args.id, jobs=args.jobs)
+    rows, diffs = compute_table(args.id)
     print(render_table(rows))
     if args.json:
         print(json.dumps({"rows": rows}, sort_keys=True, indent=2))
@@ -253,17 +247,6 @@ def cmd_transport_geodesic(args: argparse.Namespace) -> int:
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
-
-
-def _jobs(text: str) -> int:
-    """The ``--jobs`` value: a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
 
 
 def _idleness(text: str) -> Fraction:
@@ -308,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_idleness, default=None, help="idleness as a fraction a/b")
     p.add_argument("--all-edges", action="store_true")
     p.add_argument("--plan", action="store_true", help="dump the optimal coupling")
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("spectral", help="normalized Laplacian spectrum summary")
@@ -318,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bakry-emery", help="Bakry-Emery infinity-curvature")
     p.add_argument("input")
     p.add_argument("--vertex", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_bakry_emery)
 
     p = sub.add_parser("sharpness", help="Bonnet-Myers sharpness verdict")
@@ -332,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce an analysis table and verify cells")
     p.add_argument("id", type=int, choices=(1, 2, 3))
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("transport-geodesic", help="push a vertex along a geodesic")

@@ -6,7 +6,7 @@ and hashable, and each one owns its derived views: neighbour sets, degrees,
 the dense float64 adjacency and the distance oracle, a dense int32 matrix
 with ``-1`` marking unreachable pairs.  Each view is computed on first use,
 kept as long as the graph and read-only.  A pickled graph carries its
-distance oracle if it has computed one, and no other view.
+fields only, and no view.
 """
 
 from __future__ import annotations
@@ -49,13 +49,9 @@ class Graph:
 
     # Derived views are cached on the instance; a frozen dataclass allows
     # this because cached_property writes the instance ``__dict__`` directly.
-    # A pickle carries the distance oracle once computed, so a worker process
-    # repeats no all-pairs BFS, and rebuilds every other view it reads.
+    # A pickle carries the fields only, so no cached view is copied.
     def __reduce__(self):
-        args = (self.n, self.adjacency, self.labels)
-        if "_distances" not in self.__dict__:
-            return Graph, args
-        return Graph, args, {"_distances": self._distances}
+        return Graph, (self.n, self.adjacency, self.labels)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

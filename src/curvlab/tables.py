@@ -37,7 +37,6 @@ from .graphs import (
     is_strongly_regular,
 )
 from .isomorphism import find_isomorphism
-from .parallel import map_shared
 from .report import frac_str
 
 SPECTRAL_TOL = 1e-9
@@ -240,10 +239,8 @@ _TABLE3 = Table(
 TABLES = {1: _TABLE1, 2: _TABLE2, 3: _TABLE3}
 
 
-def compute_row(table_id: int, index: int) -> tuple[dict[str, str], list[CellDiff]]:
+def compute_row(table: Table, row: Row) -> tuple[dict[str, str], list[CellDiff]]:
     """One row's cells, recomputed from its graph, and its mismatches."""
-    table = TABLES[table_id]
-    row = table.rows[index]
     ctx = GraphAnalysis(row.build())
     cells = {"graph": row.name}
     diffs = []
@@ -257,12 +254,10 @@ def compute_row(table_id: int, index: int) -> tuple[dict[str, str], list[CellDif
     return cells, diffs
 
 
-def compute_table(table_id: int, jobs: int = 1) -> tuple[list[dict[str, str]], list[CellDiff]]:
-    """Compute a table, optionally with one worker process per row.
-
-    Row order (and hence output) is identical for any job count.
-    """
-    pieces = map_shared(compute_row, (table_id,), range(len(TABLES[table_id].rows)), jobs)
+def compute_table(table_id: int) -> tuple[list[dict[str, str]], list[CellDiff]]:
+    """Compute a table row by row, in the order its rows are listed."""
+    table = TABLES[table_id]
+    pieces = [compute_row(table, row) for row in table.rows]
     return [cells for cells, _ in pieces], [diff for _, diffs in pieces for diff in diffs]
 
 

@@ -529,7 +529,7 @@ def transport_geodesic(g: Graph, geodesic: Sequence[int], z: int) -> TransportGe
             raise NotFullLength(f"({a},{b}) along the path is not an edge")
     if d.d(path[0], path[-1]) != L:
         raise NotFullLength("vertex sequence is not a geodesic")
-    if d.d(path[0], z) > 1:
+    if not 0 <= d.d(path[0], z) <= 1:
         raise PreconditionUnmet(f"{z} is not in the 1-ball of {path[0]}")
     waypoints = [z]
     for a, b in zip(path, path[1:]):
@@ -574,7 +574,9 @@ def interval_antipole(g: Graph, x: int, y: int, x1: int) -> int:
     """
     d = distances(g)
     k = d.d(x, y)
-    if k < 1:
+    if k < 0:
+        raise Disconnected(f"no path between {x} and {y}")
+    if k == 0:
         raise SamePair("interval antipole needs distinct endpoints")
     iv = interval(g, x, y)
     if x1 not in iv or d.d(x, x1) != 1:

@@ -151,20 +151,21 @@ class TestCachedViews:
         assert set(vars(clone)) == {"n", "adjacency", "labels"}
         assert (distances(clone).dist == distances(g).dist).all()
 
-    def test_pickle_carries_a_computed_oracle(self, monkeypatch):
-        # a computed oracle travels with the graph, read-only, and no other view does
+    def test_pickle_drops_a_computed_oracle(self, monkeypatch):
+        # a graph pickles as its fields even once its oracle is computed; the
+        # clone runs its own BFS, once, and a pickled oracle stays read-only
         g = hypercube(4)
         d = distances(g)
         g.dense_adjacency, g.neighbor_set(0), g.degrees
         clone = pickle.loads(pickle.dumps(g))
-        assert set(vars(clone)) == {"n", "adjacency", "labels", "_distances"}
+        assert set(vars(clone)) == {"n", "adjacency", "labels"}
         bfs = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
-        shipped = distances(clone)
-        assert bfs == []
-        assert (shipped.dist == d.dist).all()
-        assert (shipped.diameter, shipped.is_connected) == (d.diameter, d.is_connected)
+        rebuilt = distances(clone)
+        assert len(bfs) == 1 and distances(clone) is rebuilt
+        assert (rebuilt.dist == d.dist).all()
+        assert (rebuilt.diameter, rebuilt.is_connected) == (d.diameter, d.is_connected)
         with pytest.raises(ValueError):
-            shipped.dist[0, 1] = 2
+            rebuilt.dist[0, 1] = 2
         assert not pickle.loads(pickle.dumps(d)).dist.flags.writeable
 
 

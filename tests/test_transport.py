@@ -571,6 +571,14 @@ class TestTransportGeodesic:
         with pytest.raises(Disconnected):
             geodesic_between(g, 0, 1, via=(2,))
 
+    def test_z_in_another_component_rejected(self):
+        from curvlab.errors import PreconditionUnmet
+
+        g = build_graph(4, [(0, 1), (2, 3)])  # 2K2: diameter 1, path 0-1 is full length
+        for z in (2, 3):
+            with pytest.raises(PreconditionUnmet):
+                transport_geodesic(g, (0, 1), z)
+
     def test_structured_error_without_sharpness(self, petersen):
         # girth 5 leaves no perfect matching for the step maps
         from curvlab.errors import NotBMSharp
@@ -631,6 +639,13 @@ class TestIntervalAntipole:
             for x1 in sorted(interval(g, x, y) & set(g.adjacency[x]))[:2]:
                 z = interval_antipole(g, x, y, x1)
                 assert z in interval(g, x, y) and d.d(x1, z) == d.d(x, y)
+
+    def test_unreachable_endpoint_is_disconnected(self):
+        g = build_graph(4, [(0, 1), (2, 3)])  # 2K2
+        with pytest.raises(Disconnected):
+            interval_antipole(g, 0, 2, 1)
+        with pytest.raises(SamePair):
+            interval_antipole(g, 0, 0, 1)
 
     def test_petersen_has_no_unique_antipole(self, petersen):
         g, d = petersen
