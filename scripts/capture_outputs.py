@@ -11,11 +11,15 @@ Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default and ``--vertex 0``) on
 those four and J(6,3)xCP(2); ``curvature --all-edges`` on Chang1;
 ``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
 one of them a refused equal pair; ``transport-geodesic`` on the 3-cube,
-along a full-length path and a refused short one; and ``gen johnson 8 4``
-and ``gen kneser 9 4``, as graph6 and as ``--json``.  The two products
-are built with ``gen product`` into ``OUTDIR/inputs`` and every command
-runs there, so the input names that reports print are the same in every
-capture.
+along a full-length path and a refused short one; ``gen johnson 8 4``
+and ``gen kneser 9 4``, as graph6 and as ``--json``; and, on a
+disconnected regular graph (2K3) and a connected irregular one (P4),
+``analyze``, ``curvature`` on a pair and with ``--all-edges``,
+``spectral``, ``sharpness``, ``classify`` and ``bakry-emery`` (default and
+``--vertex 0``), so the precondition refusals are gated too.  The two
+products are built with ``gen product`` and the two small graphs written
+as JSON into ``OUTDIR/inputs``, and every command runs there, so the input
+names that reports print are the same in every capture.
 
 Capture once before a change and once after it, from two checkouts, and
 compare:
@@ -24,12 +28,13 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 46 commands run one after another and take about 30 s on a 2-core
+The 62 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +45,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PRODUCTS = {
     "j63xcp4.g6": ("johnson:6:3", "cocktailparty:4"),
     "j63xcp2.g6": ("johnson:6:3", "cocktailparty:2"),
+}
+# (n, edges) of the graphs every precondition refusal is gated on
+REFUSED = {
+    "2k3.json": (6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
+    "p4.json": (4, [[0, 1], [1, 2], [2, 3]]),
 }
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
@@ -77,6 +87,16 @@ def commands() -> list[tuple[str, list[str]]]:
         stem = "-".join(spec)
         out.append((f"gen-{stem}", ["gen", *spec]))
         out.append((f"gen-json-{stem}", ["gen", *spec, "--json"]))
+    for g in REFUSED:
+        stem = g.removesuffix(".json")
+        out.append((f"analyze-{stem}", ["analyze", g]))
+        out.append((f"curvature-{stem}-0-1", ["curvature", g, "0", "1"]))
+        out.append((f"curvature-all-edges-{stem}", ["curvature", g, "--all-edges"]))
+        out.append((f"spectral-{stem}", ["spectral", g]))
+        out.append((f"sharpness-{stem}", ["sharpness", g]))
+        out.append((f"classify-{stem}", ["classify", g]))
+        out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
+        out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
     return out
 
 
@@ -104,6 +124,8 @@ def main(argv: list[str]) -> int:
         if proc.returncode != 0:
             print(f"gen {name} failed: {proc.stderr}", file=sys.stderr)
             return 1
+    for name, (n, edges) in REFUSED.items():
+        (inputs / name).write_text(json.dumps({"n": n, "edges": edges}) + "\n")
     for name, cli_argv in commands():
         proc = run(cli_argv, inputs)
         (outdir / f"{name}.out").write_text(proc.stdout)

@@ -6,24 +6,30 @@ lists, the mu-graph scan and the spectrum.  :class:`GraphAnalysis` holds a
 graph and computes each of those at most once, on first use; the
 predicates that need them take the context instead of the graph.  The
 distance oracle is not among them: the graph caches its own.  A context
-lives as long as its caller keeps it, so nothing is shared between graphs
-or commands.
+exists only for a connected regular graph, the hypothesis of every verdict
+in the paper: the constructor raises Disconnected or NotRegular otherwise,
+so no predicate that takes a context checks either.  A context lives as
+long as its caller keeps it, so nothing is shared between graphs or
+commands.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .graphs import Graph, poles_and_antipoles
+from .graphs import Graph, poles_and_antipoles, require_connected, require_regular
 from .sharpness import MuGraphVerdict, SharpnessVerdict, bm_sharpness, mu_graphs_all_cp
 from .spectral import SpectralSummary, spectral_summary
 from .transport import CurvatureValue, kappa
 
 
 class GraphAnalysis:
-    """A graph and the shared quantities derived from it."""
+    """A connected regular graph, its degree ``deg`` and the shared
+    quantities derived from it."""
 
     def __init__(self, g: Graph) -> None:
+        require_connected(g)
+        self.deg = require_regular(g)
         self.g = g
 
     @cached_property

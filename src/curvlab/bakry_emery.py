@@ -21,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadParam, Disconnected, FormCheckFailed, IsolatedVertex, NotRegular
-from .graphs import Graph, distances, triangle_count_vertex
+from .errors import BadParam, FormCheckFailed, IsolatedVertex
+from .graphs import Graph, distances, require_connected, require_regular, triangle_count_vertex
 from .spectral import normalized_laplacian_apply
 
 SHARP_TOL = 1e-7
@@ -214,9 +214,7 @@ def be_upper_bound(g: Graph, x: int) -> Fraction:
     av_1^+(x) of the 1-sphere read off the ball partition; the two
     expressions must agree.
     """
-    deg = g.is_regular()
-    if deg is None:
-        raise NotRegular("the curvature upper bound is stated for regular graphs")
+    deg = require_regular(g)
     tri = triangle_count_vertex(g, x)
     via_triangles = Fraction(2, deg) + Fraction(tri, deg * deg)
     s1, _, out_degrees = _ball_partition(g, x)
@@ -284,18 +282,14 @@ def conjecture_scan(g: Graph, curvatures: Sequence[float]) -> ConjectureReport:
     ``curvatures[x]`` is the curvature K(x) of vertex x, as
     :func:`be_curvature` computes it.
     """
-    deg = g.is_regular()
-    if deg is None:
-        raise NotRegular("the conjecture scanner needs a regular graph")
+    require_connected(g)
+    deg = require_regular(g)
     if deg == 0:
         raise IsolatedVertex("the conjecture scanner needs at least one edge")
-    d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("the conjecture scanner needs a connected graph")
     if len(curvatures) != g.n:
         raise BadParam(f"{len(curvatures)} curvatures for {g.n} vertices")
     inf_val, argmin = min((k, x) for x, k in enumerate(curvatures))
-    bound = Fraction(1, deg) + Fraction(1, d.diameter)
+    bound = Fraction(1, deg) + Fraction(1, distances(g).diameter)
     max_tri = max(triangle_count_vertex(g, x) for x in range(g.n))
     weak = bound + Fraction(max_tri, 2 * deg * deg)
     margin = float(bound) - inf_val

@@ -21,17 +21,16 @@ from .analysis import GraphAnalysis
 from .bakry_emery import be_curvature, conjecture_scan
 from .errors import (
     CurvlabError,
-    FormatError,
     InputError,
     NoEdges,
     PreconditionError,
     VerificationError,
     VertexOutOfRange,
 )
-from .families import FamilySpec, from_spec
+from .families import FamilySpec, family_name, from_spec
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .graph6 import encode_graph6, graph_to_json, load_graph
-from .graphs import Graph, distances
+from .graphs import Graph, require_connected, require_regular
 from .report import analyze, be_row, float_str, frac_str, report_json
 from .sharpness import bm_sharpness, classify
 from .spectral import spectral_summary
@@ -46,17 +45,11 @@ from .transport import (
 
 
 def _parse_spec_args(args: list[str]) -> FamilySpec:
-    if not args:
-        raise InputError("gen needs a family name")
-    name = args[0].strip().lower().replace("-", "").replace("_", "")
-    if name == "product":
-        factors = tuple(FamilySpec.parse(a) for a in args[1:])
-        return FamilySpec("product", factors=factors)
-    try:
-        params = tuple(int(a) for a in args[1:])
-    except ValueError as exc:
-        raise InputError(f"non-integer family parameter: {exc}") from exc
-    return FamilySpec(name, params)
+    """The spec of ``gen NAME P1 P2 ...``, which is ``NAME:P1:P2``, or of
+    ``gen product F1 F2 ...``."""
+    if family_name(args[0]) == "product":
+        return FamilySpec("product", factors=tuple(FamilySpec.parse(a) for a in args[1:]))
+    return FamilySpec.parse(":".join(args))
 
 
 def _load_input(text: str) -> Graph:
@@ -71,8 +64,7 @@ def _load_input(text: str) -> Graph:
 def _load_connected(text: str) -> Graph:
     """:func:`_load_input`, refusing a disconnected graph."""
     g = _load_input(text)
-    if not distances(g).is_connected:
-        raise PreconditionError("input graph is disconnected")
+    require_connected(g)
     return g
 
 
@@ -124,8 +116,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             "--all-edges computes plain kappa on every edge; it takes no vertex pair, --p or --plan"
         )
     g = _load_connected(args.input)
-    if g.is_regular() is None:
-        raise PreconditionError("curvature needs a regular graph")
+    deg = require_regular(g)
     if args.all_edges:
         edges = g.edges()
         if not edges:
@@ -149,7 +140,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     val = kappa(g, x, y)
     print(f"kappa({x},{y}) = {frac_str(val.value)} ({val.method})")
     if args.plan:
-        p = Fraction(1, g.is_regular() + 1)
+        p = Fraction(1, deg + 1)
         w, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
         print(json.dumps(plan.to_json(), sort_keys=True))
     return 0
@@ -332,18 +323,11 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         return args.fn(args)
-    except (InputError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CurvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, PreconditionError):
+            return 3
+        return 4 if isinstance(exc, VerificationError) else 2
 
 
 if __name__ == "__main__":

@@ -96,6 +96,11 @@ class BadIdleness(InputError):
     """Idleness parameter not a rational in [0, 1]."""
 
 
+class BadMeasure(InputError):
+    """Masses of a measure or transport plan that are not positive or do not
+    add up to the totals it must have."""
+
+
 class NotLipschitz(PreconditionError):
     pass
 

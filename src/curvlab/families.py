@@ -235,6 +235,11 @@ FAMILIES = {
 }
 
 
+def family_name(text: str) -> str:
+    """The canonical family name of ``text``: ``Cocktail-Party`` is ``cocktailparty``."""
+    return text.strip().lower().replace("-", "").replace("_", "")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A graph family name plus parameters; ``product`` nests factor specs."""
@@ -278,7 +283,7 @@ class FamilySpec:
     def parse(text: str) -> "FamilySpec":
         """Parse the CLI form ``name`` or ``name:p1:p2``."""
         parts = text.split(":")
-        name = parts[0].strip().lower().replace("-", "").replace("_", "")
+        name = family_name(parts[0])
         try:
             params = tuple(int(p) for p in parts[1:])
         except ValueError as exc:

@@ -3,10 +3,14 @@
 Vertices are dense integers ``0..n-1``; optional string labels carry
 generator provenance but never enter any algorithm.  Graphs are immutable
 and hashable, and each one owns its derived views: neighbour sets, degrees,
-the dense float64 adjacency and the distance oracle, a dense int32 matrix
-with ``-1`` marking unreachable pairs.  Each view is computed on first use,
-kept as long as the graph and read-only.  A pickled graph carries its
-fields only, and no view.
+the regular degree, the dense float64 adjacency and the distance oracle, a
+dense int32 matrix with ``-1`` marking unreachable pairs.  Each view is
+computed on first use, kept as long as the graph and read-only.  A pickled
+graph carries its fields only, and no view.
+
+Whether a graph is connected and whether it is regular is decided here
+only: :func:`require_connected` and :func:`require_regular` raise the typed
+error, with one message per condition, for every function that needs it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
     EmptySphere,
     IdentityViolated,
     NotAnEdge,
+    NotRegular,
     SelfLoop,
     VertexOutOfRange,
     WrongDistance,
@@ -56,6 +61,11 @@ class Graph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def _regular_degree(self) -> Optional[int]:
+        degs = self.degrees
+        return degs[0] if self.n > 0 and len(set(degs)) == 1 else None
 
     @cached_property
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -91,10 +101,7 @@ class Graph:
 
     def is_regular(self) -> Optional[int]:
         """The common degree if the graph is regular, else None."""
-        degs = self.degrees
-        if self.n == 0 or len(set(degs)) != 1:
-            return None
-        return degs[0]
+        return self._regular_degree
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._neighbor_sets[v]
@@ -184,6 +191,20 @@ class DistanceOracle:
 def distances(g: Graph) -> DistanceOracle:
     """The distance oracle of g, computed on first use and kept on g."""
     return g._distances
+
+
+def require_connected(g: Graph) -> None:
+    """Raise Disconnected unless g is connected."""
+    if not distances(g).is_connected:
+        raise Disconnected("input graph is disconnected")
+
+
+def require_regular(g: Graph) -> int:
+    """The common degree of g; raise NotRegular unless g is regular."""
+    deg = g.is_regular()
+    if deg is None:
+        raise NotRegular("input graph is not regular")
+    return deg
 
 
 def interval(g: Graph, x: int, y: int) -> frozenset[int]:
@@ -400,9 +421,8 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 def poles_and_antipoles(g: Graph) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """Per-vertex antipole lists {y : d(x,y) = diam} and the self-centered flag."""
+    require_connected(g)
     d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("antipoles need a connected graph")
     L = d.diameter
     per_vertex = tuple(d.sphere(x, L) for x in range(g.n))
     self_centered = all(len(a) > 0 for a in per_vertex)

@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    Disconnected,
-    DisconnectedSubset,
-    NoEdges,
-    NotAPole,
-    NotRegular,
-    PreconditionUnmet,
-)
+from .errors import DisconnectedSubset, NoEdges, NotAPole, PreconditionUnmet
 from .families import FamilySpec, from_spec
 from .graphs import (
     Graph,
@@ -36,27 +29,16 @@ from .graphs import (
     interval,
     is_strongly_regular,
     poles_and_antipoles,
+    require_connected,
+    require_regular,
     triangle_count_edge,
 )
 from .isomorphism import automorphism_orbits, find_isomorphism
 from .spectral import adjacency_spectrum
-from .transport import (
-    tpm_transport_map,
-    idle_measure,
-    wasserstein,
-)
+from .transport import kappa
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
-
-
-def _require_connected_regular(g: Graph) -> int:
-    if not distances(g).is_connected:
-        raise Disconnected("predicate needs a connected graph")
-    deg = g.is_regular()
-    if deg is None:
-        raise NotRegular("predicate needs a regular graph")
-    return deg
 
 
 @dataclass(frozen=True)
@@ -71,8 +53,7 @@ class SharpnessVerdict:
 
 def bm_sharpness(ctx: GraphAnalysis) -> SharpnessVerdict:
     """Exact infimum of edge curvature compared against 2/diameter."""
-    g = ctx.g
-    deg = _require_connected_regular(g)
+    g, deg = ctx.g, ctx.deg
     if g.edge_count == 0:
         raise NoEdges("the edge-curvature infimum needs at least one edge")
     witness, value = min(ctx.edge_kappas.items(), key=lambda item: item[1].value)
@@ -100,8 +81,6 @@ def lambda_m_check(ctx: GraphAnalysis, m: int) -> LambdaVerdict:
     neighbourhoods admit a perfect adjacency matching, which is exactly
     when ``kappa`` labels the edge "matching"."""
     g = ctx.g
-    if g.is_regular() is None:
-        raise NotRegular("Lambda(m) is stated for regular graphs")
     failing = tuple(
         (u, v)
         for (u, v), value in ctx.edge_kappas.items()
@@ -125,8 +104,14 @@ class PoleFacts:
 
 
 def pole_facts(g: Graph, x: int) -> PoleFacts:
-    """Triangle count, matching and optimal transport cost facts at a pole."""
-    deg = _require_connected_regular(g)
+    """Triangle count, matching and optimal transport cost facts at a pole.
+
+    Each edge at the pole is read off ``kappa``: it has a perfect adjacency
+    matching exactly when the method is "matching", and its W1 is
+    (D + 1 - D kappa) / (D + 1).
+    """
+    require_connected(g)
+    deg = require_regular(g)
     d = distances(g)
     L = d.diameter
     if d.eccentricity(x) != L:
@@ -140,22 +125,15 @@ def pole_facts(g: Graph, x: int) -> PoleFacts:
             tri_ok = False
             failures.append(f"edge ({x},{y}) lies in {triangle_count_edge(g, x, y)} triangles")
             continue
-        # the shared 1-ball mass cancels, so the plan moves N(x)\N[y] onto
-        # N(y)\N[x]; every atom moves at least 1, and by exactly 1 in an
-        # optimal plan iff a perfect adjacency matching exists
-        p = Fraction(1, deg + 1)
-        w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
-        matching = {u: v for u, v, _ in plan.entries if u != v}
-        if any(not g.has_edge(u, v) for u, v in matching.items()):
+        value = kappa(g, x, y)
+        if value.method != "matching":
             match_ok = False
             failures.append(f"edge ({x},{y}) has no perfect matching")
             continue
-        plan_cost = tpm_transport_map(g, x, y, matching).cost
-        if plan_cost != want_cost or w1 != want_cost:
+        w1 = (deg + 1 - deg * value.value) / (deg + 1)
+        if w1 != want_cost:
             cost_ok = False
-            failures.append(
-                f"edge ({x},{y}) cost {plan_cost}, W1 {w1}, expected {want_cost}"
-            )
+            failures.append(f"edge ({x},{y}) W1 {w1}, expected {want_cost}")
     return PoleFacts(
         triangles_ok=tri_ok,
         matching_ok=match_ok,
@@ -174,7 +152,8 @@ class RecursionVerdict:
 
 def degree_recursions(g: Graph, x: int) -> RecursionVerdict:
     """The three in/out/spherical degree identities on every sphere of a pole."""
-    deg = _require_connected_regular(g)
+    require_connected(g)
+    deg = require_regular(g)
     d = distances(g)
     L = d.diameter
     if d.eccentricity(x) != L:
@@ -260,9 +239,8 @@ def is_strongly_spherical(g: Graph) -> SphericalVerdict:
     too, where it held.  Each automorphism behind the orbits was verified
     edge by edge (:func:`curvlab.isomorphism.automorphism_orbits`).
     """
+    require_connected(g)
     d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("strong sphericity needs a connected graph")
     if not _kernels.is_antipodal_matrix(d.dist):
         return SphericalVerdict(False, None)
     representatives, _ = automorphism_orbits(g)
@@ -291,9 +269,8 @@ def mu_graphs_all_cp(g: Graph) -> MuGraphVerdict:
     The pairs are taken in row-major order and each mu-graph is read off
     the common neighbours N(x) & N(y), without building it.
     """
+    require_connected(g)
     d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("mu-graph scan needs a connected graph")
     counts: Counter[int] = Counter()
     pairs = ((x, y) for x in range(g.n) for y in d.sphere(x, 2) if y > x)
     for x, y in pairs:
@@ -319,8 +296,7 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     Preconditions: self-centered Bonnet-Myers sharp with uniform cocktail
     party mu-graphs of the predicted size.
     """
-    g = ctx.g
-    deg = _require_connected_regular(g)
+    g, deg = ctx.g, ctx.deg
     L = distances(g).diameter
     if L < 2:
         raise PreconditionUnmet("local srg structure needs diameter >= 2")
@@ -354,9 +330,7 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
 
 def ssp_ncp(g: Graph, x: int) -> tuple[bool, bool]:
     """(small sphere property, non-clustering property) at x."""
-    deg = g.is_regular()
-    if deg is None:
-        raise NotRegular("SSP/NCP are stated for regular graphs")
+    deg = require_regular(g)
     s2 = distances(g).sphere(x, 2)
     ssp = len(s2) <= comb(deg, 2)
     ncp = True
@@ -382,8 +356,7 @@ class FourCycleVerdict:
 def four_cycle_lemma_check(ctx: GraphAnalysis) -> FourCycleVerdict:
     """For triangle-free edges with curvature >= 2/D, every adjacent edge
     pair extends to a 4-cycle."""
-    g = ctx.g
-    deg = _require_connected_regular(g)
+    g, deg = ctx.g, ctx.deg
     threshold = Fraction(2, deg)
     checked = 0
     violations: list[tuple[int, int, int]] = []
@@ -466,8 +439,7 @@ def classify(ctx: GraphAnalysis) -> ClassificationMatch:
     """Match a self-centered Bonnet-Myers sharp graph against the known list
     (the five families and their equal-ratio Cartesian products), confirming
     by explicit isomorphism."""
-    g = ctx.g
-    deg = _require_connected_regular(g)
+    g, deg = ctx.g, ctx.deg
     _, self_centered = ctx.poles_and_antipoles
     if not self_centered:
         return ClassificationMatch(None, None, "not self-centered")

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import Disconnected, IsolatedVertex, NotRegular
-from .graphs import Graph, distances
+from .errors import Disconnected, IsolatedVertex
+from .graphs import Graph, distances, require_connected
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
@@ -77,8 +77,7 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
 
 def spectral_summary(g: Graph) -> SpectralSummary:
     """Smallest positive Laplace eigenvalue, its multiplicity, and theta1."""
-    if not distances(g).is_connected:
-        raise Disconnected("spectral summary needs a connected graph")
+    require_connected(g)
     lap = laplacian_spectrum(g)
     positive = lap[lap > VALUE_TOL]
     if positive.size == 0:
@@ -133,10 +132,6 @@ def is_lichnerowicz_sharp(ctx: GraphAnalysis) -> LichnerowiczVerdict:
     """
     g = ctx.g
     d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("Lichnerowicz verdict needs a connected graph")
-    if g.is_regular() is None:
-        raise NotRegular("Lichnerowicz verdict needs a regular graph")
     inf_edge_kappa = ctx.bm.inf_edge_kappa
     summ = ctx.spectrum
     sharp = abs(float(inf_edge_kappa) - summ.lambda1) < VALUE_TOL

@@ -131,7 +131,7 @@ INF_KAPPA = Column("inf_kappa", lambda ctx, _: ctx.bm.inf_edge_kappa)
 
 _TABLE1 = Table(
     columns=(
-        Column("(D,L)", lambda ctx, _: (ctx.g.is_regular(), distances(ctx.g).diameter)),
+        Column("(D,L)", lambda ctx, _: (ctx.deg, distances(ctx.g).diameter)),
         VERTICES,
         Column("dim", lambda ctx, _: ctx.spectrum.lambda1_multiplicity),
         Column("mu-graph", _mu_cell),
@@ -212,7 +212,7 @@ def _theta1_is_b1_minus_1(ctx: GraphAnalysis, row: Row) -> Iterator[tuple[str, s
 _TABLE3 = Table(
     columns=(
         VERTICES,
-        Column("D", lambda ctx, _: ctx.g.is_regular()),
+        Column("D", lambda ctx, _: ctx.deg),
         Column("L", lambda ctx, _: distances(ctx.g).diameter),
         THETA1,
         LAMBDA1,

@@ -26,6 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     BadIdleness,
+    BadMeasure,
     Disconnected,
     MuGraphNotCP,
     NoAntipole,
@@ -34,13 +35,20 @@ from .errors import (
     NotFullLength,
     NotLipschitz,
     NotPerfectMatching,
-    NotRegular,
     PreconditionUnmet,
     SamePair,
     UnbalancedTransport,
     WrongDistance,
 )
-from .graphs import DistanceOracle, Graph, common_neighbors, distances, interval
+from .graphs import (
+    DistanceOracle,
+    Graph,
+    common_neighbors,
+    distances,
+    interval,
+    require_connected,
+    require_regular,
+)
 
 
 @dataclass(frozen=True)
@@ -55,9 +63,9 @@ class Measure:
             (int(v), Fraction(m)) for v, m in sorted(masses.items()) if m != 0
         )
         if any(m < 0 for _, m in items):
-            raise ValueError("negative mass")
+            raise BadMeasure("negative mass")
         if sum((m for _, m in items), Fraction(0)) != 1:
-            raise ValueError("masses must sum to exactly 1")
+            raise BadMeasure("masses must sum to exactly 1")
         return Measure(items)
 
     def as_dict(self) -> dict[int, Fraction]:
@@ -109,13 +117,13 @@ class TransportPlan:
         col: dict[int, Fraction] = {}
         for u, v, m in self.entries:
             if m <= 0:
-                raise ValueError("plan entries must be positive")
+                raise BadMeasure("plan entries must be positive")
             row[u] = row.get(u, Fraction(0)) + m
             col[v] = col.get(v, Fraction(0)) + m
         if row != {u: m for u, m in self.source.mass}:
-            raise ValueError("row marginals do not match the source measure")
+            raise BadMeasure("row marginals do not match the source measure")
         if col != {v: m for v, m in self.target.mass}:
-            raise ValueError("column marginals do not match the target measure")
+            raise BadMeasure("column marginals do not match the target measure")
 
     def cost(self, g: Graph) -> Fraction:
         d = distances(g)
@@ -153,9 +161,8 @@ def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, Transport
     one integer assignment when they are equal uniform atoms, else by
     integer min-cost flow on the common denominator scaling.
     """
+    require_connected(g)
     d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("Wasserstein distance needs a connected graph")
     a, b = m1.as_dict(), m2.as_dict()
     kept = [(v, v, min(m, b[v])) for v, m in m1.mass if v in b]
     source = [(u, m - b.get(u, 0)) for u, m in m1.mass if m > b.get(u, 0)]
@@ -292,13 +299,6 @@ def _transportation(
     return total, dict(flow)
 
 
-def _require_regular(g: Graph) -> int:
-    deg = g.is_regular()
-    if deg is None:
-        raise NotRegular("operation requires a regular graph")
-    return deg
-
-
 def kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> CurvatureValue:
     """p-idleness Ollivier-Ricci curvature 1 - W1(mu_x^p, mu_y^p)/d(x,y)."""
     return _kappa_p_plan(g, x, y, p)[0]
@@ -310,7 +310,8 @@ def _kappa_p_plan(
     """``kappa_p`` together with the optimal plan of its one W1 solve."""
     if x == y:
         raise SamePair("curvature needs two distinct vertices")
-    _require_regular(g)
+    require_connected(g)
+    require_regular(g)
     p = _as_fraction(p, "idleness")
     w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
     value = 1 - w1 / distances(g).d(x, y)
@@ -328,10 +329,9 @@ def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
     """
     if x == y:
         raise SamePair("curvature needs two distinct vertices")
-    deg = _require_regular(g)
+    require_connected(g)
+    deg = require_regular(g)
     d = distances(g)
-    if not d.is_connected:
-        raise Disconnected("curvature needs a connected graph")
     bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
     left, right = sorted(bx - by), sorted(by - bx)
     c = int(_kernels.hungarian(d.dist[np.ix_(left, right)].astype(np.int64))[0])
@@ -458,7 +458,7 @@ class TransportMap:
         for u, w in self.mapping:
             if u == v:
                 return w
-        raise KeyError(v)
+        raise PreconditionUnmet(f"{v} is not in the 1-ball of {self.source}")
 
 
 def tpm_transport_map(
@@ -469,7 +469,7 @@ def tpm_transport_map(
     Identity on the common neighbourhood and on {x, y}; matched difference
     neighbours move along their matching edge.  Cost is (D-1-m)/(D+1).
     """
-    deg = _require_regular(g)
+    deg = require_regular(g)
     if not g.has_edge(x, y):
         raise NotAnEdge(f"({x},{y}) is not an edge")
     left, right = matching_sides(g, x, y)

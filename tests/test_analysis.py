@@ -1,4 +1,5 @@
-"""Each per-graph quantity is computed once per command."""
+"""Each per-graph quantity is computed once per command, and each
+precondition is decided by one owner."""
 
 import json
 from fractions import Fraction
@@ -7,11 +8,31 @@ import pytest
 
 from curvlab import cli
 from curvlab.analysis import GraphAnalysis
+from curvlab.bakry_emery import be_upper_bound, conjecture_scan
 from curvlab.cli import main
+from curvlab.errors import Disconnected, NotRegular
 from curvlab.families import FamilySpec, from_spec, hypercube, johnson
-from curvlab.graphs import build_graph
+from curvlab.graphs import build_graph, poles_and_antipoles
 from curvlab.isomorphism import find_isomorphism
 from curvlab.report import analyze
+from curvlab.sharpness import (
+    degree_recursions,
+    interval_cover_check,
+    is_strongly_spherical,
+    mu_graphs_all_cp,
+    pole_facts,
+    ssp_ncp,
+    unique_antipole_check,
+)
+from curvlab.spectral import spectral_summary
+from curvlab.transport import (
+    idle_measure,
+    kappa,
+    kappa_lly,
+    kappa_p,
+    tpm_transport_map,
+    wasserstein,
+)
 
 from helpers import record_calls
 
@@ -110,3 +131,54 @@ def test_automorphism_search_only_for_the_interval_scan(monkeypatch, capsys, arg
     assert main(argv) == 0
     capsys.readouterr()
     assert len(orbits) == searches
+
+
+# Every public entry point that needs a connected graph, or a regular one;
+# the predicates that take a GraphAnalysis are covered by its constructor.
+NEEDS_CONNECTED = {
+    "GraphAnalysis": GraphAnalysis,
+    "kappa": lambda g: kappa(g, 0, 1),
+    "kappa_p": lambda g: kappa_p(g, 0, 1, Fraction(1, 2)),
+    "kappa_lly": lambda g: kappa_lly(g, 0, 1),
+    "wasserstein": lambda g: wasserstein(g, idle_measure(g, 0, 0), idle_measure(g, 1, 0)),
+    "poles_and_antipoles": poles_and_antipoles,
+    "interval_cover_check": interval_cover_check,
+    "unique_antipole_check": unique_antipole_check,
+    "pole_facts": lambda g: pole_facts(g, 0),
+    "degree_recursions": lambda g: degree_recursions(g, 0),
+    "is_strongly_spherical": is_strongly_spherical,
+    "mu_graphs_all_cp": mu_graphs_all_cp,
+    "spectral_summary": spectral_summary,
+    "conjecture_scan": lambda g: conjecture_scan(g, [0.0] * g.n),
+}
+NEEDS_BOTH = (
+    "GraphAnalysis", "kappa", "kappa_p", "kappa_lly", "pole_facts", "degree_recursions",
+    "conjecture_scan",
+)
+NEEDS_REGULAR = {
+    **{name: NEEDS_CONNECTED[name] for name in NEEDS_BOTH},
+    "tpm_transport_map": lambda g: tpm_transport_map(g, 0, 1, {}),
+    "ssp_ncp": lambda g: ssp_ncp(g, 0),
+    "be_upper_bound": lambda g: be_upper_bound(g, 0),
+}
+TWO_TRIANGLES = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # 2K3
+PATH = build_graph(4, [(0, 1), (1, 2), (2, 3)])  # P4
+EDGE_AND_POINT = build_graph(3, [(0, 1)])  # K2 + K1: disconnected and irregular
+
+
+@pytest.mark.parametrize("call", NEEDS_CONNECTED.values(), ids=NEEDS_CONNECTED)
+def test_disconnected_regular_graph_raises_disconnected(call):
+    with pytest.raises(Disconnected, match="^input graph is disconnected$"):
+        call(TWO_TRIANGLES)
+
+
+@pytest.mark.parametrize("call", NEEDS_REGULAR.values(), ids=NEEDS_REGULAR)
+def test_connected_irregular_graph_raises_not_regular(call):
+    with pytest.raises(NotRegular, match="^input graph is not regular$"):
+        call(PATH)
+
+
+@pytest.mark.parametrize("name", NEEDS_BOTH)
+def test_connectivity_is_checked_before_regularity(name):
+    with pytest.raises(Disconnected, match="^input graph is disconnected$"):
+        NEEDS_CONNECTED[name](EDGE_AND_POINT)

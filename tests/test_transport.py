@@ -9,6 +9,7 @@ import pytest
 
 from curvlab.errors import (
     BadIdleness,
+    BadMeasure,
     Disconnected,
     MuGraphNotCP,
     NoAntipole,
@@ -17,6 +18,7 @@ from curvlab.errors import (
     NotLipschitz,
     NotPerfectMatching,
     NotRegular,
+    PreconditionUnmet,
     SamePair,
     UnbalancedTransport,
     VerificationError,
@@ -31,6 +33,7 @@ from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, cartesian_product, common_neighbors, distances, interval
 from curvlab.transport import (
     Measure,
+    TransportMap,
     TransportPlan,
     certify_duality,
     geodesic_between,
@@ -57,6 +60,9 @@ from helpers import (
 )
 
 
+POINT = {v: Measure.from_dict({v: Fraction(1)}) for v in range(3)}
+
+
 class TestMeasures:
     def test_idle_measure_quarter(self, q3):
         g, _ = q3
@@ -80,6 +86,24 @@ class TestMeasures:
             idle_measure(g, 0, Fraction(3, 2))
         with pytest.raises(BadIdleness):
             idle_measure(g, 0, 0.25)
+
+    @pytest.mark.parametrize(
+        "make,error",
+        [
+            (lambda: Measure.from_dict({0: Fraction(3, 2), 1: Fraction(-1, 2)}), BadMeasure),
+            (lambda: Measure.from_dict({0: Fraction(1, 2)}), BadMeasure),
+            (lambda: TransportPlan(((0, 1, Fraction(0)),), POINT[0], POINT[1]), BadMeasure),
+            (lambda: TransportPlan(((0, 1, Fraction(1)),), POINT[0], POINT[2]), BadMeasure),
+            (lambda: TransportPlan(((0, 1, Fraction(1)),), POINT[2], POINT[1]), BadMeasure),
+            (lambda: TransportMap(0, 1, ((0, 1), (1, 0)), Fraction(0)).apply(2), PreconditionUnmet),
+        ],
+        ids=["negative-mass", "mass-below-1", "zero-entry", "column-marginal", "row-marginal",
+             "map-outside-domain"],
+    )
+    def test_malformed_transport_data_raises_typed_errors(self, make, error):
+        # a typed CurvlabError, not a bare ValueError or KeyError
+        with pytest.raises(error):
+            make()
 
     def test_isolated_vertex_needs_full_idleness(self):
         g = build_graph(2, [])
