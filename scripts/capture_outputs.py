@@ -17,7 +17,7 @@ disconnected regular graph (2K3) and a connected irregular one (P4),
 ``analyze``, ``curvature`` on a pair and with ``--all-edges``,
 ``spectral``, ``sharpness``, ``classify`` and ``bakry-emery`` (default and
 ``--vertex 0``), so the precondition refusals are gated too.  The two
-products are built with ``gen product`` and the two small graphs written
+products are built with ``gen product`` and the three small graphs written
 as JSON into ``OUTDIR/inputs``, and every command runs there, so the input
 names that reports print are the same in every capture.
 
@@ -28,7 +28,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 62 commands run one after another and take about 20 s on a 2-core
+The 70 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -50,6 +50,7 @@ PRODUCTS = {
 REFUSED = {
     "2k3.json": (6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
     "p4.json": (4, [[0, 1], [1, 2], [2, 3]]),
+    "empty.json": (0, []),
 }
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)

@@ -42,7 +42,7 @@ from curvlab.graphs import (
     is_strongly_regular,
 )
 from curvlab.families import johnson, kneser
-from curvlab.isomorphism import are_isomorphic
+from curvlab.isomorphism import find_isomorphism
 from curvlab.spectral import spectral_summary
 from curvlab.transport import kappa
 
@@ -94,7 +94,7 @@ def verify_chang(graphs: list[Graph]) -> None:
             6,
             4,
         ), f"chang{i + 1}: srg params {params}"
-        assert not are_isomorphic(g, t8), f"chang{i + 1} is isomorphic to T(8)"
+        assert find_isomorphism(g, t8) is None, f"chang{i + 1} is isomorphic to T(8)"
         summ = spectral_summary(g)
         assert abs(summ.theta1 - 4.0) < 1e-9
         assert abs(summ.lambda1 - 2.0 / 3.0) < 1e-9
@@ -102,7 +102,7 @@ def verify_chang(graphs: list[Graph]) -> None:
         assert str(inf_k) == "1/3", f"chang{i + 1}: inf kappa {inf_k}"
     for i in range(3):
         for j in range(i + 1, 3):
-            assert not are_isomorphic(graphs[i], graphs[j]), f"chang{i+1} ~ chang{j+1}"
+            assert find_isomorphism(graphs[i], graphs[j]) is None, f"chang{i+1} ~ chang{j+1}"
     print("chang graphs verified: srg(28,12,6,4), theta1=4, lambda1=2/3, inf kappa=1/3")
 
 
@@ -389,7 +389,8 @@ def verify_locally_petersen(g: Graph, name: str, want_n: int, want_array) -> Non
     petersen = kneser(5, 2)
     for x in range(g.n):
         sphere, _ = induced_subgraph(g, g.adjacency[x])
-        assert are_isomorphic(sphere, petersen), f"{name}: not locally Petersen at {x}"
+        found = find_isomorphism(sphere, petersen)
+        assert found is not None, f"{name}: not locally Petersen at {x}"
     arr = intersection_array(g)
     assert arr == want_array, f"{name}: intersection array {arr}"
     summ = spectral_summary(g)

@@ -22,7 +22,6 @@ from .bakry_emery import be_curvature, conjecture_scan
 from .errors import (
     CurvlabError,
     InputError,
-    NoEdges,
     PreconditionError,
     VerificationError,
     VertexOutOfRange,
@@ -118,13 +117,11 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     g = _load_connected(args.input)
     deg = require_regular(g)
     if args.all_edges:
-        edges = g.edges()
-        if not edges:
-            raise NoEdges("the graph has no edges")
-        values = [kappa(g, u, v) for u, v in edges]
-        for (u, v), val in zip(edges, values):
+        ctx = GraphAnalysis(g)
+        inf = ctx.bm.inf_edge_kappa
+        for (u, v), val in ctx.edge_kappas.items():
             print(f"{u} {v} {frac_str(val.value)} ({val.method})")
-        print(f"inf = {frac_str(min(val.value for val in values))}")
+        print(f"inf = {frac_str(inf)}")
         return 0
     if args.x is None or args.y is None:
         raise InputError("curvature needs x and y (or --all-edges)")

@@ -85,7 +85,9 @@ class Graph:
     @cached_property
     def _distances(self) -> DistanceOracle:
         dist = _kernels.bfs_all_pairs(self.dense_adjacency)
-        connected = bool((dist >= 0).all()) if self.n > 0 else True
+        # a connected graph has exactly one component, so the graph with no
+        # vertex is not connected
+        connected = self.n > 0 and bool((dist >= 0).all())
         diameter = int(dist.max()) if self.n > 0 else 0
         return DistanceOracle(dist=dist, diameter=diameter, is_connected=connected)
 
@@ -332,40 +334,34 @@ class SrgParams:
     mu: int
 
 
-def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
-    """Detect strong regularity; complete graphs are excluded by convention.
+def _srg_params(g: Graph, members: frozenset[int]) -> Optional[SrgParams]:
+    """The strongly regular parameters of the subgraph ``members`` induces
+    in g, read off g's neighbour sets, else None.
 
-    A set of n isolated points counts as (n, 0, *, 0) with wildcard lambda.
+    Complete graphs, the empty one included, are excluded by convention.  A
+    set of n isolated points counts as (n, 0, *, 0) with wildcard lambda.
     """
-    n = g.n
-    if n == 0:
-        return None
-    k = g.is_regular()
-    if k is None:
-        return None
-    if k == n - 1:
-        return None  # complete graph
+    nbrs = g._neighbor_sets
+    local = [(v, nbrs[v] & members) for v in sorted(members)]
+    n, degrees = len(local), {len(nv) for _, nv in local}
+    if len(degrees) != 1 or degrees == {n - 1}:
+        return None  # not regular, or complete
+    (k,) = degrees
     if k == 0:
         return SrgParams(n, 0, None, 0)
-    nbrs = g._neighbor_sets
-    lam: Optional[int] = None
-    mu: Optional[int] = None
-    for x in range(n):
-        for y in range(x + 1, n):
-            c = len(nbrs[x] & nbrs[y])
-            if y in nbrs[x]:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    return None
-    if lam is None or mu is None:
+    common: dict[bool, set[int]] = {True: set(), False: set()}  # keyed by adjacency
+    for i, (_, nx) in enumerate(local):
+        for y, ny in local[i + 1 :]:
+            common[y in nx].add(len(nx & ny))
+    lams, mus = common[True], common[False]  # neither is empty: 0 < k < n - 1
+    if len(lams) > 1 or len(mus) > 1:
         return None
-    return SrgParams(n, k, lam, mu)
+    return SrgParams(n, k, min(lams), min(mus))
+
+
+def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
+    """Detect strong regularity; see :func:`_srg_params`."""
+    return _srg_params(g, frozenset(range(g.n)))
 
 
 def intersection_array(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -146,10 +146,6 @@ def automorphism_orbits(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(root(x) for x in range(g.n)), tuple(automorphisms)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return find_isomorphism(g1, g2) is not None
-
-
 def verify_isomorphism(g1: Graph, g2: Graph, mapping: tuple[int, ...]) -> bool:
     if len(mapping) != g1.n or sorted(mapping) != list(range(g2.n)):
         return False

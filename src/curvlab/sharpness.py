@@ -1,8 +1,8 @@
 """Sharpness and classification predicates.
 
-Everything here is decided in exact rational arithmetic; floats appear only
-in strongly-regular eigenvalue side checks.  The verdict dataclasses carry
-the witnesses needed to audit a failure.
+Everything here is decided in exact rational arithmetic; no float decides
+a verdict.  The verdict dataclasses carry the witnesses needed to audit a
+failure.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ from .families import FamilySpec, from_spec
 from .graphs import (
     Graph,
     _cocktail_party_m,
+    _srg_params,
     common_neighbors,
     degree_triple,
     distances,
-    induced_subgraph,
     interval,
-    is_strongly_regular,
     poles_and_antipoles,
     require_connected,
     require_regular,
     triangle_count_edge,
 )
 from .isomorphism import automorphism_orbits, find_isomorphism
-from .spectral import adjacency_spectrum
 from .transport import kappa
 
 if TYPE_CHECKING:
@@ -295,6 +293,26 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
 
     Preconditions: self-centered Bonnet-Myers sharp with uniform cocktail
     party mu-graphs of the predicted size.
+
+    Each 1-sphere S1(x) is read off the neighbour sets of N(x), and its
+    parameters decide the verdict exactly; the eigenvalue needs no solve.
+    The eigenvalues of an srg(v, k, lambda, mu) other than k are the roots
+    of x^2 - (lambda - mu) x - (k - mu) (Godsil-Royle, *Algebraic Graph
+    Theory*, sec. 10.2).  With the predicted k, lambda, mu and theta below,
+    lambda - mu = theta - 2 and k - mu = 2 theta for every (D, L), so the
+    roots are theta and -2.  A sphere whose parameters match is therefore
+    one of two kinds:
+
+    - mu > 0: the sphere is a connected srg that is not complete, so both
+      roots are eigenvalues and the second largest is the larger root.  A
+      matching k = 2D/L - 2 >= 0 forces D >= L, so theta >= 0 > -2, and
+      the second eigenvalue is theta.
+    - mu = 0: this forces D = L, hence k = 0 and theta = 0.  The sphere
+      is D isolated points (the wildcard lambda), whose second eigenvalue
+      is 0 = theta.
+
+    So a sphere with matching parameters has second eigenvalue theta, and
+    a sphere without them fails whatever its spectrum.
     """
     g, deg = ctx.g, ctx.deg
     L = distances(g).diameter
@@ -314,18 +332,15 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     lam = Fraction(deg - 1, L - 1) - 3
     mu = Fraction(2 * (deg - L), L * (L - 1))
     theta = Fraction((deg - L) * (L - 2), L * (L - 1))
+    want = (nu, k, lam, mu)
     for x in range(g.n):
-        sphere, _ = induced_subgraph(g, g.adjacency[x])
-        params = is_strongly_regular(sphere)
+        params = _srg_params(g, g.neighbor_set(x))
         if params is None:
-            return LocalSrgVerdict(False, (nu, k, lam, mu), theta, x)
+            return LocalSrgVerdict(False, want, theta, x)
         got_lam = params.lam if params.lam is not None else lam  # wildcard
-        if (params.nu, params.k, got_lam, params.mu) != (nu, k, lam, mu):
-            return LocalSrgVerdict(False, (nu, k, lam, mu), theta, x)
-        spec_sorted = adjacency_spectrum(sphere)
-        if abs(float(spec_sorted[1]) - float(theta)) > 1e-9:
-            return LocalSrgVerdict(False, (nu, k, lam, mu), theta, x)
-    return LocalSrgVerdict(True, (nu, k, lam, mu), theta, None)
+        if (params.nu, params.k, got_lam, params.mu) != want:
+            return LocalSrgVerdict(False, want, theta, x)
+    return LocalSrgVerdict(True, want, theta, None)
 
 
 def ssp_ncp(g: Graph, x: int) -> tuple[bool, bool]:

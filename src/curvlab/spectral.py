@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import Disconnected, IsolatedVertex
+from .errors import IsolatedVertex
 from .graphs import Graph, distances, require_connected
 
 if TYPE_CHECKING:
@@ -79,10 +79,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     """Smallest positive Laplace eigenvalue, its multiplicity, and theta1."""
     require_connected(g)
     lap = laplacian_spectrum(g)
-    positive = lap[lap > VALUE_TOL]
-    if positive.size == 0:
-        raise Disconnected("no positive Laplacian eigenvalue")
-    lam1 = float(positive[0])
+    lam1 = float(lap[lap > VALUE_TOL][0])
     mult = int(np.sum(np.abs(lap - lam1) < CLUSTER_TOL))
     adj = adjacency_spectrum(g)
     theta1 = float(adj[1]) if g.n >= 2 else None
@@ -137,7 +134,7 @@ def is_lichnerowicz_sharp(ctx: GraphAnalysis) -> LichnerowiczVerdict:
     sharp = abs(float(inf_edge_kappa) - summ.lambda1) < VALUE_TOL
     certificate = False
     witness = None
-    if sharp and inf_edge_kappa == Fraction(2, d.diameter):
+    if sharp and ctx.bm.is_bm_sharp:
         for x in range(g.n):
             if d.eccentricity(x) == d.diameter:
                 ok, _ = verify_distance_eigenfunction(g, x)

@@ -143,14 +143,12 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class CurvatureValue:
-    """Exact curvature with provenance of flavour and computation path."""
+    """Exact curvature with the computation path that produced it."""
 
     value: Fraction
-    flavour: str  # "kappa" | "kappa_p" | "kappa_lly"
     # "matching" (kappa at an edge whose reduced assignment costs C == |left|,
     # i.e. a perfect adjacency matching) | "assignment"
     method: str
-    p: Optional[Fraction] = None
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
@@ -315,7 +313,7 @@ def _kappa_p_plan(
     p = _as_fraction(p, "idleness")
     w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
     value = 1 - w1 / distances(g).d(x, y)
-    return CurvatureValue(value=value, flavour="kappa_p", method="assignment", p=p), plan
+    return CurvatureValue(value=value, method="assignment"), plan
 
 
 def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
@@ -338,7 +336,7 @@ def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
     dxy = d.d(x, y)
     method = "matching" if dxy == 1 and c == len(left) else "assignment"
     value = Fraction(deg + 1, deg) - Fraction(c, deg * dxy)
-    return CurvatureValue(value=value, flavour="kappa", method=method)
+    return CurvatureValue(value=value, method=method)
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> CurvatureValue:
@@ -349,10 +347,7 @@ def kappa_lly(g: Graph, x: int, y: int) -> CurvatureValue:
     """
     if not g.has_edge(x, y):
         raise NotAnEdge("kappa_LLY is exposed for adjacent pairs only")
-    inner = kappa(g, x, y)
-    return CurvatureValue(
-        value=inner.value, flavour="kappa_lly", method=inner.method
-    )
+    return kappa(g, x, y)
 
 
 def matching_sides(

@@ -119,7 +119,8 @@ def test_find_isomorphism_one_oracle_per_graph(monkeypatch):
     [
         (["analyze", "hypercube:3"], 1),
         (["analyze", "hypercube:3", "--skip-spherical"], 0),
-        (["table", "1"], 0),
+        # the S1(x) column matches one vertex per orbit in each of 11 rows
+        (["table", "1"], 11),
         (["classify", "johnson:6:3"], 0),
         # both fail the whole-graph antipodality check
         (["analyze", "shrikhande"], 0),

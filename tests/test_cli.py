@@ -127,6 +127,28 @@ def test_edgeless_graph_exit3(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze"],
+        ["curvature", "0", "1"],
+        ["curvature", "--all-edges"],
+        ["spectral"],
+        ["sharpness"],
+        ["classify"],
+        ["bakry-emery"],
+        ["bakry-emery", "--vertex", "0"],
+    ],
+    ids=["analyze", "curvature", "all-edges", "spectral", "sharpness", "classify", "be", "be-vertex"],
+)
+def test_graph_without_vertices_is_disconnected_exit3(tmp_path, capsys, command):
+    # a connected graph has exactly one component, and this one has none
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3 and out == "" and err == "error: input graph is disconnected\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["curvature", "johnson:5:2", "--all-edges"],

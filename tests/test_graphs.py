@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvlab import graphs
 from curvlab.errors import (
+    Disconnected,
     DuplicateEdge,
     EmptySphere,
     IdentityViolated,
@@ -34,6 +35,7 @@ from curvlab.graphs import (
     cartesian_product,
     degree_triple,
     distances,
+    induced_subgraph,
     intersection_array,
     interval,
     is_cocktail_party,
@@ -107,6 +109,13 @@ class TestDistances:
         d = distances(build_graph(4, [(0, 1), (2, 3)]))
         assert not d.is_connected
         assert d.d(0, 2) == -1
+
+    def test_graph_without_vertices_not_connected(self):
+        # a connected graph has exactly one component; this one has none
+        g = build_graph(0, [])
+        assert not distances(g).is_connected
+        with pytest.raises(Disconnected, match="^input graph is disconnected$"):
+            graphs.require_connected(g)
 
     def test_adjacency_iff_distance_one(self, q3):
         g, d = q3
@@ -357,6 +366,24 @@ class TestStronglyRegular:
             p = is_strongly_regular(cocktail_party(n))
             assert (p.nu, p.k, p.lam, p.mu) == (2 * n, 2 * n - 2, 2 * n - 4, 2 * n - 2)
 
+    def test_sphere_params_read_off_neighbour_sets(self):
+        # the parameters of S1(x) read in g equal those of the built sphere,
+        # srg, edgeless and neither alike
+        rng = random.Random(17)
+        corpus = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        corpus += [random_regular_graph(n, deg, rng) for n, deg in [(10, 4), (12, 5), (9, 6)] * 3]
+        kinds = set()
+        for g in corpus:
+            for x in range(g.n):
+                sphere, _ = induced_subgraph(g, g.adjacency[x])
+                want = is_strongly_regular(sphere)
+                assert graphs._srg_params(g, g.neighbor_set(x)) == want
+                kinds.add(None if want is None else want.lam is None)
+        assert kinds == {None, True, False}
+
+    def test_empty_set_has_no_params(self):
+        assert graphs._srg_params(hypercube(2), frozenset()) is None
+
 
 class TestIntersectionArray:
     def test_hypercube(self, q4):
@@ -406,10 +433,10 @@ class TestCartesianProduct:
         assert is_cocktail_party(g) == 2
 
     def test_hypercube_recursion(self):
-        from curvlab.isomorphism import are_isomorphic
+        from curvlab.isomorphism import find_isomorphism
 
         g = cartesian_product(cartesian_product(complete(2), complete(2)), complete(2))
-        assert are_isomorphic(g, hypercube(3))
+        assert find_isomorphism(g, hypercube(3)) is not None
 
     @pytest.mark.parametrize(
         "factors, build",

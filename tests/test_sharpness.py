@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from curvlab.analysis import GraphAnalysis
@@ -22,6 +23,7 @@ from curvlab.graphs import (
     build_graph,
     cartesian_product,
     distances,
+    induced_subgraph,
     interval,
     poles_and_antipoles,
 )
@@ -369,6 +371,55 @@ class TestLocalSrg:
         g, _ = petersen
         with pytest.raises(PreconditionUnmet):
             local_srg_check(GraphAnalysis(g))
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_predicted_roots_are_theta_and_minus_two(self, L):
+        # the predicted parameters as local_srg_check computes them: theta
+        # and -2 are the roots of x^2 - (lambda - mu) x - (k - mu)
+        for D in range(L, 12 * L):
+            k = Fraction(2 * D, L) - 2
+            lam = Fraction(D - 1, L - 1) - 3
+            mu = Fraction(2 * (D - L), L * (L - 1))
+            theta = Fraction((D - L) * (L - 2), L * (L - 1))
+            for root in (theta, Fraction(-2)):
+                assert root * root - (lam - mu) * root - (k - mu) == 0
+            assert theta >= 0 and (mu > 0 or (k, theta) == (0, 0))
+
+    def test_second_eigenvalue_is_theta_where_it_holds(self):
+        # the float eigen-solve the verdict no longer makes, as an oracle
+        names = [*SAMPLE_GRAPHS, "hypercube:3", "cocktailparty:5", "johnson:8:4"]
+        held = []
+        for name in names:
+            g = sample_graph(name)
+            try:
+                verdict = local_srg_check(GraphAnalysis(g))
+            except PreconditionUnmet:
+                continue
+            if not verdict.holds:
+                continue
+            held.append(name)
+            for x in range(g.n):
+                sphere, _ = induced_subgraph(g, g.adjacency[x])
+                second = np.linalg.eigvalsh(sphere.dense_adjacency)[-2]
+                assert abs(second - float(verdict.theta)) <= 1e-9, (name, x)
+        assert set(held) == {
+            "hypercube:3", "hypercube:4", "cocktailparty:4", "cocktailparty:5",
+            "johnson:6:3", "johnson:8:4", "demicube:6", "gosset",
+        }
+
+    def test_builds_no_subgraph_and_solves_no_eigenproblem(self, monkeypatch, gosset_graph):
+        g, _ = gosset_graph
+        ctx = GraphAnalysis(g)
+        ctx.bm, ctx.mu_graphs, ctx.poles_and_antipoles  # the preconditions' own work
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigen-solve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        built = record_calls(monkeypatch, "graphs", "induced_subgraph")
+        assert local_srg_check(ctx).holds
+        assert built == []
 
 
 class TestSspNcp:

@@ -1,14 +1,18 @@
-"""Table reproduction: the mismatch path and the cost of the sphere check."""
+"""Table reproduction: the mismatch path and the sphere check, its cost and its answer."""
 
+import random
 import re
 from fractions import Fraction
 
 import curvlab.tables
+from curvlab.analysis import GraphAnalysis
 from curvlab.cli import main
 from curvlab.families import shrikhande
-from curvlab.tables import compute_table
+from curvlab.graphs import build_graph, induced_subgraph
+from curvlab.isomorphism import find_isomorphism
+from curvlab.tables import Sphere, _sphere_cell, compute_table
 
-from helpers import record_calls
+from helpers import SAMPLE_GRAPHS, random_regular_graph, record_calls, sample_graph
 
 MISMATCH = re.compile(r"MISMATCH (.+) / (.+): expected (.+), got (.+)")
 
@@ -59,11 +63,43 @@ def test_spectral_cells_fail_beyond_tolerance(capsys, monkeypatch):
 
 
 def test_table_1_builds_each_sphere_reference_oracle_once(monkeypatch):
-    # 11 row graphs, 6 sphere references and the 132 1-spheres of the rows
-    # whose reference has edges (an edgeless one is matched by counting);
-    # cartesian_product computes no oracle, so lattice(3)'s factors get none,
-    # and an oracle per vertex for the reference would add 132 more
+    # 11 row graphs, 11 sphere references and one 1-sphere per row: every
+    # row graph is vertex-transitive, so S1(x) is matched at one vertex;
+    # cartesian_product computes no oracle, so lattice(3)'s factors get none
     calls = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
+    orbits = record_calls(monkeypatch, "isomorphism", "automorphism_orbits")
+    searches = record_calls(monkeypatch, "isomorphism", "find_isomorphism")
     _, diffs = compute_table(1)
     assert not diffs
-    assert len(calls) == 11 + 6 + 132
+    assert len(calls) == 11 + 11 + 11
+    assert len(orbits) == len(searches) == 11
+
+
+def _sphere_scan(g, want: Sphere) -> str:
+    """The S1(x) cell by matching every vertex's 1-sphere, the reference."""
+    reference = want.build()
+    for x in range(g.n):
+        sphere, _ = induced_subgraph(g, g.adjacency[x])
+        if find_isomorphism(sphere, reference) is None:
+            return f"S1({x}) is not {want}"
+    return want.tag
+
+
+def test_sphere_cell_matches_full_scan():
+    # the reference is S1 of the last vertex, so a failing cell is one that
+    # only some 1-spheres match; relabelled copies move the failing vertex
+    rng = random.Random(23)
+    corpus = [random_regular_graph(n, deg, rng) for n, deg in [(10, 3), (10, 4), (12, 5)] * 2]
+    for name in SAMPLE_GRAPHS:
+        g = sample_graph(name)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        corpus += [g, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])]
+    failed = 0
+    for g in corpus:
+        reference, _ = induced_subgraph(g, g.adjacency[g.n - 1])
+        want = Sphere(f"S1({g.n - 1})", lambda reference=reference: reference)
+        cell = _sphere_cell(GraphAnalysis(g), want)
+        assert cell == _sphere_scan(g, want)
+        failed += cell != want.tag
+    assert failed >= 6
