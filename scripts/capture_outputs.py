@@ -16,7 +16,9 @@ and ``gen kneser 9 4``, as graph6 and as ``--json``; and, on a
 disconnected regular graph (2K3) and a connected irregular one (P4),
 ``analyze``, ``curvature`` on a pair and with ``--all-edges``,
 ``spectral``, ``sharpness``, ``classify`` and ``bakry-emery`` (default and
-``--vertex 0``), so the precondition refusals are gated too.  The two
+``--vertex 0``), so the precondition refusals are gated too (every
+command on P4 except ``spectral`` and the two ``bakry-emery`` ones
+refuses it; ``analyze`` does since it builds its analysis first).  The two
 products are built with ``gen product`` and the three small graphs written
 as JSON into ``OUTDIR/inputs``, and every command runs there, so the input
 names that reports print are the same in every capture.

@@ -3,8 +3,9 @@
 The kernels are numpy.  Breadth-first search advances the frontiers of all
 sources at once, one matrix product per level, and antipodality is decided
 by one broadcast per block of vertices; the Hungarian assignment is a plain
-Python loop.  All results are integers.  ``NUMBA_ENABLED`` is the constant
-``False``: there is no JIT lane, and the benchmark's run records read it.
+Python loop over ``cost.tolist()`` that returns Python ints.  All results
+are integers.  ``NUMBA_ENABLED`` is the constant ``False``: there is no JIT
+lane, and the benchmark's run records read it.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def is_antipodal_matrix(dist):
 
 
 def hungarian(cost):
-    """Exact minimum-cost perfect assignment of a square int64 matrix.
+    """Exact minimum-cost perfect assignment of a square integer matrix.
 
     Classic O(n^3) Hungarian algorithm with integer potentials, over Python
-    ints; returns (minimum total cost, row -> column assignment).
+    ints; returns (minimum total ``int``, row -> column ``list`` of ``int``).
     """
     n = cost.shape[0]
     rows = cost.tolist()
@@ -89,13 +90,13 @@ def hungarian(cost):
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [np.inf] * (n + 1)
+        minv = [float("inf")] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
             row, ui0 = rows[i0 - 1], u[i0]
-            delta = np.inf
+            delta = float("inf")
             j1 = 0
             for j in range(1, n + 1):
                 if not used[j]:
@@ -121,13 +122,10 @@ def hungarian(cost):
             j0 = j1
             if j0 == 0:
                 break
-    row_to_col = np.full(n, -1, dtype=np.int64)
-    total = 0
+    row_to_col = [0] * n
     for j in range(1, n + 1):
-        if p[j] != 0:
-            row_to_col[p[j] - 1] = j - 1
-            total += rows[p[j] - 1][j - 1]
-    return np.int64(total), row_to_col
+        row_to_col[p[j] - 1] = j - 1
+    return sum(row[j] for row, j in zip(rows, row_to_col)), row_to_col
 
 
 def interval_members(dist_x, dist_y, dxy):

@@ -31,7 +31,7 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .graph6 import encode_graph6, graph_to_json, load_graph
 from .graphs import Graph, require_connected, require_regular
 from .report import analyze, be_row, float_str, frac_str, report_json
-from .sharpness import bm_sharpness, classify
+from .sharpness import classify
 from .spectral import spectral_summary
 from .tables import compute_table, render_table
 from .transport import (
@@ -93,7 +93,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.output and not Path(args.output).parent.is_dir():
         _emit("", args.output)  # fails now as it would after the analysis
     report = analyze(
-        _load_connected(args.input),
+        _load_input(args.input),
         name=args.name or args.input,
         skip_be=args.skip_be,
         skip_spherical=args.skip_spherical,
@@ -179,7 +179,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
-    verdict = bm_sharpness(GraphAnalysis(_load_input(args.input)))
+    verdict = GraphAnalysis(_load_input(args.input)).bm
     doc = {
         "inf_kappa": frac_str(verdict.inf_edge_kappa),
         "two_over_L": frac_str(verdict.two_over_l),

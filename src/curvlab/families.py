@@ -272,14 +272,6 @@ class FamilySpec:
         return doc
 
     @staticmethod
-    def from_json(doc: dict[str, Any]) -> "FamilySpec":
-        return FamilySpec(
-            family=str(doc["family"]),
-            params=tuple(int(p) for p in doc.get("params", ())),
-            factors=tuple(FamilySpec.from_json(f) for f in doc.get("factors", ())),
-        )
-
-    @staticmethod
     def parse(text: str) -> "FamilySpec":
         """Parse the CLI form ``name`` or ``name:p1:p2``."""
         parts = text.split(":")

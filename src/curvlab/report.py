@@ -52,23 +52,22 @@ def analyze(
     skip_be: bool = False,
     skip_spherical: bool = False,
 ) -> dict[str, Any]:
-    """Run the full predicate pipeline and return the report dict."""
-    d = distances(g)
-    deg = g.is_regular()
-    L = d.diameter
+    """Run the full predicate pipeline and return the report dict.
+
+    The analysis context refuses a disconnected or irregular graph, so the
+    ``connected`` and ``regular`` keys are always true.
+    """
+    ctx = GraphAnalysis(g)
+    deg, L = ctx.deg, distances(g).diameter
     report: dict[str, Any] = {
         "graph": name,
         "vertices": g.n,
         "edges": g.edge_count,
-        "regular": deg is not None,
+        "regular": True,
         "D": deg,
         "L": L,
-        "connected": d.is_connected,
+        "connected": True,
     }
-    if not d.is_connected or deg is None:
-        return report
-
-    ctx = GraphAnalysis(g)
     verdict = ctx.bm
     _, self_centered = ctx.poles_and_antipoles
     report["inf_kappa"] = frac_str(verdict.inf_edge_kappa)
@@ -89,13 +88,12 @@ def analyze(
     report["theta1"] = float_str(summ.theta1) if summ.theta1 is not None else None
     report["lambda1_multiplicity"] = summ.lambda1_multiplicity
 
-    if L >= 1:
-        m = Fraction(2 * deg, L) - 2
-        if m.denominator == 1 and m >= 0:
-            lam = lambda_m_check(ctx, int(m))
-            report["lambda_m"] = {"m": int(m), "holds": lam.holds}
-        else:
-            report["lambda_m"] = {"m": None, "holds": False}
+    m = Fraction(2 * deg, L) - 2
+    if m.denominator == 1 and m >= 0:
+        lam = lambda_m_check(ctx, int(m))
+        report["lambda_m"] = {"m": int(m), "holds": lam.holds}
+    else:
+        report["lambda_m"] = {"m": None, "holds": False}
 
     mu_verdict = ctx.mu_graphs
     report["mu_graphs"] = {

@@ -201,10 +201,12 @@ def unique_antipole_check(g: Graph) -> AntipoleCountVerdict:
     return AntipoleCountVerdict(True, exactly_one, None)
 
 
-def is_antipodal(g: Graph, subset: frozenset[int] | set[int]) -> bool:
-    """Antipodality of the induced subgraph on ``subset`` in its own metric."""
-    members = np.array(sorted(subset), dtype=np.int32)
-    dm = _kernels.induced_distances(g.dense_adjacency, members)
+def is_antipodal(g: Graph, subset: frozenset[int] | set[int] | np.ndarray) -> bool:
+    """Antipodality of the subgraph induced on ``subset`` (a vertex set or
+    its sorted int32 array), in the subgraph's own metric."""
+    if not isinstance(subset, np.ndarray):
+        subset = np.array(sorted(subset), dtype=np.int32)
+    dm = _kernels.induced_distances(g.dense_adjacency, subset)
     if (dm < 0).any():
         raise DisconnectedSubset("subset does not induce a connected subgraph")
     return bool(_kernels.is_antipodal_matrix(dm))
@@ -235,21 +237,22 @@ def is_strongly_spherical(g: Graph) -> SphericalVerdict:
     first of its orbit, so it lies in a representative's row, and every pair
     scanned before it in the reduced order comes before it in the full order
     too, where it held.  Each automorphism behind the orbits was verified
-    edge by edge (:func:`curvlab.isomorphism.automorphism_orbits`).
+    edge by edge (:func:`curvlab.isomorphism.automorphism_orbits`).  An
+    interval induces a connected subgraph, since every z in I(x, y) lies on
+    an x-y geodesic whose vertices all lie in I(x, y), so
+    :func:`is_antipodal` never raises DisconnectedSubset here.
     """
     require_connected(g)
     d = distances(g)
     if not _kernels.is_antipodal_matrix(d.dist):
         return SphericalVerdict(False, None)
     representatives, _ = automorphism_orbits(g)
-    adj = g.dense_adjacency
     for x in sorted(set(representatives)):
         for y in range(x + 1, g.n):
             members = _kernels.interval_members(d.dist[x], d.dist[y], d.d(x, y))
             if members.shape[0] == g.n:
                 continue  # the full graph was already checked
-            dm = _kernels.induced_distances(adj, members)
-            if (dm < 0).any() or not _kernels.is_antipodal_matrix(dm):
+            if not is_antipodal(g, members):
                 return SphericalVerdict(False, (x, y))
     return SphericalVerdict(True, None)
 

@@ -10,7 +10,10 @@ only the remainders.  ``kappa`` has one route, no fast path: the shared
 1-ball mass cancels and one assignment between the 1-ball differences is
 solved.  At an edge, the cost of that assignment also says whether the
 difference neighbourhoods have a perfect adjacency matching: ``kappa``
-labels the edge "matching" exactly then.
+labels the edge "matching" exactly then.  ``kappa`` and the equal-atom
+branch of ``wasserstein`` share that one route, ``_assignment``, and both
+solvers read their costs from ``_costs``, the one place that turns graph
+distances into transport costs; no function here takes a distance oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .errors import (
     WrongDistance,
 )
 from .graphs import (
-    DistanceOracle,
     Graph,
     common_neighbors,
     distances,
@@ -160,33 +162,36 @@ def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, Transport
     integer min-cost flow on the common denominator scaling.
     """
     require_connected(g)
-    d = distances(g)
     a, b = m1.as_dict(), m2.as_dict()
     kept = [(v, v, min(m, b[v])) for v, m in m1.mass if v in b]
     source = [(u, m - b.get(u, 0)) for u, m in m1.mass if m > b.get(u, 0)]
     target = [(v, m - a.get(v, 0)) for v, m in m2.mass if m > a.get(v, 0)]
     if len(source) == len(target) and len({m for _, m in source + target}) == 1:
-        value, moved = _wasserstein_assignment(d, source, target)
+        unit = source[0][1]
+        total, pairs = _assignment(g, [u for u, _ in source], [v for v, _ in target])
+        value, moved = unit * total, [(u, v, unit) for u, v in pairs]
     else:
-        value, moved = _wasserstein_flow(d, source, target)
+        value, moved = _wasserstein_flow(g, source, target)
     entries = tuple(sorted(kept + moved))
     return value, TransportPlan(entries=entries, source=m1, target=m2)
 
 
-def _wasserstein_assignment(
-    d: DistanceOracle,
-    source: Sequence[tuple[int, Fraction]],
-    target: Sequence[tuple[int, Fraction]],
-) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
-    """W1 and plan entries between equal numbers of atoms of one common mass."""
-    us, vs = [u for u, _ in source], [v for v, _ in target]
-    unit = source[0][1]
-    total, row_to_col = _kernels.hungarian(d.dist[np.ix_(us, vs)].astype(np.int64))
-    return unit * int(total), [(u, vs[int(j)], unit) for u, j in zip(us, row_to_col)]
+def _costs(g: Graph, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
+    """The transport costs from ``us`` to ``vs``: their graph distances."""
+    return distances(g).dist[np.ix_(us, vs)]
+
+
+def _assignment(
+    g: Graph, us: Sequence[int], vs: Sequence[int]
+) -> tuple[int, list[tuple[int, int]]]:
+    """The least total cost of a bijection from ``us`` onto ``vs``, and its
+    pairs, by one Hungarian solve; times a common atom mass it is W1."""
+    total, row_to_col = _kernels.hungarian(_costs(g, us, vs))
+    return total, [(u, vs[j]) for u, j in zip(us, row_to_col)]
 
 
 def _wasserstein_flow(
-    d: DistanceOracle,
+    g: Graph,
     source: Sequence[tuple[int, Fraction]],
     target: Sequence[tuple[int, Fraction]],
 ) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
@@ -195,7 +200,7 @@ def _wasserstein_flow(
     us, vs = [u for u, _ in source], [v for v, _ in target]
     supply = [int(m * denom) for _, m in source]
     demand = [int(m * denom) for _, m in target]
-    total, flow = _transportation(d.dist[np.ix_(us, vs)].tolist(), supply, demand)
+    total, flow = _transportation(_costs(g, us, vs).tolist(), supply, demand)
     entries = [(us[i], vs[j], Fraction(f, denom)) for (i, j), f in flow.items()]
     return Fraction(total, denom), entries
 
@@ -329,11 +334,10 @@ def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
         raise SamePair("curvature needs two distinct vertices")
     require_connected(g)
     deg = require_regular(g)
-    d = distances(g)
     bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
     left, right = sorted(bx - by), sorted(by - bx)
-    c = int(_kernels.hungarian(d.dist[np.ix_(left, right)].astype(np.int64))[0])
-    dxy = d.d(x, y)
+    c, _ = _assignment(g, left, right)
+    dxy = distances(g).d(x, y)
     method = "matching" if dxy == 1 and c == len(left) else "assignment"
     value = Fraction(deg + 1, deg) - Fraction(c, deg * dxy)
     return CurvatureValue(value=value, method=method)

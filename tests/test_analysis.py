@@ -138,6 +138,7 @@ def test_automorphism_search_only_for_the_interval_scan(monkeypatch, capsys, arg
 # the predicates that take a GraphAnalysis are covered by its constructor.
 NEEDS_CONNECTED = {
     "GraphAnalysis": GraphAnalysis,
+    "analyze": analyze,
     "kappa": lambda g: kappa(g, 0, 1),
     "kappa_p": lambda g: kappa_p(g, 0, 1, Fraction(1, 2)),
     "kappa_lly": lambda g: kappa_lly(g, 0, 1),
@@ -153,8 +154,8 @@ NEEDS_CONNECTED = {
     "conjecture_scan": lambda g: conjecture_scan(g, [0.0] * g.n),
 }
 NEEDS_BOTH = (
-    "GraphAnalysis", "kappa", "kappa_p", "kappa_lly", "pole_facts", "degree_recursions",
-    "conjecture_scan",
+    "GraphAnalysis", "analyze", "kappa", "kappa_p", "kappa_lly", "pole_facts",
+    "degree_recursions", "conjecture_scan",
 )
 NEEDS_REGULAR = {
     **{name: NEEDS_CONNECTED[name] for name in NEEDS_BOTH},

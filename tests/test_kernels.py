@@ -32,6 +32,8 @@ from helpers import antipodal_bruteforce, assignment_bruteforce
 def test_hungarian_matches_bruteforce(cost_rows):
     cost = np.array(cost_rows, dtype=np.int64)
     total, assignment = _kernels.hungarian(cost)
+    assert type(total) is int
+    assert type(assignment) is list and all(type(j) is int for j in assignment)
     assert total == assignment_bruteforce(cost_rows)
     assert sorted(assignment) == list(range(cost.shape[0]))
     assert total == sum(cost[i, assignment[i]] for i in range(cost.shape[0]))

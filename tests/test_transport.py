@@ -154,14 +154,16 @@ class TestWasserstein:
         # p = 1/4 gives equal masses on Q3, so both routes must agree;
         # force the flow route by perturbing nothing but the solver choice,
         # on the full supports
-        from curvlab.transport import _wasserstein_assignment, _wasserstein_flow
+        from curvlab.transport import _assignment, _wasserstein_flow
 
-        g, d = q3
+        g, _ = q3
+        unit = Fraction(1, 4)
         for x, y in [(0, 1), (0, 3), (0, 7), (2, 5)]:
-            m1 = idle_measure(g, x, Fraction(1, 4))
-            m2 = idle_measure(g, y, Fraction(1, 4))
-            wa, entries_a = _wasserstein_assignment(d, m1.mass, m2.mass)
-            wf, entries_f = _wasserstein_flow(d, m1.mass, m2.mass)
+            m1 = idle_measure(g, x, unit)
+            m2 = idle_measure(g, y, unit)
+            total, pairs = _assignment(g, m1.support, m2.support)
+            wa, entries_a = unit * total, [(u, v, unit) for u, v in pairs]
+            wf, entries_f = _wasserstein_flow(g, m1.mass, m2.mass)
             plan_a = TransportPlan(tuple(entries_a), m1, m2)
             plan_f = TransportPlan(tuple(entries_f), m1, m2)
             assert wa == wf
@@ -257,7 +259,7 @@ class TestWasserstein:
                 )
 
             m1, m2 = random_units(), random_units()
-            w_flow, entries = _wasserstein_flow(d, m1.mass, m2.mass)
+            w_flow, entries = _wasserstein_flow(g, m1.mass, m2.mass)
             assert TransportPlan(tuple(entries), m1, m2).cost(g) == w_flow
             units1 = [v for v, m in m1.mass for _ in range(int(m * scale))]
             units2 = [v for v, m in m2.mass for _ in range(int(m * scale))]
@@ -265,7 +267,7 @@ class TestWasserstein:
                 [[d.d(u, v) for v in units2] for u in units1], dtype=np.int64
             )
             total, _ = _kernels.hungarian(cost)
-            assert w_flow == Fraction(int(total), scale)
+            assert w_flow == Fraction(total, scale)
 
     def test_unbalanced_transportation_raises(self):
         # a typed failure survives ``python -O`` and maps to CLI exit 4
@@ -449,6 +451,64 @@ class TestReducedRoute:
 
     def test_chang1(self):
         assert self._check_far_pairs(load_fixture("chang1")) == 28 * 27 // 2 - 168
+
+
+class TestCostReader:
+    """Both W1 solvers read their costs from ``transport._costs``; ``kappa``
+    and the equal-atom branch of ``wasserstein`` share ``_assignment``; and
+    no function in curvlab takes a distance oracle."""
+
+    @staticmethod
+    def _count(monkeypatch, capsys, argv):
+        from curvlab.cli import main
+
+        costs = record_calls(monkeypatch, "transport", "_costs")
+        assignments = record_calls(monkeypatch, "transport", "_assignment")
+        flows = record_calls(monkeypatch, "transport", "_wasserstein_flow")
+        assert main(argv) == 0
+        capsys.readouterr()
+        return len(costs), len(assignments), len(flows)
+
+    def test_analyze_reads_one_block_per_edge(self, monkeypatch, capsys):
+        # J(6,3) has 90 edges, and each edge kappa is one assignment
+        assert self._count(monkeypatch, capsys, ["analyze", "johnson:6:3"]) == (90, 90, 0)
+
+    def test_curvature_plan_reads_kappa_and_plan_blocks(self, monkeypatch, capsys):
+        argv = ["curvature", "hypercube:3", "0", "7", "--plan"]
+        assert self._count(monkeypatch, capsys, argv) == (2, 2, 0)
+
+    def test_idleness_plan_reads_one_flow_block(self, monkeypatch, capsys):
+        argv = ["curvature", "hypercube:3", "0", "7", "--p", "1/2", "--plan"]
+        assert self._count(monkeypatch, capsys, argv) == (1, 0, 1)
+
+    def test_no_function_takes_a_distance_oracle(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import curvlab
+
+        offenders, scanned = [], 0
+        for info in pkgutil.iter_modules(curvlab.__path__):
+            module = importlib.import_module(f"curvlab.{info.name}")
+            owned = [
+                v for v in vars(module).values()
+                if getattr(v, "__module__", None) == module.__name__
+            ]
+            callables = [v for v in owned if inspect.isfunction(v)]
+            for cls in (v for v in owned if inspect.isclass(v)):
+                callables += [
+                    getattr(m, "__func__", m)
+                    for m in vars(cls).values()
+                    if inspect.isfunction(getattr(m, "__func__", m))
+                ]
+            for fn in callables:
+                scanned += 1
+                for param in inspect.signature(fn).parameters.values():
+                    if "DistanceOracle" in str(param.annotation):
+                        offenders.append(f"{module.__name__}.{fn.__qualname__}({param.name})")
+        assert scanned > 200
+        assert offenders == []
 
 
 class TestDuality:
