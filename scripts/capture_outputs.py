@@ -18,10 +18,13 @@ disconnected regular graph (2K3) and a connected irregular one (P4),
 ``spectral``, ``sharpness``, ``classify`` and ``bakry-emery`` (default and
 ``--vertex 0``), so the precondition refusals are gated too (every
 command on P4 except ``spectral`` and the two ``bakry-emery`` ones
-refuses it; ``analyze`` does since it builds its analysis first).  The two
-products are built with ``gen product`` and the three small graphs written
-as JSON into ``OUTDIR/inputs``, and every command runs there, so the input
-names that reports print are the same in every capture.
+refuses it; ``analyze`` does since it builds its analysis first); and
+``bakry-emery`` (default and ``--vertex 0``) on a connected irregular
+graph with triangles and a non-empty 2-sphere, whose 1-ball degrees
+differ.  The two products are built with ``gen product`` and the four
+small graphs written as JSON into ``OUTDIR/inputs``, and every command
+runs there, so the input names that reports print are the same in every
+capture.
 
 Capture once before a change and once after it, from two checkouts, and
 compare:
@@ -30,7 +33,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 70 commands run one after another and take about 20 s on a 2-core
+The 72 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -53,6 +56,12 @@ REFUSED = {
     "2k3.json": (6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
     "p4.json": (4, [[0, 1], [1, 2], [2, 3]]),
     "empty.json": (0, []),
+}
+# a triangular prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3, 4
+IRREGULAR = {
+    "prism-plus.json": (
+        7, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4], [3, 5], [4, 5], [0, 6], [1, 6]]
+    ),
 }
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
@@ -80,8 +89,8 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"spectral-{stem}", ["spectral", g]))
         out.append((f"classify-{stem}", ["classify", g]))
         out.append((f"sharpness-{stem}", ["sharpness", g]))
-    for g in BAKRY_EMERY:
-        stem = g.removesuffix(".g6")
+    for g in (*BAKRY_EMERY, *IRREGULAR):
+        stem = g.removesuffix(".g6").removesuffix(".json")
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
     out.append(("curvature-all-edges-chang1", ["curvature", "chang1", "--all-edges"]))
@@ -127,7 +136,7 @@ def main(argv: list[str]) -> int:
         if proc.returncode != 0:
             print(f"gen {name} failed: {proc.stderr}", file=sys.stderr)
             return 1
-    for name, (n, edges) in REFUSED.items():
+    for name, (n, edges) in {**REFUSED, **IRREGULAR}.items():
         (inputs / name).write_text(json.dumps({"n": n, "edges": edges}) + "\n")
     for name, cli_argv in commands():
         proc = run(cli_argv, inputs)

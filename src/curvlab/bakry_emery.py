@@ -1,12 +1,15 @@
 """Bakry-Emery Gamma-calculus and normalized infinity-curvature.
 
 The curvature at x is the best constant K with Gamma2(f)(x) >= K Gamma(f)(x)
-for all f.  Both quadratic forms live on the 2-ball B2(x) and are assembled
-there, on the basis [x] + S1(x) + S2(x), never on the whole vertex set.
-Fixing f(x) = 0 (both forms are shift invariant) and eliminating the
-2-sphere coordinates by a Schur complement reduces the problem to a
-smallest eigenvalue on the 1-sphere coordinates.  A positive-semidefiniteness
-bisection provides an independent cross-check.
+for all f.  Both forms live on the 2-ball B2(x), on the basis
+[x] + S1(x) + S2(x), and are read off the adjacency block B1(x) x B2(x).
+Gamma2 scatters sum_y Gamma(y)/d_x into -Gamma(x) with one unbuffered
+``np.add.at`` over y in S1 order, so each entry takes the float additions
+of a per-neighbour matrix sum in that order: ``bakry-emery gosset`` prints
+the conjecture margin 7.77156117238e-16, the round-off of an exact zero,
+and any other order changes those bytes.  Fixing f(x) = 0 (both forms are
+shift invariant) and eliminating S2(x) by a Schur complement leaves a
+smallest eigenvalue on S1(x); a PSD bisection cross-checks it.
 
 Form matrices are floats assembled from exact rational Laplacian entries;
 sharpness verdicts use a 1e-7 tolerance.  The upper bound
@@ -30,6 +33,7 @@ SHARP_TOL = 1e-7
 # overshoot in the bisection scales like PSD_TOL divided by the Gamma-mass of
 # the critical direction.
 PSD_TOL = 1e-11
+Partition = tuple[list[int], list[int], list[int]]
 
 
 # -- exact pointwise evaluators ----------------------------------------------
@@ -63,7 +67,7 @@ class QuadraticForm:
     matrix: np.ndarray
 
 
-def _ball_partition(g: Graph, x: int) -> tuple[list[int], list[int], list[int]]:
+def _ball_partition(g: Graph, x: int) -> Partition:
     """(S1, S2, out-degrees) of x via a local BFS: the sorted 1- and
     2-spheres, and for each S1 vertex in that order its neighbours in S2."""
     s1 = sorted(g.adjacency[x])
@@ -73,44 +77,43 @@ def _ball_partition(g: Graph, x: int) -> tuple[list[int], list[int], list[int]]:
     return s1, s2, [len(zs) for zs in out]
 
 
-def _local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-    """(basis, |S1|, Gamma, Gamma2) at x, both matrices over the basis
-    ``[x] + S1 + S2`` of B2(x).
-
+def _local_forms(g: Graph, x: int, part: Partition) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """(basis, |S1|, Gamma, Gamma2) at x over the basis ``[x] + S1 + S2`` of
+    B2(x) that ``part`` gives, read off the adjacency block B1(x) x B2(x):
     Gamma(., .)(w) for w in B1(x) and the Laplacian rows of B1(x) touch no
-    vertex outside B2(x), so the forms are complete on this basis.
-    """
-    s1, s2, _ = _ball_partition(g, x)
-    basis = [x] + s1 + s2
-    pos = {v: i for i, v in enumerate(basis)}
-    m = len(basis)
-
-    def gamma_at(w: int) -> np.ndarray:
-        i, js = pos[w], [pos[z] for z in g.adjacency[w]]
-        h = np.zeros((m, m), dtype=np.float64)
-        h[js, js] = 1.0
-        h[js, i] = h[i, js] = -1.0
-        h[i, i] = len(js)
-        return h / (2.0 * len(js))
-
+    vertex outside B2(x)."""
+    s1, s2, _ = part
+    basis = [x, *s1, *s2]
+    k, m = 1 + len(s1), len(basis)
+    adj = g.dense_adjacency[np.ix_(basis[:k], basis)]
+    deg = adj.sum(axis=1)
     # Laplacian rows of B1(x); the rows of S2 never meet the Gamma form at x
     lap = np.zeros((m, m), dtype=np.float64)
-    for i, v in enumerate(basis[: 1 + len(s1)]):
-        lap[i, [pos[z] for z in g.adjacency[v]]] = 1.0 / g.degree(v)
-        lap[i, i] = -1.0
-
-    gx = gamma_at(x)
-    acc = -1.0 * gx  # M[x, x] = -1 term of Delta Gamma
-    degx = g.degree(x)
-    for y in g.adjacency[x]:
-        acc = acc + gamma_at(y) / degx
+    lap[:k] = adj / deg[:, None]
+    lap[range(k), range(k)] = -1.0
+    gx = np.zeros((m, m), dtype=np.float64)
+    gx[range(1, k), range(1, k)] = 1.0
+    gx[0, 1:k] = gx[1:k, 0] = -1.0
+    gx[0, 0] = deg[0]
+    gx /= 2.0 * deg[0]
+    # sum_y Gamma(y)/d_x, scattered y by y in S1 order: (z, z), (z, y),
+    # (y, z), then (y, y), so each entry sees the float additions of one
+    # m x m matrix per y added in turn
+    r, z = np.nonzero(adj[1:])
+    y, ys = r + 1, np.arange(1, k)
+    w = 1.0 / (2.0 * deg[y]) / deg[0]
+    order = np.argsort(np.concatenate((r, r, r, ys - 1)), kind="stable")
+    rows, cols = np.hstack(((z, z), (z, y), (y, z), (ys, ys)))[:, order]
+    vals = np.concatenate((w, -w, -w, deg[1:] / (2.0 * deg[1:]) / deg[0]))[order]
+    acc = 0.0 - gx  # M[x, x] = -1 term of Delta Gamma, with +0.0 zeros
+    np.add.at(acc, (rows, cols), vals)
     b = 0.5 * (acc - gx @ lap - lap.T @ gx)
     return basis, len(s1), gx, 0.5 * (b + b.T)
 
 
 def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
     """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x."""
-    basis, ds, gx, g2x = _local_forms(g, x)
+    basis, ds, gx, g2x = _local_forms(g, x, _ball_partition(g, x))
     return (
         QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
         QuadraticForm(basis=tuple(basis), matrix=g2x),
@@ -129,13 +132,11 @@ class BEReport:
     s1pp_lambda1: Optional[float]
 
 
-def _curvature_schur(g: Graph, x: int) -> float:
-    _, ds, _, b = _local_forms(g, x)
+def _curvature_schur(g: Graph, x: int, part: Partition) -> float:
+    _, ds, _, b = _local_forms(g, x, part)
     # fix f(x) = 0: both forms are invariant under adding constants
     b = b[1:, 1:]
-    b11 = b[:ds, :ds]
-    b12 = b[:ds, ds:]
-    b22 = b[ds:, ds:]
+    b11, b12, b22 = b[:ds, :ds], b[:ds, ds:], b[ds:, ds:]
     if b22.size:
         evals, evecs = np.linalg.eigh(b22)
         if evals.min() < -1e-8:
@@ -154,7 +155,7 @@ def _curvature_schur(g: Graph, x: int) -> float:
 
 def _curvature_bisect(g: Graph, x: int, lo: float, hi: float, iters: int = 60) -> float:
     """Largest K with Gamma2 - K Gamma PSD at x, by bisection."""
-    _, _, a, b = _local_forms(g, x)
+    _, _, a, b = _local_forms(g, x, _ball_partition(g, x))
     # fix f(x) = 0, as in the Schur route
     a, b = a[1:, 1:], b[1:, 1:]
 
@@ -167,10 +168,7 @@ def _curvature_bisect(g: Graph, x: int, lo: float, hi: float, iters: int = 60) -
         lo, hi = hi, hi + (hi - lo + 1.0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if psd(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if psd(mid) else (lo, mid)
     return lo
 
 
@@ -178,32 +176,25 @@ def be_curvature(g: Graph, x: int, *, verify: bool = False) -> BEReport:
     """Normalized Bakry-Emery infinity-curvature at x with sharpness data.
 
     Everything is read off the 2-ball B2(x), so the rest of the graph, and
-    whether it is connected, does not matter.  ``verify=True`` re-derives
-    the value by the PSD bisection and demands agreement within 1e-7.
+    whether it is connected, does not matter.  The ball partition of x is
+    taken once and read by the forms, the upper bound and the S1'' test.
+    ``verify=True`` re-derives the value by the PSD bisection, on forms it
+    assembles anew, and demands agreement within 1e-7.
     """
     if g.degree(x) == 0:
         raise IsolatedVertex(f"Bakry-Emery curvature is not defined at isolated vertex {x}")
-    k = _curvature_schur(g, x)
+    part = _ball_partition(g, x)
+    k = _curvature_schur(g, x, part)
     if verify:
         k_bis = _curvature_bisect(g, x, lo=k - 1.0, hi=k + 1.0)
         if abs(k - k_bis) > SHARP_TOL:
-            raise FormCheckFailed(
-                f"Schur value {k} and bisection value {k_bis} disagree at {x}"
-            )
-    deg = g.is_regular()
-    upper: Optional[Fraction] = None
-    sharp = False
-    if deg is not None:
-        upper = be_upper_bound(g, x)
-        sharp = abs(k - float(upper)) < SHARP_TOL
-    s1_reg, lam1, _passes = s1pp_sharpness_test(g, x)
+            raise FormCheckFailed(f"Schur value {k} and bisection value {k_bis} disagree at {x}")
+    upper = _upper_bound(g, x, part) if g.is_regular() is not None else None
+    sharp = upper is not None and abs(k - float(upper)) < SHARP_TOL
+    s1_reg, lam1, _passes = _s1pp_test(g, x, part)
     return BEReport(
-        vertex=x,
-        curvature=k,
-        upper_bound=upper,
-        is_sharp=sharp,
-        s1_out_regular=s1_reg,
-        s1pp_lambda1=lam1,
+        vertex=x, curvature=k, upper_bound=upper, is_sharp=sharp,
+        s1_out_regular=s1_reg, s1pp_lambda1=lam1,
     )
 
 
@@ -214,10 +205,14 @@ def be_upper_bound(g: Graph, x: int) -> Fraction:
     av_1^+(x) of the 1-sphere read off the ball partition; the two
     expressions must agree.
     """
+    return _upper_bound(g, x, _ball_partition(g, x))
+
+
+def _upper_bound(g: Graph, x: int, part: Partition) -> Fraction:
     deg = require_regular(g)
     tri = triangle_count_vertex(g, x)
     via_triangles = Fraction(2, deg) + Fraction(tri, deg * deg)
-    s1, _, out_degrees = _ball_partition(g, x)
+    s1, _, out_degrees = part
     av_plus = Fraction(sum(out_degrees), len(s1))
     via_average = (3 + deg - av_plus) / (2 * deg)
     if via_triangles != via_average:
@@ -234,32 +229,30 @@ def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Option
     the vertex is infinity-curvature sharp iff the smallest nonzero
     eigenvalue of its Laplacian is at least D/2.
     """
-    s1, s2, out_degrees = _ball_partition(g, x)
+    return _s1pp_test(g, x, _ball_partition(g, x))
+
+
+def _s1pp_weights(g: Graph, s1: list[int], s2: list[int]) -> np.ndarray:
+    """The S1'' weights A[S1, S1] + (B / colsum(B)) B^T, B = A[S1, S2], off the diagonal."""
+    adj = g.dense_adjacency[np.ix_(s1, s1 + s2)]
+    b = adj[:, len(s1) :]
+    w = adj[:, : len(s1)] + (b / b.sum(axis=0)) @ b.T
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _s1pp_test(g: Graph, x: int, part: Partition) -> tuple[bool, Optional[float], Optional[bool]]:
+    s1, s2, out_degrees = part
     if len(set(out_degrees)) != 1:
         return False, None, None
-    k = len(s1)
-    pos = {y: i for i, y in enumerate(s1)}
-    w = np.zeros((k, k), dtype=np.float64)
-    for y in s1:
-        for z in g.adjacency[y]:
-            if z in pos and pos[z] > pos[y]:
-                w[pos[y], pos[z]] += 1.0
-                w[pos[z], pos[y]] += 1.0
-    for z in s2:
-        back = [y for y in g.adjacency[z] if y in pos]
-        share = 1.0 / len(back)
-        for i, y in enumerate(back):
-            for yy in back[i + 1 :]:
-                w[pos[y], pos[yy]] += share
-                w[pos[yy], pos[y]] += share
+    w = _s1pp_weights(g, s1, s2)
     lap = np.diag(w.sum(axis=1)) - w
     eigs = np.sort(np.linalg.eigvalsh(lap))
     nonzero = eigs[eigs > 1e-9]
     if nonzero.size == 0:
         return True, None, False
     lam1 = float(nonzero[0])
-    deg = g.degree(x)
-    return True, lam1, lam1 >= deg / 2.0 - SHARP_TOL
+    return True, lam1, lam1 >= g.degree(x) / 2.0 - SHARP_TOL
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,7 @@ from .report import analyze, be_row, float_str, frac_str, report_json
 from .sharpness import classify
 from .spectral import spectral_summary
 from .tables import compute_table, render_table
-from .transport import (
-    _kappa_p_plan,
-    idle_measure,
-    kappa,
-    transport_geodesic,
-    wasserstein,
-)
+from .transport import _kappa_p_plan, _kappa_plan, kappa, transport_geodesic
 
 
 def _parse_spec_args(args: list[str]) -> FamilySpec:
@@ -115,7 +109,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             "--all-edges computes plain kappa on every edge; it takes no vertex pair, --p or --plan"
         )
     g = _load_connected(args.input)
-    deg = require_regular(g)
+    require_regular(g)
     if args.all_edges:
         ctx = GraphAnalysis(g)
         inf = ctx.bm.inf_edge_kappa
@@ -128,17 +122,13 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     x, y = args.x, args.y
     _check_vertices(g, x, y)
     if args.p is not None:
-        p = args.p
-        val, plan = _kappa_p_plan(g, x, y, p)
-        print(f"kappa_{p}({x},{y}) = {frac_str(val.value)} ({val.method})")
-        if args.plan:
-            print(json.dumps(plan.to_json(), sort_keys=True))
-        return 0
-    val = kappa(g, x, y)
-    print(f"kappa({x},{y}) = {frac_str(val.value)} ({val.method})")
+        name, (val, plan) = f"kappa_{args.p}", _kappa_p_plan(g, x, y, args.p)
+    elif args.plan:
+        name, (val, plan) = "kappa", _kappa_plan(g, x, y)
+    else:
+        name, val = "kappa", kappa(g, x, y)
+    print(f"{name}({x},{y}) = {frac_str(val.value)} ({val.method})")
     if args.plan:
-        p = Fraction(1, deg + 1)
-        w, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
         print(json.dumps(plan.to_json(), sort_keys=True))
     return 0
 

@@ -11,9 +11,10 @@ only the remainders.  ``kappa`` has one route, no fast path: the shared
 solved.  At an edge, the cost of that assignment also says whether the
 difference neighbourhoods have a perfect adjacency matching: ``kappa``
 labels the edge "matching" exactly then.  ``kappa`` and the equal-atom
-branch of ``wasserstein`` share that one route, ``_assignment``, and both
-solvers read their costs from ``_costs``, the one place that turns graph
-distances into transport costs; no function here takes a distance oracle.
+branch of ``wasserstein`` share that one route, ``_assignment``; with a plan,
+``kappa`` is read off that W1 solve by the same rule.  Both solvers read
+their costs from ``_costs``, the one place that turns graph distances into
+transport costs; no function here takes a distance oracle.
 """
 
 from __future__ import annotations
@@ -302,6 +303,14 @@ def _transportation(
     return total, dict(flow)
 
 
+def _pair_degree(g: Graph, x: int, y: int) -> int:
+    """The degree D of g, once x and y are distinct and g is connected and regular."""
+    if x == y:
+        raise SamePair("curvature needs two distinct vertices")
+    require_connected(g)
+    return require_regular(g)
+
+
 def kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> CurvatureValue:
     """p-idleness Ollivier-Ricci curvature 1 - W1(mu_x^p, mu_y^p)/d(x,y)."""
     return _kappa_p_plan(g, x, y, p)[0]
@@ -311,10 +320,7 @@ def _kappa_p_plan(
     g: Graph, x: int, y: int, p: Fraction | int
 ) -> tuple[CurvatureValue, TransportPlan]:
     """``kappa_p`` together with the optimal plan of its one W1 solve."""
-    if x == y:
-        raise SamePair("curvature needs two distinct vertices")
-    require_connected(g)
-    require_regular(g)
+    _pair_degree(g, x, y)
     p = _as_fraction(p, "idleness")
     w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
     value = 1 - w1 / distances(g).d(x, y)
@@ -330,17 +336,28 @@ def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
     with equality exactly when a perfect adjacency matching exists: then the
     value is (2+|N_xy|)/D and the method is "matching", else "assignment".
     """
-    if x == y:
-        raise SamePair("curvature needs two distinct vertices")
-    require_connected(g)
-    deg = require_regular(g)
+    deg = _pair_degree(g, x, y)
     bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
     left, right = sorted(bx - by), sorted(by - bx)
     c, _ = _assignment(g, left, right)
+    return _kappa_from_cost(g, x, y, deg, c, len(left))
+
+
+def _kappa_from_cost(g: Graph, x: int, y: int, deg: int, c: int, moved: int) -> CurvatureValue:
+    """``kappa`` from the cost C of an assignment of ``moved`` unit atoms."""
     dxy = distances(g).d(x, y)
-    method = "matching" if dxy == 1 and c == len(left) else "assignment"
-    value = Fraction(deg + 1, deg) - Fraction(c, deg * dxy)
-    return CurvatureValue(value=value, method=method)
+    method = "matching" if dxy == 1 and c == moved else "assignment"
+    return CurvatureValue(Fraction(deg + 1, deg) - Fraction(c, deg * dxy), method)
+
+
+def _kappa_plan(g: Graph, x: int, y: int) -> tuple[CurvatureValue, TransportPlan]:
+    """``kappa`` and the optimal plan of its one W1 solve: at idleness 1/(D+1)
+    the shared atoms stay and ``kappa``'s assignment, of cost (D+1) W1, moves the rest."""
+    deg = _pair_degree(g, x, y)
+    p = Fraction(1, deg + 1)
+    w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
+    moved = sum(u != v for u, v, _ in plan.entries)
+    return _kappa_from_cost(g, x, y, deg, int(w1 * (deg + 1)), moved), plan
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> CurvatureValue:

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, perfect matchings by permutation enumeration,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
-assembly over the whole vertex set, intersection arrays by a scan of every
+assembly over the whole vertex set and by one matrix per neighbour, S1''
+weights by a pair loop, intersection arrays by a scan of every
 ordered vertex pair, isomorphism and automorphism orbits by permutation
 enumeration, strong sphericity by the full row-major interval scan,
 cocktail party graphs by their complement, mu-graphs by building each one,
@@ -99,6 +100,62 @@ def dense_gamma_forms(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
         acc = acc + gamma_at(y) / g.degree(x)
     b = 0.5 * (acc - gx @ lap - lap.T @ gx)
     return gx, 0.5 * (b + b.T)
+
+
+def ordered_gamma_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``, with one
+    m x m Gamma matrix per neighbour y of x added in S1 order: the float
+    additions that the ordered scatter of ``_local_forms`` must repeat."""
+    s1 = sorted(g.adjacency[x])
+    ball = {x, *s1}
+    s2 = sorted({z for y in s1 for z in g.adjacency[y] if z not in ball})
+    basis = [x] + s1 + s2
+    pos = {v: i for i, v in enumerate(basis)}
+    m = len(basis)
+
+    def gamma_at(w: int) -> np.ndarray:
+        i, js = pos[w], [pos[z] for z in g.adjacency[w]]
+        h = np.zeros((m, m), dtype=np.float64)
+        h[js, js] = 1.0
+        h[js, i] = h[i, js] = -1.0
+        h[i, i] = len(js)
+        return h / (2.0 * len(js))
+
+    lap = np.zeros((m, m), dtype=np.float64)
+    for i, v in enumerate(basis[: 1 + len(s1)]):
+        lap[i, [pos[z] for z in g.adjacency[v]]] = 1.0 / g.degree(v)
+        lap[i, i] = -1.0
+
+    gx = gamma_at(x)
+    acc = -1.0 * gx
+    for y in s1:
+        acc = acc + gamma_at(y) / g.degree(x)
+    b = 0.5 * (acc - gx @ lap - lap.T @ gx)
+    return basis, len(s1), gx, 0.5 * (b + b.T)
+
+
+def s1pp_weights_by_pairs(g: Graph, x: int) -> np.ndarray:
+    """The S1''(x) weight matrix over sorted S1(x): each induced 1-sphere
+    edge weighs 1, and each 2-sphere vertex z adds 1/|N(z) in S1| to every
+    pair of its 1-sphere neighbours, one pair at a time."""
+    s1 = sorted(g.adjacency[x])
+    pos = {y: i for i, y in enumerate(s1)}
+    ball = {x, *s1}
+    s2 = sorted({z for y in s1 for z in g.adjacency[y] if z not in ball})
+    w = np.zeros((len(s1), len(s1)), dtype=np.float64)
+    for y in s1:
+        for z in g.adjacency[y]:
+            if z in pos and pos[z] > pos[y]:
+                w[pos[y], pos[z]] += 1.0
+                w[pos[z], pos[y]] += 1.0
+    for z in s2:
+        back = [y for y in g.adjacency[z] if y in pos]
+        share = 1.0 / len(back)
+        for i, y in enumerate(back):
+            for yy in back[i + 1 :]:
+                w[pos[y], pos[yy]] += share
+                w[pos[yy], pos[y]] += share
+    return w
 
 
 def subset_graph_by_pairs(n: int, k: int, adjacent) -> Graph:

@@ -89,7 +89,7 @@ def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
     schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(x for _, x in schur) == list(range(8))
+    assert sorted(args[1] for args in schur) == list(range(8))
 
 
 def test_curvature_plan_one_w1_solve(monkeypatch, capsys):

@@ -36,12 +36,28 @@ from curvlab.graphs import (
     distances,
     sphere_averages,
 )
-from helpers import dense_gamma_forms, random_regular_graph, record_calls
+from helpers import (
+    SAMPLE_GRAPHS,
+    dense_gamma_forms,
+    ordered_gamma_forms,
+    random_regular_graph,
+    record_calls,
+    s1pp_weights_by_pairs,
+    sample_graph,
+)
 
 TOL = 1e-7
 
-# the irregular 6-vertex graph of TestS1ppTest, whose 1-sphere out-degrees differ
+# the triangular prism of TestS1ppTest: 3-regular, but the 1-sphere
+# out-degrees of vertex 0 differ (1, 1, 2)
 LOPSIDED_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+# the prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3 and 4,
+# so the 1-ball degrees of most vertices differ
+IRREGULAR_EDGES = LOPSIDED_EDGES + [(0, 6), (1, 6)]
+
+
+def _forms(g, x):
+    return bakry_emery._local_forms(g, x, bakry_emery._ball_partition(g, x))
 
 
 class TestGammaValues:
@@ -98,6 +114,7 @@ class TestLocalAssembly:
             load_fixture("chang1"),
             build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
             build_graph(6, LOPSIDED_EDGES),
+            build_graph(7, IRREGULAR_EDGES),
         ]
         rng = random.Random(8)
         graphs += [random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5))]
@@ -108,7 +125,7 @@ class TestLocalAssembly:
         for g in corpus:
             d = distances(g)
             for x in range(g.n):
-                basis, ds, gx, g2x = bakry_emery._local_forms(g, x)
+                basis, ds, gx, g2x = _forms(g, x)
                 s1, s2 = d.sphere(x, 1), d.sphere(x, 2)
                 assert basis == [x, *s1, *s2] and ds == len(s1)
                 dense_g, dense_g2 = dense_gamma_forms(g, x)
@@ -132,13 +149,50 @@ class TestLocalAssembly:
         # q3, q4, demi6, cp3_squared, Chang1 and the random graphs reach past B2
         assert outside_seen >= 100
 
+    def test_scatter_repeats_the_per_neighbour_sum(self, corpus):
+        # the ordered scatter makes the float additions of one m x m Gamma
+        # matrix per neighbour: equal entries, signed zeros included
+        checked = 0
+        for g in corpus:
+            for x in range(g.n):
+                got, want = _forms(g, x), ordered_gamma_forms(g, x)
+                assert got[:2] == want[:2]
+                for a, b in zip(got[2:], want[2:]):
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
+                checked += 1
+        assert checked >= 250
+
+    def test_s1pp_weights_match_the_pair_loop(self, corpus):
+        seen = set()
+        for g in corpus:
+            for x in range(g.n):
+                s1, s2, out = bakry_emery._ball_partition(g, x)
+                got = bakry_emery._s1pp_weights(g, s1, s2)
+                want = s1pp_weights_by_pairs(g, x)
+                assert np.abs(got - want).max() <= 1e-12
+                applicable, _, passes = s1pp_sharpness_test(g, x)
+                assert (applicable, passes) == _s1pp_verdict(want, g.degree(x), out)
+                seen.add((applicable, passes))
+        # applicable and not, passing and failing all occur in the corpus
+        assert {(False, None), (True, True), (True, False)} <= seen
+
     def test_gamma_forms_read_the_local_assembly(self, j63):
         g, _ = j63
         form_g, form_g2 = gamma_forms(g, 5)
-        basis, ds, gx, g2x = bakry_emery._local_forms(g, 5)
+        basis, ds, gx, g2x = _forms(g, 5)
         assert form_g.basis == tuple(basis[: 1 + ds]) and form_g2.basis == tuple(basis)
         assert np.array_equal(form_g.matrix, gx[: 1 + ds, : 1 + ds])
         assert np.array_equal(form_g2.matrix, g2x)
+
+
+def _s1pp_verdict(w, deg, out):
+    """(applicable, passes) of the S1'' test read off the weights ``w``."""
+    if len(set(out)) != 1:
+        return False, None
+    eigs = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)
+    nonzero = eigs[eigs > 1e-9]
+    return True, bool(nonzero.size) and nonzero[0] >= deg / 2.0 - TOL
 
 
 class TestClosedForms:
@@ -323,11 +377,27 @@ class TestConjectureScan:
 class TestConsistencyChecks:
     """A failed internal check is a typed verification error, exit 4 in the CLI."""
 
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+    def test_bisection_confirms_schur_on_sample_graphs(self, name):
+        g = sample_graph(name)
+        for x in (0, g.n - 1):
+            report = be_curvature(g, x, verify=True)
+            assert report.curvature <= float(report.upper_bound) + TOL
+
     def test_schur_bisection_disagreement(self, monkeypatch, q3):
         g, _ = q3
         monkeypatch.setattr(bakry_emery, "_curvature_bisect", lambda g, x, lo, hi: lo)
         with pytest.raises(FormCheckFailed, match="disagree at 0"):
             be_curvature(g, 0, verify=True)
+
+    @pytest.mark.parametrize("which", ["gosset", "lopsided"])
+    def test_one_ball_partition_per_vertex(self, monkeypatch, which, gosset_graph):
+        # the forms, the upper bound and the S1'' test share one partition
+        g = gosset_graph[0] if which == "gosset" else build_graph(6, LOPSIDED_EDGES)
+        calls = record_calls(monkeypatch, "bakry_emery", "_ball_partition")
+        for x in range(g.n):
+            be_curvature(g, x)
+        assert [args[1] for args in calls] == list(range(g.n))
 
     def test_upper_bound_disagreement_exits_4(self, monkeypatch, capsys, q3):
         g, _ = q3

@@ -32,6 +32,7 @@ from curvlab.families import (
 from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, cartesian_product, common_neighbors, distances, interval
 from curvlab.transport import (
+    _kappa_plan,
     Measure,
     TransportMap,
     TransportPlan,
@@ -474,8 +475,31 @@ class TestCostReader:
         assert self._count(monkeypatch, capsys, ["analyze", "johnson:6:3"]) == (90, 90, 0)
 
     def test_curvature_plan_reads_kappa_and_plan_blocks(self, monkeypatch, capsys):
+        # kappa and its plan come from one W1 solve: the idleness-1/(D+1)
+        # measures cancel to kappa's own assignment block
         argv = ["curvature", "hypercube:3", "0", "7", "--plan"]
-        assert self._count(monkeypatch, capsys, argv) == (2, 2, 0)
+        assert self._count(monkeypatch, capsys, argv) == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "g",
+        [hypercube(3), johnson(5, 2), complete(4), load_fixture("chang1")],
+        ids=["q3", "j52", "k4", "chang1"],
+    )
+    def test_plan_route_reads_kappa_off_its_w1(self, g):
+        # value and label equal kappa's on every pair, edges or not, with
+        # and without a perfect matching, and the plan carries W1
+        labels = set()
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                val, plan = _kappa_plan(g, x, y)
+                assert val == kappa(g, x, y)
+                deg = g.degree(x)
+                w1 = (Fraction(deg + 1, deg) - val.value) * deg * distances(g).d(x, y) / (deg + 1)
+                assert plan.cost(g) == w1
+                labels.add(val.method)
+        assert "matching" in labels
+        with pytest.raises(SamePair):
+            _kappa_plan(g, 0, 0)
 
     def test_idleness_plan_reads_one_flow_block(self, monkeypatch, capsys):
         argv = ["curvature", "hypercube:3", "0", "7", "--p", "1/2", "--plan"]
