@@ -11,7 +11,9 @@ Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default and ``--vertex 0``) on
 those four and J(6,3)xCP(2); ``curvature --all-edges`` on Chang1;
 ``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
 one of them a refused equal pair; ``transport-geodesic`` on the 3-cube,
-along a full-length path and a refused short one; ``gen johnson 8 4``
+along a full-length path and a refused short one, and on Kneser(5,2)
+along a path whose first edge has no uniquely determined perfect
+matching; ``gen johnson 8 4``
 and ``gen kneser 9 4``, as graph6 and as ``--json``; and, on a
 disconnected regular graph (2K3) and a connected irregular one (P4),
 ``analyze``, ``curvature`` on a pair and with ``--all-edges``,
@@ -33,7 +35,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 72 commands run one after another and take about 20 s on a 2-core
+The 73 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -66,7 +68,8 @@ IRREGULAR = {
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
-# (output name, CLI argv); the last of each kind exits 3
+# (output name, CLI argv); the last curvature pair and the last two
+# transport geodesics exit 3
 PAIRS = (
     ("curvature-gosset-0-1", ["curvature", "gosset", "0", "1"]),
     ("curvature-chang1-0-5", ["curvature", "chang1", "0", "5"]),
@@ -76,6 +79,7 @@ PAIRS = (
     ("curvature-chang1-0-0", ["curvature", "chang1", "0", "0"]),
     ("transport-geodesic-q3", ["transport-geodesic", "hypercube:3", "--path", "0,1,3,7", "--z", "0"]),
     ("transport-geodesic-q3-short", ["transport-geodesic", "hypercube:3", "--path", "0,1,3", "--z", "0"]),
+    ("transport-geodesic-kneser-5-2", ["transport-geodesic", "kneser:5:2", "--path", "0,7,3", "--z", "0"]),
 )
 
 

@@ -2,14 +2,16 @@
 
 The curvature at x is the best constant K with Gamma2(f)(x) >= K Gamma(f)(x)
 for all f.  Both forms live on the 2-ball B2(x), on the basis
-[x] + S1(x) + S2(x), and are read off the adjacency block B1(x) x B2(x).
-Gamma2 scatters sum_y Gamma(y)/d_x into -Gamma(x) with one unbuffered
-``np.add.at`` over y in S1 order, so each entry takes the float additions
-of a per-neighbour matrix sum in that order: ``bakry-emery gosset`` prints
-the conjecture margin 7.77156117238e-16, the round-off of an exact zero,
-and any other order changes those bytes.  Fixing f(x) = 0 (both forms are
-shift invariant) and eliminating S2(x) by a Schur complement leaves a
-smallest eigenvalue on S1(x); a PSD bisection cross-checks it.
+[x] + S1(x) + S2(x), and are assembled once per vertex from the adjacency
+block B1(x) x B2(x), which the S1 out-degrees, the upper bound and the S1''
+weights read too.  Gamma2 scatters sum_y Gamma(y)/d_x into -Gamma(x) with
+one unbuffered ``np.add.at`` over y in S1 order, so each entry takes the
+float additions of a per-neighbour matrix sum in that order: ``bakry-emery
+gosset`` prints the conjecture margin 7.77156117238e-16, the round-off of an
+exact zero, and any other order changes those bytes.  Fixing f(x) = 0 (both
+forms are shift invariant) and eliminating S2(x) by a Schur complement
+leaves a smallest eigenvalue on S1(x); a PSD bisection on the same forms
+cross-checks it.
 
 Form matrices are floats assembled from exact rational Laplacian entries;
 sharpness verdicts use a 1e-7 tolerance.  The upper bound
@@ -33,7 +35,8 @@ SHARP_TOL = 1e-7
 # overshoot in the bisection scales like PSD_TOL divided by the Gamma-mass of
 # the critical direction.
 PSD_TOL = 1e-11
-Partition = tuple[list[int], list[int], list[int]]
+Partition = tuple[list[int], int, np.ndarray]  # basis, |B1(x)|, B1(x) x B2(x) block
+Forms = tuple[list[int], int, np.ndarray, np.ndarray]  # basis, |S1|, Gamma, Gamma2
 
 
 # -- exact pointwise evaluators ----------------------------------------------
@@ -68,24 +71,27 @@ class QuadraticForm:
 
 
 def _ball_partition(g: Graph, x: int) -> Partition:
-    """(S1, S2, out-degrees) of x via a local BFS: the sorted 1- and
-    2-spheres, and for each S1 vertex in that order its neighbours in S2."""
+    """The basis [x] + S1 + S2 of B2(x), with the sorted spheres of a local
+    BFS; |B1(x)|; and the adjacency block B1(x) x B2(x), the module's one
+    read of the dense adjacency."""
     s1 = sorted(g.adjacency[x])
-    ball = set(s1) | {x}
-    out = [[z for z in g.adjacency[y] if z not in ball] for y in s1]
-    s2 = sorted({z for zs in out for z in zs})
-    return s1, s2, [len(zs) for zs in out]
+    ball = [x, *s1]
+    s2 = sorted({z for y in s1 for z in g.adjacency[y]} - set(ball))
+    return ball + s2, len(ball), g.dense_adjacency[np.ix_(ball, ball + s2)]
 
 
-def _local_forms(g: Graph, x: int, part: Partition) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+def _out_degrees(part: Partition) -> np.ndarray:
+    """The S1 out-degrees in S1 order: the block's rows summed over S2."""
+    return part[2][1:, part[1] :].sum(axis=1)
+
+
+def _local_forms(part: Partition) -> Forms:
     """(basis, |S1|, Gamma, Gamma2) at x over the basis ``[x] + S1 + S2`` of
-    B2(x) that ``part`` gives, read off the adjacency block B1(x) x B2(x):
+    B2(x), read off the partition's adjacency block B1(x) x B2(x):
     Gamma(., .)(w) for w in B1(x) and the Laplacian rows of B1(x) touch no
     vertex outside B2(x)."""
-    s1, s2, _ = part
-    basis = [x, *s1, *s2]
-    k, m = 1 + len(s1), len(basis)
-    adj = g.dense_adjacency[np.ix_(basis[:k], basis)]
+    basis, k, adj = part
+    m = len(basis)
     deg = adj.sum(axis=1)
     # Laplacian rows of B1(x); the rows of S2 never meet the Gamma form at x
     lap = np.zeros((m, m), dtype=np.float64)
@@ -108,12 +114,12 @@ def _local_forms(g: Graph, x: int, part: Partition) -> tuple[list[int], int, np.
     acc = 0.0 - gx  # M[x, x] = -1 term of Delta Gamma, with +0.0 zeros
     np.add.at(acc, (rows, cols), vals)
     b = 0.5 * (acc - gx @ lap - lap.T @ gx)
-    return basis, len(s1), gx, 0.5 * (b + b.T)
+    return basis, k - 1, gx, 0.5 * (b + b.T)
 
 
 def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
     """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x."""
-    basis, ds, gx, g2x = _local_forms(g, x, _ball_partition(g, x))
+    basis, ds, gx, g2x = _local_forms(_ball_partition(g, x))
     return (
         QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
         QuadraticForm(basis=tuple(basis), matrix=g2x),
@@ -128,14 +134,13 @@ class BEReport:
     curvature: float
     upper_bound: Optional[Fraction]
     is_sharp: bool
-    s1_out_regular: bool
+    s1_out_regular: Optional[bool]
     s1pp_lambda1: Optional[float]
 
 
-def _curvature_schur(g: Graph, x: int, part: Partition) -> float:
-    _, ds, _, b = _local_forms(g, x, part)
+def _curvature_schur(g: Graph, x: int, forms: Forms) -> float:
     # fix f(x) = 0: both forms are invariant under adding constants
-    b = b[1:, 1:]
+    ds, b = forms[1], forms[3][1:, 1:]
     b11, b12, b22 = b[:ds, :ds], b[:ds, ds:], b[ds:, ds:]
     if b22.size:
         evals, evecs = np.linalg.eigh(b22)
@@ -153,11 +158,10 @@ def _curvature_schur(g: Graph, x: int, part: Partition) -> float:
     return 2.0 * g.degree(x) * lam_min
 
 
-def _curvature_bisect(g: Graph, x: int, lo: float, hi: float, iters: int = 60) -> float:
+def _curvature_bisect(forms: Forms, lo: float, hi: float, iters: int = 60) -> float:
     """Largest K with Gamma2 - K Gamma PSD at x, by bisection."""
-    _, _, a, b = _local_forms(g, x, _ball_partition(g, x))
     # fix f(x) = 0, as in the Schur route
-    a, b = a[1:, 1:], b[1:, 1:]
+    a, b = forms[2][1:, 1:], forms[3][1:, 1:]
 
     def psd(k: float) -> bool:
         return float(np.linalg.eigvalsh(b - k * a).min()) >= -PSD_TOL
@@ -176,22 +180,24 @@ def be_curvature(g: Graph, x: int, *, verify: bool = False) -> BEReport:
     """Normalized Bakry-Emery infinity-curvature at x with sharpness data.
 
     Everything is read off the 2-ball B2(x), so the rest of the graph, and
-    whether it is connected, does not matter.  The ball partition of x is
-    taken once and read by the forms, the upper bound and the S1'' test.
-    ``verify=True`` re-derives the value by the PSD bisection, on forms it
-    assembles anew, and demands agreement within 1e-7.
+    whether it is connected, does not matter.  The forms are assembled
+    once, and ``verify=True`` re-derives the value from them by the PSD
+    bisection, demanding agreement within 1e-7.  The upper bound and the
+    S1'' test are criteria for D-regular graphs: None off one.
     """
     if g.degree(x) == 0:
         raise IsolatedVertex(f"Bakry-Emery curvature is not defined at isolated vertex {x}")
     part = _ball_partition(g, x)
-    k = _curvature_schur(g, x, part)
+    forms = _local_forms(part)
+    k = _curvature_schur(g, x, forms)
     if verify:
-        k_bis = _curvature_bisect(g, x, lo=k - 1.0, hi=k + 1.0)
+        k_bis = _curvature_bisect(forms, lo=k - 1.0, hi=k + 1.0)
         if abs(k - k_bis) > SHARP_TOL:
             raise FormCheckFailed(f"Schur value {k} and bisection value {k_bis} disagree at {x}")
-    upper = _upper_bound(g, x, part) if g.is_regular() is not None else None
+    regular = g.is_regular() is not None
+    upper = _upper_bound(g, x, part) if regular else None
+    s1_reg, lam1, _ = _s1pp_test(g, x, part) if regular else (None, None, None)
     sharp = upper is not None and abs(k - float(upper)) < SHARP_TOL
-    s1_reg, lam1, _passes = _s1pp_test(g, x, part)
     return BEReport(
         vertex=x, curvature=k, upper_bound=upper, is_sharp=sharp,
         s1_out_regular=s1_reg, s1pp_lambda1=lam1,
@@ -202,7 +208,7 @@ def be_upper_bound(g: Graph, x: int) -> Fraction:
     """Exact upper bound 2/D + #triangles(x)/D^2 for a D-regular graph.
 
     Also evaluated as (3 + D - av_1^+(x)) / (2D), with the mean out-degree
-    av_1^+(x) of the 1-sphere read off the ball partition; the two
+    av_1^+(x) of the 1-sphere read off the ball's adjacency block; the two
     expressions must agree.
     """
     return _upper_bound(g, x, _ball_partition(g, x))
@@ -212,8 +218,7 @@ def _upper_bound(g: Graph, x: int, part: Partition) -> Fraction:
     deg = require_regular(g)
     tri = triangle_count_vertex(g, x)
     via_triangles = Fraction(2, deg) + Fraction(tri, deg * deg)
-    s1, _, out_degrees = part
-    av_plus = Fraction(sum(out_degrees), len(s1))
+    av_plus = Fraction(int(_out_degrees(part).sum()), part[1] - 1)
     via_average = (3 + deg - av_plus) / (2 * deg)
     if via_triangles != via_average:
         raise FormCheckFailed("upper bound expressions disagree")
@@ -232,20 +237,19 @@ def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Option
     return _s1pp_test(g, x, _ball_partition(g, x))
 
 
-def _s1pp_weights(g: Graph, s1: list[int], s2: list[int]) -> np.ndarray:
+def _s1pp_weights(part: Partition) -> np.ndarray:
     """The S1'' weights A[S1, S1] + (B / colsum(B)) B^T, B = A[S1, S2], off the diagonal."""
-    adj = g.dense_adjacency[np.ix_(s1, s1 + s2)]
-    b = adj[:, len(s1) :]
-    w = adj[:, : len(s1)] + (b / b.sum(axis=0)) @ b.T
+    _, k, adj = part
+    b = adj[1:, k:]
+    w = adj[1:, 1:k] + (b / b.sum(axis=0)) @ b.T
     np.fill_diagonal(w, 0.0)
     return w
 
 
 def _s1pp_test(g: Graph, x: int, part: Partition) -> tuple[bool, Optional[float], Optional[bool]]:
-    s1, s2, out_degrees = part
-    if len(set(out_degrees)) != 1:
+    if len(set(_out_degrees(part).tolist())) != 1:
         return False, None, None
-    w = _s1pp_weights(g, s1, s2)
+    w = _s1pp_weights(part)
     lap = np.diag(w.sum(axis=1)) - w
     eigs = np.sort(np.linalg.eigvalsh(lap))
     nonzero = eigs[eigs > 1e-9]

@@ -4,19 +4,19 @@ exact eigenfunction verification.
 Eigenvalues come from dense symmetric solves (graphs here stay well under a
 couple of thousand vertices); value comparisons use a 1e-9 tolerance and
 multiplicity clustering a 1e-7 radius.  The distance eigenfunction identity
-is checked in exact rational arithmetic.
+is checked exactly, in integer degree counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
 from .errors import IsolatedVertex
-from .graphs import Graph, distances, require_connected
+from .graphs import Graph, degree_triple, distances, require_connected
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
@@ -36,21 +36,18 @@ class SpectralSummary:
     adjacency_spectrum: tuple[float, ...]
 
 
-def normalized_laplacian_apply(
-    g: Graph, f: Mapping[int, Fraction] | Callable[[int], Fraction]
-) -> dict[int, Fraction]:
+def normalized_laplacian_apply(g: Graph, f: Mapping[int, Fraction]) -> dict[int, Fraction]:
     """Exact image of f under the normalized Laplacian Delta f(x) =
     (1/d_x) sum_{y ~ x} (f(y) - f(x))."""
-    get = f.__getitem__ if hasattr(f, "__getitem__") else f
     out: dict[int, Fraction] = {}
     for x in range(g.n):
         deg = g.degree(x)
         if deg == 0:
             raise IsolatedVertex(f"vertex {x} is isolated")
-        fx = Fraction(get(x))
+        fx = Fraction(f[x])
         acc = Fraction(0)
         for y in g.adjacency[x]:
-            acc += Fraction(get(y)) - fx
+            acc += Fraction(f[y]) - fx
         out[x] = acc / deg
     return out
 
@@ -95,17 +92,17 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 def verify_distance_eigenfunction(g: Graph, x: int) -> tuple[bool, Optional[int]]:
     """Exact check that f = d(x, .) - L/2 satisfies Delta f + (2/L) f = 0.
 
+    Every neighbour of v is one step nearer to x, level with v or one step
+    farther, so L deg(v) times the left side at v is L (d_plus - d_minus)
+    - deg(v) (L - 2 d(x, v)), an integer, read off ``degree_triple``.
     Returns (True, None) on success, else (False, first violating vertex).
     """
+    require_connected(g)
     d = distances(g)
     L = d.diameter
-    if L == 0:
-        return True, None
-    f = {v: Fraction(d.d(x, v)) - Fraction(L, 2) for v in range(g.n)}
-    image = normalized_laplacian_apply(g, f)
-    lam = Fraction(2, L)
     for v in range(g.n):
-        if image[v] + lam * f[v] != 0:
+        t = degree_triple(g, x, v)
+        if L * (t.d_plus - t.d_minus) != g.degree(v) * (L - 2 * d.d(x, v)):
             return False, v
     return True, None
 
@@ -122,26 +119,23 @@ class LichnerowiczVerdict:
 def is_lichnerowicz_sharp(ctx: GraphAnalysis) -> LichnerowiczVerdict:
     """Compare the exact edge-curvature infimum with the float lambda1.
 
-    The float comparison (1e-9) always runs; when f = d(pole, .) - L/2 is an
-    exact eigenfunction for 2/L and the infimum equals 2/L, the verdict also
-    carries an exact certificate (minimality of lambda1 still rests on the
-    float spectrum).
+    The float comparison (1e-9) always runs.  On a Bonnet-Myers sharp graph
+    that it finds sharp, the first pole (the first vertex with an antipole)
+    is checked for an exact certificate: f = d(pole, .) - L/2 is an
+    eigenfunction for 2/L.  A certificate proves sharpness exactly, because
+    lambda1 >= inf kappa and the certified eigenvalue 2/L equals inf kappa:
+    the paper's "Bonnet-Myers sharp implies Lichnerowicz sharp".  The float
+    comparison still decides graphs without a certificate.
     """
-    g = ctx.g
-    d = distances(g)
     inf_edge_kappa = ctx.bm.inf_edge_kappa
     summ = ctx.spectrum
     sharp = abs(float(inf_edge_kappa) - summ.lambda1) < VALUE_TOL
-    certificate = False
-    witness = None
+    certificate, witness = False, None
     if sharp and ctx.bm.is_bm_sharp:
-        for x in range(g.n):
-            if d.eccentricity(x) == d.diameter:
-                ok, _ = verify_distance_eigenfunction(g, x)
-                if ok:
-                    certificate = True
-                    witness = x
-                break
+        per_vertex, _ = ctx.poles_and_antipoles
+        pole = next(x for x, antipoles in enumerate(per_vertex) if antipoles)
+        certificate, _ = verify_distance_eigenfunction(ctx.g, pole)
+        witness = pole if certificate else None
     return LichnerowiczVerdict(
         is_sharp=sharp,
         inf_edge_kappa=inf_edge_kappa,

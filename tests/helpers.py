@@ -2,10 +2,12 @@
 
 These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
-uncancelled supports, perfect matchings by permutation enumeration,
+uncancelled supports, perfect matchings by enumerating every all-edge
+bijection,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set and by one matrix per neighbour, S1''
-weights by a pair loop, intersection arrays by a scan of every
+weights by a pair loop, the distance eigenfunction by the exact normalized
+Laplacian in Fractions, intersection arrays by a scan of every
 ordered vertex pair, isomorphism and automorphism orbits by permutation
 enumeration, strong sphericity by the full row-major interval scan,
 cocktail party graphs by their complement, mu-graphs by building each one,
@@ -18,7 +20,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
 from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, distances, mu_graph
 from curvlab.sharpness import MuGraphVerdict, SphericalVerdict
+from curvlab.spectral import normalized_laplacian_apply
 from curvlab.transport import Measure, _transportation
 
 
@@ -65,14 +68,7 @@ def edge_has_perfect_matching(g: Graph, x: int, y: int) -> bool:
     """Whether N(x) \\ N[y] and N(y) \\ N[x] admit a perfect adjacency
     matching, by enumerating every bijection between them."""
     nx, ny = set(g.adjacency[x]), set(g.adjacency[y])
-    left = sorted(nx - ny - {y})
-    right = sorted(ny - nx - {x})
-    if len(left) != len(right):
-        return False
-    return any(
-        all(v in g.adjacency[u] for u, v in zip(left, perm))
-        for perm in permutations(right)
-    )
+    return bool(adjacency_bijections(g, sorted(nx - ny - {y}), sorted(ny - nx - {x})))
 
 
 def dense_gamma_forms(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +152,34 @@ def s1pp_weights_by_pairs(g: Graph, x: int) -> np.ndarray:
                 w[pos[y], pos[yy]] += share
                 w[pos[yy], pos[y]] += share
     return w
+
+
+def distance_eigenfunction_by_fractions(g: Graph, x: int) -> tuple[bool, int | None]:
+    """Whether f = d(x, .) - L/2 satisfies Delta f + (2/L) f = 0, from the
+    image of f under the normalized Laplacian in Fractions: (True, None),
+    or (False, first violating vertex)."""
+    d = distances(g)
+    L = d.diameter
+    if L == 0:
+        return True, None
+    f = {v: Fraction(d.d(x, v)) - Fraction(L, 2) for v in range(g.n)}
+    image = normalized_laplacian_apply(g, f)
+    lam = Fraction(2, L)
+    for v in range(g.n):
+        if image[v] + lam * f[v] != 0:
+            return False, v
+    return True, None
+
+
+def adjacency_bijections(g: Graph, left, right) -> list[dict[int, int]]:
+    """Every bijection from ``left`` onto ``right`` that maps each vertex to
+    a neighbour, by enumerating each choice of one neighbour in ``right``
+    per vertex of ``left`` and keeping the injective ones."""
+    if len(left) != len(right):
+        return []
+    rset = set(right)
+    options = [[v for v in g.adjacency[u] if v in rset] for u in left]
+    return [dict(zip(left, pick)) for pick in product(*options) if len(set(pick)) == len(pick)]
 
 
 def subset_graph_by_pairs(n: int, k: int, adjacent) -> Graph:

@@ -24,7 +24,7 @@ from curvlab.sharpness import (
     ssp_ncp,
     unique_antipole_check,
 )
-from curvlab.spectral import spectral_summary
+from curvlab.spectral import spectral_summary, verify_distance_eigenfunction
 from curvlab.transport import (
     idle_measure,
     kappa,
@@ -151,6 +151,7 @@ NEEDS_CONNECTED = {
     "is_strongly_spherical": is_strongly_spherical,
     "mu_graphs_all_cp": mu_graphs_all_cp,
     "spectral_summary": spectral_summary,
+    "verify_distance_eigenfunction": lambda g: verify_distance_eigenfunction(g, 0),
     "conjecture_scan": lambda g: conjecture_scan(g, [0.0] * g.n),
 }
 NEEDS_BOTH = (

@@ -36,6 +36,7 @@ from curvlab.graphs import (
     distances,
     sphere_averages,
 )
+from curvlab.report import be_row
 from helpers import (
     SAMPLE_GRAPHS,
     dense_gamma_forms,
@@ -57,7 +58,7 @@ IRREGULAR_EDGES = LOPSIDED_EDGES + [(0, 6), (1, 6)]
 
 
 def _forms(g, x):
-    return bakry_emery._local_forms(g, x, bakry_emery._ball_partition(g, x))
+    return bakry_emery._local_forms(bakry_emery._ball_partition(g, x))
 
 
 class TestGammaValues:
@@ -167,8 +168,9 @@ class TestLocalAssembly:
         seen = set()
         for g in corpus:
             for x in range(g.n):
-                s1, s2, out = bakry_emery._ball_partition(g, x)
-                got = bakry_emery._s1pp_weights(g, s1, s2)
+                part = bakry_emery._ball_partition(g, x)
+                out = bakry_emery._out_degrees(part).tolist()
+                got = bakry_emery._s1pp_weights(part)
                 want = s1pp_weights_by_pairs(g, x)
                 assert np.abs(got - want).max() <= 1e-12
                 applicable, _, passes = s1pp_sharpness_test(g, x)
@@ -316,15 +318,18 @@ class TestSharpnessEquivalence:
         assert checked >= 40
 
     def test_partition_out_degrees_match_sphere_averages(self):
-        # the ball partition is the only source of S1, S2 and the S1
-        # out-degrees; the distance oracle reads the same off its rows
+        # the ball partition is the only source of S1, S2 and, through its
+        # adjacency block, the S1 out-degrees; the distance oracle reads the
+        # same off its rows
         for g in _equivalence_corpus():
             d = distances(g)
             for x in range(g.n):
-                s1, s2, out = bakry_emery._ball_partition(g, x)
+                part = basis, k, _ = bakry_emery._ball_partition(g, x)
+                s1, s2 = basis[1:k], basis[k:]
+                out = bakry_emery._out_degrees(part).tolist()
                 assert (tuple(s1), tuple(s2)) == (d.sphere(x, 1), d.sphere(x, 2))
                 assert out == [degree_triple(g, x, y).d_plus for y in s1]
-                assert Fraction(sum(out), len(s1)) == sphere_averages(g, x, 1)[2]
+                assert Fraction(int(sum(out)), len(s1)) == sphere_averages(g, x, 1)[2]
 
 
 class TestProductRule:
@@ -386,7 +391,7 @@ class TestConsistencyChecks:
 
     def test_schur_bisection_disagreement(self, monkeypatch, q3):
         g, _ = q3
-        monkeypatch.setattr(bakry_emery, "_curvature_bisect", lambda g, x, lo, hi: lo)
+        monkeypatch.setattr(bakry_emery, "_curvature_bisect", lambda forms, lo, hi: lo)
         with pytest.raises(FormCheckFailed, match="disagree at 0"):
             be_curvature(g, 0, verify=True)
 
@@ -399,15 +404,42 @@ class TestConsistencyChecks:
             be_curvature(g, x)
         assert [args[1] for args in calls] == list(range(g.n))
 
+    @pytest.mark.parametrize("which", ["q3", "prism-plus"])
+    def test_verify_assembles_the_forms_once(self, monkeypatch, which, q3):
+        # the bisection under verify=True reads the forms of the Schur pass,
+        # which neither route writes into
+        g = q3[0] if which == "q3" else build_graph(7, IRREGULAR_EDGES)
+        fresh = [_forms(g, x) for x in range(g.n)]
+        parts = record_calls(monkeypatch, "bakry_emery", "_ball_partition")
+        forms = record_calls(monkeypatch, "bakry_emery", "_local_forms")
+        schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
+        bisect = record_calls(monkeypatch, "bakry_emery", "_curvature_bisect")
+        for x in range(g.n):
+            be_curvature(g, x, verify=True)
+        assert [args[1] for args in parts] == list(range(g.n))
+        assert [args[0][0][0] for args in forms] == list(range(g.n))
+        assert len(schur) == len(bisect) == g.n
+        for (_, x, shared), (bisected,), want in zip(schur, bisect, fresh):
+            assert bisected is shared
+            assert shared[:2] == want[:2]
+            assert all(np.array_equal(a, b) for a, b in zip(shared[2:], want[2:]))
+
+    def test_regular_graph_criteria_are_null_off_regular_graphs(self):
+        # the upper bound and the S1'' test are both stated for D-regular
+        # graphs, so an irregular graph's rows print neither
+        g = build_graph(7, IRREGULAR_EDGES)
+        for x in range(g.n):
+            row = be_row(be_curvature(g, x))
+            assert (row["upper_bound"], row["s1_out_regular"], row["s1pp_lambda1"]) == (None,) * 3
+            assert row["sharp"] is False
+        # asked directly, the S1'' test still answers at the S1-out regular vertex 2
+        applicable, lam1, _ = s1pp_sharpness_test(g, 2)
+        assert applicable and abs(lam1 - 1.5) < TOL
+
     def test_upper_bound_disagreement_exits_4(self, monkeypatch, capsys, q3):
         g, _ = q3
-        partition = bakry_emery._ball_partition
-
-        def no_out_degrees(g, x):
-            s1, s2, out = partition(g, x)
-            return s1, s2, [0] * len(out)
-
-        monkeypatch.setattr(bakry_emery, "_ball_partition", no_out_degrees)
+        count = bakry_emery.triangle_count_vertex
+        monkeypatch.setattr(bakry_emery, "triangle_count_vertex", lambda g, x: count(g, x) + 1)
         with pytest.raises(FormCheckFailed):
             be_upper_bound(g, 0)
         assert main(["bakry-emery", "hypercube:3", "--vertex", "0"]) == 4

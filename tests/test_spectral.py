@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvlab import spectral
 from curvlab.analysis import GraphAnalysis
 from curvlab.errors import Disconnected, IsolatedVertex
 from curvlab.families import (
@@ -19,6 +20,17 @@ from curvlab.spectral import (
     normalized_laplacian_apply,
     spectral_summary,
     verify_distance_eigenfunction,
+)
+
+from helpers import SAMPLE_GRAPHS, distance_eigenfunction_by_fractions, sample_graph
+
+# the triangular prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3, 4
+PRISM_PLUS = build_graph(
+    7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5), (0, 6), (1, 6)]
+)
+# the 8 cube vertices (degree 3), each joined to the centres of its 3 faces (degree 4)
+RHOMBIC_DODECAHEDRON = build_graph(
+    14, [(v, 8 + 2 * axis + (v >> axis & 1)) for v in range(8) for axis in range(3)]
 )
 
 
@@ -89,6 +101,20 @@ class TestDistanceEigenfunction:
         g, _ = petersen
         ok, witness = verify_distance_eigenfunction(g, 0)
         assert not ok and witness is not None
+
+    def test_degree_counts_match_the_fraction_laplacian(self, monkeypatch, petersen):
+        # the integer identity L (d_plus - d_minus) = deg (L - 2 d) gives the
+        # verdict and the witness of Delta f + (2/L) f = 0 in Fractions
+        graphs = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        graphs += [petersen[0], PRISM_PLUS, RHOMBIC_DODECAHEDRON]
+        seen = set()
+        for g in graphs:
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "Fraction", None)  # builds no Fraction
+                got = [verify_distance_eigenfunction(g, x) for x in range(g.n)]
+            assert got == [distance_eigenfunction_by_fractions(g, x) for x in range(g.n)]
+            seen.update(ok for ok, _ in got)
+        assert seen == {True, False}
 
 
 class TestLichnerowicz:

@@ -53,9 +53,12 @@ from curvlab.transport import (
 )
 
 from helpers import (
+    SAMPLE_GRAPHS,
+    adjacency_bijections,
     edge_has_perfect_matching,
     random_regular_graph,
     record_calls,
+    sample_graph,
     wasserstein_bruteforce,
     wasserstein_full_flow,
 )
@@ -636,6 +639,24 @@ class TestUniqueMatching:
         # complement-ish: two left vertices each adjacent to both rights
         g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
         assert unique_perfect_matching(g, (2, 3), (4, 5)) is None
+
+    def test_matches_bijection_enumeration(self):
+        # the peeling returns the matching exactly when one all-edge
+        # bijection between the matching sides exists, and None for none or many
+        rng = random.Random(3)
+        graphs = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        graphs += [random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5), (16, 6))]
+        counts = set()
+        for g in graphs:
+            for x, y in g.edges():
+                left, right = matching_sides(g, x, y)
+                if max(len(left), len(right)) > 6:
+                    continue
+                matchings = adjacency_bijections(g, left, right)
+                want = matchings[0] if len(matchings) == 1 else None
+                assert unique_perfect_matching(g, left, right) == want, (g.n, x, y)
+                counts.add(min(len(matchings), 2))
+        assert counts == {0, 1, 2}
 
 
 class TestTransportGeodesic:
