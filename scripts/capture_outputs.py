@@ -15,15 +15,17 @@ along a full-length path and a refused short one, and on Kneser(5,2)
 along a path whose first edge has no uniquely determined perfect
 matching; ``gen johnson 8 4``
 and ``gen kneser 9 4``, as graph6 and as ``--json``; and, on a
-disconnected regular graph (2K3) and a connected irregular one (P4),
-``analyze``, ``curvature`` on a pair and with ``--all-edges``,
-``spectral``, ``sharpness``, ``classify`` and ``bakry-emery`` (default and
-``--vertex 0``), so the precondition refusals are gated too (every
+disconnected regular graph (2K3), a connected irregular one (P4), the
+graph with no vertex and the one with a single vertex (K1, connected and
+regular of degree 0), ``analyze``, ``curvature`` on a pair and with
+``--all-edges``, ``spectral``, ``sharpness``, ``classify``,
+``bakry-emery`` (default and ``--vertex 0``) and ``transport-geodesic
+--path 0,1 --z 0``, so the precondition refusals are gated too (every
 command on P4 except ``spectral`` and the two ``bakry-emery`` ones
 refuses it; ``analyze`` does since it builds its analysis first); and
 ``bakry-emery`` (default and ``--vertex 0``) on a connected irregular
 graph with triangles and a non-empty 2-sphere, whose 1-ball degrees
-differ.  The two products are built with ``gen product`` and the four
+differ.  The two products are built with ``gen product`` and the five
 small graphs written as JSON into ``OUTDIR/inputs``, and every command
 runs there, so the input names that reports print are the same in every
 capture.
@@ -35,7 +37,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 73 commands run one after another and take about 20 s on a 2-core
+The 85 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -58,6 +60,7 @@ REFUSED = {
     "2k3.json": (6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
     "p4.json": (4, [[0, 1], [1, 2], [2, 3]]),
     "empty.json": (0, []),
+    "k1.json": (1, []),
 }
 # a triangular prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3, 4
 IRREGULAR = {
@@ -113,6 +116,9 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"classify-{stem}", ["classify", g]))
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
+        out.append(
+            (f"transport-geodesic-{stem}", ["transport-geodesic", g, "--path", "0,1", "--z", "0"])
+        )
     return out
 
 

@@ -6,9 +6,10 @@ lists, the mu-graph scan and the spectrum.  :class:`GraphAnalysis` holds a
 graph and computes each of those at most once, on first use; the
 predicates that need them take the context instead of the graph.  The
 distance oracle is not among them: the graph caches its own.  A context
-exists only for a connected regular graph, the hypothesis of every verdict
-in the paper: the constructor raises Disconnected or NotRegular otherwise,
-so no predicate that takes a context checks either.  A context lives as
+exists only for a connected regular graph of degree D >= 1, the hypothesis
+of every verdict in the paper: the constructor raises Disconnected,
+NotRegular or NoEdges otherwise, so no predicate that takes a context
+checks any of them.  A context lives as
 long as its caller keeps it, so nothing is shared between graphs or
 commands.
 """
@@ -24,7 +25,7 @@ from .transport import CurvatureValue, kappa
 
 
 class GraphAnalysis:
-    """A connected regular graph, its degree ``deg`` and the shared
+    """A connected regular graph, its degree ``deg`` >= 1 and the shared
     quantities derived from it."""
 
     def __init__(self, g: Graph) -> None:

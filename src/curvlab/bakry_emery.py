@@ -15,20 +15,23 @@ cross-checks it.
 
 Form matrices are floats assembled from exact rational Laplacian entries;
 sharpness verdicts use a 1e-7 tolerance.  The upper bound
-(3 + D - av_1^+(x)) / (2D) = 2/D + #triangles(x)/D^2 is exact rational.
+(3 + D - av_1^+(x)) / (2D) = 2/D + #triangles(x)/D^2 is exact rational,
+and the conjecture scan reads its weak bound off the rows' upper bounds.
+Every quantity here is computed inside :func:`be_curvature` or the scan;
+the exact Gamma and Gamma2 evaluators in Fractions, which check the forms,
+are test oracles (``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BadParam, FormCheckFailed, IsolatedVertex
 from .graphs import Graph, distances, require_connected, require_regular, triangle_count_vertex
-from .spectral import normalized_laplacian_apply
 
 SHARP_TOL = 1e-7
 # Slack for "is this matrix PSD"; must stay well below SHARP_TOL because an
@@ -39,36 +42,7 @@ Partition = tuple[list[int], int, np.ndarray]  # basis, |B1(x)|, B1(x) x B2(x) b
 Forms = tuple[list[int], int, np.ndarray, np.ndarray]  # basis, |S1|, Gamma, Gamma2
 
 
-# -- exact pointwise evaluators ----------------------------------------------
-
-def gamma_value(g: Graph, f: Mapping[int, Fraction], h: Mapping[int, Fraction], w: int) -> Fraction:
-    """Gamma(f, h)(w) = (1/2d_w) sum_{z ~ w} (f(z)-f(w)) (h(z)-h(w)), exact."""
-    deg = g.degree(w)
-    acc = Fraction(0)
-    fw, hw = Fraction(f[w]), Fraction(h[w])
-    for z in g.adjacency[w]:
-        acc += (Fraction(f[z]) - fw) * (Fraction(h[z]) - hw)
-    return acc / (2 * deg)
-
-
-def gamma2_value(g: Graph, f: Mapping[int, Fraction], h: Mapping[int, Fraction], x: int) -> Fraction:
-    """Gamma2(f, h)(x) by the iterated definition, exact."""
-    df = normalized_laplacian_apply(g, f)
-    dh = normalized_laplacian_apply(g, h)
-    gam = {w: gamma_value(g, f, h, w) for w in range(g.n)}
-    dgam = normalized_laplacian_apply(g, gam)
-    return (dgam[x] - gamma_value(g, f, dh, x) - gamma_value(g, h, df, x)) / 2
-
-
 # -- form matrices ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """A symmetric form f |-> f^T matrix f over the listed vertex basis."""
-
-    basis: tuple[int, ...]
-    matrix: np.ndarray
-
 
 def _ball_partition(g: Graph, x: int) -> Partition:
     """The basis [x] + S1 + S2 of B2(x), with the sorted spheres of a local
@@ -115,15 +89,6 @@ def _local_forms(part: Partition) -> Forms:
     np.add.at(acc, (rows, cols), vals)
     b = 0.5 * (acc - gx @ lap - lap.T @ gx)
     return basis, k - 1, gx, 0.5 * (b + b.T)
-
-
-def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
-    """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x."""
-    basis, ds, gx, g2x = _local_forms(_ball_partition(g, x))
-    return (
-        QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
-        QuadraticForm(basis=tuple(basis), matrix=g2x),
-    )
 
 
 # -- curvature ----------------------------------------------------------------
@@ -204,17 +169,13 @@ def be_curvature(g: Graph, x: int, *, verify: bool = False) -> BEReport:
     )
 
 
-def be_upper_bound(g: Graph, x: int) -> Fraction:
+def _upper_bound(g: Graph, x: int, part: Partition) -> Fraction:
     """Exact upper bound 2/D + #triangles(x)/D^2 for a D-regular graph.
 
     Also evaluated as (3 + D - av_1^+(x)) / (2D), with the mean out-degree
     av_1^+(x) of the 1-sphere read off the ball's adjacency block; the two
     expressions must agree.
     """
-    return _upper_bound(g, x, _ball_partition(g, x))
-
-
-def _upper_bound(g: Graph, x: int, part: Partition) -> Fraction:
     deg = require_regular(g)
     tri = triangle_count_vertex(g, x)
     via_triangles = Fraction(2, deg) + Fraction(tri, deg * deg)
@@ -223,18 +184,6 @@ def _upper_bound(g: Graph, x: int, part: Partition) -> Fraction:
     if via_triangles != via_average:
         raise FormCheckFailed("upper bound expressions disagree")
     return via_triangles
-
-
-def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
-    """(applicable, lambda1, passes) for the weighted 1-sphere Laplacian test.
-
-    Applicable only at S1-out regular vertices.  The weighted graph S1''(x)
-    carries the induced 1-sphere edges plus weights
-    w'(y, y') = sum_z w(y, z) w(z, y') / d_x^-(z) over z in the 2-sphere;
-    the vertex is infinity-curvature sharp iff the smallest nonzero
-    eigenvalue of its Laplacian is at least D/2.
-    """
-    return _s1pp_test(g, x, _ball_partition(g, x))
 
 
 def _s1pp_weights(part: Partition) -> np.ndarray:
@@ -247,6 +196,14 @@ def _s1pp_weights(part: Partition) -> np.ndarray:
 
 
 def _s1pp_test(g: Graph, x: int, part: Partition) -> tuple[bool, Optional[float], Optional[bool]]:
+    """(applicable, lambda1, passes) for the weighted 1-sphere Laplacian test.
+
+    Applicable only at S1-out regular vertices.  The weighted graph S1''(x)
+    carries the induced 1-sphere edges plus weights
+    w'(y, y') = sum_z w(y, z) w(z, y') / d_x^-(z) over z in the 2-sphere;
+    the vertex is infinity-curvature sharp iff the smallest nonzero
+    eigenvalue of its Laplacian is at least D/2.
+    """
     if len(set(_out_degrees(part).tolist())) != 1:
         return False, None, None
     w = _s1pp_weights(part)
@@ -272,23 +229,21 @@ class ConjectureReport:
     weak_holds: bool
 
 
-def conjecture_scan(g: Graph, curvatures: Sequence[float]) -> ConjectureReport:
+def conjecture_scan(g: Graph, rows: Sequence[BEReport]) -> ConjectureReport:
     """Compare inf_x K(x) against 1/D + 1/L and the weaker certified bound
     1/D + 1/L + max_x #triangles(x)/(2 D^2).
 
-    ``curvatures[x]`` is the curvature K(x) of vertex x, as
-    :func:`be_curvature` computes it.
+    ``rows[x]`` is :func:`be_curvature`'s report at vertex x.  Its exact
+    upper bound u(x) = 2/D + #triangles(x)/D^2 gives the weak bound's
+    last term as (u(x) - 2/D)/2, so no triangle is counted twice.
     """
     require_connected(g)
     deg = require_regular(g)
-    if deg == 0:
-        raise IsolatedVertex("the conjecture scanner needs at least one edge")
-    if len(curvatures) != g.n:
-        raise BadParam(f"{len(curvatures)} curvatures for {g.n} vertices")
-    inf_val, argmin = min((k, x) for x, k in enumerate(curvatures))
+    if len(rows) != g.n:
+        raise BadParam(f"{len(rows)} Bakry-Emery rows for {g.n} vertices")
+    inf_val, argmin = min((r.curvature, r.vertex) for r in rows)
     bound = Fraction(1, deg) + Fraction(1, distances(g).diameter)
-    max_tri = max(triangle_count_vertex(g, x) for x in range(g.n))
-    weak = bound + Fraction(max_tri, 2 * deg * deg)
+    weak = bound + max(r.upper_bound - Fraction(2, deg) for r in rows) / 2
     margin = float(bound) - inf_val
     return ConjectureReport(
         inf_curvature=inf_val,

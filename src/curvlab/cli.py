@@ -155,7 +155,7 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
     reports = [be_curvature(g, x) for x in range(g.n)]
     doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
-        scan = conjecture_scan(g, [r.curvature for r in reports])
+        scan = conjecture_scan(g, reports)
         doc["conjecture"] = {
             "inf_curvature": float_str(scan.inf_curvature),
             "bound": frac_str(scan.bound),

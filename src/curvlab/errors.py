@@ -79,7 +79,7 @@ class IsolatedVertex(PreconditionError):
 
 
 class NoEdges(PreconditionError):
-    """An edge quantity (such as the curvature infimum) of an edgeless graph."""
+    """A regular graph of degree 0, which every regular-graph verdict refuses."""
 
 
 class NotAPole(PreconditionError):

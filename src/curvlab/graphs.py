@@ -8,9 +8,10 @@ dense int32 matrix with ``-1`` marking unreachable pairs.  Each view is
 computed on first use, kept as long as the graph and read-only.  A pickled
 graph carries its fields only, and no view.
 
-Whether a graph is connected and whether it is regular is decided here
-only: :func:`require_connected` and :func:`require_regular` raise the typed
-error, with one message per condition, for every function that needs it.
+Whether a graph is connected and whether it is regular of degree at least
+one is decided here only: :func:`require_connected` and
+:func:`require_regular` raise the typed error, with one message per
+condition, for every function that needs it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     DuplicateEdge,
     EmptySphere,
     IdentityViolated,
+    NoEdges,
     NotAnEdge,
     NotRegular,
     SelfLoop,
@@ -202,10 +204,18 @@ def require_connected(g: Graph) -> None:
 
 
 def require_regular(g: Graph) -> int:
-    """The common degree of g; raise NotRegular unless g is regular."""
+    """The common degree D >= 1 of g; raise NotRegular unless g is regular,
+    and NoEdges if it is regular of degree 0.
+
+    Every regular-graph verdict divides by D or by the diameter, and the
+    random walk behind Ollivier's curvature has no step at an isolated
+    vertex, so degree 0 is refused here, for all of them.
+    """
     deg = g.is_regular()
     if deg is None:
         raise NotRegular("input graph is not regular")
+    if deg == 0:
+        raise NoEdges("input graph has no edges")
     return deg
 
 
@@ -229,6 +239,7 @@ class DegreeTriple:
 
 
 def degree_triple(g: Graph, x: int, y: int) -> DegreeTriple:
+    require_connected(g)
     d = distances(g)
     dxy = d.d(x, y)
     minus = zero = plus = 0

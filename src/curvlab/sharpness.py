@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DisconnectedSubset, NoEdges, NotAPole, PreconditionUnmet
+from .errors import DisconnectedSubset, NotAPole, PreconditionUnmet
 from .families import FamilySpec, from_spec
 from .graphs import (
     Graph,
@@ -52,8 +52,6 @@ class SharpnessVerdict:
 def bm_sharpness(ctx: GraphAnalysis) -> SharpnessVerdict:
     """Exact infimum of edge curvature compared against 2/diameter."""
     g, deg = ctx.g, ctx.deg
-    if g.edge_count == 0:
-        raise NoEdges("the edge-curvature infimum needs at least one edge")
     witness, value = min(ctx.edge_kappas.items(), key=lambda item: item[1].value)
     L = distances(g).diameter
     two_over_l = Fraction(2, L)
@@ -348,6 +346,7 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
 
 def ssp_ncp(g: Graph, x: int) -> tuple[bool, bool]:
     """(small sphere property, non-clustering property) at x."""
+    require_connected(g)
     deg = require_regular(g)
     s2 = distances(g).sphere(x, 2)
     ssp = len(s2) <= comb(deg, 2)

@@ -4,14 +4,16 @@ exact eigenfunction verification.
 Eigenvalues come from dense symmetric solves (graphs here stay well under a
 couple of thousand vertices); value comparisons use a 1e-9 tolerance and
 multiplicity clustering a 1e-7 radius.  The distance eigenfunction identity
-is checked exactly, in integer degree counts.
+is checked exactly, in integer degree counts, with no Laplacian applied: the
+exact normalized Laplacian in Fractions is a test oracle
+(``tests/helpers.py``), which checks that identity a second way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -34,22 +36,6 @@ class SpectralSummary:
     theta1: Optional[float]
     laplacian_spectrum: tuple[float, ...]
     adjacency_spectrum: tuple[float, ...]
-
-
-def normalized_laplacian_apply(g: Graph, f: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """Exact image of f under the normalized Laplacian Delta f(x) =
-    (1/d_x) sum_{y ~ x} (f(y) - f(x))."""
-    out: dict[int, Fraction] = {}
-    for x in range(g.n):
-        deg = g.degree(x)
-        if deg == 0:
-            raise IsolatedVertex(f"vertex {x} is isolated")
-        fx = Fraction(f[x])
-        acc = Fraction(0)
-        for y in g.adjacency[x]:
-            acc += Fraction(f[y]) - fx
-        out[x] = acc / deg
-    return out
 
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:

@@ -37,7 +37,6 @@ from .errors import (
     NotAnEdge,
     NotBMSharp,
     NotFullLength,
-    NotLipschitz,
     NotPerfectMatching,
     PreconditionUnmet,
     SamePair,
@@ -129,14 +128,9 @@ class TransportPlan:
             raise BadMeasure("column marginals do not match the target measure")
 
     def cost(self, g: Graph) -> Fraction:
+        require_connected(g)
         d = distances(g)
-        total = Fraction(0)
-        for u, v, m in self.entries:
-            duv = d.d(u, v)
-            if duv < 0:
-                raise Disconnected(f"no path between {u} and {v}")
-            total += m * duv
-        return total
+        return sum((m * d.d(u, v) for u, v, m in self.entries), Fraction(0))
 
     def to_json(self) -> dict:
         return {
@@ -360,17 +354,6 @@ def _kappa_plan(g: Graph, x: int, y: int) -> tuple[CurvatureValue, TransportPlan
     return _kappa_from_cost(g, x, y, deg, int(w1 * (deg + 1)), moved), plan
 
 
-def kappa_lly(g: Graph, x: int, y: int) -> CurvatureValue:
-    """Lin-Lu-Yau curvature for adjacent pairs of a regular graph.
-
-    Exposed through the identity with the rescaled idleness-1/(D+1)
-    curvature; only defined here for neighbours.
-    """
-    if not g.has_edge(x, y):
-        raise NotAnEdge("kappa_LLY is exposed for adjacent pairs only")
-    return kappa(g, x, y)
-
-
 def matching_sides(
     g: Graph, x: int, y: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -429,36 +412,6 @@ def unique_perfect_matching(
         del adj[u]
         del radj[v]
     return matching
-
-
-def certify_duality(
-    g: Graph,
-    m1: Measure,
-    m2: Measure,
-    plan: TransportPlan,
-    potential: Mapping[int, Fraction | int],
-) -> bool:
-    """True iff cost(plan) equals the potential's dual value exactly.
-
-    The potential must be 1-Lipschitz on the support closure; by weak
-    duality a True verdict certifies both the plan and the potential as
-    optimal.
-    """
-    d = distances(g)
-    closure = sorted(
-        set(m1.support) | set(m2.support) | {u for u, _, _ in plan.entries} | {v for _, v, _ in plan.entries}
-    )
-    for i, u in enumerate(closure):
-        for v in closure[i + 1 :]:
-            gap = potential[u] - potential[v]
-            if abs(gap) > d.d(u, v):
-                raise NotLipschitz(
-                    f"|phi({u}) - phi({v})| = {abs(gap)} > d = {d.d(u, v)}"
-                )
-    dual = sum(
-        (Fraction(potential[v]) * (m1(v) - m2(v)) for v in closure), Fraction(0)
-    )
-    return plan.cost(g) == dual
 
 
 @dataclass(frozen=True)
@@ -529,10 +482,12 @@ class TransportGeodesic:
 def transport_geodesic(g: Graph, geodesic: Sequence[int], z: int) -> TransportGeodesic:
     """Push z through the concatenated unique transport maps along a geodesic.
 
-    The geodesic must have full length diam(G); z must lie in the 1-ball of
-    its start.  Each step map is the unique triangle-and-matching map of the
+    The graph must be connected and regular; the geodesic must have full
+    length diam(G); z must lie in the 1-ball of its start.  Each step map is the unique triangle-and-matching map of the
     corresponding edge.
     """
+    require_connected(g)
+    require_regular(g)
     path = tuple(geodesic)
     d = distances(g)
     L = d.diameter
@@ -562,11 +517,10 @@ def geodesic_between(
     g: Graph, x: int, y: int, via: Sequence[int] = ()
 ) -> tuple[int, ...]:
     """Some geodesic from x to y passing through the (ordered) via vertices."""
+    require_connected(g)
     d = distances(g)
     stops = [x, *via, y]
     legs = [d.d(a, b) for a, b in zip(stops, stops[1:])]
-    if min(legs) < 0:
-        raise Disconnected(f"no path joins the stops {stops}")
     if sum(legs) != d.d(x, y):
         raise PreconditionUnmet("via vertices do not lie on a common geodesic")
     path = [x]
@@ -588,10 +542,9 @@ def interval_antipole(g: Graph, x: int, y: int, x1: int) -> int:
     geodesic through x1 and y, and by brute-force scan of the interval; the
     two must agree.
     """
+    require_connected(g)
     d = distances(g)
     k = d.d(x, y)
-    if k < 0:
-        raise Disconnected(f"no path between {x} and {y}")
     if k == 0:
         raise SamePair("interval antipole needs distinct endpoints")
     iv = interval(g, x, y)

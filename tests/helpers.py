@@ -12,6 +12,13 @@ ordered vertex pair, isomorphism and automorphism orbits by permutation
 enumeration, strong sphericity by the full row-major interval scan,
 cocktail party graphs by their complement, mu-graphs by building each one,
 random regular graphs by stub pairing.
+
+The exact Gamma and Gamma2 evaluators, the normalized Laplacian in
+Fractions and the Kantorovich duality check live here too: the library
+never calls them, so they are oracles of this suite and not part of
+``curvlab``.  ``gamma_forms``, ``be_upper_bound`` and
+``s1pp_sharpness_test`` evaluate one Bakry-Emery quantity at one vertex,
+through the private steps that ``be_curvature`` runs once per vertex.
 """
 
 from __future__ import annotations
@@ -20,17 +27,114 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Mapping, Optional
 
 import numpy as np
 
-from curvlab import _kernels
+from curvlab import _kernels, bakry_emery
+from curvlab.errors import IsolatedVertex, NotLipschitz
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
 from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, distances, mu_graph
 from curvlab.sharpness import MuGraphVerdict, SphericalVerdict
-from curvlab.spectral import normalized_laplacian_apply
-from curvlab.transport import Measure, _transportation
+from curvlab.transport import Measure, TransportPlan, _transportation
+
+
+def normalized_laplacian_apply(g: Graph, f: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """Exact image of f under the normalized Laplacian Delta f(x) =
+    (1/d_x) sum_{y ~ x} (f(y) - f(x))."""
+    out: dict[int, Fraction] = {}
+    for x in range(g.n):
+        deg = g.degree(x)
+        if deg == 0:
+            raise IsolatedVertex(f"vertex {x} is isolated")
+        fx = Fraction(f[x])
+        acc = Fraction(0)
+        for y in g.adjacency[x]:
+            acc += Fraction(f[y]) - fx
+        out[x] = acc / deg
+    return out
+
+
+def gamma_value(g: Graph, f: Mapping[int, Fraction], h: Mapping[int, Fraction], w: int) -> Fraction:
+    """Gamma(f, h)(w) = (1/2d_w) sum_{z ~ w} (f(z)-f(w)) (h(z)-h(w)), exact."""
+    deg = g.degree(w)
+    acc = Fraction(0)
+    fw, hw = Fraction(f[w]), Fraction(h[w])
+    for z in g.adjacency[w]:
+        acc += (Fraction(f[z]) - fw) * (Fraction(h[z]) - hw)
+    return acc / (2 * deg)
+
+
+def gamma2_value(g: Graph, f: Mapping[int, Fraction], h: Mapping[int, Fraction], x: int) -> Fraction:
+    """Gamma2(f, h)(x) by the iterated definition, exact."""
+    df = normalized_laplacian_apply(g, f)
+    dh = normalized_laplacian_apply(g, h)
+    gam = {w: gamma_value(g, f, h, w) for w in range(g.n)}
+    dgam = normalized_laplacian_apply(g, gam)
+    return (dgam[x] - gamma_value(g, f, dh, x) - gamma_value(g, h, df, x)) / 2
+
+
+@dataclass(frozen=True)
+class QuadraticForm:
+    """A symmetric form f |-> f^T matrix f over the listed vertex basis."""
+
+    basis: tuple[int, ...]
+    matrix: np.ndarray
+
+
+def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
+    """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x, as
+    ``be_curvature`` assembles them."""
+    basis, ds, gx, g2x = bakry_emery._local_forms(bakry_emery._ball_partition(g, x))
+    return (
+        QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
+        QuadraticForm(basis=tuple(basis), matrix=g2x),
+    )
+
+
+def be_upper_bound(g: Graph, x: int) -> Fraction:
+    """The exact Bakry-Emery upper bound at x of a D-regular graph, by both
+    of ``be_curvature``'s expressions, which must agree."""
+    return bakry_emery._upper_bound(g, x, bakry_emery._ball_partition(g, x))
+
+
+def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
+    """(applicable, lambda1, passes) of ``be_curvature``'s weighted
+    1-sphere test at x."""
+    return bakry_emery._s1pp_test(g, x, bakry_emery._ball_partition(g, x))
+
+
+def certify_duality(
+    g: Graph,
+    m1: Measure,
+    m2: Measure,
+    plan: TransportPlan,
+    potential: Mapping[int, Fraction | int],
+) -> bool:
+    """True iff cost(plan) equals the potential's dual value exactly.
+
+    The potential must be 1-Lipschitz on the support closure; by weak
+    duality a True verdict certifies both the plan and the potential as
+    optimal.
+    """
+    d = distances(g)
+    closure = sorted(
+        set(m1.support) | set(m2.support) | {u for u, _, _ in plan.entries} | {v for _, v, _ in plan.entries}
+    )
+    for i, u in enumerate(closure):
+        for v in closure[i + 1 :]:
+            gap = potential[u] - potential[v]
+            if abs(gap) > d.d(u, v):
+                raise NotLipschitz(
+                    f"|phi({u}) - phi({v})| = {abs(gap)} > d = {d.d(u, v)}"
+                )
+    dual = sum(
+        (Fraction(potential[v]) * (m1(v) - m2(v)) for v in closure), Fraction(0)
+    )
+    return plan.cost(g) == dual
 
 
 def wasserstein_bruteforce(d: DistanceOracle, m1: Measure, m2: Measure) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from curvlab.analysis import GraphAnalysis
-from curvlab.bakry_emery import be_curvature, s1pp_sharpness_test
+from curvlab.bakry_emery import be_curvature
 from curvlab.cli import main as cli_main
 from curvlab.families import (
     cocktail_party,
@@ -39,7 +39,7 @@ from curvlab.sharpness import (
     pole_facts,
     degree_recursions,
 )
-from curvlab.spectral import normalized_laplacian_apply, verify_distance_eigenfunction
+from curvlab.spectral import verify_distance_eigenfunction
 from curvlab.tables import compute_table
 from curvlab.transport import (
     geodesic_between,
@@ -50,7 +50,13 @@ from curvlab.transport import (
     wasserstein,
 )
 
-from helpers import edge_has_perfect_matching, random_regular_graph, wasserstein_bruteforce
+from helpers import (
+    edge_has_perfect_matching,
+    normalized_laplacian_apply,
+    random_regular_graph,
+    s1pp_sharpness_test,
+    wasserstein_bruteforce,
+)
 
 BE_TOL = 1e-7
 

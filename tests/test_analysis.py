@@ -8,11 +8,11 @@ import pytest
 
 from curvlab import cli
 from curvlab.analysis import GraphAnalysis
-from curvlab.bakry_emery import be_upper_bound, conjecture_scan
+from curvlab.bakry_emery import conjecture_scan
 from curvlab.cli import main
-from curvlab.errors import Disconnected, NotRegular
+from curvlab.errors import Disconnected, NoEdges, NotRegular
 from curvlab.families import FamilySpec, from_spec, hypercube, johnson
-from curvlab.graphs import build_graph, poles_and_antipoles
+from curvlab.graphs import build_graph, degree_triple, poles_and_antipoles
 from curvlab.isomorphism import find_isomorphism
 from curvlab.report import analyze
 from curvlab.sharpness import (
@@ -26,15 +26,19 @@ from curvlab.sharpness import (
 )
 from curvlab.spectral import spectral_summary, verify_distance_eigenfunction
 from curvlab.transport import (
+    Measure,
+    TransportPlan,
+    geodesic_between,
     idle_measure,
+    interval_antipole,
     kappa,
-    kappa_lly,
     kappa_p,
     tpm_transport_map,
+    transport_geodesic,
     wasserstein,
 )
 
-from helpers import record_calls
+from helpers import be_upper_bound, record_calls
 
 
 def test_context_computes_each_quantity_once(monkeypatch):
@@ -92,6 +96,14 @@ def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
     assert sorted(args[1] for args in schur) == list(range(8))
 
 
+def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):
+    # the conjecture scan reads its weak bound off the rows' upper bounds
+    triangles = record_calls(monkeypatch, "graphs", "triangle_count_vertex")
+    assert main(["bakry-emery", "hypercube:3"]) == 0
+    capsys.readouterr()
+    assert sorted(args[1] for args in triangles) == list(range(8))
+
+
 def test_curvature_plan_one_w1_solve(monkeypatch, capsys):
     solves = record_calls(monkeypatch, "transport", "wasserstein")
     assert main(["curvature", "hypercube:3", "0", "7", "--p", "1/2", "--plan"]) == 0
@@ -134,14 +146,14 @@ def test_automorphism_search_only_for_the_interval_scan(monkeypatch, capsys, arg
     assert len(orbits) == searches
 
 
-# Every public entry point that needs a connected graph, or a regular one;
-# the predicates that take a GraphAnalysis are covered by its constructor.
+# Every public entry point that needs a connected graph, or a regular one
+# (of degree at least one); the predicates that take a GraphAnalysis are
+# covered by its constructor.
 NEEDS_CONNECTED = {
     "GraphAnalysis": GraphAnalysis,
     "analyze": analyze,
     "kappa": lambda g: kappa(g, 0, 1),
     "kappa_p": lambda g: kappa_p(g, 0, 1, Fraction(1, 2)),
-    "kappa_lly": lambda g: kappa_lly(g, 0, 1),
     "wasserstein": lambda g: wasserstein(g, idle_measure(g, 0, 0), idle_measure(g, 1, 0)),
     "poles_and_antipoles": poles_and_antipoles,
     "interval_cover_check": interval_cover_check,
@@ -152,21 +164,29 @@ NEEDS_CONNECTED = {
     "mu_graphs_all_cp": mu_graphs_all_cp,
     "spectral_summary": spectral_summary,
     "verify_distance_eigenfunction": lambda g: verify_distance_eigenfunction(g, 0),
-    "conjecture_scan": lambda g: conjecture_scan(g, [0.0] * g.n),
+    "conjecture_scan": lambda g: conjecture_scan(g, []),
+    "degree_triple": lambda g: degree_triple(g, 0, g.n - 1),
+    "geodesic_between": lambda g: geodesic_between(g, 0, g.n - 1),
+    "interval_antipole": lambda g: interval_antipole(g, 0, g.n - 1, 1),
+    "TransportPlan.cost": lambda g: TransportPlan(
+        ((0, g.n - 1, Fraction(1)),), Measure.from_dict({0: 1}), Measure.from_dict({g.n - 1: 1})
+    ).cost(g),
+    "transport_geodesic": lambda g: transport_geodesic(g, (0, 1), 0),
+    "ssp_ncp": lambda g: ssp_ncp(g, 0),
 }
 NEEDS_BOTH = (
-    "GraphAnalysis", "analyze", "kappa", "kappa_p", "kappa_lly", "pole_facts",
-    "degree_recursions", "conjecture_scan",
+    "GraphAnalysis", "analyze", "kappa", "kappa_p", "pole_facts",
+    "degree_recursions", "conjecture_scan", "transport_geodesic", "ssp_ncp",
 )
 NEEDS_REGULAR = {
     **{name: NEEDS_CONNECTED[name] for name in NEEDS_BOTH},
     "tpm_transport_map": lambda g: tpm_transport_map(g, 0, 1, {}),
-    "ssp_ncp": lambda g: ssp_ncp(g, 0),
     "be_upper_bound": lambda g: be_upper_bound(g, 0),
 }
 TWO_TRIANGLES = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # 2K3
 PATH = build_graph(4, [(0, 1), (1, 2), (2, 3)])  # P4
 EDGE_AND_POINT = build_graph(3, [(0, 1)])  # K2 + K1: disconnected and irregular
+POINT = build_graph(1, [])  # K1: connected and regular of degree 0
 
 
 @pytest.mark.parametrize("call", NEEDS_CONNECTED.values(), ids=NEEDS_CONNECTED)
@@ -185,3 +205,10 @@ def test_connected_irregular_graph_raises_not_regular(call):
 def test_connectivity_is_checked_before_regularity(name):
     with pytest.raises(Disconnected, match="^input graph is disconnected$"):
         NEEDS_CONNECTED[name](EDGE_AND_POINT)
+
+
+@pytest.mark.parametrize("call", NEEDS_REGULAR.values(), ids=NEEDS_REGULAR)
+def test_regular_graph_of_degree_zero_raises_no_edges(call):
+    # GraphAnalysis among them: every verdict of the paper divides by D or L
+    with pytest.raises(NoEdges, match="^input graph has no edges$"):
+        call(POINT)

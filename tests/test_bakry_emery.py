@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 from curvlab import bakry_emery
-from curvlab.bakry_emery import (
-    be_curvature,
-    be_upper_bound,
-    conjecture_scan,
-    gamma_forms,
-    gamma_value,
-    gamma2_value,
-    s1pp_sharpness_test,
-)
+from curvlab.bakry_emery import be_curvature, conjecture_scan
 from curvlab.cli import main
 from curvlab.errors import FormCheckFailed
 from curvlab.families import (
@@ -39,10 +31,15 @@ from curvlab.graphs import (
 from curvlab.report import be_row
 from helpers import (
     SAMPLE_GRAPHS,
+    be_upper_bound,
     dense_gamma_forms,
+    gamma2_value,
+    gamma_forms,
+    gamma_value,
     ordered_gamma_forms,
     random_regular_graph,
     record_calls,
+    s1pp_sharpness_test,
     s1pp_weights_by_pairs,
     sample_graph,
 )
@@ -350,7 +347,7 @@ class TestProductRule:
 
 
 def _scan(g):
-    return conjecture_scan(g, [be_curvature(g, x).curvature for x in range(g.n)])
+    return conjecture_scan(g, [be_curvature(g, x) for x in range(g.n)])
 
 
 class TestConjectureScan:

@@ -495,12 +495,18 @@ class TestTransportGeodesicCmd:
         assert code == 3
 
     def test_z_in_another_component_exit3(self, tmp_path, capsys):
-        # 2K2 has diameter 1, so 0-1 is a full-length geodesic; 2 is unreachable
+        # 2K2 is disconnected, so its geodesic is refused before z is read
         path = tmp_path / "2k2.json"
         path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
         code, out, err = run(capsys, "transport-geodesic", str(path), "--path", "0,1", "--z", "2")
         assert (code, out) == (3, "")
-        assert err == "error: 2 is not in the 1-ball of 0\n"
+        assert err == "error: input graph is disconnected\n"
+        # on a connected graph, a z outside the 1-ball of the start is refused
+        code, out, err = run(
+            capsys, "transport-geodesic", "hypercube:3", "--path", "0,1,3,7", "--z", "7"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: 7 is not in the 1-ball of 0\n"
 
 
 class TestTableCmd:

@@ -17,12 +17,16 @@ from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph
 from curvlab.spectral import (
     is_lichnerowicz_sharp,
-    normalized_laplacian_apply,
     spectral_summary,
     verify_distance_eigenfunction,
 )
 
-from helpers import SAMPLE_GRAPHS, distance_eigenfunction_by_fractions, sample_graph
+from helpers import (
+    SAMPLE_GRAPHS,
+    distance_eigenfunction_by_fractions,
+    normalized_laplacian_apply,
+    sample_graph,
+)
 
 # the triangular prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3, 4
 PRISM_PLUS = build_graph(

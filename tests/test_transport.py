@@ -13,7 +13,6 @@ from curvlab.errors import (
     Disconnected,
     MuGraphNotCP,
     NoAntipole,
-    NotAnEdge,
     NotFullLength,
     NotLipschitz,
     NotPerfectMatching,
@@ -36,12 +35,10 @@ from curvlab.transport import (
     Measure,
     TransportMap,
     TransportPlan,
-    certify_duality,
     geodesic_between,
     idle_measure,
     interval_antipole,
     kappa,
-    kappa_lly,
     kappa_p,
     matching_sides,
     switching_map,
@@ -55,6 +52,7 @@ from curvlab.transport import (
 from helpers import (
     SAMPLE_GRAPHS,
     adjacency_bijections,
+    certify_duality,
     edge_has_perfect_matching,
     random_regular_graph,
     record_calls,
@@ -355,16 +353,6 @@ class TestKappa:
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotRegular):
             kappa(g, 0, 1)
-
-    def test_lly_identity(self, demi6):
-        g, _ = demi6
-        y = g.adjacency[0][0]
-        assert kappa_lly(g, 0, y).value == kappa(g, 0, y).value
-
-    def test_lly_needs_edge(self, q3):
-        g, _ = q3
-        with pytest.raises(NotAnEdge):
-            kappa_lly(g, 0, 3)
 
 
 def _certificate(g, x, y):
@@ -700,13 +688,16 @@ class TestTransportGeodesic:
         with pytest.raises(Disconnected):
             geodesic_between(g, 0, 1, via=(2,))
 
-    def test_z_in_another_component_rejected(self):
-        from curvlab.errors import PreconditionUnmet
-
-        g = build_graph(4, [(0, 1), (2, 3)])  # 2K2: diameter 1, path 0-1 is full length
+    def test_z_in_another_component_rejected(self, q3):
+        # 2K2 is disconnected, so its geodesic is refused before z is read
+        g = build_graph(4, [(0, 1), (2, 3)])
         for z in (2, 3):
-            with pytest.raises(PreconditionUnmet):
+            with pytest.raises(Disconnected, match="^input graph is disconnected$"):
                 transport_geodesic(g, (0, 1), z)
+        # on a connected graph, a z outside the 1-ball of the start is refused
+        g, _ = q3
+        with pytest.raises(PreconditionUnmet, match="^7 is not in the 1-ball of 0$"):
+            transport_geodesic(g, geodesic_between(g, 0, 7), 7)
 
     def test_structured_error_without_sharpness(self, petersen):
         # girth 5 leaves no perfect matching for the step maps
@@ -769,12 +760,13 @@ class TestIntervalAntipole:
                 z = interval_antipole(g, x, y, x1)
                 assert z in interval(g, x, y) and d.d(x1, z) == d.d(x, y)
 
-    def test_unreachable_endpoint_is_disconnected(self):
+    def test_unreachable_endpoint_is_disconnected(self, q3):
         g = build_graph(4, [(0, 1), (2, 3)])  # 2K2
-        with pytest.raises(Disconnected):
-            interval_antipole(g, 0, 2, 1)
+        for y in (2, 0):  # connectivity is checked before the endpoints
+            with pytest.raises(Disconnected):
+                interval_antipole(g, 0, y, 1)
         with pytest.raises(SamePair):
-            interval_antipole(g, 0, 0, 1)
+            interval_antipole(q3[0], 0, 0, 1)
 
     def test_petersen_has_no_unique_antipole(self, petersen):
         g, d = petersen
