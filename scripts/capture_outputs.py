@@ -8,7 +8,9 @@ also gets ``OUTDIR/<name>.err`` with its exit code and stderr.  The
 commands are ``table 1|2|3 --json``; full and ``--skip-spherical``
 ``analyze``, ``spectral``, ``classify`` and ``sharpness`` on Gosset, Hall,
 Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default and ``--vertex 0``) on
-those four and J(6,3)xCP(2); ``curvature --all-edges`` on Chang1;
+those four and J(6,3)xCP(2); ``curvature --all-edges`` on Chang1, on
+J(6,3)xCP(2), whose edge table holds assignments of two sizes (6 and 10
+atoms), and on K4, whose difference neighbourhoods are empty;
 ``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
 one of them a refused equal pair; ``transport-geodesic`` on the 3-cube,
 along a full-length path and a refused short one, and on Kneser(5,2)
@@ -37,7 +39,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 85 commands run one after another and take about 20 s on a 2-core
+The 87 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -70,6 +72,7 @@ IRREGULAR = {
 }
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
+ALL_EDGES = ("chang1", "j63xcp2.g6", "complete:4")
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
 # (output name, CLI argv); the last curvature pair and the last two
 # transport geodesics exit 3
@@ -100,7 +103,9 @@ def commands() -> list[tuple[str, list[str]]]:
         stem = g.removesuffix(".g6").removesuffix(".json")
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
-    out.append(("curvature-all-edges-chang1", ["curvature", "chang1", "--all-edges"]))
+    for g in ALL_EDGES:
+        stem = g.removesuffix(".g6").replace(":", "-")
+        out.append((f"curvature-all-edges-{stem}", ["curvature", g, "--all-edges"]))
     out.extend(PAIRS)
     for spec in GENERATED:
         stem = "-".join(spec)

@@ -44,7 +44,7 @@ from curvlab.graphs import (
 from curvlab.families import johnson, kneser
 from curvlab.isomorphism import find_isomorphism
 from curvlab.spectral import spectral_summary
-from curvlab.transport import kappa
+from curvlab.transport import kappas
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "curvlab" / "fixtures"
 
@@ -98,7 +98,7 @@ def verify_chang(graphs: list[Graph]) -> None:
         summ = spectral_summary(g)
         assert abs(summ.theta1 - 4.0) < 1e-9
         assert abs(summ.lambda1 - 2.0 / 3.0) < 1e-9
-        inf_k = min(kappa(g, u, v).value for u, v in g.edges())
+        inf_k = min(value.value for value in kappas(g, g.edges()).values())
         assert str(inf_k) == "1/3", f"chang{i + 1}: inf kappa {inf_k}"
     for i in range(3):
         for j in range(i + 1, 3):
@@ -396,7 +396,7 @@ def verify_locally_petersen(g: Graph, name: str, want_n: int, want_array) -> Non
     summ = spectral_summary(g)
     assert abs(summ.theta1 - 5.0) < 1e-9, f"{name}: theta1 {summ.theta1}"
     assert abs(summ.lambda1 - 0.5) < 1e-9, f"{name}: lambda1 {summ.lambda1}"
-    inf_k = min(kappa(g, u, v).value for u, v in g.edges())
+    inf_k = min(value.value for value in kappas(g, g.edges()).values())
     assert str(inf_k) == "-1/10", f"{name}: inf kappa {inf_k}"
     print(f"{name} verified: {want_n} vertices, locally Petersen, ia {arr}, "
           f"theta1=5, lambda1=1/2, inf kappa=-1/10")

@@ -21,7 +21,7 @@ from functools import cached_property
 from .graphs import Graph, poles_and_antipoles, require_connected, require_regular
 from .sharpness import MuGraphVerdict, SharpnessVerdict, bm_sharpness, mu_graphs_all_cp
 from .spectral import SpectralSummary, spectral_summary
-from .transport import CurvatureValue, kappa
+from .transport import CurvatureValue, kappas
 
 
 class GraphAnalysis:
@@ -36,7 +36,7 @@ class GraphAnalysis:
     @cached_property
     def edge_kappas(self) -> dict[tuple[int, int], CurvatureValue]:
         """``kappa`` of every edge, keyed ``(u, v)`` with ``u < v`` in ``g.edges()`` order."""
-        return {(u, v): kappa(self.g, u, v) for u, v in self.g.edges()}
+        return kappas(self.g, self.g.edges())
 
     @cached_property
     def bm(self) -> SharpnessVerdict:

@@ -211,7 +211,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_transport_geodesic(args: argparse.Namespace) -> int:
-    g = _load_input(args.input)
+    g = _load_connected(args.input)
+    require_regular(g)
     try:
         path = tuple(int(v) for v in args.path.split(","))
     except ValueError as exc:

@@ -129,6 +129,11 @@ class UnbalancedTransport(VerificationError):
     """Supply and demand of a transportation problem have different totals."""
 
 
+class SolverFailed(VerificationError):
+    """An exact transport solver gave no answer, or one that its own dual
+    certificate refutes."""
+
+
 # -- internal identities --------------------------------------------------------
 
 class IdentityViolated(VerificationError):

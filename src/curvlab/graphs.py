@@ -203,9 +203,19 @@ def require_connected(g: Graph) -> None:
         raise Disconnected("input graph is disconnected")
 
 
+def require_edges(g: Graph) -> None:
+    """Raise NoEdges if g has no edge: the one refusal of degree 0.
+
+    A connected graph without an edge is K1, whose diameter 0 every
+    verdict of the paper divides by.
+    """
+    if not any(g.adjacency):  # stops at the first vertex with a neighbour
+        raise NoEdges("input graph has no edges")
+
+
 def require_regular(g: Graph) -> int:
     """The common degree D >= 1 of g; raise NotRegular unless g is regular,
-    and NoEdges if it is regular of degree 0.
+    and NoEdges (by ``require_edges``) if it is regular of degree 0.
 
     Every regular-graph verdict divides by D or by the diameter, and the
     random walk behind Ollivier's curvature has no step at an isolated
@@ -214,8 +224,7 @@ def require_regular(g: Graph) -> int:
     deg = g.is_regular()
     if deg is None:
         raise NotRegular("input graph is not regular")
-    if deg == 0:
-        raise NoEdges("input graph has no edges")
+    require_edges(g)
     return deg
 
 

@@ -131,13 +131,19 @@ def automorphism_orbits(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     for r in range(g.n):
         if root(r) != r:
             continue  # an earlier representative's orbit holds r
+        missed: list[int] = []  # vertices that no automorphism maps r to
         for v in range(r + 1, g.n):
             # root(v) == r: v is reached; root(v) < r: v lies in a finished
             # orbit, which does not hold r
             if colors[v] != colors[r] or root(v) <= r:
                 continue
+            # an automorphism found so far maps v to a missed vertex w, so
+            # one taking r to v would take r to w: the search would fail
+            if any(root(w) == root(v) for w in missed):
+                continue
             found = _search_from(u, colors, r, v)
             if found is None:
+                missed.append(v)
                 continue
             automorphisms.append(found)
             for x, y in enumerate(found):

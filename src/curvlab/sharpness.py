@@ -33,7 +33,7 @@ from .graphs import (
     triangle_count_edge,
 )
 from .isomorphism import automorphism_orbits, find_isomorphism
-from .transport import kappa
+from .transport import kappas
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
@@ -102,9 +102,9 @@ class PoleFacts:
 def pole_facts(g: Graph, x: int) -> PoleFacts:
     """Triangle count, matching and optimal transport cost facts at a pole.
 
-    Each edge at the pole is read off ``kappa``: it has a perfect adjacency
-    matching exactly when the method is "matching", and its W1 is
-    (D + 1 - D kappa) / (D + 1).
+    Each edge at the pole is read off ``kappa`` (one ``kappas`` call for
+    them all): it has a perfect adjacency matching exactly when the method
+    is "matching", and its W1 is (D + 1 - D kappa) / (D + 1).
     """
     require_connected(g)
     deg = require_regular(g)
@@ -116,12 +116,13 @@ def pole_facts(g: Graph, x: int) -> PoleFacts:
     want_cost = Fraction(deg + 1 - Fraction(2 * deg, L), deg + 1)
     failures: list[str] = []
     tri_ok = match_ok = cost_ok = True
+    values = kappas(g, [(x, y) for y in g.adjacency[x]])
     for y in g.adjacency[x]:
         if triangle_count_edge(g, x, y) != want_tri:
             tri_ok = False
             failures.append(f"edge ({x},{y}) lies in {triangle_count_edge(g, x, y)} triangles")
             continue
-        value = kappa(g, x, y)
+        value = values[(x, y)]
         if value.method != "matching":
             match_ok = False
             failures.append(f"edge ({x},{y}) has no perfect matching")

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import IsolatedVertex
-from .graphs import Graph, degree_triple, distances, require_connected
+from .graphs import Graph, degree_triple, distances, require_connected, require_edges
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
@@ -82,8 +82,10 @@ def verify_distance_eigenfunction(g: Graph, x: int) -> tuple[bool, Optional[int]
     farther, so L deg(v) times the left side at v is L (d_plus - d_minus)
     - deg(v) (L - 2 d(x, v)), an integer, read off ``degree_triple``.
     Returns (True, None) on success, else (False, first violating vertex).
+    K1, whose L = 0 leaves 2/L undefined, is refused with NoEdges.
     """
     require_connected(g)
+    require_edges(g)
     d = distances(g)
     L = d.diameter
     for v in range(g.n):

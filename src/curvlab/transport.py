@@ -10,11 +10,15 @@ only the remainders.  ``kappa`` has one route, no fast path: the shared
 1-ball mass cancels and one assignment between the 1-ball differences is
 solved.  At an edge, the cost of that assignment also says whether the
 difference neighbourhoods have a perfect adjacency matching: ``kappa``
-labels the edge "matching" exactly then.  ``kappa`` and the equal-atom
-branch of ``wasserstein`` share that one route, ``_assignment``; with a plan,
-``kappa`` is read off that W1 solve by the same rule.  Both solvers read
-their costs from ``_costs``, the one place that turns graph distances into
-transport costs; no function here takes a distance oracle.
+labels the edge "matching" exactly then.  ``kappas`` runs that route for a
+whole list of pairs, stacking the problems of one size into one kernel
+call, and ``kappa`` is ``kappas`` on one pair.  They and the equal-atom
+branch of ``wasserstein`` (``_assignment``, a stack of one) solve through
+``_solve``, which checks every answer against its own dual before it is
+used; with a plan, ``kappa`` is read off that W1 solve by the same rule.
+Both solvers read their costs from ``_costs``, the one place that turns
+graph distances into transport costs; no function here takes a distance
+oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from . import _kernels
 from .errors import (
     BadIdleness,
     BadMeasure,
-    Disconnected,
     MuGraphNotCP,
     NoAntipole,
     NotAnEdge,
@@ -40,6 +43,7 @@ from .errors import (
     NotPerfectMatching,
     PreconditionUnmet,
     SamePair,
+    SolverFailed,
     UnbalancedTransport,
     WrongDistance,
 )
@@ -51,6 +55,9 @@ from .graphs import (
     require_connected,
     require_regular,
 )
+
+# entries of one (B, n, n) cost stack that ``kappas`` hands to the kernel
+_SOLVE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -171,18 +178,45 @@ def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, Transport
     return value, TransportPlan(entries=entries, source=m1, target=m2)
 
 
-def _costs(g: Graph, us: Sequence[int], vs: Sequence[int]) -> np.ndarray:
-    """The transport costs from ``us`` to ``vs``: their graph distances."""
-    return distances(g).dist[np.ix_(us, vs)]
+def _costs(g: Graph, us: Sequence, vs: Sequence) -> np.ndarray:
+    """The transport costs from ``us`` to ``vs``: their graph distances.
+
+    ``us`` and ``vs`` are vertex lists, or (B, n) arrays of B lists each,
+    which give a (B, n, n) stack.
+    """
+    us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
+    return distances(g).dist[us[..., :, None], vs[..., None, :]]
+
+
+def _solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least totals and row -> column assignments of a (B, n, n) cost stack.
+
+    One Hungarian kernel call; each answer is certified before it is used:
+    the assignment is a permutation, the potentials are feasible
+    (u_i + v_j <= c_ij in every cell) and their sum equals its total, so by
+    LP duality no assignment costs less.
+    """
+    row_to_col, u, v = _kernels.hungarian(cost)
+    rows = np.arange(len(cost))[:, None]
+    totals = cost[rows, np.arange(cost.shape[1]), row_to_col].sum(axis=1)
+    hit = np.zeros(row_to_col.shape, dtype=bool)
+    hit[rows, row_to_col] = True
+    if not (
+        hit.all()
+        and (u[:, :, None] + v[:, None, :] <= cost).all()
+        and (u.sum(axis=1) + v.sum(axis=1) == totals).all()
+    ):
+        raise SolverFailed("an assignment failed its dual certificate")
+    return totals, row_to_col
 
 
 def _assignment(
     g: Graph, us: Sequence[int], vs: Sequence[int]
 ) -> tuple[int, list[tuple[int, int]]]:
     """The least total cost of a bijection from ``us`` onto ``vs``, and its
-    pairs, by one Hungarian solve; times a common atom mass it is W1."""
-    total, row_to_col = _kernels.hungarian(_costs(g, us, vs))
-    return total, [(u, vs[j]) for u, j in zip(us, row_to_col)]
+    pairs, by one certified Hungarian solve; times a common atom mass it is W1."""
+    totals, row_to_col = _solve(_costs(g, [us], [vs]))
+    return int(totals[0]), [(u, vs[j]) for u, j in zip(us, row_to_col[0].tolist())]
 
 
 def _wasserstein_flow(
@@ -261,7 +295,7 @@ def _transportation(
                 if best_j < 0 or dist_t[j] < dist_t[best_j]:
                     best_j = j
         if best_j < 0:
-            raise Disconnected("transportation problem is infeasible")
+            raise SolverFailed("transportation problem is infeasible")
         dstar = dist_t[best_j]
         # walk parents back to a root source, recording arcs on the path
         forward_arcs: list[tuple[int, int]] = []
@@ -297,9 +331,10 @@ def _transportation(
     return total, dict(flow)
 
 
-def _pair_degree(g: Graph, x: int, y: int) -> int:
-    """The degree D of g, once x and y are distinct and g is connected and regular."""
-    if x == y:
+def _pairs_degree(g: Graph, pairs: Iterable[tuple[int, int]]) -> int:
+    """The degree D of g, once every pair is two distinct vertices and g is
+    connected and regular."""
+    if any(x == y for x, y in pairs):
         raise SamePair("curvature needs two distinct vertices")
     require_connected(g)
     return require_regular(g)
@@ -314,7 +349,7 @@ def _kappa_p_plan(
     g: Graph, x: int, y: int, p: Fraction | int
 ) -> tuple[CurvatureValue, TransportPlan]:
     """``kappa_p`` together with the optimal plan of its one W1 solve."""
-    _pair_degree(g, x, y)
+    _pairs_degree(g, [(x, y)])
     p = _as_fraction(p, "idleness")
     w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
     value = 1 - w1 / distances(g).d(x, y)
@@ -330,24 +365,46 @@ def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
     with equality exactly when a perfect adjacency matching exists: then the
     value is (2+|N_xy|)/D and the method is "matching", else "assignment".
     """
-    deg = _pair_degree(g, x, y)
-    bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
-    left, right = sorted(bx - by), sorted(by - bx)
-    c, _ = _assignment(g, left, right)
-    return _kappa_from_cost(g, x, y, deg, c, len(left))
+    return kappas(g, [(x, y)])[(x, y)]
+
+
+def kappas(g: Graph, pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, int], CurvatureValue]:
+    """``kappa`` of every pair, keyed by the pair, in the order given.
+
+    Pairs whose left sets have one size (on a regular graph |left| =
+    |right|) share one gather of their cost matrices and one Hungarian
+    kernel call, in blocks of at most ``_SOLVE_BLOCK`` cost entries.
+    """
+    pairs = list(pairs)
+    deg = _pairs_degree(g, pairs)
+    groups: dict[int, list[tuple[tuple[int, int], list[int], list[int]]]] = {}
+    for x, y in pairs:
+        bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
+        left = sorted(bx - by)
+        groups.setdefault(len(left), []).append(((x, y), left, sorted(by - bx)))
+    values: dict[tuple[int, int], CurvatureValue] = {}
+    for size, group in groups.items():
+        block = max(1, _SOLVE_BLOCK // max(1, size * size))
+        for lo in range(0, len(group), block):
+            chunk = group[lo : lo + block]
+            totals, _ = _solve(_costs(g, [l for _, l, _ in chunk], [r for _, _, r in chunk]))
+            for ((x, y), _, _), c in zip(chunk, totals.tolist()):
+                values[(x, y)] = _kappa_from_cost(g, x, y, deg, c, size)
+    return {pair: values[pair] for pair in pairs}
 
 
 def _kappa_from_cost(g: Graph, x: int, y: int, deg: int, c: int, moved: int) -> CurvatureValue:
     """``kappa`` from the cost C of an assignment of ``moved`` unit atoms."""
     dxy = distances(g).d(x, y)
     method = "matching" if dxy == 1 and c == moved else "assignment"
-    return CurvatureValue(Fraction(deg + 1, deg) - Fraction(c, deg * dxy), method)
+    # (D+1)/D - C/(D d), as one fraction
+    return CurvatureValue(Fraction((deg + 1) * dxy - c, deg * dxy), method)
 
 
 def _kappa_plan(g: Graph, x: int, y: int) -> tuple[CurvatureValue, TransportPlan]:
     """``kappa`` and the optimal plan of its one W1 solve: at idleness 1/(D+1)
     the shared atoms stay and ``kappa``'s assignment, of cost (D+1) W1, moves the rest."""
-    deg = _pair_degree(g, x, y)
+    deg = _pairs_degree(g, [(x, y)])
     p = Fraction(1, deg + 1)
     w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
     moved = sum(u != v for u, v, _ in plan.entries)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
-uncancelled supports, perfect matchings by enumerating every all-edge
+uncancelled supports, the lockstep Hungarian kernel by the one-problem
+loop it replaced, perfect matchings by enumerating every all-edge
 bijection,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set and by one matrix per neighbour, S1''
@@ -438,6 +439,59 @@ def sample_graph(name: str) -> Graph:
         return load_fixture(name)
     specs = [FamilySpec.parse(text) for text in name.split(" x ")]
     return from_spec(specs[0] if len(specs) == 1 else FamilySpec("product", factors=tuple(specs)))
+
+
+def hungarian_scalar(cost) -> tuple[int, list[int], list[int], list[int]]:
+    """One assignment problem by the classic O(n^3) Hungarian loop over
+    Python ints, one problem at a time: the oracle that the lockstep
+    ``_kernels.hungarian`` must equal bit for bit.  Returns (minimum total,
+    row -> column, row potentials u, column potentials v)."""
+    n = len(cost)
+    rows = [list(map(int, row)) for row in cost]
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [float("inf")] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            row, ui0 = rows[i0 - 1], u[i0]
+            delta = float("inf")
+            j1 = 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui0 - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while True:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+            if j0 == 0:
+                break
+    row_to_col = [0] * n
+    for j in range(1, n + 1):
+        row_to_col[p[j] - 1] = j - 1
+    total = sum(row[j] for row, j in zip(rows, row_to_col))
+    return total, row_to_col, u[1:], v[1:]
 
 
 def assignment_bruteforce(cost) -> int:

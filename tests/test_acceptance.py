@@ -8,6 +8,7 @@ Bakry-Emery comparisons use the stated 1e-9 / 1e-7 tolerances.
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -45,7 +46,7 @@ from curvlab.transport import (
     geodesic_between,
     idle_measure,
     interval_antipole,
-    kappa,
+    kappas,
     transport_geodesic,
     wasserstein,
 )
@@ -66,7 +67,7 @@ def _report(number: int, label: str, started: float) -> None:
 
 
 def _all_edge_kappas(g):
-    return [kappa(g, u, v).value for u, v in g.edges()]
+    return [value.value for value in kappas(g, g.edges()).values()]
 
 
 def test_criterion_1_edge_curvature_lemmas():
@@ -161,9 +162,7 @@ def test_criterion_5_structural_theorem_suite():
         two_over_l = Fraction(2, L)
 
         pair_kappas = {
-            (z, w): kappa(g, z, w).value
-            for z in range(g.n)
-            for w in range(z + 1, g.n)
+            pair: value.value for pair, value in kappas(g, combinations(range(g.n), 2)).items()
         }
         edge_inf = min(pair_kappas[(u, v)] for u, v in g.edges())
         # the infimum over edges equals the infimum over all pairs
@@ -268,16 +267,16 @@ def test_criterion_7_cartesian_product_sharpness():
         n2 = g2.n
         deg1, deg2 = g1.is_regular(), g2.is_regular()
         total = deg1 + deg2
-        for u1, v1 in g1.edges():
-            factor = kappa(g1, u1, v1).value
+        want = {}
+        for (u1, v1), factor in kappas(g1, g1.edges()).items():
             for w in range(n2):
-                got = kappa(prod, u1 * n2 + w, v1 * n2 + w).value
-                assert got == Fraction(deg1, total) * factor
-        for u2, v2 in g2.edges():
-            factor = kappa(g2, u2, v2).value
+                want[(u1 * n2 + w, v1 * n2 + w)] = Fraction(deg1, total) * factor.value
+        for (u2, v2), factor in kappas(g2, g2.edges()).items():
             for w in range(g1.n):
-                got = kappa(prod, w * n2 + u2, w * n2 + v2).value
-                assert got == Fraction(deg2, total) * factor
+                want[(w * n2 + u2, w * n2 + v2)] = Fraction(deg2, total) * factor.value
+        got = kappas(prod, want)
+        assert len(want) == prod.edge_count
+        assert {pair: value.value for pair, value in got.items()} == want
 
     check_product_edges(cp3, d_cp3, cp3, d_cp3, sharp_prod, d_sharp)
     check_product_edges(q2, d_q2, cp3, d_cp3, mixed, d_mixed)
@@ -293,6 +292,7 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
         n = rng.choice([6, 8, 10, 12, 14])
         g = random_regular_graph(n, deg, rng)
         d = distances(g)
+        reduced_kappas = kappas(g, g.edges())
         for u, v in g.edges():
             m1 = idle_measure(g, u, p)
             m2 = idle_measure(g, v, p)
@@ -308,7 +308,7 @@ def test_criterion_8_oracle_equivalence_on_random_graphs():
             # kappa's reduced route against the bijection oracle, and its
             # "matching" label against the enumerated perfect matchings
             matched = edge_has_perfect_matching(g, u, v)
-            reduced = kappa(g, u, v)
+            reduced = reduced_kappas[(u, v)]
             assert reduced.value == k_assign, f"graph {index} edge ({u},{v})"
             assert (reduced.method == "matching") == matched, f"graph {index} edge ({u},{v})"
             if matched:

@@ -43,7 +43,7 @@ from helpers import be_upper_bound, record_calls
 
 def test_context_computes_each_quantity_once(monkeypatch):
     g = johnson(6, 3)
-    kappas = record_calls(monkeypatch, "transport", "kappa")
+    kappas = record_calls(monkeypatch, "transport", "kappas")
     bm = record_calls(monkeypatch, "sharpness", "bm_sharpness")
     mu = record_calls(monkeypatch, "sharpness", "mu_graphs_all_cp")
     spectra = record_calls(monkeypatch, "spectral", "spectral_summary")
@@ -52,7 +52,7 @@ def test_context_computes_each_quantity_once(monkeypatch):
         for name in ("bm", "edge_kappas", "poles_and_antipoles", "mu_graphs", "spectrum"):
             getattr(ctx, name)
     assert list(ctx.edge_kappas) == g.edges()
-    assert (len(kappas), len(bm), len(mu), len(spectra)) == (90, 1, 1, 1)
+    assert (len(kappas), len(bm), len(mu), len(spectra)) == (1, 1, 1, 1)
 
 
 def test_analyze_one_kappa_per_edge_and_one_oracle(monkeypatch, capsys):
@@ -64,14 +64,15 @@ def test_analyze_one_kappa_per_edge_and_one_oracle(monkeypatch, capsys):
 
     original_load = cli._load_input
     monkeypatch.setattr(cli, "_load_input", load)
-    kappas = record_calls(monkeypatch, "transport", "kappa")
+    kappas = record_calls(monkeypatch, "transport", "kappas")
     oracles = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
     assert main(["analyze", "johnson:6:3"]) == 0
     capsys.readouterr()
     (g,) = loaded
     assert g.edge_count == 90
-    assert len(kappas) == 90
-    assert sorted((x, y) for _, x, y in kappas) == g.edges()
+    # one kappas call, for every edge once, in g.edges() order
+    ((graph, pairs),) = kappas
+    assert graph is g and list(pairs) == g.edges()
     assert sum(1 for args in oracles if args[0] is g.dense_adjacency) == 1
 
 

@@ -508,6 +508,35 @@ class TestTransportGeodesicCmd:
         assert (code, out) == (3, "")
         assert err == "error: 7 is not in the 1-ball of 0\n"
 
+    def test_graph_preconditions_before_vertex_ids(self, tmp_path, capsys):
+        # as in ``curvature``: K1 has no vertex 1, but its missing edges are
+        # refused first, and so is the graph with no vertex at all
+        for n, want in ((1, "error: input graph has no edges\n"), (0, "error: input graph is disconnected\n")):
+            path = tmp_path / f"k{n}.json"
+            path.write_text(json.dumps({"n": n, "edges": []}))
+            code, out, err = run(capsys, "transport-geodesic", str(path), "--path", "0,1", "--z", "0")
+            assert (code, out, err) == (3, "", want)
+        # on a connected regular graph an unknown vertex is still exit 2
+        code, _, err = run(capsys, "transport-geodesic", "hypercube:3", "--path", "0,8", "--z", "0")
+        assert (code, err) == (2, "error: vertex 8 outside [0,8)\n")
+
+    def test_suboptimal_assignment_fails_its_certificate(self, monkeypatch, capsys):
+        # a kernel that answers each problem with its assignment reversed:
+        # on the edge (0, 1) of Q3 that moves two atoms over distance 3
+        # instead of 1, and its potentials no longer sum to the total
+        from curvlab import _kernels
+
+        solve = _kernels.hungarian
+
+        def reversed_assignment(cost):
+            row_to_col, u, v = solve(cost)
+            return row_to_col[:, ::-1], u, v
+
+        monkeypatch.setattr(_kernels, "hungarian", reversed_assignment)
+        code, out, err = run(capsys, "curvature", "hypercube:3", "0", "1")
+        assert (code, out) == (4, "")
+        assert err == "error: an assignment failed its dual certificate\n"
+
 
 class TestTableCmd:
     @pytest.mark.parametrize("table_id", ["1", "2", "3"])

@@ -9,11 +9,13 @@ no entry in ``ARGS`` fails the suite, so a new public function cannot skip
 the contract.
 """
 
+import ast
 import inspect
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvlab import bakry_emery, graphs, sharpness, spectral, transport
 from curvlab.analysis import GraphAnalysis
-from curvlab.errors import CurvlabError
+from curvlab.errors import CurvlabError, NoEdges
 from curvlab.graphs import build_graph
 from curvlab.transport import Measure, idle_measure, matching_sides, unique_perfect_matching
 
@@ -74,6 +76,7 @@ ARGS = {
     "graphs.distances": lambda g: [(g,)],
     "graphs.require_connected": lambda g: [(g,)],
     "graphs.require_regular": lambda g: [(g,)],
+    "graphs.require_edges": lambda g: [(g,)],
     "graphs.interval": lambda g: [(g, x, y) for x, y in _pairs(g)],
     "graphs.degree_triple": lambda g: [(g, x, y) for x, y in _pairs(g)],
     "graphs.sphere_averages": lambda g: [(g, x, k) for x, k in _pairs(g)],
@@ -97,6 +100,7 @@ ARGS = {
         (g, x, y, p) for x, y in _pairs(g) for p in (0, Fraction(1, 2))
     ],
     "transport.kappa": lambda g: [(g, x, y) for x, y in _pairs(g)],
+    "transport.kappas": lambda g: [(g, []), (g, g.edges()), (g, _pairs(g))],
     "transport.matching_sides": lambda g: [(g, x, y) for x, y in _pairs(g)],
     "transport.unique_perfect_matching": lambda g: [
         (g, *matching_sides(g, x, y)) for x, y in _pairs(g)
@@ -219,3 +223,28 @@ def test_drawn_graphs_meet_the_contract(n, data):
     # irregular and disconnected graphs included, isolated vertices too
     edges = [e for e in combinations(range(n), 2) if data.draw(st.booleans())]
     assert contract_escapes(build_graph(n, edges)) == []
+
+
+def test_distance_eigenfunction_refuses_k1():
+    # K1 is connected with L = 0, so the eigenvalue 2/L is undefined; the
+    # owner of degree 0 refuses it, as every regular-graph verdict does
+    with pytest.raises(NoEdges, match="^input graph has no edges$"):
+        spectral.verify_distance_eigenfunction(build_graph(1, []), 0)
+    assert spectral.verify_distance_eigenfunction(build_graph(2, [(0, 1)]), 0) == (True, None)
+
+
+def test_only_require_connected_raises_disconnected():
+    # connectivity is decided in one place; an internal solver failure is
+    # a VerificationError, not a Disconnected
+    raisers = []
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                raisers += [
+                    f"{path.stem}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "Disconnected"
+                ]
+    assert raisers == ["graphs.require_connected"]

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab.families import (
@@ -125,6 +126,49 @@ def test_chang1_has_two_orbits():
     representatives, automorphisms = automorphism_orbits(g)
     assert len(set(representatives)) == 2
     assert all(verify_isomorphism(g, g, sigma) for sigma in automorphisms)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_no_search_repeats_a_failure_along_an_orbit(monkeypatch, seed):
+    # replay the searches: a failed search from r to v is never followed by
+    # one from r to a vertex that the automorphisms found so far map to v,
+    # which would fail too; the orbits are still Chang1's two
+    from curvlab import isomorphism
+
+    g = load_fixture("chang1")
+    if seed is not None:
+        g = _shuffled_copy(g, seed)
+    search = isomorphism._search_from
+    log, depth = [], [0]
+
+    def logged(u, colors, r, v):
+        # the search recurses through _search_from; log the outer calls only
+        depth[0] += 1
+        found = search(u, colors, r, v)
+        depth[0] -= 1
+        if depth[0] == 0:
+            log.append((r, v, found))
+        return found
+
+    monkeypatch.setattr(isomorphism, "_search_from", logged)
+    representatives, automorphisms = automorphism_orbits(g)
+    assert len(set(representatives)) == 2
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    missed = {}
+    for r, v, found in log:
+        assert all(root(w) != root(v) for w in missed.get(r, ())), (r, v)
+        if found is None:
+            missed.setdefault(r, []).append(v)
+        else:
+            for x, y in enumerate(found):
+                parent[max(root(x), root(y))] = min(root(x), root(y))
+    assert [found for _, _, found in log if found is not None] == list(automorphisms)
 
 
 def test_discrete_colouring_makes_no_search(monkeypatch):

@@ -1,5 +1,5 @@
 """Kernel correctness against independent references: Hungarian vs brute
-force, BFS and induced BFS vs hand BFS, antipodality vs the definition's
+force and vs the one-problem loop, BFS and induced BFS vs hand BFS, antipodality vs the definition's
 triple loop, and frozen kernel values in a fresh process."""
 
 import os
@@ -16,7 +16,7 @@ from curvlab import _kernels
 from curvlab.families import cocktail_party, hypercube
 from curvlab.graphs import build_graph, distances, induced_subgraph
 
-from helpers import antipodal_bruteforce, assignment_bruteforce
+from helpers import antipodal_bruteforce, assignment_bruteforce, hungarian_scalar
 
 
 @given(
@@ -30,13 +30,46 @@ from helpers import antipodal_bruteforce, assignment_bruteforce
 )
 @settings(max_examples=200, deadline=None)
 def test_hungarian_matches_bruteforce(cost_rows):
-    cost = np.array(cost_rows, dtype=np.int64)
-    total, assignment = _kernels.hungarian(cost)
-    assert type(total) is int
-    assert type(assignment) is list and all(type(j) is int for j in assignment)
+    cost = np.array([cost_rows], dtype=np.int64)
+    n = cost.shape[1]
+    row_to_col, u, v = _kernels.hungarian(cost)
+    assert row_to_col.shape == u.shape == v.shape == (1, n)
+    assert sorted(row_to_col[0].tolist()) == list(range(n))
+    total = int(cost[0, np.arange(n), row_to_col[0]].sum())
     assert total == assignment_bruteforce(cost_rows)
-    assert sorted(assignment) == list(range(cost.shape[0]))
-    assert total == sum(cost[i, assignment[i]] for i in range(cost.shape[0]))
+    # the potentials are the dual optimum that certifies the total
+    assert (u[0][:, None] + v[0][None, :] <= cost[0]).all()
+    assert int(u.sum() + v.sum()) == total
+
+
+def _assert_equals_scalar_loop(cost):
+    count, n = cost.shape[0], cost.shape[1]
+    row_to_col, u, v = _kernels.hungarian(cost)
+    assert row_to_col.shape == u.shape == v.shape == (count, n)
+    for b in range(count):
+        total, want, want_u, want_v = hungarian_scalar(cost[b])
+        assert row_to_col[b].tolist() == want
+        assert (u[b].tolist(), v[b].tolist()) == (want_u, want_v)
+        assert int(cost[b, np.arange(n), row_to_col[b]].sum()) == total
+
+
+_COSTS = st.sampled_from([st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=40)])
+
+
+@given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=6), _COSTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_hungarian_stack_equals_scalar_loop(n, count, entries, data):
+    # the lockstep kernel breaks every tie as the one-problem loop does: the
+    # same totals, assignments and potentials, problem by problem; entries in
+    # {1, 2, 3} make ties the rule
+    size = count * n * n
+    cost = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)), dtype=np.int64)
+    _assert_equals_scalar_loop(cost.reshape(count, n, n))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_hungarian_stack_of_empty_and_one_cell_problems(n):
+    _assert_equals_scalar_loop(np.arange(3 * n * n, dtype=np.int64).reshape(3, n, n))
 
 
 def _bfs_reference(adj, n, src):
@@ -140,8 +173,9 @@ d = distances(g)
 print("dist", int(d.dist.sum()), d.diameter)
 vals = sorted(str(kappa(g, u, v).value) for u, v in g.edges())
 print("kappa", vals[0], vals[-1], len(vals))
-cost = (np.arange(49, dtype=np.int64).reshape(7, 7) * 13) % 17
-print("hungarian", int(_kernels.hungarian(cost)[0]))
+cost = (np.arange(49, dtype=np.int64).reshape(1, 7, 7) * 13) % 17
+row_to_col = _kernels.hungarian(cost)[0]
+print("hungarian", int(cost[0, np.arange(7), row_to_col[0]].sum()))
 print("antipodal", _kernels.is_antipodal_matrix(d.dist))
 """
 

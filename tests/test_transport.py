@@ -3,10 +3,13 @@ certificates, triangle-and-matching maps, transport geodesics."""
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
+import numpy as np
 import pytest
 
+from curvlab import _kernels, transport
+from curvlab.analysis import GraphAnalysis
 from curvlab.errors import (
     BadIdleness,
     BadMeasure,
@@ -19,6 +22,7 @@ from curvlab.errors import (
     NotRegular,
     PreconditionUnmet,
     SamePair,
+    SolverFailed,
     UnbalancedTransport,
     VerificationError,
 )
@@ -32,6 +36,7 @@ from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, cartesian_product, common_neighbors, distances, interval
 from curvlab.transport import (
     _kappa_plan,
+    CurvatureValue,
     Measure,
     TransportMap,
     TransportPlan,
@@ -40,6 +45,7 @@ from curvlab.transport import (
     interval_antipole,
     kappa,
     kappa_p,
+    kappas,
     matching_sides,
     switching_map,
     tpm_transport_map,
@@ -54,6 +60,7 @@ from helpers import (
     adjacency_bijections,
     certify_duality,
     edge_has_perfect_matching,
+    hungarian_scalar,
     random_regular_graph,
     record_calls,
     sample_graph,
@@ -237,8 +244,7 @@ class TestWasserstein:
         # and solve the resulting assignment problem
         import numpy as np
 
-        from curvlab import _kernels
-        from curvlab.transport import _wasserstein_flow
+        from curvlab.transport import _solve, _wasserstein_flow
 
         rng = random.Random(90125)
         for _ in range(25):
@@ -268,8 +274,8 @@ class TestWasserstein:
             cost = np.array(
                 [[d.d(u, v) for v in units2] for u in units1], dtype=np.int64
             )
-            total, _ = _kernels.hungarian(cost)
-            assert w_flow == Fraction(total, scale)
+            totals, _ = _solve(cost[None])
+            assert w_flow == Fraction(int(totals[0]), scale)
 
     def test_unbalanced_transportation_raises(self):
         # a typed failure survives ``python -O`` and maps to CLI exit 4
@@ -411,6 +417,77 @@ class TestMatchingFastPath:
                 assert val.value == _certificate(g, u, v)
 
 
+class TestBatchedKappas:
+    """``kappas`` solves an edge table with one kernel call per left-set
+    size, and every value equals ``kappa``'s and the one-problem loop's."""
+
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+    def test_kappas_equals_kappa(self, name):
+        g = sample_graph(name)
+        d = distances(g)
+        deg = g.is_regular()
+        pairs = g.edges() + [(0, y) for y in range(1, g.n) if not g.has_edge(0, y)]
+        got = kappas(g, pairs)
+        assert list(got) == pairs
+        for y in range(1, g.n):
+            assert got[(0, y)] == kappa(g, 0, y)
+        for (x, y), value in got.items():
+            bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
+            left, right = sorted(bx - by), sorted(by - bx)
+            c = hungarian_scalar([[d.d(u, v) for v in right] for u in left])[0]
+            method = "matching" if d.d(x, y) == 1 and c == len(left) else "assignment"
+            assert value == CurvatureValue(Fraction(deg + 1, deg) - Fraction(c, deg * d.d(x, y)), method)
+
+    @pytest.mark.parametrize(
+        "spec, sizes",
+        [("johnson:6:3", {4: 90}), ("hypercube:2 x cocktailparty:3", {5: 24, 3: 48}), ("complete:4", {0: 6})],
+    )
+    def test_one_kernel_call_per_left_size(self, monkeypatch, spec, sizes):
+        # J(6,3)'s edges all move 4 atoms; the product's Q2 edges move 5 and
+        # its CP(3) edges 3; K4's difference neighbourhoods are empty
+        g = sample_graph(spec)
+        solves = record_calls(monkeypatch, "_kernels", "hungarian")
+        GraphAnalysis(g).edge_kappas
+        assert sorted((cost.shape[1], cost.shape[0]) for cost, in solves) == sorted(sizes.items())
+
+    def test_blocks_of_one_problem_give_the_same_table(self, monkeypatch):
+        g = load_fixture("chang1")
+        want = kappas(g, g.edges())
+        solves = record_calls(monkeypatch, "_kernels", "hungarian")
+        monkeypatch.setattr(transport, "_SOLVE_BLOCK", 1)
+        assert kappas(g, g.edges()) == want
+        assert len(solves) == g.edge_count
+
+    def test_pairs_are_checked_before_the_graph(self):
+        two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(SamePair):
+            kappas(two_triangles, [(0, 1), (2, 2)])
+        with pytest.raises(Disconnected):
+            kappas(two_triangles, [(0, 1)])
+
+    @pytest.mark.parametrize("fault", ["assignment", "row potential", "column potential"])
+    def test_certificate_refuses_a_wrong_answer(self, monkeypatch, fault):
+        cost = np.array([[[1, 3], [3, 1]], [[2, 2], [1, 1]]], dtype=np.int64)
+        totals, row_to_col = transport._solve(cost)
+        assert totals.tolist() == [2, 3] and row_to_col.tolist() == [[0, 1], [0, 1]]
+        solve = _kernels.hungarian
+
+        def faulty(cost):
+            row_to_col, u, v = solve(cost)
+            if fault == "assignment":
+                return row_to_col[:, ::-1], u, v  # costs 6 on the first problem
+            if fault == "row potential":
+                u, v = u.copy(), v.copy()
+                u[:, 0] += 10  # the same sum, but u_0 + v_1 > c_01
+                v[:, 0] -= 10
+                return row_to_col, u, v
+            return row_to_col, u, v - 1  # feasible, but its sum is below the total
+
+        monkeypatch.setattr(_kernels, "hungarian", faulty)
+        with pytest.raises(SolverFailed, match="^an assignment failed its dual certificate$"):
+            transport._solve(cost)
+
+
 class TestReducedRoute:
     """kappa's assignment on the cancelled 1-ball support against min-cost
     flow on the full, uncancelled 1-ball supports, on pairs at distance >= 2."""
@@ -420,17 +497,12 @@ class TestReducedRoute:
         d = distances(g)
         deg = g.is_regular()
         p = Fraction(1, deg + 1)
-        checked = 0
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                if d.d(x, y) < 2:
-                    continue
-                got = kappa(g, x, y)
-                assert got.method == "assignment"
-                w1 = wasserstein_full_flow(d, idle_measure(g, x, p), idle_measure(g, y, p))
-                assert got.value == Fraction(deg + 1, deg) * (1 - w1 / d.d(x, y))
-                checked += 1
-        return checked
+        far = [(x, y) for x, y in combinations(range(g.n), 2) if d.d(x, y) >= 2]
+        for (x, y), got in kappas(g, far).items():
+            assert got.method == "assignment"
+            w1 = wasserstein_full_flow(d, idle_measure(g, x, p), idle_measure(g, y, p))
+            assert got.value == Fraction(deg + 1, deg) * (1 - w1 / d.d(x, y))
+        return len(far)
 
     def test_random_regular_graphs(self):
         rng = random.Random(618)
@@ -446,24 +518,31 @@ class TestReducedRoute:
 
 
 class TestCostReader:
-    """Both W1 solvers read their costs from ``transport._costs``; ``kappa``
-    and the equal-atom branch of ``wasserstein`` share ``_assignment``; and
-    no function in curvlab takes a distance oracle."""
+    """Both W1 solvers read their costs from ``transport._costs``; ``kappas``
+    and the equal-atom branch of ``wasserstein`` share ``_solve``, the one
+    certified kernel call; and no function in curvlab takes a distance
+    oracle."""
 
     @staticmethod
-    def _count(monkeypatch, capsys, argv):
+    def _record(monkeypatch, capsys, argv):
         from curvlab.cli import main
 
         costs = record_calls(monkeypatch, "transport", "_costs")
-        assignments = record_calls(monkeypatch, "transport", "_assignment")
+        solves = record_calls(monkeypatch, "transport", "_solve")
         flows = record_calls(monkeypatch, "transport", "_wasserstein_flow")
         assert main(argv) == 0
         capsys.readouterr()
-        return len(costs), len(assignments), len(flows)
+        return costs, solves, flows
+
+    def _count(self, monkeypatch, capsys, argv):
+        return tuple(map(len, self._record(monkeypatch, capsys, argv)))
 
     def test_analyze_reads_one_block_per_edge(self, monkeypatch, capsys):
-        # J(6,3) has 90 edges, and each edge kappa is one assignment
-        assert self._count(monkeypatch, capsys, ["analyze", "johnson:6:3"]) == (90, 90, 0)
+        # J(6,3) has 90 edges, each with 4 atoms to move; their 4 x 4 cost
+        # blocks are read as one stack and solved by one kernel call
+        costs, solves, flows = self._record(monkeypatch, capsys, ["analyze", "johnson:6:3"])
+        assert (len(costs), len(solves), len(flows)) == (1, 1, 0)
+        assert solves[0][0].shape == (90, 4, 4)
 
     def test_curvature_plan_reads_kappa_and_plan_blocks(self, monkeypatch, capsys):
         # kappa and its plan come from one W1 solve: the idleness-1/(D+1)
@@ -480,14 +559,13 @@ class TestCostReader:
         # value and label equal kappa's on every pair, edges or not, with
         # and without a perfect matching, and the plan carries W1
         labels = set()
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                val, plan = _kappa_plan(g, x, y)
-                assert val == kappa(g, x, y)
-                deg = g.degree(x)
-                w1 = (Fraction(deg + 1, deg) - val.value) * deg * distances(g).d(x, y) / (deg + 1)
-                assert plan.cost(g) == w1
-                labels.add(val.method)
+        for (x, y), want in kappas(g, combinations(range(g.n), 2)).items():
+            val, plan = _kappa_plan(g, x, y)
+            assert val == want
+            deg = g.degree(x)
+            w1 = (Fraction(deg + 1, deg) - val.value) * deg * distances(g).d(x, y) / (deg + 1)
+            assert plan.cost(g) == w1
+            labels.add(val.method)
         assert "matching" in labels
         with pytest.raises(SamePair):
             _kappa_plan(g, 0, 0)
@@ -808,9 +886,9 @@ class TestPairBounds:
     def test_kappa_pair_bound(self, cp3_squared):
         # kappa(z, w) <= 2/d(z, w) for all pairs
         g, d = cp3_squared
-        for z in range(0, g.n, 5):
-            for w in range(z + 1, g.n):
-                assert kappa(g, z, w).value <= Fraction(2, d.d(z, w))
+        pairs = [(z, w) for z in range(0, g.n, 5) for w in range(z + 1, g.n)]
+        for (z, w), value in kappas(g, pairs).items():
+            assert value.value <= Fraction(2, d.d(z, w))
 
     def test_inf_over_edges_equals_inf_over_pairs(self, cp3):
         g, _ = cp3
