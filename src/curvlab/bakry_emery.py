@@ -10,16 +10,16 @@ float additions of a per-neighbour matrix sum in that order: ``bakry-emery
 gosset`` prints the conjecture margin 7.77156117238e-16, the round-off of an
 exact zero, and any other order changes those bytes.  Fixing f(x) = 0 (both
 forms are shift invariant) and eliminating S2(x) by a Schur complement
-leaves a smallest eigenvalue on S1(x); a PSD bisection on the same forms
-cross-checks it.
+leaves a smallest eigenvalue on S1(x), the one route to the value; the PSD
+bisection that cross-checks it on the same forms is a test oracle.
 
 Form matrices are floats assembled from exact rational Laplacian entries;
 sharpness verdicts use a 1e-7 tolerance.  The upper bound
 (3 + D - av_1^+(x)) / (2D) = 2/D + #triangles(x)/D^2 is exact rational,
 and the conjecture scan reads its weak bound off the rows' upper bounds.
 Every quantity here is computed inside :func:`be_curvature` or the scan;
-the exact Gamma and Gamma2 evaluators in Fractions, which check the forms,
-are test oracles (``tests/helpers.py``).
+the bisection and the exact Gamma and Gamma2 evaluators in Fractions, which
+check the value and the forms, are test oracles (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .errors import BadParam, FormCheckFailed, IsolatedVertex
 from .graphs import Graph, distances, require_connected, require_regular, triangle_count_vertex
 
 SHARP_TOL = 1e-7
-# Slack for "is this matrix PSD"; must stay well below SHARP_TOL because an
-# overshoot in the bisection scales like PSD_TOL divided by the Gamma-mass of
-# the critical direction.
-PSD_TOL = 1e-11
 Partition = tuple[list[int], int, np.ndarray]  # basis, |B1(x)|, B1(x) x B2(x) block
 Forms = tuple[list[int], int, np.ndarray, np.ndarray]  # basis, |S1|, Gamma, Gamma2
 
@@ -103,8 +99,9 @@ class BEReport:
     s1pp_lambda1: Optional[float]
 
 
-def _curvature_schur(g: Graph, x: int, forms: Forms) -> float:
-    # fix f(x) = 0: both forms are invariant under adding constants
+def _curvature_schur(forms: Forms) -> float:
+    # fix f(x) = 0: both forms are invariant under adding constants; the
+    # degree D of x is |S1(x)|
     ds, b = forms[1], forms[3][1:, 1:]
     b11, b12, b22 = b[:ds, :ds], b[:ds, ds:], b[ds:, ds:]
     if b22.size:
@@ -120,48 +117,24 @@ def _curvature_schur(g: Graph, x: int, forms: Forms) -> float:
     else:
         q = b11
     lam_min = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
-    return 2.0 * g.degree(x) * lam_min
+    return 2.0 * ds * lam_min
 
 
-def _curvature_bisect(forms: Forms, lo: float, hi: float, iters: int = 60) -> float:
-    """Largest K with Gamma2 - K Gamma PSD at x, by bisection."""
-    # fix f(x) = 0, as in the Schur route
-    a, b = forms[2][1:, 1:], forms[3][1:, 1:]
-
-    def psd(k: float) -> bool:
-        return float(np.linalg.eigvalsh(b - k * a).min()) >= -PSD_TOL
-
-    if not psd(lo):
-        raise FormCheckFailed("bisection lower bound is not PSD")
-    while psd(hi):
-        lo, hi = hi, hi + (hi - lo + 1.0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if psd(mid) else (lo, mid)
-    return lo
-
-
-def be_curvature(g: Graph, x: int, *, verify: bool = False) -> BEReport:
+def be_curvature(g: Graph, x: int) -> BEReport:
     """Normalized Bakry-Emery infinity-curvature at x with sharpness data.
 
     Everything is read off the 2-ball B2(x), so the rest of the graph, and
     whether it is connected, does not matter.  The forms are assembled
-    once, and ``verify=True`` re-derives the value from them by the PSD
-    bisection, demanding agreement within 1e-7.  The upper bound and the
-    S1'' test are criteria for D-regular graphs: None off one.
+    once, for the Schur pass.  The upper bound and the S1'' test are
+    criteria for D-regular graphs: None off one.
     """
     if g.degree(x) == 0:
         raise IsolatedVertex(f"Bakry-Emery curvature is not defined at isolated vertex {x}")
     part = _ball_partition(g, x)
-    forms = _local_forms(part)
-    k = _curvature_schur(g, x, forms)
-    if verify:
-        k_bis = _curvature_bisect(forms, lo=k - 1.0, hi=k + 1.0)
-        if abs(k - k_bis) > SHARP_TOL:
-            raise FormCheckFailed(f"Schur value {k} and bisection value {k_bis} disagree at {x}")
+    k = _curvature_schur(_local_forms(part))
     regular = g.is_regular() is not None
     upper = _upper_bound(g, x, part) if regular else None
-    s1_reg, lam1, _ = _s1pp_test(g, x, part) if regular else (None, None, None)
+    s1_reg, lam1 = _s1pp_test(part) if regular else (None, None)
     sharp = upper is not None and abs(k - float(upper)) < SHARP_TOL
     return BEReport(
         vertex=x, curvature=k, upper_bound=upper, is_sharp=sharp,
@@ -195,8 +168,8 @@ def _s1pp_weights(part: Partition) -> np.ndarray:
     return w
 
 
-def _s1pp_test(g: Graph, x: int, part: Partition) -> tuple[bool, Optional[float], Optional[bool]]:
-    """(applicable, lambda1, passes) for the weighted 1-sphere Laplacian test.
+def _s1pp_test(part: Partition) -> tuple[bool, Optional[float]]:
+    """(applicable, lambda1) for the weighted 1-sphere Laplacian test.
 
     Applicable only at S1-out regular vertices.  The weighted graph S1''(x)
     carries the induced 1-sphere edges plus weights
@@ -205,15 +178,12 @@ def _s1pp_test(g: Graph, x: int, part: Partition) -> tuple[bool, Optional[float]
     eigenvalue of its Laplacian is at least D/2.
     """
     if len(set(_out_degrees(part).tolist())) != 1:
-        return False, None, None
+        return False, None
     w = _s1pp_weights(part)
     lap = np.diag(w.sum(axis=1)) - w
     eigs = np.sort(np.linalg.eigvalsh(lap))
     nonzero = eigs[eigs > 1e-9]
-    if nonzero.size == 0:
-        return True, None, False
-    lam1 = float(nonzero[0])
-    return True, lam1, lam1 >= g.degree(x) / 2.0 - SHARP_TOL
+    return True, float(nonzero[0]) if nonzero.size else None
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     doc = {
         "lambda1": float_str(summ.lambda1),
         "lambda1_multiplicity": summ.lambda1_multiplicity,
-        "theta1": float_str(summ.theta1) if summ.theta1 is not None else None,
+        "theta1": float_str(summ.theta1),
         "laplacian_spectrum": [float_str(v) for v in summ.laplacian_spectrum],
         "adjacency_spectrum": [float_str(v) for v in summ.adjacency_spectrum],
     }

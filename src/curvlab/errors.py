@@ -101,10 +101,6 @@ class BadMeasure(InputError):
     add up to the totals it must have."""
 
 
-class NotLipschitz(PreconditionError):
-    pass
-
-
 class NotPerfectMatching(PreconditionError):
     pass
 

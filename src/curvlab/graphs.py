@@ -5,8 +5,7 @@ generator provenance but never enter any algorithm.  Graphs are immutable
 and hashable, and each one owns its derived views: neighbour sets, degrees,
 the regular degree, the dense float64 adjacency and the distance oracle, a
 dense int32 matrix with ``-1`` marking unreachable pairs.  Each view is
-computed on first use, kept as long as the graph and read-only.  A pickled
-graph carries its fields only, and no view.
+computed on first use, kept as long as the graph and read-only.
 
 Whether a graph is connected and whether it is regular of degree at least
 one is decided here only: :func:`require_connected` and
@@ -56,10 +55,6 @@ class Graph:
 
     # Derived views are cached on the instance; a frozen dataclass allows
     # this because cached_property writes the instance ``__dict__`` directly.
-    # A pickle carries the fields only, so no cached view is copied.
-    def __reduce__(self):
-        return Graph, (self.n, self.adjacency, self.labels)
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
@@ -166,11 +161,7 @@ def build_graph(
 
 @dataclass(frozen=True, eq=False)
 class DistanceOracle:
-    """All-pairs BFS distances; ``dist[x, y] == -1`` means unreachable.
-
-    ``dist`` is read-only, also in an unpickled copy: pickle drops numpy's
-    flag, so an oracle pickles as its constructor call.
-    """
+    """All-pairs BFS distances, read-only; ``dist[x, y] == -1`` means unreachable."""
 
     dist: np.ndarray
     diameter: int
@@ -178,9 +169,6 @@ class DistanceOracle:
 
     def __post_init__(self) -> None:
         _read_only(self.dist)
-
-    def __reduce__(self):
-        return DistanceOracle, (self.dist, self.diameter, self.is_connected)
 
     def d(self, x: int, y: int) -> int:
         return int(self.dist[x, y])
@@ -436,8 +424,10 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def poles_and_antipoles(g: Graph) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Per-vertex antipole lists {y : d(x,y) = diam} and the self-centered flag."""
+    """Per-vertex antipole lists {y : d(x,y) = diam} and the self-centered
+    flag; K1, where L = 0, is refused with ``NoEdges``."""
     require_connected(g)
+    require_edges(g)
     d = distances(g)
     L = d.diameter
     per_vertex = tuple(d.sphere(x, L) for x in range(g.n))

@@ -85,7 +85,7 @@ def analyze(
     report["lichnerowicz_exact_certificate"] = lich.exact_certificate
 
     summ = ctx.spectrum
-    report["theta1"] = float_str(summ.theta1) if summ.theta1 is not None else None
+    report["theta1"] = float_str(summ.theta1)
     report["lambda1_multiplicity"] = summ.lambda1_multiplicity
 
     m = Fraction(2 * deg, L) - 2

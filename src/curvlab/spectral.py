@@ -29,11 +29,11 @@ CLUSTER_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Key spectral data of a connected graph."""
+    """Key spectral data of a connected graph with an edge, so n >= 2."""
 
     lambda1: float
     lambda1_multiplicity: int
-    theta1: Optional[float]
+    theta1: float
     laplacian_spectrum: tuple[float, ...]
     adjacency_spectrum: tuple[float, ...]
 
@@ -59,17 +59,19 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
-    """Smallest positive Laplace eigenvalue, its multiplicity, and theta1."""
+    """Smallest positive Laplace eigenvalue, its multiplicity, and theta1.
+
+    K0 is not connected and K1's vertex is isolated, so both are refused.
+    """
     require_connected(g)
     lap = laplacian_spectrum(g)
     lam1 = float(lap[lap > VALUE_TOL][0])
     mult = int(np.sum(np.abs(lap - lam1) < CLUSTER_TOL))
     adj = adjacency_spectrum(g)
-    theta1 = float(adj[1]) if g.n >= 2 else None
     return SpectralSummary(
         lambda1=lam1,
         lambda1_multiplicity=mult,
-        theta1=theta1,
+        theta1=float(adj[1]),
         laplacian_spectrum=tuple(float(v) for v in lap),
         adjacency_spectrum=tuple(float(v) for v in adj),
     )

@@ -6,20 +6,22 @@ uncancelled supports, the lockstep Hungarian kernel by the one-problem
 loop it replaced, perfect matchings by enumerating every all-edge
 bijection,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
-assembly over the whole vertex set and by one matrix per neighbour, S1''
-weights by a pair loop, the distance eigenfunction by the exact normalized
-Laplacian in Fractions, intersection arrays by a scan of every
-ordered vertex pair, isomorphism and automorphism orbits by permutation
-enumeration, strong sphericity by the full row-major interval scan,
+assembly over the whole vertex set and by one matrix per neighbour, the
+Bakry-Emery value by a PSD bisection, S1'' weights by a pair loop, the
+distance eigenfunction by the exact normalized Laplacian in Fractions,
+intersection arrays by a scan of every ordered vertex pair, isomorphism
+and automorphism orbits by permutation enumeration, strong sphericity by
+the full row-major interval scan,
 cocktail party graphs by their complement, mu-graphs by building each one,
 random regular graphs by stub pairing.
 
 The exact Gamma and Gamma2 evaluators, the normalized Laplacian in
-Fractions and the Kantorovich duality check live here too: the library
-never calls them, so they are oracles of this suite and not part of
-``curvlab``.  ``gamma_forms``, ``be_upper_bound`` and
-``s1pp_sharpness_test`` evaluate one Bakry-Emery quantity at one vertex,
-through the private steps that ``be_curvature`` runs once per vertex.
+Fractions and the Kantorovich duality check, with its ``NotLipschitz``
+refusal, live here too: the library never calls them, so they are oracles
+of this suite and not part of ``curvlab``.  ``gamma_forms``,
+``be_upper_bound``, ``s1pp_sharpness_test`` and ``schur_and_bisection``
+evaluate one Bakry-Emery quantity at one vertex, through the private steps
+that ``be_curvature`` runs once per vertex.
 """
 
 from __future__ import annotations
@@ -35,12 +37,21 @@ from typing import Mapping, Optional
 import numpy as np
 
 from curvlab import _kernels, bakry_emery
-from curvlab.errors import IsolatedVertex, NotLipschitz
+from curvlab.errors import FormCheckFailed, IsolatedVertex, PreconditionError
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
 from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, distances, mu_graph
 from curvlab.sharpness import MuGraphVerdict, SphericalVerdict
 from curvlab.transport import Measure, TransportPlan, _transportation
+
+# Slack for "is this matrix PSD" in the bisection; must stay well below
+# bakry_emery.SHARP_TOL because an overshoot scales like PSD_TOL divided by
+# the Gamma-mass of the critical direction.
+PSD_TOL = 1e-11
+
+
+class NotLipschitz(PreconditionError):
+    """A potential handed to ``certify_duality`` is not 1-Lipschitz."""
 
 
 def normalized_laplacian_apply(g: Graph, f: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -104,8 +115,44 @@ def be_upper_bound(g: Graph, x: int) -> Fraction:
 
 def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
     """(applicable, lambda1, passes) of ``be_curvature``'s weighted
-    1-sphere test at x."""
-    return bakry_emery._s1pp_test(g, x, bakry_emery._ball_partition(g, x))
+    1-sphere test at x: x passes iff lambda1 >= D/2 within the sharpness
+    tolerance, and fails when the S1'' Laplacian has no nonzero eigenvalue."""
+    applicable, lam1 = bakry_emery._s1pp_test(bakry_emery._ball_partition(g, x))
+    if not applicable:
+        return False, None, None
+    return True, lam1, lam1 is not None and lam1 >= g.degree(x) / 2.0 - bakry_emery.SHARP_TOL
+
+
+def curvature_by_bisection(forms, lo: float, hi: float, iters: int = 60) -> float:
+    """Largest K with Gamma2 - K Gamma PSD at x, by bisection on the forms
+    ``(basis, |S1|, Gamma, Gamma2)`` of ``bakry_emery._local_forms``."""
+    # fix f(x) = 0, as in the Schur route
+    a, b = forms[2][1:, 1:], forms[3][1:, 1:]
+
+    def psd(k: float) -> bool:
+        return float(np.linalg.eigvalsh(b - k * a).min()) >= -PSD_TOL
+
+    if not psd(lo):
+        raise FormCheckFailed("bisection lower bound is not PSD")
+    while psd(hi):
+        lo, hi = hi, hi + (hi - lo + 1.0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+    return lo
+
+
+def schur_and_bisection(g: Graph, x: int) -> bakry_emery.BEReport:
+    """``be_curvature(g, x)``, once the PSD bisection on the forms at x has
+    derived its Schur value a second time within the sharpness tolerance;
+    ``FormCheckFailed`` if the two values disagree."""
+    report = bakry_emery.be_curvature(g, x)
+    k = report.curvature
+    forms = bakry_emery._local_forms(bakry_emery._ball_partition(g, x))
+    k_bis = curvature_by_bisection(forms, lo=k - 1.0, hi=k + 1.0)
+    if abs(k - k_bis) > bakry_emery.SHARP_TOL:
+        raise FormCheckFailed(f"Schur value {k} and bisection value {k_bis} disagree at {x}")
+    return report
 
 
 def certify_duality(

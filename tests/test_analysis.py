@@ -94,7 +94,8 @@ def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
     schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(args[1] for args in schur) == list(range(8))
+    # each call's forms start their basis at the vertex
+    assert sorted(args[0][0][0] for args in schur) == list(range(8))
 
 
 def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):
@@ -213,3 +214,15 @@ def test_regular_graph_of_degree_zero_raises_no_edges(call):
     # GraphAnalysis among them: every verdict of the paper divides by D or L
     with pytest.raises(NoEdges, match="^input graph has no edges$"):
         call(POINT)
+
+
+# the connected-graph entry points that ask for antipoles, which K1 (L = 0)
+# does not have: its vertex would be its own antipole
+ASKS_FOR_ANTIPOLES = ("poles_and_antipoles", "interval_cover_check", "unique_antipole_check")
+
+
+@pytest.mark.parametrize("name", ASKS_FOR_ANTIPOLES)
+def test_antipole_questions_refuse_k1(name):
+    with pytest.raises(NoEdges, match="^input graph has no edges$"):
+        NEEDS_CONNECTED[name](POINT)
+    NEEDS_CONNECTED[name](build_graph(2, [(0, 1)]))  # K2 is answered

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import helpers
 from curvlab import bakry_emery
 from curvlab.bakry_emery import be_curvature, conjecture_scan
 from curvlab.cli import main
@@ -42,6 +43,7 @@ from helpers import (
     s1pp_sharpness_test,
     s1pp_weights_by_pairs,
     sample_graph,
+    schur_and_bisection,
 )
 
 TOL = 1e-7
@@ -198,7 +200,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_complete_graphs(self, n):
         g = complete(n)
-        report = be_curvature(g, 0, verify=True)
+        report = schur_and_bisection(g, 0)
         want = (n - 1 + 3) / (2 * (n - 1))
         assert abs(report.curvature - want) < TOL
         assert report.is_sharp
@@ -206,13 +208,13 @@ class TestClosedForms:
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])
     def test_johnson(self, n, k):
         g = johnson(n, k)
-        report = be_curvature(g, 0, verify=True)
+        report = schur_and_bisection(g, 0)
         assert abs(report.curvature - (n + 2) / (2 * k * (n - k))) < TOL
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_hypercubes(self, n):
         g = hypercube(n)
-        report = be_curvature(g, 0, verify=True)
+        report = schur_and_bisection(g, 0)
         assert abs(report.curvature - 2 / n) < TOL
         assert report.is_sharp
 
@@ -263,7 +265,7 @@ class TestS1ppTest:
         # the odd demi-cube attains its local upper bound 1/2, which sits
         # strictly below 1/D + 1/L = 3/5
         g = demi_cube(5)
-        report = be_curvature(g, 0, verify=True)
+        report = schur_and_bisection(g, 0)
         applicable, _, passes = s1pp_sharpness_test(g, 0)
         assert applicable and passes
         assert abs(report.curvature - 1 / 2) < TOL
@@ -383,14 +385,14 @@ class TestConsistencyChecks:
     def test_bisection_confirms_schur_on_sample_graphs(self, name):
         g = sample_graph(name)
         for x in (0, g.n - 1):
-            report = be_curvature(g, x, verify=True)
+            report = schur_and_bisection(g, x)
             assert report.curvature <= float(report.upper_bound) + TOL
 
     def test_schur_bisection_disagreement(self, monkeypatch, q3):
         g, _ = q3
-        monkeypatch.setattr(bakry_emery, "_curvature_bisect", lambda forms, lo, hi: lo)
+        monkeypatch.setattr(helpers, "curvature_by_bisection", lambda forms, lo, hi: lo)
         with pytest.raises(FormCheckFailed, match="disagree at 0"):
-            be_curvature(g, 0, verify=True)
+            schur_and_bisection(g, 0)
 
     @pytest.mark.parametrize("which", ["gosset", "lopsided"])
     def test_one_ball_partition_per_vertex(self, monkeypatch, which, gosset_graph):
@@ -400,26 +402,6 @@ class TestConsistencyChecks:
         for x in range(g.n):
             be_curvature(g, x)
         assert [args[1] for args in calls] == list(range(g.n))
-
-    @pytest.mark.parametrize("which", ["q3", "prism-plus"])
-    def test_verify_assembles_the_forms_once(self, monkeypatch, which, q3):
-        # the bisection under verify=True reads the forms of the Schur pass,
-        # which neither route writes into
-        g = q3[0] if which == "q3" else build_graph(7, IRREGULAR_EDGES)
-        fresh = [_forms(g, x) for x in range(g.n)]
-        parts = record_calls(monkeypatch, "bakry_emery", "_ball_partition")
-        forms = record_calls(monkeypatch, "bakry_emery", "_local_forms")
-        schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
-        bisect = record_calls(monkeypatch, "bakry_emery", "_curvature_bisect")
-        for x in range(g.n):
-            be_curvature(g, x, verify=True)
-        assert [args[1] for args in parts] == list(range(g.n))
-        assert [args[0][0][0] for args in forms] == list(range(g.n))
-        assert len(schur) == len(bisect) == g.n
-        for (_, x, shared), (bisected,), want in zip(schur, bisect, fresh):
-            assert bisected is shared
-            assert shared[:2] == want[:2]
-            assert all(np.array_equal(a, b) for a, b in zip(shared[2:], want[2:]))
 
     def test_regular_graph_criteria_are_null_off_regular_graphs(self):
         # the upper bound and the S1'' test are both stated for D-regular

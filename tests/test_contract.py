@@ -1,8 +1,10 @@
 """The library contract: every public function of ``graphs``, ``transport``,
-``sharpness``, ``spectral`` and ``bakry_emery``, called with valid vertex
-ids on any graph, returns a value with no NaN in it or raises a
-``CurvlabError``.  Nothing else escapes, not even on the graph with no
-vertex, isolated vertices, irregular or disconnected graphs.
+``sharpness``, ``spectral``, ``bakry_emery`` and ``isomorphism``, called
+with valid vertex ids on any graph, returns a value with no NaN in it or
+raises a ``CurvlabError``.  Nothing else escapes, not even on the graph
+with no vertex, isolated vertices, irregular or disconnected graphs.  On
+the same graphs the bisection oracle derives ``be_curvature``'s value a
+second time at every vertex with a neighbour.
 
 The functions are listed from the modules themselves, and a function with
 no entry in ``ARGS`` fails the suite, so a new public function cannot skip
@@ -21,13 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvlab import bakry_emery, graphs, sharpness, spectral, transport
+from curvlab import bakry_emery, graphs, isomorphism, sharpness, spectral, transport
 from curvlab.analysis import GraphAnalysis
 from curvlab.errors import CurvlabError, NoEdges
 from curvlab.graphs import build_graph
 from curvlab.transport import Measure, idle_measure, matching_sides, unique_perfect_matching
+from helpers import schur_and_bisection
 
-MODULES = (graphs, transport, sharpness, spectral, bakry_emery)
+MODULES = (graphs, transport, sharpness, spectral, bakry_emery, isomorphism)
 
 
 class Lazy:
@@ -36,10 +39,6 @@ class Lazy:
 
     def __init__(self, build):
         self.build = build
-
-
-class Keywords(dict):
-    """Keyword arguments, as the last item of an argument tuple."""
 
 
 def _ctx(g):
@@ -63,6 +62,18 @@ def _measures(g):
     dirac = [Measure.from_dict({x: 1}) for x in range(g.n)]
     idle = [idle_measure(g, x, Fraction(1, 2)) for x in range(g.n) if g.degree(x)]
     return dirac, idle
+
+
+def _reversed(g):
+    """g with vertex v renamed n - 1 - v."""
+    return build_graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+
+
+def _mappings(g):
+    """The identity and the reversal of g's vertices, and mappings that are
+    no bijection of them: one vertex short, one too many, a repeat."""
+    ident = tuple(range(g.n))
+    return [ident, ident[::-1], ident[:-1], ident + (g.n,), (0,) * g.n]
 
 
 def _matchings(g, x, y):
@@ -140,10 +151,13 @@ ARGS = {
     "spectral.spectral_summary": lambda g: [(g,)],
     "spectral.verify_distance_eigenfunction": lambda g: [(g, x) for x in range(g.n)],
     "spectral.is_lichnerowicz_sharp": lambda g: [(_ctx(g),)],
-    "bakry_emery.be_curvature": lambda g: [
-        (g, x, Keywords(verify=verify)) for x in range(g.n) for verify in (False, True)
-    ],
+    "bakry_emery.be_curvature": lambda g: [(g, x) for x in range(g.n)],
     "bakry_emery.conjecture_scan": lambda g: [(g, _rows(g))],
+    "isomorphism.find_isomorphism": lambda g: [(g, g), (g, _reversed(g))],
+    "isomorphism.automorphism_orbits": lambda g: [(g,)],
+    "isomorphism.verify_isomorphism": lambda g: [
+        (g, h, m) for h in (g, _reversed(g)) for m in _mappings(g)
+    ],
 }
 
 
@@ -177,10 +191,8 @@ def contract_escapes(g) -> list[str]:
     escapes = []
     for name, fn in public_functions().items():
         for args in ARGS[name](g):
-            kwargs = args[-1] if args and isinstance(args[-1], Keywords) else {}
-            positional = args[: len(args) - bool(kwargs)]
             try:
-                value = fn(*(a.build() if isinstance(a, Lazy) else a for a in positional), **kwargs)
+                value = fn(*(a.build() if isinstance(a, Lazy) else a for a in args))
             except CurvlabError:
                 continue
             except Exception as exc:  # the contract violation under test
@@ -223,6 +235,26 @@ def test_drawn_graphs_meet_the_contract(n, data):
     # irregular and disconnected graphs included, isolated vertices too
     edges = [e for e in combinations(range(n), 2) if data.draw(st.booleans())]
     assert contract_escapes(build_graph(n, edges)) == []
+
+
+def _bisect_every_vertex(g) -> None:
+    """The bisection oracle at every vertex that has a neighbour; it raises
+    FormCheckFailed where it and the Schur value disagree."""
+    for x in range(g.n):
+        if g.degree(x):
+            schur_and_bisection(g, x)
+
+
+@pytest.mark.parametrize("n, edges", SMALL_GRAPHS.values(), ids=SMALL_GRAPHS)
+def test_bisection_agrees_on_small_graphs(n, edges):
+    _bisect_every_vertex(build_graph(n, edges))
+
+
+@given(st.integers(min_value=0, max_value=7), st.data())
+@settings(max_examples=50, deadline=None)
+def test_bisection_agrees_on_drawn_graphs(n, data):
+    edges = [e for e in combinations(range(n), 2) if data.draw(st.booleans())]
+    _bisect_every_vertex(build_graph(n, edges))
 
 
 def test_distance_eigenfunction_refuses_k1():

@@ -1,7 +1,6 @@
 """Graph core: construction, metric structure, degree decompositions,
 structural predicates, products."""
 
-import pickle
 import random
 from fractions import Fraction
 
@@ -150,32 +149,6 @@ class TestCachedViews:
             distances(g).dist[0, 1] = 2
         with pytest.raises(ValueError):
             g.dense_adjacency[0, 1] = 0.0
-
-    def test_pickle_carries_no_cached_view(self):
-        # a graph that has not computed its oracle pickles as its fields
-        g = hypercube(3)
-        g.dense_adjacency, g.neighbor_set(0), g.degrees
-        clone = pickle.loads(pickle.dumps(g))
-        assert clone == g and clone.labels == g.labels
-        assert set(vars(clone)) == {"n", "adjacency", "labels"}
-        assert (distances(clone).dist == distances(g).dist).all()
-
-    def test_pickle_drops_a_computed_oracle(self, monkeypatch):
-        # a graph pickles as its fields even once its oracle is computed; the
-        # clone runs its own BFS, once, and a pickled oracle stays read-only
-        g = hypercube(4)
-        d = distances(g)
-        g.dense_adjacency, g.neighbor_set(0), g.degrees
-        clone = pickle.loads(pickle.dumps(g))
-        assert set(vars(clone)) == {"n", "adjacency", "labels"}
-        bfs = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
-        rebuilt = distances(clone)
-        assert len(bfs) == 1 and distances(clone) is rebuilt
-        assert (rebuilt.dist == d.dist).all()
-        assert (rebuilt.diameter, rebuilt.is_connected) == (d.diameter, d.is_connected)
-        with pytest.raises(ValueError):
-            rebuilt.dist[0, 1] = 2
-        assert not pickle.loads(pickle.dumps(d)).dist.flags.writeable
 
 
 class TestInterval:

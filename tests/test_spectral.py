@@ -89,6 +89,14 @@ class TestSpectralSummary:
         with pytest.raises(Disconnected):
             spectral_summary(g)
 
+    def test_refuses_k0_and_k1(self):
+        # so every summary has n >= 2 and a second adjacency eigenvalue theta1
+        with pytest.raises(Disconnected):
+            spectral_summary(build_graph(0, []))
+        with pytest.raises(IsolatedVertex):
+            spectral_summary(build_graph(1, []))
+        assert spectral_summary(build_graph(2, [(0, 1)])).theta1 == -1.0
+
 
 class TestDistanceEigenfunction:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -17,7 +17,6 @@ from curvlab.errors import (
     MuGraphNotCP,
     NoAntipole,
     NotFullLength,
-    NotLipschitz,
     NotPerfectMatching,
     NotRegular,
     PreconditionUnmet,
@@ -57,6 +56,7 @@ from curvlab.transport import (
 
 from helpers import (
     SAMPLE_GRAPHS,
+    NotLipschitz,
     adjacency_bijections,
     certify_duality,
     edge_has_perfect_matching,
