@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import GraphAnalysis
-from .bakry_emery import be_curvature, conjecture_scan
+from .bakry_emery import be_curvatures, conjecture_scan
 from .errors import (
     CurvlabError,
     InputError,
@@ -150,9 +150,10 @@ def cmd_bakry_emery(args: argparse.Namespace) -> int:
     g = _load_connected(args.input)
     if args.vertex is not None:
         _check_vertices(g, args.vertex)
-        print(json.dumps(be_row(be_curvature(g, args.vertex)), sort_keys=True, indent=2))
+        (report,) = be_curvatures(g, [args.vertex])
+        print(json.dumps(be_row(report), sort_keys=True, indent=2))
         return 0
-    reports = [be_curvature(g, x) for x in range(g.n)]
+    reports = be_curvatures(g, range(g.n))
     doc: dict = {"rows": [be_row(r) for r in reports]}
     if g.is_regular() is not None:
         scan = conjecture_scan(g, reports)

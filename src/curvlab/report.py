@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Any
 
 from .analysis import GraphAnalysis
-from .bakry_emery import BEReport, be_curvature
+from .bakry_emery import BEReport, be_curvatures
 from .errors import PreconditionUnmet
 from .graphs import Graph, distances
 from .sharpness import (
@@ -116,7 +116,7 @@ def analyze(
         report["strongly_spherical"] = sph.holds
 
     if not skip_be:
-        rows = [be_curvature(g, x) for x in range(g.n)]
+        rows = be_curvatures(g, range(g.n))
         report["bakry_emery"] = {
             "inf_curvature": float_str(min(row.curvature for row in rows)),
             "rows": [be_row(row) for row in rows],

@@ -7,7 +7,8 @@ loop it replaced, perfect matchings by enumerating every all-edge
 bijection,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set and by one matrix per neighbour, the
-Bakry-Emery value by a PSD bisection, S1'' weights by a pair loop, the
+Bakry-Emery value by a PSD bisection, the stacked Bakry-Emery sweep by the
+one-vertex Schur pass it replaced, S1'' weights by a pair loop, the
 distance eigenfunction by the exact normalized Laplacian in Fractions,
 intersection arrays by a scan of every ordered vertex pair, isomorphism
 and automorphism orbits by permutation enumeration, strong sphericity by
@@ -18,10 +19,11 @@ random regular graphs by stub pairing.
 The exact Gamma and Gamma2 evaluators, the normalized Laplacian in
 Fractions and the Kantorovich duality check, with its ``NotLipschitz``
 refusal, live here too: the library never calls them, so they are oracles
-of this suite and not part of ``curvlab``.  ``gamma_forms``,
-``be_upper_bound``, ``s1pp_sharpness_test`` and ``schur_and_bisection``
-evaluate one Bakry-Emery quantity at one vertex, through the private steps
-that ``be_curvature`` runs once per vertex.
+of this suite and not part of ``curvlab``.  ``local_forms``,
+``gamma_forms``, ``be_upper_bound``, ``s1pp_sharpness_test`` and
+``schur_and_bisection`` evaluate one Bakry-Emery quantity at one vertex,
+through the private steps that ``be_curvatures`` runs on stacks of
+vertices, here stacks of one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ from curvlab import _kernels, bakry_emery
 from curvlab.errors import FormCheckFailed, IsolatedVertex, PreconditionError
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
-from curvlab.graphs import DistanceOracle, Graph, build_graph, degree_triple, distances, mu_graph
+from curvlab.graphs import (
+    DistanceOracle,
+    Graph,
+    build_graph,
+    degree_triple,
+    distances,
+    mu_graph,
+    triangle_count_vertex,
+)
 from curvlab.sharpness import MuGraphVerdict, SphericalVerdict
 from curvlab.transport import Measure, TransportPlan, _transportation
 
@@ -97,10 +107,18 @@ class QuadraticForm:
     matrix: np.ndarray
 
 
+def local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``: the forms
+    that ``be_curvatures`` assembles, from a stack of one vertex."""
+    basis, k, adj = bakry_emery._ball_partition(g, x)
+    (basis,), ds, gx, g2x = bakry_emery._stacked_forms([basis], k, adj[None])
+    return basis, ds, gx[0], g2x[0]
+
+
 def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
     """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x, as
-    ``be_curvature`` assembles them."""
-    basis, ds, gx, g2x = bakry_emery._local_forms(bakry_emery._ball_partition(g, x))
+    ``be_curvatures`` assembles them."""
+    basis, ds, gx, g2x = local_forms(g, x)
     return (
         QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
         QuadraticForm(basis=tuple(basis), matrix=g2x),
@@ -109,15 +127,18 @@ def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
 
 def be_upper_bound(g: Graph, x: int) -> Fraction:
     """The exact Bakry-Emery upper bound at x of a D-regular graph, by both
-    of ``be_curvature``'s expressions, which must agree."""
-    return bakry_emery._upper_bound(g, x, bakry_emery._ball_partition(g, x))
+    of ``be_curvatures``'s expressions, which must agree."""
+    _, k, adj = bakry_emery._ball_partition(g, x)
+    return bakry_emery._upper_bound(g, x, bakry_emery._out_degrees(adj[None], k)[0])
 
 
 def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
-    """(applicable, lambda1, passes) of ``be_curvature``'s weighted
+    """(applicable, lambda1, passes) of ``be_curvatures``'s weighted
     1-sphere test at x: x passes iff lambda1 >= D/2 within the sharpness
     tolerance, and fails when the S1'' Laplacian has no nonzero eigenvalue."""
-    applicable, lam1 = bakry_emery._s1pp_test(bakry_emery._ball_partition(g, x))
+    _, k, adj = bakry_emery._ball_partition(g, x)
+    adj = adj[None]
+    ((applicable, lam1),) = bakry_emery._s1pp_tests(adj, k, bakry_emery._out_degrees(adj, k))
     if not applicable:
         return False, None, None
     return True, lam1, lam1 is not None and lam1 >= g.degree(x) / 2.0 - bakry_emery.SHARP_TOL
@@ -125,7 +146,7 @@ def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Option
 
 def curvature_by_bisection(forms, lo: float, hi: float, iters: int = 60) -> float:
     """Largest K with Gamma2 - K Gamma PSD at x, by bisection on the forms
-    ``(basis, |S1|, Gamma, Gamma2)`` of ``bakry_emery._local_forms``."""
+    ``(basis, |S1|, Gamma, Gamma2)`` of ``local_forms``."""
     # fix f(x) = 0, as in the Schur route
     a, b = forms[2][1:, 1:], forms[3][1:, 1:]
 
@@ -148,11 +169,68 @@ def schur_and_bisection(g: Graph, x: int) -> bakry_emery.BEReport:
     ``FormCheckFailed`` if the two values disagree."""
     report = bakry_emery.be_curvature(g, x)
     k = report.curvature
-    forms = bakry_emery._local_forms(bakry_emery._ball_partition(g, x))
-    k_bis = curvature_by_bisection(forms, lo=k - 1.0, hi=k + 1.0)
+    k_bis = curvature_by_bisection(local_forms(g, x), lo=k - 1.0, hi=k + 1.0)
     if abs(k - k_bis) > bakry_emery.SHARP_TOL:
         raise FormCheckFailed(f"Schur value {k} and bisection value {k_bis} disagree at {x}")
     return report
+
+
+def curvature_schur_scalar(forms) -> float:
+    """The curvature at one vertex from its forms ``(basis, |S1|, Gamma,
+    Gamma2)``, by the one-vertex Schur pass that the stacked sweep
+    replaced: a pseudo-inverse of the S2 block from its ``eigh``, with a
+    PSD check and a range check on the cross block."""
+    # fix f(x) = 0: both forms are invariant under adding constants; the
+    # degree D of x is |S1(x)|
+    ds, b = forms[1], forms[3][1:, 1:]
+    b11, b12, b22 = b[:ds, :ds], b[:ds, ds:], b[ds:, ds:]
+    if b22.size:
+        evals, evecs = np.linalg.eigh(b22)
+        if evals.min() < -1e-8:
+            raise FormCheckFailed("Gamma2 block over the 2-sphere is not PSD")
+        inv = np.where(evals > 1e-11, 1.0 / np.maximum(evals, 1e-300), 0.0)
+        pinv = (evecs * inv) @ evecs.T
+        residual = b22 @ pinv @ b12.T - b12.T
+        if np.abs(residual).max() > 1e-7:
+            raise FormCheckFailed("Gamma2 cross block escapes the range of its kernel block")
+        q = b11 - b12 @ pinv @ b12.T
+    else:
+        q = b11
+    lam_min = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
+    return 2.0 * ds * lam_min
+
+
+def s1pp_scalar(g: Graph, x: int) -> tuple[bool, Optional[float]]:
+    """(applicable, lambda1) of the S1'' test at x, one vertex and one
+    ``eigvalsh`` at a time, as the one-vertex pass computed it."""
+    _, k, adj = bakry_emery._ball_partition(g, x)
+    b = adj[1:, k:]
+    if len(set(b.sum(axis=1).tolist())) != 1:
+        return False, None
+    w = adj[1:, 1:k] + (b / b.sum(axis=0)) @ b.T
+    np.fill_diagonal(w, 0.0)
+    eigs = np.sort(np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w))
+    nonzero = eigs[eigs > 1e-9]
+    return True, float(nonzero[0]) if nonzero.size else None
+
+
+def be_curvature_scalar(g: Graph, x: int) -> bakry_emery.BEReport:
+    """The report at x by the one-vertex route that ``be_curvatures`` must
+    equal bit for bit: the forms of ``ordered_gamma_forms``, the Schur pass
+    of ``curvature_schur_scalar``, the upper bound 2/D + #triangles(x)/D^2
+    and ``s1pp_scalar``."""
+    k = curvature_schur_scalar(ordered_gamma_forms(g, x))
+    deg = g.is_regular()
+    if deg is None:
+        upper, (s1_reg, lam1) = None, (None, None)
+    else:
+        upper = Fraction(2, deg) + Fraction(triangle_count_vertex(g, x), deg * deg)
+        s1_reg, lam1 = s1pp_scalar(g, x)
+    return bakry_emery.BEReport(
+        vertex=x, curvature=k, upper_bound=upper,
+        is_sharp=upper is not None and abs(k - float(upper)) < bakry_emery.SHARP_TOL,
+        s1_out_regular=s1_reg, s1pp_lambda1=lam1,
+    )
 
 
 def certify_duality(
@@ -253,7 +331,7 @@ def dense_gamma_forms(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
 def ordered_gamma_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
     """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``, with one
     m x m Gamma matrix per neighbour y of x added in S1 order: the float
-    additions that the ordered scatter of ``_local_forms`` must repeat."""
+    additions that the ordered scatter of ``_stacked_forms`` must repeat."""
     s1 = sorted(g.adjacency[x])
     ball = {x, *s1}
     s2 = sorted({z for y in s1 for z in g.adjacency[y] if z not in ball})

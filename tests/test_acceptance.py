@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from curvlab.analysis import GraphAnalysis
-from curvlab.bakry_emery import be_curvature
+from curvlab.bakry_emery import be_curvatures
 from curvlab.cli import main as cli_main
 from curvlab.families import (
     cocktail_party,
@@ -111,15 +111,13 @@ def test_criterion_4_bakry_emery_closed_forms():
     for n in range(3, 9):
         g = complete(n)
         want = (n + 2) / (2.0 * (n - 1))
-        for x in range(g.n):
-            got = be_curvature(g, x).curvature
-            assert abs(got - want) < BE_TOL, f"K_{n} vertex {x}: {got} != {want}"
+        for x, row in enumerate(be_curvatures(g, range(g.n))):
+            assert abs(row.curvature - want) < BE_TOL, f"K_{n} vertex {x}: {row.curvature} != {want}"
     for n, k in ((5, 2), (6, 3)):
         g = johnson(n, k)
         want = (n + 2) / (2.0 * k * (n - k))
-        for x in range(g.n):
-            got = be_curvature(g, x).curvature
-            assert abs(got - want) < BE_TOL
+        for row in be_curvatures(g, range(g.n)):
+            assert abs(row.curvature - want) < BE_TOL
     fixtures = [
         (hypercube(4), "Q^4"),
         (cocktail_party(4), "CP(4)"),
@@ -131,8 +129,8 @@ def test_criterion_4_bakry_emery_closed_forms():
         d = distances(g)
         deg, L = g.is_regular(), d.diameter
         want = 1.0 / deg + 1.0 / L
-        for x in range(g.n):
-            got = be_curvature(g, x).curvature
+        for x, row in enumerate(be_curvatures(g, range(g.n))):
+            got = row.curvature
             assert abs(got - want) < BE_TOL, f"{name} vertex {x}: {got} != {want}"
             applicable, lam1, passes = s1pp_sharpness_test(g, x)
             assert applicable and lam1 >= deg / 2.0 - BE_TOL and passes, (

@@ -91,11 +91,12 @@ def test_analyze_product_one_oracle_per_graph(monkeypatch):
 
 
 def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
+    # every vertex appears in exactly one stacked Schur call: a call's
+    # forms list the bases of its stack, each starting at its vertex
     schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    # each call's forms start their basis at the vertex
-    assert sorted(args[0][0][0] for args in schur) == list(range(8))
+    assert sorted(basis[0] for (forms,) in schur for basis in forms[0]) == list(range(8))
 
 
 def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Gamma calculus and the infinity-curvature pipeline."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 
 import helpers
 from curvlab import bakry_emery
-from curvlab.bakry_emery import be_curvature, conjecture_scan
+from curvlab.bakry_emery import be_curvature, be_curvatures, conjecture_scan
 from curvlab.cli import main
-from curvlab.errors import FormCheckFailed
+from curvlab.errors import FormCheckFailed, IsolatedVertex
 from curvlab.families import (
     cocktail_party,
     complete,
@@ -32,11 +34,13 @@ from curvlab.graphs import (
 from curvlab.report import be_row
 from helpers import (
     SAMPLE_GRAPHS,
+    be_curvature_scalar,
     be_upper_bound,
     dense_gamma_forms,
     gamma2_value,
     gamma_forms,
     gamma_value,
+    local_forms,
     ordered_gamma_forms,
     random_regular_graph,
     record_calls,
@@ -54,10 +58,6 @@ LOPSIDED_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5)
 # the prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3 and 4,
 # so the 1-ball degrees of most vertices differ
 IRREGULAR_EDGES = LOPSIDED_EDGES + [(0, 6), (1, 6)]
-
-
-def _forms(g, x):
-    return bakry_emery._local_forms(bakry_emery._ball_partition(g, x))
 
 
 class TestGammaValues:
@@ -125,7 +125,7 @@ class TestLocalAssembly:
         for g in corpus:
             d = distances(g)
             for x in range(g.n):
-                basis, ds, gx, g2x = _forms(g, x)
+                basis, ds, gx, g2x = local_forms(g, x)
                 s1, s2 = d.sphere(x, 1), d.sphere(x, 2)
                 assert basis == [x, *s1, *s2] and ds == len(s1)
                 dense_g, dense_g2 = dense_gamma_forms(g, x)
@@ -155,7 +155,7 @@ class TestLocalAssembly:
         checked = 0
         for g in corpus:
             for x in range(g.n):
-                got, want = _forms(g, x), ordered_gamma_forms(g, x)
+                got, want = local_forms(g, x), ordered_gamma_forms(g, x)
                 assert got[:2] == want[:2]
                 for a, b in zip(got[2:], want[2:]):
                     assert np.array_equal(a, b)
@@ -167,9 +167,9 @@ class TestLocalAssembly:
         seen = set()
         for g in corpus:
             for x in range(g.n):
-                part = bakry_emery._ball_partition(g, x)
-                out = bakry_emery._out_degrees(part).tolist()
-                got = bakry_emery._s1pp_weights(part)
+                _, k, adj = bakry_emery._ball_partition(g, x)
+                out = bakry_emery._out_degrees(adj[None], k)[0].tolist()
+                got = bakry_emery._s1pp_weights(adj[None], k)[0]
                 want = s1pp_weights_by_pairs(g, x)
                 assert np.abs(got - want).max() <= 1e-12
                 applicable, _, passes = s1pp_sharpness_test(g, x)
@@ -181,7 +181,7 @@ class TestLocalAssembly:
     def test_gamma_forms_read_the_local_assembly(self, j63):
         g, _ = j63
         form_g, form_g2 = gamma_forms(g, 5)
-        basis, ds, gx, g2x = _forms(g, 5)
+        basis, ds, gx, g2x = local_forms(g, 5)
         assert form_g.basis == tuple(basis[: 1 + ds]) and form_g2.basis == tuple(basis)
         assert np.array_equal(form_g.matrix, gx[: 1 + ds, : 1 + ds])
         assert np.array_equal(form_g2.matrix, g2x)
@@ -244,8 +244,7 @@ class TestUpperBound:
 
     def test_curvature_below_bound(self, cp4, j63):
         for g, _ in (cp4, j63):
-            for x in range(g.n):
-                report = be_curvature(g, x)
+            for report in be_curvatures(g, range(g.n)):
                 assert report.curvature <= float(report.upper_bound) + 1e-9
 
 
@@ -323,9 +322,9 @@ class TestSharpnessEquivalence:
         for g in _equivalence_corpus():
             d = distances(g)
             for x in range(g.n):
-                part = basis, k, _ = bakry_emery._ball_partition(g, x)
+                basis, k, adj = bakry_emery._ball_partition(g, x)
                 s1, s2 = basis[1:k], basis[k:]
-                out = bakry_emery._out_degrees(part).tolist()
+                out = bakry_emery._out_degrees(adj[None], k)[0].tolist()
                 assert (tuple(s1), tuple(s2)) == (d.sphere(x, 1), d.sphere(x, 2))
                 assert out == [degree_triple(g, x, y).d_plus for y in s1]
                 assert Fraction(int(sum(out)), len(s1)) == sphere_averages(g, x, 1)[2]
@@ -349,7 +348,7 @@ class TestProductRule:
 
 
 def _scan(g):
-    return conjecture_scan(g, [be_curvature(g, x) for x in range(g.n)])
+    return conjecture_scan(g, be_curvatures(g, range(g.n)))
 
 
 class TestConjectureScan:
@@ -407,8 +406,8 @@ class TestConsistencyChecks:
         # the upper bound and the S1'' test are both stated for D-regular
         # graphs, so an irregular graph's rows print neither
         g = build_graph(7, IRREGULAR_EDGES)
-        for x in range(g.n):
-            row = be_row(be_curvature(g, x))
+        for report in be_curvatures(g, range(g.n)):
+            row = be_row(report)
             assert (row["upper_bound"], row["s1_out_regular"], row["s1pp_lambda1"]) == (None,) * 3
             assert row["sharp"] is False
         # asked directly, the S1'' test still answers at the S1-out regular vertex 2
@@ -425,3 +424,148 @@ class TestConsistencyChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: upper bound expressions disagree\n"
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _exact(report):
+    """A report with its floats as ``float.hex``, so equality is bit for bit."""
+    lam1 = report.s1pp_lambda1
+    return (
+        report.vertex, report.curvature.hex(), report.upper_bound, report.is_sharp,
+        report.s1_out_regular, None if lam1 is None else lam1.hex(),
+    )
+
+
+def _shapes(g):
+    """How many vertices of g have each ball shape (|B1(x)|, |B2(x)|)."""
+    parts = (bakry_emery._ball_partition(g, x) for x in range(g.n))
+    return Counter((k, len(basis)) for basis, k, _ in parts)
+
+
+def _spans_blocks(shapes) -> bool:
+    """Whether some ball-shape group of g fills more than one block."""
+    return any(count > bakry_emery._FORM_BLOCK // (m * m) for (_, m), count in shapes.items())
+
+
+class TestStackedSweep:
+    """``be_curvatures`` stacks the vertices of one ball shape in blocks;
+    every value equals the one-vertex Schur pass bit for bit, whatever the
+    groups and blocks hold."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        graphs = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        graphs += [build_graph(6, LOPSIDED_EDGES), build_graph(7, IRREGULAR_EDGES)]
+        rng = random.Random(25)
+        graphs += [random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5), (20, 6))]
+        # relabelling moves vertices between groups and between blocks
+        picked = [g for g in graphs if len(_shapes(g)) > 1 or _spans_blocks(_shapes(g))]
+        return graphs + [_relabelled(g, rng) for g in picked]
+
+    def test_corpus_has_groups_and_blocks(self, corpus):
+        shapes = [_shapes(g) for g in corpus]
+        assert sum(len(s) > 1 for s in shapes) >= 6
+        assert sum(_spans_blocks(s) for s in shapes) >= 4
+
+    def test_sweep_equals_the_one_vertex_pass(self, corpus):
+        checked = 0
+        for g in corpus:
+            want = [_exact(be_curvature_scalar(g, x)) for x in range(g.n)]
+            assert [_exact(r) for r in be_curvatures(g, range(g.n))] == want
+            # another order fills the blocks with other vertices
+            odd_first = [*range(1, g.n, 2), *range(0, g.n, 2)]
+            assert [_exact(r) for r in be_curvatures(g, odd_first)] == [want[x] for x in odd_first]
+            checked += g.n
+        assert checked >= 1000
+
+    def test_stacked_forms_equal_the_per_neighbour_sum(self, corpus):
+        # a whole shape group in one stack: each slice takes the float
+        # additions of one m x m Gamma matrix per neighbour, signed zeros too
+        for g in corpus[-8:]:
+            groups: dict = {}
+            for x in range(g.n):
+                basis, k, adj = bakry_emery._ball_partition(g, x)
+                groups.setdefault((k, len(basis)), []).append((basis, adj))
+            for (k, _), members in groups.items():
+                bases = [basis for basis, _ in members]
+                forms = bakry_emery._stacked_forms(bases, k, np.stack([adj for _, adj in members]))
+                for i, basis in enumerate(bases):
+                    want = ordered_gamma_forms(g, basis[0])
+                    assert (forms[0][i], forms[1]) == want[:2]
+                    for a, b in zip(forms[2:], want[2:]):
+                        assert np.array_equal(a[i].view(np.int64), b.view(np.int64))
+
+    def test_one_vertex_empty_and_subset(self, q3):
+        g, _ = q3
+        assert be_curvatures(g, []) == []
+        rows = be_curvatures(g, range(g.n))
+        assert be_curvatures(g, [5, 2, 5]) == [rows[5], rows[2], rows[5]]
+        assert [be_curvature(g, x) for x in range(g.n)] == rows
+
+    def test_isolated_vertex_refused_first(self):
+        # K1 is regular of degree 0: the isolated vertex is named before the
+        # regular-graph criteria could refuse the graph for having no edges
+        with pytest.raises(IsolatedVertex, match="isolated vertex 0$"):
+            be_curvatures(build_graph(1, []), [0])
+        with pytest.raises(IsolatedVertex, match="isolated vertex 2$"):
+            be_curvatures(build_graph(3, [(0, 1)]), [0, 1, 2])
+
+
+def _two_sphere_diagonal(g, x, s1, z) -> Fraction:
+    """d_z = (1/(4 d_x)) sum_{y in S1(x), y ~ z} 1/d_y."""
+    return Fraction(1, 4 * g.degree(x)) * sum(Fraction(1, g.degree(y)) for y in g.adjacency[z] if y in s1)
+
+
+class TestTwoSphereBlock:
+    """The S2 x S2 block of Gamma2 is a positive diagonal, which the Schur
+    pass reads in place of an eigen-solve."""
+
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+    def test_diagonal_on_every_vertex(self, name):
+        g = sample_graph(name)
+        for x in range(g.n):
+            basis, ds, _, g2x = ordered_gamma_forms(g, x)
+            b22 = g2x[1 + ds :, 1 + ds :]
+            off = ~np.eye(len(b22), dtype=bool)
+            assert (b22[off] == 0.0).all()
+            s1 = set(basis[1 : 1 + ds])
+            for z, dz in zip(basis[1 + ds :], np.diagonal(b22)):
+                assert math.isclose(dz, _two_sphere_diagonal(g, x, s1, z), rel_tol=1e-14)
+
+    def test_closed_form_is_the_exact_gamma2(self, q4, petersen, j63):
+        graphs = [q4[0], petersen[0], j63[0], build_graph(6, LOPSIDED_EDGES), build_graph(7, IRREGULAR_EDGES)]
+        checked = 0
+        for g in graphs:
+            for x in range(g.n):
+                basis, ds, _, _ = ordered_gamma_forms(g, x)
+                s1 = set(basis[1 : 1 + ds])
+                for z in basis[1 + ds :]:
+                    e = {v: Fraction(int(v == z)) for v in range(g.n)}
+                    dz = _two_sphere_diagonal(g, x, s1, z)
+                    assert dz > 0 and gamma2_value(g, e, e, x) == dz
+                    checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize("plant", ["off-diagonal", "zero-diagonal"])
+    def test_planted_entry_exits_4(self, monkeypatch, capsys, plant):
+        stacked = bakry_emery._stacked_forms
+
+        def planted(bases, k, adj):
+            forms = stacked(bases, k, adj)
+            g2 = forms[3]  # the 2-sphere starts at index k = |B1(x)|
+            if plant == "off-diagonal":
+                g2[:, k, k + 1] = g2[:, k + 1, k] = 1e-3
+            else:
+                g2[:, k, k] = 0.0
+            return forms
+
+        monkeypatch.setattr(bakry_emery, "_stacked_forms", planted)
+        assert main(["bakry-emery", "hypercube:3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the S2 block is not an exact positive diagonal\n"

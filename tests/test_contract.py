@@ -46,10 +46,10 @@ def _ctx(g):
 
 
 def _rows(g):
-    """``be_curvature``'s rows, or none where it refuses an isolated vertex."""
+    """``be_curvatures``'s rows, or none where it refuses an isolated vertex."""
     if 0 in g.degrees:
         return []
-    return Lazy(lambda: [bakry_emery.be_curvature(g, x) for x in range(g.n)])
+    return Lazy(lambda: bakry_emery.be_curvatures(g, range(g.n)))
 
 
 def _pairs(g):
@@ -152,6 +152,9 @@ ARGS = {
     "spectral.verify_distance_eigenfunction": lambda g: [(g, x) for x in range(g.n)],
     "spectral.is_lichnerowicz_sharp": lambda g: [(_ctx(g),)],
     "bakry_emery.be_curvature": lambda g: [(g, x) for x in range(g.n)],
+    "bakry_emery.be_curvatures": lambda g: [
+        (g, range(g.n)), (g, range(0, g.n, 2)), *((g, [x]) for x in range(g.n)), (g, []),
+    ],
     "bakry_emery.conjecture_scan": lambda g: [(g, _rows(g))],
     "isomorphism.find_isomorphism": lambda g: [(g, g), (g, _reversed(g))],
     "isomorphism.automorphism_orbits": lambda g: [(g,)],
