@@ -8,9 +8,10 @@ also gets ``OUTDIR/<name>.err`` with its exit code and stderr.  The
 commands are ``table 1|2|3 --json``; full and ``--skip-spherical``
 ``analyze``, ``spectral``, ``classify`` and ``sharpness`` on Gosset, Hall,
 Chang1 and J(6,3)xCP(4); ``bakry-emery`` (default and ``--vertex 0``) on
-those four and J(6,3)xCP(2); ``curvature --all-edges`` on Chang1, on
-J(6,3)xCP(2), whose edge table holds assignments of two sizes (6 and 10
-atoms), and on K4, whose difference neighbourhoods are empty;
+those four, J(6,3)xCP(2), Kneser(5,2), Shrikhande and the 6-cube;
+``curvature --all-edges`` on Chang1, on J(6,3)xCP(2), whose edge table
+holds assignments of two sizes (6 and 10 atoms), and on K4, whose
+difference neighbourhoods are empty;
 ``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
 one of them a refused equal pair; ``transport-geodesic`` on the 3-cube,
 along a full-length path and a refused short one, and on Kneser(5,2)
@@ -39,7 +40,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 87 commands run one after another and take about 20 s on a 2-core
+The 93 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -71,7 +72,8 @@ IRREGULAR = {
     ),
 }
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
-BAKRY_EMERY = ANALYZED + ("j63xcp2.g6",)
+# Kneser(5,2) is triangle-free with one back-neighbour per 2-sphere vertex
+BAKRY_EMERY = ANALYZED + ("j63xcp2.g6", "kneser:5:2", "shrikhande", "hypercube:6")
 ALL_EDGES = ("chang1", "j63xcp2.g6", "complete:4")
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
 # (output name, CLI argv); the last curvature pair and the last two
@@ -100,7 +102,7 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"classify-{stem}", ["classify", g]))
         out.append((f"sharpness-{stem}", ["sharpness", g]))
     for g in (*BAKRY_EMERY, *IRREGULAR):
-        stem = g.removesuffix(".g6").removesuffix(".json")
+        stem = g.removesuffix(".g6").removesuffix(".json").replace(":", "-")
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
     for g in ALL_EDGES:

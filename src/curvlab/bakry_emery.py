@@ -1,34 +1,35 @@
 """Bakry-Emery Gamma-calculus and normalized infinity-curvature.
 
 The curvature at x is the best constant K with Gamma2(f)(x) >= K Gamma(f)(x)
-for all f.  Both forms live on the 2-ball B2(x), on the basis
-[x] + S1(x) + S2(x), and are assembled from the adjacency block
-B1(x) x B2(x), which the S1 out-degrees, the upper bound and the S1''
-weights read too.  :func:`be_curvatures` groups the vertices by ball shape
-(|B1(x)|, |B2(x)|) and sweeps each group in blocks of (B, m, m) stacks;
-every float operation on one vertex's slice is the one a single-vertex
-pass makes, so no value depends on the grouping.  Gamma2 scatters
-sum_y Gamma(y)/d_x into -Gamma(x) with one unbuffered ``np.add.at`` over y
-in S1 order, so each entry takes the float additions of a per-neighbour
-matrix sum in that order: ``bakry-emery gosset`` prints the conjecture
-margin 7.77156117238e-16, the round-off of an exact zero, and any other
-order changes those bytes.  Fixing f(x) = 0 (both forms are shift
-invariant) and eliminating S2(x) by a Schur complement leaves a smallest
-eigenvalue on S1(x), the one route to the value.  The S2 x S2 block of
-Gamma2 is diagonal, d_z = (1/(4 d_x)) sum_{y in S1(x), y ~ z} 1/d_y > 0
-(the curvature-matrix reduction of arXiv 1606.01496), so the complement
-needs no eigen-solve: one stacked ``eigvalsh`` per block gives the values,
-and the PSD bisection that cross-checks them on the same forms is a test
-oracle.
+for all f.  Both forms live on the 2-ball B2(x); fixing f(x) = 0 (both are
+shift invariant) makes Gamma the identity over 2D on S1(x), and the S2 x S2
+block of Gamma2 is diagonal and positive, so each f(z), z in S2(x), is
+eliminated by hand.  What is left is the |S1| x |S1| curvature matrix Q(x)
+of Cushing-Liu-Peyerimhoff (arXiv 1606.01496), with K(x) = lambda_min(Q)/2,
+written out for the normalized Laplacian at any degrees.  With
+A11 = A[S1, S1], B = A[S1, S2], t_y and o_y the neighbour counts of y in S1
+and S2, w_y = D/d_y, C' = (w_y + w_y') A11, V = diag(w) B and
+s'_z = sum_y V[y, z] > 0,
 
-Form matrices are floats assembled from exact rational Laplacian entries;
-sharpness verdicts use a 1e-7 tolerance.  The upper bound
+    D Q = 2J - 2C' - 4 V diag(1/s') V^T + diag((3 + 2t + 3o) w - D + C'1),
+
+and K = lambda_min(D Q) / 2D.  The degree scaling keeps the entries exact
+where they can be: on a D-regular graph w = 1, so only the terms 4/s'_z can
+round, and on the hypercube Q_n the float matrix is exactly 4I and K is
+float(2/n).  Everything is read off the adjacency block B1(x) x B2(x), as
+are the S1 out-degrees, the upper bound and the S1'' weights.
+:func:`be_curvatures` groups the vertices by ball shape (|B1(x)|, |B2(x)|)
+and sweeps each group in blocks, with one stacked ``eigvalsh`` for the
+curvature matrices per block; every float operation on one vertex's slice
+is the one a single-vertex pass makes, so no value depends on the grouping.
+
+Sharpness verdicts use a 1e-7 tolerance.  The upper bound
 (3 + D - av_1^+(x)) / (2D) = 2/D + #triangles(x)/D^2 is exact rational,
 and the conjecture scan reads its weak bound off the rows' upper bounds.
 Every quantity here is computed inside :func:`be_curvatures` or the scan;
-the bisection, the one-vertex Schur pass and the exact Gamma and Gamma2
-evaluators in Fractions, which check the value and the forms, are test
-oracles (``tests/helpers.py``).
+the Gamma and Gamma2 forms on B2(x), their Schur pass and PSD bisection,
+and the exact Gamma and Gamma2 evaluators in Fractions, which check the
+closed form, are test oracles (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from .errors import BadParam, FormCheckFailed, IsolatedVertex
 from .graphs import Graph, distances, require_connected, require_regular, triangle_count_vertex
 
 SHARP_TOL = 1e-7
-# form entries per block of a sweep: B vertices of ball size m stack B m^2
-_FORM_BLOCK = 1 << 14
+# adjacency entries per block of a sweep: B vertices of ball shape (k, m)
+# stack B k m, the largest arrays of the closed form
+_SWEEP_BLOCK = 1 << 14
 Partition = tuple[list[int], int, np.ndarray]  # basis, |B1(x)|, B1(x) x B2(x) block
-Forms = tuple[list[list[int]], int, np.ndarray, np.ndarray]  # bases, |S1|, Gamma, Gamma2 stacks
 
 
-# -- form matrices ------------------------------------------------------------
+# -- curvature matrix ---------------------------------------------------------
 
 def _ball_partition(g: Graph, x: int) -> Partition:
     """The basis [x] + S1 + S2 of B2(x), with the sorted spheres of a local
@@ -67,46 +68,18 @@ def _out_degrees(adj: np.ndarray, k: int) -> np.ndarray:
     return adj[:, 1:, k:].sum(axis=2)
 
 
-def _stacked_forms(bases: list[list[int]], k: int, adj: np.ndarray) -> Forms:
-    """(bases, |S1|, Gamma, Gamma2) over each basis ``[x] + S1 + S2`` of a
-    block of vertices with one ball shape, read off the (B, |B1|, |B2|)
-    stack of their adjacency blocks B1(x) x B2(x): Gamma(., .)(w) for w in
-    B1(x) and the Laplacian rows of B1(x) touch no vertex outside B2(x)."""
-    nb, _, m = adj.shape
-    deg = adj.sum(axis=2)
-    # Laplacian rows of B1(x); the rows of S2 never meet the Gamma form at x
-    lap = np.zeros((nb, m, m), dtype=np.float64)
-    lap[:, :k] = adj / deg[:, :, None]
-    lap[:, range(k), range(k)] = -1.0
-    gx = np.zeros((nb, m, m), dtype=np.float64)
-    gx[:, range(1, k), range(1, k)] = 1.0
-    gx[:, 0, 1:k] = gx[:, 1:k, 0] = -1.0
-    gx[:, 0, 0] = deg[:, 0]
-    gx /= 2.0 * deg[:, :1, None]
-    # sum_y Gamma(y)/d_x, scattered y by y in S1 order: (z, z), (z, y),
-    # (y, z), then (y, y), so each entry sees the float additions of one
-    # m x m matrix per y added in turn; the stack's row (vertex, y) is the key
-    v, r, z = np.nonzero(adj[:, 1:])
-    y, key = r + 1, v * (k - 1) + r
-    w = 1.0 / (2.0 * deg[v, y]) / deg[v, 0]
-    rows = np.arange(nb * (k - 1))
-    vy, ys = rows // (k - 1), rows % (k - 1) + 1
-    order = np.argsort(np.concatenate((key, key, key, rows)), kind="stable")
-    at = np.hstack(((v, z, z), (v, z, y), (v, y, z), (vy, ys, ys)))[:, order]
-    vals = np.concatenate((w, -w, -w, deg[vy, ys] / (2.0 * deg[vy, ys]) / deg[vy, 0]))[order]
-    acc = 0.0 - gx  # M[x, x] = -1 term of Delta Gamma, with +0.0 zeros
-    np.add.at(acc, tuple(at), vals)
-    # Gamma(x) vanishes off B1(x) x B1(x), so Gamma(x) @ Lap is zero off
-    # the B1(x) rows and Lap^T @ Gamma(x) off the B1(x) columns.  The second
-    # product keeps its full inner dimension m: with a shorter one, some
-    # OpenBLAS kernels (Haswell, Nehalem) sum the x column in another order
-    # and the last bits of Gamma2's x row move
-    acc[:, :k] -= gx[:, :k, :k] @ lap[:, :k]
-    acc[:, :, :k] -= lap.transpose(0, 2, 1) @ gx[:, :, :k]
-    acc *= 0.5
-    g2 = acc + acc.transpose(0, 2, 1)
-    g2 *= 0.5
-    return bases, k - 1, gx, g2
+def _curvature_matrices(adj: np.ndarray, k: int) -> np.ndarray:
+    """D Q(x), as in the module docstring, for each (|B1|, |B2|) adjacency
+    block in the stack; D = k - 1 is the degree of x."""
+    deg = k - 1
+    a11, b = adj[:, 1:, 1:k], adj[:, 1:, k:]
+    t, o = a11.sum(axis=2), b.sum(axis=2)
+    w = deg / (1.0 + t + o)
+    c = (w[:, :, None] + w[:, None, :]) * a11
+    v = w[:, :, None] * b
+    dq = 2.0 - 2.0 * c - 4.0 * (v / v.sum(axis=1, keepdims=True)) @ v.transpose(0, 2, 1)
+    dq[:, range(deg), range(deg)] += (3.0 + 2.0 * t + 3.0 * o) * w - deg + c.sum(axis=2)
+    return dq
 
 
 # -- curvature ----------------------------------------------------------------
@@ -121,24 +94,6 @@ class BEReport:
     s1pp_lambda1: Optional[float]
 
 
-def _curvature_schur(forms: Forms) -> np.ndarray:
-    """The curvature of each vertex of the block: with f(x) = 0 fixed (both
-    forms are invariant under adding constants) Gamma is I / 2D on S1(x),
-    so K = 2D lambda_min of the Schur complement of the S2 block in Gamma2;
-    the degree D of x is |S1(x)|."""
-    ds, b = forms[1], forms[3][:, 1:, 1:]
-    b11, b12, b22 = b[:, :ds, :ds], b[:, :ds, ds:], b[:, ds:, ds:]
-    # Gamma(y) pairs no two 2-sphere vertices, so the S2 block is its
-    # diagonal, and every z in S2(x) has a neighbour y in S1(x)
-    d = np.diagonal(b22, axis1=1, axis2=2)
-    if not (d > 0).all() or np.count_nonzero(b22) != d.size:
-        raise FormCheckFailed("the S2 block is not an exact positive diagonal")
-    # times the reciprocals 1/d: dividing by d rounds differently, and the
-    # printed values (Gosset's conjecture margin among them) would move
-    q = b11 - (b12 * (1.0 / d)[:, None, :]) @ b12.transpose(0, 2, 1)
-    return 2.0 * ds * np.linalg.eigvalsh(0.5 * (q + q.transpose(0, 2, 1))).min(axis=1)
-
-
 def be_curvature(g: Graph, x: int) -> BEReport:
     """:func:`be_curvatures` at the one vertex x."""
     return be_curvatures(g, [x])[0]
@@ -150,9 +105,9 @@ def be_curvatures(g: Graph, xs: Iterable[int]) -> list[BEReport]:
 
     Everything at x is read off the 2-ball B2(x), so the rest of the graph,
     and whether it is connected, does not matter.  The vertices are
-    grouped by ball shape (|B1(x)|, |B2(x)|), and a group's forms are
-    assembled, once, as stacks of at most ``_FORM_BLOCK`` entries, one
-    block at a time.  The upper bound and the S1'' test are criteria for
+    grouped by ball shape (|B1(x)|, |B2(x)|), and a group's curvature
+    matrices are built from stacks of at most ``_SWEEP_BLOCK`` adjacency
+    entries, one block at a time.  The upper bound and the S1'' test are criteria for
     D-regular graphs: None off one.
     """
     xs = list(xs)
@@ -166,7 +121,7 @@ def be_curvatures(g: Graph, xs: Iterable[int]) -> list[BEReport]:
         k, m = part[1], len(part[0])
         block = pending.setdefault((k, m), [])
         block.append((i, part))
-        if len(block) >= max(1, _FORM_BLOCK // (m * m)):
+        if len(block) >= max(1, _SWEEP_BLOCK // (k * m)):
             _sweep(g, pending.pop((k, m)), rows)
     for block in pending.values():
         _sweep(g, block, rows)
@@ -179,7 +134,7 @@ def _sweep(g: Graph, block: list[tuple[int, Partition]], rows: list) -> None:
     bases = [part[0] for _, part in block]
     k = block[0][1][1]  # |B1(x)|, the same for the whole block
     adj = np.stack([part[2] for _, part in block])
-    curvatures = _curvature_schur(_stacked_forms(bases, k, adj)).tolist()
+    curvatures = (np.linalg.eigvalsh(_curvature_matrices(adj, k))[:, 0] / (2.0 * (k - 1))).tolist()
     if g.is_regular() is not None:
         out = _out_degrees(adj, k)
         uppers = [_upper_bound(g, basis[0], o) for basis, o in zip(bases, out)]

@@ -243,7 +243,9 @@ def _transportation(
     costs non-negative, so each augmentation is a plain Dijkstra run from
     the sources that still hold supply.  Reduced costs: forward arc (i, j)
     carries cost[i][j] + phi_s[i] - phi_t[j], the reverse arc (flow > 0) the
-    negation; both stay >= 0 by the standard potential update.
+    negation; both stay >= 0 by the standard potential update.  The answer
+    is certified by those potentials before it is returned (see
+    ``_certify_flow``).
     """
     ns, nt = len(supply), len(demand)
     if sum(supply) != sum(demand):
@@ -252,6 +254,7 @@ def _transportation(
     phi_s = [0] * ns
     phi_t = [0] * nt
     remaining = sum(supply)
+    given = (list(supply), list(demand))
     supply = list(supply)
     demand = list(demand)
     NONE = -1
@@ -328,7 +331,38 @@ def _transportation(
             if dist_t[j] is not None:
                 phi_t[j] += min(dist_t[j], dstar)
     total = sum(cost[i][j] * f for (i, j), f in flow.items())
+    _certify_flow(cost, *given, flow, phi_s, phi_t, total)
     return total, dict(flow)
+
+
+def _certify_flow(
+    cost: list[list[int]],
+    supply: list[int],
+    demand: list[int],
+    flow: dict[tuple[int, int], int],
+    phi_s: list[int],
+    phi_t: list[int],
+    total: int,
+) -> None:
+    """Raise ``SolverFailed`` unless the potentials prove the flow optimal:
+    the flow is positive and ships every supply to every demand, every
+    reduced cost cost[i][j] + phi_s[i] - phi_t[j] is >= 0, and 0 on every
+    arc that carries flow, and the dual value
+    sum demand phi_t - sum supply phi_s equals the total, so by LP duality
+    (Kantorovich-Rubinstein) no flow costs less."""
+    shipped, met = [0] * len(supply), [0] * len(demand)
+    for (i, j), f in flow.items():
+        shipped[i] += f
+        met[j] += f
+    feasible = (
+        shipped == supply
+        and met == demand
+        and all(f > 0 and cost[i][j] + phi_s[i] == phi_t[j] for (i, j), f in flow.items())
+        and all(c + p >= q for row, p in zip(cost, phi_s) for c, q in zip(row, phi_t))
+    )
+    dual = sum(d * q for d, q in zip(demand, phi_t)) - sum(s * p for s, p in zip(supply, phi_s))
+    if not (feasible and dual == total):
+        raise SolverFailed("a transportation flow failed its dual certificate")
 
 
 def _pairs_degree(g: Graph, pairs: Iterable[tuple[int, int]]) -> int:

@@ -7,8 +7,10 @@ loop it replaced, perfect matchings by enumerating every all-edge
 bijection,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set and by one matrix per neighbour, the
-Bakry-Emery value by a PSD bisection, the stacked Bakry-Emery sweep by the
-one-vertex Schur pass it replaced, S1'' weights by a pair loop, the
+Bakry-Emery value by a PSD bisection, the stacked Bakry-Emery sweep by a
+one-vertex closed form and by the m x m Schur pass it replaced, the
+closed-form curvature matrix by Fractions against the exact Gamma2, S1''
+weights by a pair loop, the
 distance eigenfunction by the exact normalized Laplacian in Fractions,
 intersection arrays by a scan of every ordered vertex pair, isomorphism
 and automorphism orbits by permutation enumeration, strong sphericity by
@@ -19,11 +21,12 @@ random regular graphs by stub pairing.
 The exact Gamma and Gamma2 evaluators, the normalized Laplacian in
 Fractions and the Kantorovich duality check, with its ``NotLipschitz``
 refusal, live here too: the library never calls them, so they are oracles
-of this suite and not part of ``curvlab``.  ``local_forms``,
-``gamma_forms``, ``be_upper_bound``, ``s1pp_sharpness_test`` and
-``schur_and_bisection`` evaluate one Bakry-Emery quantity at one vertex,
-through the private steps that ``be_curvatures`` runs on stacks of
-vertices, here stacks of one.
+of this suite and not part of ``curvlab``.  ``be_upper_bound``,
+``s1pp_sharpness_test`` and ``schur_and_bisection`` evaluate one
+Bakry-Emery quantity at one vertex, through the private steps that
+``be_curvatures`` runs on stacks of vertices, here stacks of one;
+``local_forms`` and ``gamma_forms`` do the same through the m x m
+assembly ``stacked_forms`` that the closed form replaced.
 """
 
 from __future__ import annotations
@@ -107,17 +110,62 @@ class QuadraticForm:
     matrix: np.ndarray
 
 
+def stacked_forms(bases: list[list[int]], k: int, adj: np.ndarray):
+    """(bases, |S1|, Gamma, Gamma2) over each basis ``[x] + S1 + S2`` of a
+    block of vertices with one ball shape, read off the (B, |B1|, |B2|)
+    stack of their adjacency blocks B1(x) x B2(x): the m x m assembly that
+    the closed-form curvature matrix replaced.  Gamma(., .)(w) for w in
+    B1(x) and the Laplacian rows of B1(x) touch no vertex outside B2(x)."""
+    nb, _, m = adj.shape
+    deg = adj.sum(axis=2)
+    # Laplacian rows of B1(x); the rows of S2 never meet the Gamma form at x
+    lap = np.zeros((nb, m, m), dtype=np.float64)
+    lap[:, :k] = adj / deg[:, :, None]
+    lap[:, range(k), range(k)] = -1.0
+    gx = np.zeros((nb, m, m), dtype=np.float64)
+    gx[:, range(1, k), range(1, k)] = 1.0
+    gx[:, 0, 1:k] = gx[:, 1:k, 0] = -1.0
+    gx[:, 0, 0] = deg[:, 0]
+    gx /= 2.0 * deg[:, :1, None]
+    # sum_y Gamma(y)/d_x, scattered y by y in S1 order: (z, z), (z, y),
+    # (y, z), then (y, y), so each entry sees the float additions of one
+    # m x m matrix per y added in turn; the stack's row (vertex, y) is the key
+    v, r, z = np.nonzero(adj[:, 1:])
+    y, key = r + 1, v * (k - 1) + r
+    w = 1.0 / (2.0 * deg[v, y]) / deg[v, 0]
+    rows = np.arange(nb * (k - 1))
+    vy, ys = rows // (k - 1), rows % (k - 1) + 1
+    order = np.argsort(np.concatenate((key, key, key, rows)), kind="stable")
+    at = np.hstack(((v, z, z), (v, z, y), (v, y, z), (vy, ys, ys)))[:, order]
+    vals = np.concatenate((w, -w, -w, deg[vy, ys] / (2.0 * deg[vy, ys]) / deg[vy, 0]))[order]
+    acc = 0.0 - gx  # M[x, x] = -1 term of Delta Gamma, with +0.0 zeros
+    np.add.at(acc, tuple(at), vals)
+    # Gamma(x) vanishes off B1(x) x B1(x), so Gamma(x) @ Lap is zero off
+    # the B1(x) rows and Lap^T @ Gamma(x) off the B1(x) columns.  Both
+    # products keep their full inner dimension m, as ``ordered_gamma_forms``
+    # does: with a shorter one, some OpenBLAS kernels sum in another order
+    # and the last bits of Gamma2's x row move (Haswell and Nehalem for the
+    # second; the default kernel for the first, on a 7-regular graph of 30
+    # vertices)
+    acc[:, :k] -= gx[:, :k] @ lap
+    acc[:, :, :k] -= lap.transpose(0, 2, 1) @ gx[:, :, :k]
+    acc *= 0.5
+    g2 = acc + acc.transpose(0, 2, 1)
+    g2 *= 0.5
+    return bases, k - 1, gx, g2
+
+
 def local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-    """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``: the forms
-    that ``be_curvatures`` assembles, from a stack of one vertex."""
+    """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``, from a
+    stack of one vertex of ``stacked_forms``."""
     basis, k, adj = bakry_emery._ball_partition(g, x)
-    (basis,), ds, gx, g2x = bakry_emery._stacked_forms([basis], k, adj[None])
+    (basis,), ds, gx, g2x = stacked_forms([basis], k, adj[None])
     return basis, ds, gx[0], g2x[0]
 
 
 def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
     """The Gamma form on B1(x) and the Gamma2 form on B2(x) at x, as
-    ``be_curvatures`` assembles them."""
+    ``local_forms`` assembles them."""
     basis, ds, gx, g2x = local_forms(g, x)
     return (
         QuadraticForm(basis=tuple(basis[: 1 + ds]), matrix=gx[: 1 + ds, : 1 + ds]),
@@ -165,13 +213,13 @@ def curvature_by_bisection(forms, lo: float, hi: float, iters: int = 60) -> floa
 
 def schur_and_bisection(g: Graph, x: int) -> bakry_emery.BEReport:
     """``be_curvature(g, x)``, once the PSD bisection on the forms at x has
-    derived its Schur value a second time within the sharpness tolerance;
+    derived its value a second time within the sharpness tolerance;
     ``FormCheckFailed`` if the two values disagree."""
     report = bakry_emery.be_curvature(g, x)
     k = report.curvature
     k_bis = curvature_by_bisection(local_forms(g, x), lo=k - 1.0, hi=k + 1.0)
     if abs(k - k_bis) > bakry_emery.SHARP_TOL:
-        raise FormCheckFailed(f"Schur value {k} and bisection value {k_bis} disagree at {x}")
+        raise FormCheckFailed(f"closed-form value {k} and bisection value {k_bis} disagree at {x}")
     return report
 
 
@@ -214,12 +262,9 @@ def s1pp_scalar(g: Graph, x: int) -> tuple[bool, Optional[float]]:
     return True, float(nonzero[0]) if nonzero.size else None
 
 
-def be_curvature_scalar(g: Graph, x: int) -> bakry_emery.BEReport:
-    """The report at x by the one-vertex route that ``be_curvatures`` must
-    equal bit for bit: the forms of ``ordered_gamma_forms``, the Schur pass
-    of ``curvature_schur_scalar``, the upper bound 2/D + #triangles(x)/D^2
+def _scalar_report(g: Graph, x: int, k: float) -> bakry_emery.BEReport:
+    """The report at x with curvature k, the upper bound 2/D + #triangles(x)/D^2
     and ``s1pp_scalar``."""
-    k = curvature_schur_scalar(ordered_gamma_forms(g, x))
     deg = g.is_regular()
     if deg is None:
         upper, (s1_reg, lam1) = None, (None, None)
@@ -231,6 +276,92 @@ def be_curvature_scalar(g: Graph, x: int) -> bakry_emery.BEReport:
         is_sharp=upper is not None and abs(k - float(upper)) < bakry_emery.SHARP_TOL,
         s1_out_regular=s1_reg, s1pp_lambda1=lam1,
     )
+
+
+def be_curvature_scalar(g: Graph, x: int) -> bakry_emery.BEReport:
+    """The report at x by the one-vertex Schur route that the closed form
+    replaced: the forms of ``ordered_gamma_forms`` and the Schur pass of
+    ``curvature_schur_scalar``."""
+    return _scalar_report(g, x, curvature_schur_scalar(ordered_gamma_forms(g, x)))
+
+
+def _spheres(g: Graph, x: int) -> tuple[list[int], list[int]]:
+    """The sorted spheres S1(x) and S2(x), from the adjacency lists."""
+    s1 = sorted(g.adjacency[x])
+    s2 = sorted({z for y in s1 for z in g.adjacency[y]} - {x, *s1})
+    return s1, s2
+
+
+def curvature_matrix_scalar(g: Graph, x: int) -> np.ndarray:
+    """D Q(x) at one vertex in floats, built from the adjacency lists with
+    the float operations that ``be_curvatures`` makes on each slice of its
+    stacks."""
+    s1, s2 = _spheres(g, x)
+    deg = len(s1)
+    a11 = np.array([[float(u in g.adjacency[y]) for u in s1] for y in s1]).reshape(deg, deg)
+    b = np.array([[float(z in g.adjacency[y]) for z in s2] for y in s1]).reshape(deg, len(s2))
+    t, o = a11.sum(axis=1), b.sum(axis=1)
+    w = deg / (1.0 + t + o)
+    c = (w[:, None] + w[None, :]) * a11
+    v = w[:, None] * b
+    dq = 2.0 - 2.0 * c - 4.0 * (v / v.sum(axis=0)) @ v.T
+    dq[range(deg), range(deg)] += (3.0 + 2.0 * t + 3.0 * o) * w - deg + c.sum(axis=1)
+    return dq
+
+
+def be_closed_form_scalar(g: Graph, x: int) -> bakry_emery.BEReport:
+    """The report at x from ``curvature_matrix_scalar``, one vertex and one
+    ``eigvalsh`` at a time: K = lambda_min(D Q) / 2D."""
+    deg = g.degree(x)
+    k = np.linalg.eigvalsh(curvature_matrix_scalar(g, x))[0] / (2.0 * deg)
+    return _scalar_report(g, x, float(k))
+
+
+def curvature_matrix_exact(g: Graph, x: int) -> list[list[Fraction]]:
+    """D Q(x) at x in Fractions over sorted S1(x), entry by entry from the
+    closed form of the Cushing-Liu-Peyerimhoff curvature matrix
+    (arXiv 1606.01496) with w_y = D/d_y:
+    2 - 2 c(y, y') - 4 sum_z w_y w_y' / s'_z over the common 2-sphere
+    neighbours z, where c(y, y') = w_y + w_y' on S1 edges and
+    s'_z = sum_{y ~ z} w_y, plus (3 + 2 t_y + 3 o_y) w_y - D + sum_y' c(y, y')
+    on the diagonal."""
+    s1, s2 = _spheres(g, x)
+    deg = len(s1)
+    nbrs = {v: set(g.adjacency[v]) for v in s1 + s2}
+    w = {y: Fraction(deg, g.degree(y)) for y in s1}
+    back = {z: sum((w[y] for y in s1 if y in nbrs[z]), Fraction(0)) for z in s2}
+
+    def c(y: int, u: int) -> Fraction:
+        return w[y] + w[u] if u in nbrs[y] else Fraction(0)
+
+    def entry(y: int, u: int) -> Fraction:
+        common = (z for z in s2 if y in nbrs[z] and u in nbrs[z])
+        val = 2 - 2 * c(y, u) - 4 * sum((w[y] * w[u] / back[z] for z in common), Fraction(0))
+        if y == u:
+            t, o = len(nbrs[y] & set(s1)), len(nbrs[y] & set(s2))
+            val += (3 + 2 * t + 3 * o) * w[y] - deg + sum(c(y, v) for v in s1)
+        return val
+
+    return [[entry(y, u) for u in s1] for y in s1]
+
+
+def gamma2_matrix(g: Graph, x: int, basis: list[int]) -> list[list[Fraction]]:
+    """The exact Gamma2 form at x over ``basis``: entry (u, v) is
+    ``gamma2_value(g, e_u, e_v, x)``, by the same iterated definition,
+    with Delta e_u computed once per u and Gamma(e_u, e_v) read only on
+    N[x], the only vertices Delta Gamma(x) reads."""
+    deg, ball = g.degree(x), [x, *g.adjacency[x]]
+    unit = {u: {v: Fraction(int(v == u)) for v in range(g.n)} for u in basis}
+    lap = {u: normalized_laplacian_apply(g, unit[u]) for u in basis}
+    out = [[Fraction(0)] * len(basis) for _ in basis]
+    for i, u in enumerate(basis):
+        for j in range(i, len(basis)):
+            v = basis[j]
+            gam = [gamma_value(g, unit[u], unit[v], y) for y in ball]
+            dgam = (sum(gam[1:], Fraction(0)) - deg * gam[0]) / deg
+            val = (dgam - gamma_value(g, unit[u], lap[v], x) - gamma_value(g, unit[v], lap[u], x)) / 2
+            out[i][j] = out[j][i] = val
+    return out
 
 
 def certify_duality(
@@ -331,7 +462,7 @@ def dense_gamma_forms(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
 def ordered_gamma_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
     """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``, with one
     m x m Gamma matrix per neighbour y of x added in S1 order: the float
-    additions that the ordered scatter of ``_stacked_forms`` must repeat."""
+    additions that the ordered scatter of ``stacked_forms`` must repeat."""
     s1 = sorted(g.adjacency[x])
     ball = {x, *s1}
     s2 = sorted({z for y in s1 for z in g.adjacency[y] if z not in ball})

@@ -90,13 +90,15 @@ def test_analyze_product_one_oracle_per_graph(monkeypatch):
     assert len(adjacencies) == len(oracles) == 2
 
 
-def test_bakry_emery_one_schur_pass_per_vertex(monkeypatch, capsys):
-    # every vertex appears in exactly one stacked Schur call: a call's
-    # forms list the bases of its stack, each starting at its vertex
-    schur = record_calls(monkeypatch, "bakry_emery", "_curvature_schur")
+def test_bakry_emery_one_closed_form_pass_per_vertex(monkeypatch, capsys):
+    # every vertex appears in exactly one stacked sweep, and each sweep
+    # builds its curvature matrices in one call on a stack of its block
+    sweeps = record_calls(monkeypatch, "bakry_emery", "_sweep")
+    matrices = record_calls(monkeypatch, "bakry_emery", "_curvature_matrices")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(basis[0] for (forms,) in schur for basis in forms[0]) == list(range(8))
+    assert sorted(part[0][0] for (_, block, _) in sweeps for _, part in block) == list(range(8))
+    assert [len(adj) for adj, _ in matrices] == [len(block) for _, block, _ in sweeps]
 
 
 def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):

@@ -34,9 +34,13 @@ from curvlab.graphs import (
 from curvlab.report import be_row
 from helpers import (
     SAMPLE_GRAPHS,
+    be_closed_form_scalar,
     be_curvature_scalar,
     be_upper_bound,
+    curvature_matrix_exact,
+    curvature_matrix_scalar,
     dense_gamma_forms,
+    gamma2_matrix,
     gamma2_value,
     gamma_forms,
     gamma_value,
@@ -48,6 +52,7 @@ from helpers import (
     s1pp_weights_by_pairs,
     sample_graph,
     schur_and_bisection,
+    stacked_forms,
 )
 
 TOL = 1e-7
@@ -449,20 +454,23 @@ def _shapes(g):
 
 def _spans_blocks(shapes) -> bool:
     """Whether some ball-shape group of g fills more than one block."""
-    return any(count > bakry_emery._FORM_BLOCK // (m * m) for (_, m), count in shapes.items())
+    return any(count > bakry_emery._SWEEP_BLOCK // (k * m) for (k, m), count in shapes.items())
 
 
 class TestStackedSweep:
     """``be_curvatures`` stacks the vertices of one ball shape in blocks;
-    every value equals the one-vertex Schur pass bit for bit, whatever the
-    groups and blocks hold."""
+    every value equals the one-vertex closed form bit for bit, whatever the
+    groups and blocks hold, and the one-vertex Schur pass it replaced
+    within 1e-12."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         graphs = [sample_graph(name) for name in SAMPLE_GRAPHS]
         graphs += [build_graph(6, LOPSIDED_EDGES), build_graph(7, IRREGULAR_EDGES)]
         rng = random.Random(25)
-        graphs += [random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5), (20, 6))]
+        graphs += [
+            random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5), (20, 6), (30, 7))
+        ]
         # relabelling moves vertices between groups and between blocks
         picked = [g for g in graphs if len(_shapes(g)) > 1 or _spans_blocks(_shapes(g))]
         return graphs + [_relabelled(g, rng) for g in picked]
@@ -475,11 +483,17 @@ class TestStackedSweep:
     def test_sweep_equals_the_one_vertex_pass(self, corpus):
         checked = 0
         for g in corpus:
-            want = [_exact(be_curvature_scalar(g, x)) for x in range(g.n)]
-            assert [_exact(r) for r in be_curvatures(g, range(g.n))] == want
+            want = [_exact(be_closed_form_scalar(g, x)) for x in range(g.n)]
+            rows = be_curvatures(g, range(g.n))
+            assert [_exact(r) for r in rows] == want
             # another order fills the blocks with other vertices
             odd_first = [*range(1, g.n, 2), *range(0, g.n, 2)]
             assert [_exact(r) for r in be_curvatures(g, odd_first)] == [want[x] for x in odd_first]
+            # the Schur route: the same flags, and the value within 1e-12
+            for x, row in enumerate(rows):
+                schur = be_curvature_scalar(g, x)
+                assert abs(row.curvature - schur.curvature) <= 1e-12
+                assert _exact(row)[2:] == _exact(schur)[2:]
             checked += g.n
         assert checked >= 1000
 
@@ -493,7 +507,7 @@ class TestStackedSweep:
                 groups.setdefault((k, len(basis)), []).append((basis, adj))
             for (k, _), members in groups.items():
                 bases = [basis for basis, _ in members]
-                forms = bakry_emery._stacked_forms(bases, k, np.stack([adj for _, adj in members]))
+                forms = stacked_forms(bases, k, np.stack([adj for _, adj in members]))
                 for i, basis in enumerate(bases):
                     want = ordered_gamma_forms(g, basis[0])
                     assert (forms[0][i], forms[1]) == want[:2]
@@ -522,8 +536,8 @@ def _two_sphere_diagonal(g, x, s1, z) -> Fraction:
 
 
 class TestTwoSphereBlock:
-    """The S2 x S2 block of Gamma2 is a positive diagonal, which the Schur
-    pass reads in place of an eigen-solve."""
+    """The S2 x S2 block of Gamma2 is a positive diagonal, which the closed
+    form eliminates by hand."""
 
     @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
     def test_diagonal_on_every_vertex(self, name):
@@ -551,21 +565,67 @@ class TestTwoSphereBlock:
                     checked += 1
         assert checked >= 300
 
-    @pytest.mark.parametrize("plant", ["off-diagonal", "zero-diagonal"])
-    def test_planted_entry_exits_4(self, monkeypatch, capsys, plant):
-        stacked = bakry_emery._stacked_forms
 
-        def planted(bases, k, adj):
-            forms = stacked(bases, k, adj)
-            g2 = forms[3]  # the 2-sphere starts at index k = |B1(x)|
-            if plant == "off-diagonal":
-                g2[:, k, k + 1] = g2[:, k + 1, k] = 1e-3
-            else:
-                g2[:, k, k] = 0.0
-            return forms
+def _random_irregular_graph(n, rng):
+    """A cycle on n vertices with random chords, so every degree is >= 2."""
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n)}
+    return build_graph(n, sorted({(min(e), max(e)) for e in edges}))
 
-        monkeypatch.setattr(bakry_emery, "_stacked_forms", planted)
-        assert main(["bakry-emery", "hypercube:3"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: the S2 block is not an exact positive diagonal\n"
+
+class TestCurvatureMatrix:
+    """D Q(x), the closed form that ``be_curvatures`` reads its values off,
+    against the exact Gamma2 of the definitions."""
+
+    def test_gamma2_matrix_is_gamma2_value(self, petersen):
+        for g in (petersen[0], build_graph(6, LOPSIDED_EDGES), build_graph(7, IRREGULAR_EDGES)):
+            for x in range(g.n):
+                basis = list(range(g.n))
+                got = gamma2_matrix(g, x, basis)
+                for u in basis:
+                    e = {v: Fraction(int(v == u)) for v in range(g.n)}
+                    for v in basis:
+                        h = {w: Fraction(int(w == v)) for w in range(g.n)}
+                        assert got[u][v] == gamma2_value(g, e, h, x)
+
+    def test_closed_form_is_the_exact_schur_complement(self, q4, petersen, j63):
+        irregular = _random_irregular_graph(9, random.Random(26))
+        assert irregular.is_regular() is None
+        graphs = [
+            q4[0], petersen[0], j63[0],
+            build_graph(6, LOPSIDED_EDGES), build_graph(7, IRREGULAR_EDGES), irregular,
+        ]
+        checked = 0
+        for g in graphs:
+            for x in range(g.n):
+                basis, k, adj = bakry_emery._ball_partition(g, x)
+                deg, ds = g.degree(x), k - 1
+                # f(x) = 0 fixed; the Gamma2 form on S1 + S2 and its S2 block
+                g2 = gamma2_matrix(g, x, basis[1:])
+                n2 = len(basis) - k
+                d = [g2[ds + i][ds + i] for i in range(n2)]
+                assert all(g2[ds + i][ds + j] == 0 for i in range(n2) for j in range(n2) if i != j)
+                assert all(dz > 0 for dz in d)
+                schur = [
+                    [g2[i][j] - sum(g2[i][ds + l] * g2[j][ds + l] / dz for l, dz in enumerate(d))
+                     for j in range(ds)]
+                    for i in range(ds)
+                ]
+                exact = curvature_matrix_exact(g, x)
+                assert exact == [[4 * deg * deg * q for q in row] for row in schur]
+                stacked = bakry_emery._curvature_matrices(adj[None], k)[0]
+                assert np.abs(stacked - np.array(exact, dtype=np.float64)).max() <= 1e-12
+                assert np.array_equal(stacked, curvature_matrix_scalar(g, x))
+                checked += 1
+        assert checked >= 65
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_hypercubes_are_exact(self, n):
+        # on Q_n every entry of D Q is an integer or a sum of halves, so the
+        # float matrix is the exact 4I and each curvature is float(2/n)
+        g = hypercube(n)
+        for x in range(g.n):
+            _, k, adj = bakry_emery._ball_partition(g, x)
+            stacked = bakry_emery._curvature_matrices(adj[None], k)[0]
+            assert [[Fraction(v) for v in row] for row in stacked.tolist()] == curvature_matrix_exact(g, x)
+        assert {r.curvature for r in be_curvatures(g, range(g.n))} == {float(Fraction(2, n))}

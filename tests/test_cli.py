@@ -538,6 +538,21 @@ class TestTransportGeodesicCmd:
         assert err == "error: an assignment failed its dual certificate\n"
 
 
+    def test_flow_with_wrong_potentials_fails_its_certificate(self, monkeypatch, capsys):
+        # the lazy measures of an edge have unequal atoms, so W1 is a flow;
+        # one sink potential raised by 1 makes a tight arc into it negative
+        from curvlab import transport
+
+        certify = transport._certify_flow
+
+        def shifted(cost, supply, demand, flow, phi_s, phi_t, total):
+            certify(cost, supply, demand, flow, phi_s, [phi_t[0] + 1, *phi_t[1:]], total)
+
+        monkeypatch.setattr(transport, "_certify_flow", shifted)
+        code, out, err = run(capsys, "curvature", "gosset", "0", "1", "--p", "1/2")
+        assert (code, out) == (4, "")
+        assert err == "error: a transportation flow failed its dual certificate\n"
+
 class TestTableCmd:
     @pytest.mark.parametrize("table_id", ["1", "2", "3"])
     def test_tables_verify(self, capsys, table_id):

@@ -488,6 +488,43 @@ class TestBatchedKappas:
             transport._solve(cost)
 
 
+class TestFlowCertificate:
+    """``_transportation`` proves each flow optimal with its own node
+    potentials before returning it."""
+
+    # three sources and two sinks with unequal weights: no assignment fits
+    COST, SUPPLY, DEMAND = [[1, 3], [2, 2], [4, 1]], [2, 1, 3], [3, 3]
+
+    def test_potentials_certify_the_answer(self):
+        total, flow = transport._transportation(self.COST, self.SUPPLY, self.DEMAND)
+        # every flow is a split of each supply between the two sinks
+        best = min(
+            sum(c0 * a + c1 * (sup - a) for (c0, c1), sup, a in zip(self.COST, self.SUPPLY, split))
+            for split in iproduct(*(range(sup + 1) for sup in self.SUPPLY))
+            if sum(split) == self.DEMAND[0]
+        )
+        assert total == best and sum(flow.values()) == 6
+
+    @pytest.mark.parametrize("fault", ["reduced cost", "slack arc", "short flow"])
+    def test_certificate_refuses_a_wrong_answer(self, monkeypatch, fault):
+        certify = transport._certify_flow
+
+        def faulty(cost, supply, demand, flow, phi_s, phi_t, total):
+            if fault == "reduced cost":
+                phi_t = [phi_t[0] + 1, *phi_t[1:]]  # an arc into sink 0 goes negative
+            elif fault == "slack arc":
+                phi_t = [q - 1 for q in phi_t]  # feasible, but no flow arc is tight
+            else:
+                arc = next(iter(flow))
+                flow = {**flow, arc: flow[arc] - 1}
+                total -= cost[arc[0]][arc[1]]
+            certify(cost, supply, demand, flow, phi_s, phi_t, total)
+
+        monkeypatch.setattr(transport, "_certify_flow", faulty)
+        with pytest.raises(SolverFailed, match="^a transportation flow failed its dual certificate$"):
+            transport._transportation(self.COST, self.SUPPLY, self.DEMAND)
+
+
 class TestReducedRoute:
     """kappa's assignment on the cancelled 1-ball support against min-cost
     flow on the full, uncancelled 1-ball supports, on pairs at distance >= 2."""
