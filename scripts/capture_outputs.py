@@ -28,7 +28,10 @@ command on P4 except ``spectral`` and the two ``bakry-emery`` ones
 refuses it; ``analyze`` does since it builds its analysis first); and
 ``bakry-emery`` (default and ``--vertex 0``) on a connected irregular
 graph with triangles and a non-empty 2-sphere, whose 1-ball degrees
-differ.  The two products are built with ``gen product`` and the five
+differ; and ``analyze --skip-spherical`` on the 4-cube, the 6-demicube,
+J(8,4) and the circulant C10(1, 4), i ~ i +- 1, i +- 4, whose mu-graph scan
+fails at its third pair, so the partial mu-graph counts of a failing scan
+are gated too.  The two products are built with ``gen product`` and the six
 small graphs written as JSON into ``OUTDIR/inputs``, and every command
 runs there, so the input names that reports print are the same in every
 capture.
@@ -40,7 +43,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 93 commands run one after another and take about 20 s on a 2-core
+The 97 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -71,10 +74,15 @@ IRREGULAR = {
         7, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4], [3, 5], [4, 5], [0, 6], [1, 6]]
     ),
 }
+# C10(1, 4): its mu-graph scan passes (0, 2) and (0, 3), then fails at (0, 5)
+CIRCULANT = {
+    "c10-1-4.json": (10, [[i, (i + s) % 10] for i in range(10) for s in (1, 4)]),
+}
 ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 # Kneser(5,2) is triangle-free with one back-neighbour per 2-sphere vertex
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6", "kneser:5:2", "shrikhande", "hypercube:6")
 ALL_EDGES = ("chang1", "j63xcp2.g6", "complete:4")
+SCANNED = ("hypercube:4", "demicube:6", "johnson:8:4", "c10-1-4.json")
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
 # (output name, CLI argv); the last curvature pair and the last two
 # transport geodesics exit 3
@@ -105,6 +113,9 @@ def commands() -> list[tuple[str, list[str]]]:
         stem = g.removesuffix(".g6").removesuffix(".json").replace(":", "-")
         out.append((f"bakry-emery-{stem}", ["bakry-emery", g]))
         out.append((f"bakry-emery-vertex0-{stem}", ["bakry-emery", g, "--vertex", "0"]))
+    for g in SCANNED:
+        stem = g.removesuffix(".json").replace(":", "-")
+        out.append((f"analyze-skip-spherical-{stem}", ["analyze", g, "--skip-spherical"]))
     for g in ALL_EDGES:
         stem = g.removesuffix(".g6").replace(":", "-")
         out.append((f"curvature-all-edges-{stem}", ["curvature", g, "--all-edges"]))
@@ -153,7 +164,7 @@ def main(argv: list[str]) -> int:
         if proc.returncode != 0:
             print(f"gen {name} failed: {proc.stderr}", file=sys.stderr)
             return 1
-    for name, (n, edges) in {**REFUSED, **IRREGULAR}.items():
+    for name, (n, edges) in {**REFUSED, **IRREGULAR, **CIRCULANT}.items():
         (inputs / name).write_text(json.dumps({"n": n, "edges": edges}) + "\n")
     for name, cli_argv in commands():
         proc = run(cli_argv, inputs)

@@ -17,7 +17,8 @@ and K = lambda_min(D Q) / 2D.  The degree scaling keeps the entries exact
 where they can be: on a D-regular graph w = 1, so only the terms 4/s'_z can
 round, and on the hypercube Q_n the float matrix is exactly 4I and K is
 float(2/n).  Everything is read off the adjacency block B1(x) x B2(x), as
-are the S1 out-degrees, the upper bound and the S1'' weights.
+are the S1 out-degrees, the triangles at x (half the sum of A11), the
+upper bound and the S1'' weights.
 :func:`be_curvatures` groups the vertices by ball shape (|B1(x)|, |B2(x)|)
 and sweeps each group in blocks, with one stacked ``eigvalsh`` for the
 curvature matrices per block; every float operation on one vertex's slice
@@ -41,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BadParam, FormCheckFailed, IsolatedVertex
-from .graphs import Graph, distances, require_connected, require_regular, triangle_count_vertex
+from .graphs import Graph, distances, require_connected, require_regular
 
 SHARP_TOL = 1e-7
 # adjacency entries per block of a sweep: B vertices of ball shape (k, m)
@@ -66,6 +67,12 @@ def _out_degrees(adj: np.ndarray, k: int) -> np.ndarray:
     """The S1 out-degrees in S1 order of each (|B1|, |B2|) adjacency block
     in the stack: the block's rows summed over S2."""
     return adj[:, 1:, k:].sum(axis=2)
+
+
+def _triangles(adj: np.ndarray, k: int) -> np.ndarray:
+    """#triangles(x) of each (|B1|, |B2|) adjacency block in the stack: half
+    the sum of its A[S1, S1] block, which counts each edge of S1 twice."""
+    return (adj[:, 1:, 1:k].sum(axis=(1, 2)) / 2).astype(np.int64)
 
 
 def _curvature_matrices(adj: np.ndarray, k: int) -> np.ndarray:
@@ -137,7 +144,7 @@ def _sweep(g: Graph, block: list[tuple[int, Partition]], rows: list) -> None:
     curvatures = (np.linalg.eigvalsh(_curvature_matrices(adj, k))[:, 0] / (2.0 * (k - 1))).tolist()
     if g.is_regular() is not None:
         out = _out_degrees(adj, k)
-        uppers = [_upper_bound(g, basis[0], o) for basis, o in zip(bases, out)]
+        uppers = [_upper_bound(k - 1, tri, o) for tri, o in zip(_triangles(adj, k).tolist(), out)]
         s1pp = _s1pp_tests(adj, k, out)
     else:
         uppers, s1pp = [None] * len(block), [(None, None)] * len(block)
@@ -149,15 +156,14 @@ def _sweep(g: Graph, block: list[tuple[int, Partition]], rows: list) -> None:
         )
 
 
-def _upper_bound(g: Graph, x: int, out: np.ndarray) -> Fraction:
-    """Exact upper bound 2/D + #triangles(x)/D^2 for a D-regular graph.
+def _upper_bound(deg: int, tri: int, out: np.ndarray) -> Fraction:
+    """Exact upper bound 2/D + #triangles(x)/D^2 at a vertex x of a
+    D-regular graph with ``tri`` triangles.
 
     Also evaluated as (3 + D - av_1^+(x)) / (2D), with the mean out-degree
     av_1^+(x) of the 1-sphere read off the S1 out-degrees ``out`` of x;
     the two expressions must agree.
     """
-    deg = require_regular(g)
-    tri = triangle_count_vertex(g, x)
     via_triangles = Fraction(2, deg) + Fraction(tri, deg * deg)
     av_plus = Fraction(int(out.sum()), len(out))
     via_average = (3 + deg - av_plus) / (2 * deg)

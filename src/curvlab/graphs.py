@@ -308,20 +308,21 @@ def mu_graph(g: Graph, x: int, z: int) -> Graph:
     return sub
 
 
-def _cocktail_party_m(g: Graph, members: frozenset[int]) -> Optional[int]:
-    """m such that ``members`` induces CP(m) in g, else None.
+def _cocktail_party_stack(s: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """m for each member set that induces CP(m), else 0.
 
-    The set must have an even, non-zero size 2m with every member adjacent
-    to exactly 2m - 2 others.  Each member then misses exactly one other,
-    and missing is symmetric, so the partner pairing is an involution.
+    ``s`` is a (B, r, r) stack of 0/1 adjacency blocks and ``members`` a
+    (B, r, c) stack of 0/1 columns, each marking a set of rows of its
+    block.  A set of size 2m induces CP(m) when every member is adjacent to
+    exactly 2m - 2 others; entry (y, j) of ``s @ members`` counts the
+    neighbours of row y in column j's set.  Each member then misses exactly
+    one other, and missing is symmetric, so the partner pairing is an
+    involution without fixed points and the size is even.  The empty set
+    reads as m = 0, not CP.
     """
-    size = len(members)
-    if size == 0 or size % 2 != 0:
-        return None
-    nbrs = g._neighbor_sets
-    if any(len(nbrs[v] & members) != size - 2 for v in members):
-        return None
-    return size // 2
+    size = members.sum(axis=1)
+    cp = ((s @ members == size[:, None, :] - 2) | (members == 0)).all(axis=1)
+    return (size / 2 * cp).astype(np.int64)
 
 
 def is_cocktail_party(g: Graph) -> Optional[int]:
@@ -329,7 +330,8 @@ def is_cocktail_party(g: Graph) -> Optional[int]:
 
     CP(1), two isolated vertices, is accepted.
     """
-    return _cocktail_party_m(g, frozenset(range(g.n)))
+    m = int(_cocktail_party_stack(g.dense_adjacency[None], np.ones((1, g.n, 1)))[0, 0])
+    return m or None
 
 
 @dataclass(frozen=True)
@@ -342,34 +344,48 @@ class SrgParams:
     mu: int
 
 
-def _srg_params(g: Graph, members: frozenset[int]) -> Optional[SrgParams]:
-    """The strongly regular parameters of the subgraph ``members`` induces
-    in g, read off g's neighbour sets, else None.
+def _srg_params_stack(s: np.ndarray) -> list[Optional[SrgParams]]:
+    """The strongly regular parameters of the graph of each 0/1 adjacency
+    matrix in the (B, n, n) stack ``s``, else None.
 
     Complete graphs, the empty one included, are excluded by convention.  A
-    set of n isolated points counts as (n, 0, *, 0) with wildcard lambda.
+    graph of n isolated points counts as (n, 0, *, 0) with wildcard lambda.
+    Entry (y, y') of ``s @ s`` counts the common neighbours of y and y':
+    lambda is its value on the edges, mu on the other off-diagonal cells,
+    and each must be constant.
     """
-    nbrs = g._neighbor_sets
-    local = [(v, nbrs[v] & members) for v in sorted(members)]
-    n, degrees = len(local), {len(nv) for _, nv in local}
-    if len(degrees) != 1 or degrees == {n - 1}:
-        return None  # not regular, or complete
-    (k,) = degrees
-    if k == 0:
-        return SrgParams(n, 0, None, 0)
-    common: dict[bool, set[int]] = {True: set(), False: set()}  # keyed by adjacency
-    for i, (_, nx) in enumerate(local):
-        for y, ny in local[i + 1 :]:
-            common[y in nx].add(len(nx & ny))
-    lams, mus = common[True], common[False]  # neither is empty: 0 < k < n - 1
-    if len(lams) > 1 or len(mus) > 1:
-        return None
-    return SrgParams(n, k, min(lams), min(mus))
+    count, n = s.shape[:2]
+    if n == 0:
+        return [None] * count
+    degrees = s.sum(axis=2)
+    k = degrees[:, 0]
+    regular = (degrees == k[:, None]).all(axis=1) & (k < n - 1)
+    common = s @ s
+    lam_lo, lam_hi = _range_on(common, s, n)
+    mu_lo, mu_hi = _range_on(common, 1.0 - s - np.eye(n), n)
+    out: list[Optional[SrgParams]] = []
+    for i in range(count):
+        if not regular[i]:
+            out.append(None)
+        elif k[i] == 0:
+            out.append(SrgParams(n, 0, None, 0))
+        elif lam_lo[i] != lam_hi[i] or mu_lo[i] != mu_hi[i]:
+            out.append(None)
+        else:  # neither cell set is empty: 0 < k < n - 1
+            out.append(SrgParams(n, int(k[i]), int(lam_lo[i]), int(mu_lo[i])))
+    return out
+
+
+def _range_on(counts: np.ndarray, mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of each matrix of counts in [0, n) in the stack over the
+    cells where the 0/1 ``mask`` is 1: a count outside the mask reads as n
+    for the minimum and as 0 for the maximum."""
+    return (counts + n * (1.0 - mask)).min(axis=(1, 2)), (counts * mask).max(axis=(1, 2))
 
 
 def is_strongly_regular(g: Graph) -> Optional[SrgParams]:
-    """Detect strong regularity; see :func:`_srg_params`."""
-    return _srg_params(g, frozenset(range(g.n)))
+    """Detect strong regularity; see :func:`_srg_params_stack`."""
+    return _srg_params_stack(g.dense_adjacency[None])[0]
 
 
 def intersection_array(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -1,8 +1,11 @@
 """Sharpness and classification predicates.
 
 Everything here is decided in exact rational arithmetic; no float decides
-a verdict.  The verdict dataclasses carry the witnesses needed to audit a
-failure.
+a verdict.  The mu-graph, 1-sphere and triangle counts come from products
+of float64 0/1 adjacency blocks, and every partial sum of such a product
+is an integer of at most ``MAX_VERTICES`` < 2^53, so each count is exact
+whatever order a BLAS kernel sums in.  The verdict dataclasses carry the
+witnesses needed to audit a failure.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +24,8 @@ from .errors import DisconnectedSubset, NotAPole, PreconditionUnmet
 from .families import FamilySpec, from_spec
 from .graphs import (
     Graph,
-    _cocktail_party_m,
-    _srg_params,
-    common_neighbors,
+    _cocktail_party_stack,
+    _srg_params_stack,
     degree_triple,
     distances,
     interval,
@@ -37,6 +39,26 @@ from .transport import kappas
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
+
+# entries per block of the mu-graph and 1-sphere scans: a vertex x stacks
+# |S1(x)| (|S1(x)| + |S2(x)|) of them in the mu-graph scan, |S1(x)|^2 in the
+# 1-sphere scan
+_SCAN_BLOCK = 1 << 14
+
+
+def _vertex_blocks(entries: Sequence[int]) -> Iterator[list[int]]:
+    """Runs of consecutive vertices, in order, each of at most ``_SCAN_BLOCK``
+    entries or of one vertex, where vertex x stacks ``entries[x]``."""
+    block: list[int] = []
+    total = 0
+    for x, size in enumerate(entries):
+        if block and total + size > _SCAN_BLOCK:
+            yield block
+            block, total = [], 0
+        block.append(x)
+        total += size
+    if block:
+        yield block
 
 
 @dataclass(frozen=True)
@@ -75,12 +97,14 @@ class LambdaVerdict:
 def lambda_m_check(ctx: GraphAnalysis, m: int) -> LambdaVerdict:
     """Every edge lies in at least m triangles and the remaining
     neighbourhoods admit a perfect adjacency matching, which is exactly
-    when ``kappa`` labels the edge "matching"."""
-    g = ctx.g
+    when ``kappa`` labels the edge "matching".  Each edge's triangles are
+    read off the common-neighbour counts A @ A."""
+    adj = ctx.g.dense_adjacency
+    common = adj @ adj
     failing = tuple(
         (u, v)
         for (u, v), value in ctx.edge_kappas.items()
-        if triangle_count_edge(g, u, v) < m or value.method != "matching"
+        if common[u, v] < m or value.method != "matching"
     )
     return LambdaVerdict(m=m, holds=not failing, failing_edges=failing)
 
@@ -104,7 +128,8 @@ def pole_facts(g: Graph, x: int) -> PoleFacts:
 
     Each edge at the pole is read off ``kappa`` (one ``kappas`` call for
     them all): it has a perfect adjacency matching exactly when the method
-    is "matching", and its W1 is (D + 1 - D kappa) / (D + 1).
+    is "matching", and its W1 is (D + 1 - D kappa) / (D + 1).  Its triangles
+    are read off the common-neighbour counts of x, row x of A @ A.
     """
     require_connected(g)
     deg = require_regular(g)
@@ -117,10 +142,12 @@ def pole_facts(g: Graph, x: int) -> PoleFacts:
     failures: list[str] = []
     tri_ok = match_ok = cost_ok = True
     values = kappas(g, [(x, y) for y in g.adjacency[x]])
+    adj = g.dense_adjacency
+    triangles = (adj[x] @ adj).astype(np.int64).tolist()
     for y in g.adjacency[x]:
-        if triangle_count_edge(g, x, y) != want_tri:
+        if triangles[y] != want_tri:
             tri_ok = False
-            failures.append(f"edge ({x},{y}) lies in {triangle_count_edge(g, x, y)} triangles")
+            failures.append(f"edge ({x},{y}) lies in {triangles[y]} triangles")
             continue
         value = values[(x, y)]
         if value.method != "matching":
@@ -266,18 +293,42 @@ class MuGraphVerdict:
 def mu_graphs_all_cp(g: Graph) -> MuGraphVerdict:
     """Every distance-2 pair's mu-graph is a cocktail party graph.
 
-    The pairs are taken in row-major order and each mu-graph is read off
-    the common neighbours N(x) & N(y), without building it.
+    The pairs (x, z), z > x, are taken in row-major order, and each
+    mu-graph is read off its vertex x's adjacency blocks S = A[S1(x), S1(x)]
+    and B = A[S1(x), S2(x)], without building it: column z of B marks the
+    common neighbours of x and z, and column z of S @ B counts each one's
+    neighbours among them.  The vertices are taken in runs of consecutive
+    ones, in order, of at most ``_SCAN_BLOCK`` stacked entries; within a run
+    they are grouped by block shape (|S1(x)|, |S2(x)|), one stacked product
+    per shape.  The scan stops after the first run that holds a failing
+    pair, and ``m_values`` then counts the pairs before that one.
     """
     require_connected(g)
-    d = distances(g)
+    dist, adj = distances(g).dist, g.dense_adjacency
+    s2_sizes = (dist == 2).sum(axis=1).tolist()
+    entries = [k * (k + s) for k, s in zip(g.degrees, s2_sizes)]
     counts: Counter[int] = Counter()
-    pairs = ((x, y) for x in range(g.n) for y in d.sphere(x, 2) if y > x)
-    for x, y in pairs:
-        m = _cocktail_party_m(g, common_neighbors(g, x, y))
-        if m is None:
-            return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, y))
-        counts[m] += 1
+    for run in _vertex_blocks(entries):
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for x in run:
+            shapes.setdefault((g.degrees[x], s2_sizes[x]), []).append(x)
+        keys, ms = [], []
+        for (k, s), xs in shapes.items():
+            s1 = np.array([g.adjacency[x] for x in xs], dtype=np.intp).reshape(len(xs), k)
+            s2 = np.nonzero(dist[xs] == 2)[1].reshape(len(xs), s)
+            blocks = adj[s1[:, :, None], np.concatenate([s1, s2], axis=1)[:, None, :]]
+            m = _cocktail_party_stack(blocks[:, :, :k], blocks[:, :, k:])
+            rows = np.array(xs)[:, None]
+            later = s2 > rows
+            keys.append((rows * g.n + s2)[later])
+            ms.append(m[later])
+        key, m = np.concatenate(keys), np.concatenate(ms)
+        failing = key[m == 0]
+        first = failing.min() if failing.size else None
+        counts.update((m if first is None else m[key < first]).tolist())
+        if first is not None:
+            x, z = divmod(int(first), g.n)
+            return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, z))
     return MuGraphVerdict(True, tuple(sorted(counts.items())), None)
 
 
@@ -296,8 +347,13 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     Preconditions: self-centered Bonnet-Myers sharp with uniform cocktail
     party mu-graphs of the predicted size.
 
-    Each 1-sphere S1(x) is read off the neighbour sets of N(x), and its
-    parameters decide the verdict exactly; the eigenvalue needs no solve.
+    Each 1-sphere S1(x) is read off the adjacency block A[S1(x), S1(x)]:
+    its row sums give k, and the product of the block with itself gives
+    lambda on the edges and mu on the other off-diagonal cells.  The
+    vertices are taken in runs of consecutive ones, in order, of at most
+    ``_SCAN_BLOCK`` stacked entries, one stacked product per run, and the
+    scan stops at the first failing vertex.  The parameters decide the
+    verdict exactly; the eigenvalue needs no solve.
     The eigenvalues of an srg(v, k, lambda, mu) other than k are the roots
     of x^2 - (lambda - mu) x - (k - mu) (Godsil-Royle, *Algebraic Graph
     Theory*, sec. 10.2).  With the predicted k, lambda, mu and theta below,
@@ -335,13 +391,15 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     mu = Fraction(2 * (deg - L), L * (L - 1))
     theta = Fraction((deg - L) * (L - 2), L * (L - 1))
     want = (nu, k, lam, mu)
-    for x in range(g.n):
-        params = _srg_params(g, g.neighbor_set(x))
-        if params is None:
-            return LocalSrgVerdict(False, want, theta, x)
-        got_lam = params.lam if params.lam is not None else lam  # wildcard
-        if (params.nu, params.k, got_lam, params.mu) != want:
-            return LocalSrgVerdict(False, want, theta, x)
+    adj, spheres = g.dense_adjacency, np.array(g.adjacency, dtype=np.intp)
+    for run in _vertex_blocks([deg * deg] * g.n):
+        s1 = spheres[run]
+        for x, params in zip(run, _srg_params_stack(adj[s1[:, :, None], s1[:, None, :]])):
+            if params is None:
+                return LocalSrgVerdict(False, want, theta, x)
+            got_lam = params.lam if params.lam is not None else lam  # wildcard
+            if (params.nu, params.k, got_lam, params.mu) != want:
+                return LocalSrgVerdict(False, want, theta, x)
     return LocalSrgVerdict(True, want, theta, None)
 
 

@@ -15,7 +15,9 @@ distance eigenfunction by the exact normalized Laplacian in Fractions,
 intersection arrays by a scan of every ordered vertex pair, isomorphism
 and automorphism orbits by permutation enumeration, strong sphericity by
 the full row-major interval scan,
-cocktail party graphs by their complement, mu-graphs by building each one,
+cocktail party graphs by their complement and by neighbour sets, mu-graphs
+by building each one and by one frozenset intersection per pair, strongly
+regular parameters by neighbour sets pair by pair,
 random regular graphs by stub pairing.
 
 The exact Gamma and Gamma2 evaluators, the normalized Laplacian in
@@ -35,26 +37,28 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 from typing import Mapping, Optional
 
 import numpy as np
 
-from curvlab import _kernels, bakry_emery
+from curvlab import _kernels, bakry_emery, sharpness
 from curvlab.errors import FormCheckFailed, IsolatedVertex, PreconditionError
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
 from curvlab.graphs import (
     DistanceOracle,
     Graph,
+    SrgParams,
     build_graph,
     degree_triple,
     distances,
     mu_graph,
+    require_regular,
     triangle_count_vertex,
 )
-from curvlab.sharpness import MuGraphVerdict, SphericalVerdict
+from curvlab.sharpness import LocalSrgVerdict, MuGraphVerdict, SphericalVerdict
 from curvlab.transport import Measure, TransportPlan, _transportation
 
 # Slack for "is this matrix PSD" in the bisection; must stay well below
@@ -175,9 +179,13 @@ def gamma_forms(g: Graph, x: int) -> tuple[QuadraticForm, QuadraticForm]:
 
 def be_upper_bound(g: Graph, x: int) -> Fraction:
     """The exact Bakry-Emery upper bound at x of a D-regular graph, by both
-    of ``be_curvatures``'s expressions, which must agree."""
+    of ``be_curvatures``'s expressions, which must agree; NotRegular off a
+    regular graph."""
+    deg = require_regular(g)
     _, k, adj = bakry_emery._ball_partition(g, x)
-    return bakry_emery._upper_bound(g, x, bakry_emery._out_degrees(adj[None], k)[0])
+    adj = adj[None]
+    tri = int(bakry_emery._triangles(adj, k)[0])
+    return bakry_emery._upper_bound(deg, tri, bakry_emery._out_degrees(adj, k)[0])
 
 
 def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
@@ -663,6 +671,71 @@ def cocktail_party_bruteforce(g: Graph) -> int | None:
     if g.n == 0 or covered != list(range(g.n)):
         return None
     return g.n // 2
+
+
+def cocktail_party_m_by_sets(g: Graph, members: frozenset[int]) -> Optional[int]:
+    """m such that ``members`` induces CP(m) in g, else None, read off g's
+    neighbour sets: an even, non-zero size 2m and every member adjacent to
+    exactly 2m - 2 others."""
+    size = len(members)
+    if size == 0 or size % 2 != 0:
+        return None
+    if any(len(g.neighbor_set(v) & members) != size - 2 for v in members):
+        return None
+    return size // 2
+
+
+def mu_graphs_by_sets(g: Graph) -> MuGraphVerdict:
+    """The mu-graph scan as one frozenset intersection per distance-2 pair,
+    in row-major pair order: the loop the stacked scan replaced."""
+    d = distances(g)
+    counts: Counter[int] = Counter()
+    for x in range(g.n):
+        for z in d.sphere(x, 2):
+            if z <= x:
+                continue
+            m = cocktail_party_m_by_sets(g, g.neighbor_set(x) & g.neighbor_set(z))
+            if m is None:
+                return MuGraphVerdict(False, tuple(sorted(counts.items())), (x, z))
+            counts[m] += 1
+    return MuGraphVerdict(True, tuple(sorted(counts.items())), None)
+
+
+def srg_params_by_sets(g: Graph, members: frozenset[int]) -> Optional[SrgParams]:
+    """The strongly regular parameters of the subgraph ``members`` induces
+    in g, read off g's neighbour sets pair by pair, else None; complete
+    graphs are excluded and n isolated points are (n, 0, *, 0)."""
+    local = [(v, g.neighbor_set(v) & members) for v in sorted(members)]
+    n, degrees = len(local), {len(nv) for _, nv in local}
+    if len(degrees) != 1 or degrees == {n - 1}:
+        return None
+    (k,) = degrees
+    if k == 0:
+        return SrgParams(n, 0, None, 0)
+    common: dict[bool, set[int]] = {True: set(), False: set()}  # keyed by adjacency
+    for i, (_, nx) in enumerate(local):
+        for y, ny in local[i + 1 :]:
+            common[y in nx].add(len(nx & ny))
+    lams, mus = common[True], common[False]
+    if len(lams) > 1 or len(mus) > 1:
+        return None
+    return SrgParams(n, k, min(lams), min(mus))
+
+
+def local_srg_by_sets(ctx) -> LocalSrgVerdict:
+    """``local_srg_check`` with every 1-sphere's parameters read by
+    ``srg_params_by_sets``, one vertex at a time; the predicted parameters
+    and the preconditions are the library's."""
+    want = sharpness.local_srg_check(ctx)
+    _, _, lam, _ = want.params
+    for x in range(ctx.g.n):
+        params = srg_params_by_sets(ctx.g, ctx.g.neighbor_set(x))
+        if params is None:
+            return replace(want, holds=False, failure=x)
+        got_lam = params.lam if params.lam is not None else lam
+        if (params.nu, params.k, got_lam, params.mu) != want.params:
+            return replace(want, holds=False, failure=x)
+    return replace(want, holds=True, failure=None)
 
 
 def mu_graphs_by_subgraphs(g: Graph, d: DistanceOracle) -> MuGraphVerdict:

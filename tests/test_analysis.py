@@ -102,11 +102,16 @@ def test_bakry_emery_one_closed_form_pass_per_vertex(monkeypatch, capsys):
 
 
 def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):
+    # each sweep counts its block's triangles in one call on its stack, and
     # the conjecture scan reads its weak bound off the rows' upper bounds
-    triangles = record_calls(monkeypatch, "graphs", "triangle_count_vertex")
+    sweeps = record_calls(monkeypatch, "bakry_emery", "_sweep")
+    stacked = record_calls(monkeypatch, "bakry_emery", "_triangles")
+    per_vertex = record_calls(monkeypatch, "graphs", "triangle_count_vertex")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(args[1] for args in triangles) == list(range(8))
+    assert sorted(part[0][0] for (_, block, _) in sweeps for _, part in block) == list(range(8))
+    assert [len(adj) for adj, _ in stacked] == [len(block) for _, block, _ in sweeps]
+    assert per_vertex == []
 
 
 def test_curvature_plan_one_w1_solve(monkeypatch, capsys):

@@ -421,8 +421,8 @@ class TestConsistencyChecks:
 
     def test_upper_bound_disagreement_exits_4(self, monkeypatch, capsys, q3):
         g, _ = q3
-        count = bakry_emery.triangle_count_vertex
-        monkeypatch.setattr(bakry_emery, "triangle_count_vertex", lambda g, x: count(g, x) + 1)
+        count = bakry_emery._triangles
+        monkeypatch.setattr(bakry_emery, "_triangles", lambda adj, k: count(adj, k) + 1)
         with pytest.raises(FormCheckFailed):
             be_upper_bound(g, 0)
         assert main(["bakry-emery", "hypercube:3", "--vertex", "0"]) == 4

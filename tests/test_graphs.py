@@ -4,6 +4,7 @@ structural predicates, products."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +55,7 @@ from helpers import (
     random_regular_graph,
     record_calls,
     sample_graph,
+    srg_params_by_sets,
 )
 
 
@@ -350,12 +352,13 @@ class TestStronglyRegular:
             for x in range(g.n):
                 sphere, _ = induced_subgraph(g, g.adjacency[x])
                 want = is_strongly_regular(sphere)
-                assert graphs._srg_params(g, g.neighbor_set(x)) == want
+                assert srg_params_by_sets(g, g.neighbor_set(x)) == want
                 kinds.add(None if want is None else want.lam is None)
         assert kinds == {None, True, False}
 
     def test_empty_set_has_no_params(self):
-        assert graphs._srg_params(hypercube(2), frozenset()) is None
+        assert graphs._srg_params_stack(np.zeros((2, 0, 0))) == [None, None]
+        assert is_strongly_regular(build_graph(0, [])) is None
 
 
 class TestIntersectionArray:

@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from curvlab import graphs, sharpness
 from curvlab.analysis import GraphAnalysis
 from curvlab.errors import DisconnectedSubset, NotAPole, PreconditionUnmet
 from curvlab.families import (
@@ -26,9 +27,11 @@ from curvlab.graphs import (
     induced_subgraph,
     interval,
     poles_and_antipoles,
+    triangle_count_edge,
 )
 from curvlab.isomorphism import automorphism_orbits, verify_isomorphism
 from curvlab.sharpness import (
+    MuGraphVerdict,
     SphericalVerdict,
     bm_sharpness,
     classify,
@@ -48,11 +51,15 @@ from curvlab.sharpness import (
 from helpers import (
     SAMPLE_GRAPHS,
     ambient_spherical_bruteforce,
+    cocktail_party_m_by_sets,
+    local_srg_by_sets,
+    mu_graphs_by_sets,
     mu_graphs_by_subgraphs,
     random_regular_graph,
     record_calls,
     sample_graph,
     spherical_row_major,
+    srg_params_by_sets,
 )
 
 
@@ -106,6 +113,18 @@ class TestLambdaM:
             lam = m.denominator == 1 and m >= 0 and lambda_m_check(GraphAnalysis(g), int(m)).holds
             assert sharp == lam
 
+    def test_failing_edges_match_the_per_edge_count(self):
+        # the triangles read off A @ A are triangle_count_edge's
+        for name in SAMPLE_GRAPHS:
+            g = sample_graph(name)
+            ctx = GraphAnalysis(g)
+            for m in (0, 1, 2, 16):
+                want = tuple(
+                    (u, v) for (u, v), value in ctx.edge_kappas.items()
+                    if triangle_count_edge(g, u, v) < m or value.method != "matching"
+                )
+                assert lambda_m_check(ctx, m).failing_edges == want, (name, m)
+
 
 class TestPoleFacts:
     def test_q3(self, q3):
@@ -142,6 +161,15 @@ class TestPoleFacts:
         assert facts.failures == (
             "edge (0,1) has no perfect matching",
             "edge (0,4) has no perfect matching",
+        )
+
+    def test_triangle_failures_print_the_count(self, petersen):
+        # a pole of Petersen expects 2D/L - 2 = 1 triangle per edge and finds 0
+        g, _ = petersen
+        facts = pole_facts(g, 0)
+        assert not facts.triangles_ok and facts.expected_triangles == 1
+        assert facts.failures == tuple(
+            f"edge (0,{y}) lies in {triangle_count_edge(g, 0, y)} triangles" for y in g.adjacency[0]
         )
 
     def test_not_a_pole(self):
@@ -421,6 +449,163 @@ class TestLocalSrg:
         built = record_calls(monkeypatch, "graphs", "induced_subgraph")
         assert local_srg_check(ctx).holds
         assert built == []
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _random_irregular(n, rng):
+    """A connected graph on n vertices: a random spanning tree plus random edges."""
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+    return build_graph(n, sorted(edges))
+
+
+def _c10_1_4():
+    """The circulant C10(1, 4): i ~ i +- 1, i +- 4."""
+    return build_graph(10, [(i, (i + s) % 10) for i in range(10) for s in (1, 4)])
+
+
+def _scan_corpus():
+    """Every sample graph, random regular and irregular graphs, and a
+    relabelled copy of each."""
+    rng = random.Random(27)
+    corpus = [sample_graph(name) for name in SAMPLE_GRAPHS]
+    corpus += [random_regular_graph(n, deg, rng) for n, deg in [(10, 4), (12, 5), (14, 6), (16, 3)] * 2]
+    corpus += [_random_irregular(n, rng) for n in (6, 9, 12, 15) * 2]
+    corpus.append(_c10_1_4())
+    return corpus + [_relabelled(g, rng) for g in corpus]
+
+
+def _planted_j63():
+    """J(6,3), 9-regular of diameter 3, after the first double-edge swap
+    away from the closed neighbourhood of vertex 0 that keeps it connected
+    of diameter 3: the 1-spheres around the swap lose the predicted
+    srg(9, 4, 1, 2), and that of vertex 0 keeps it."""
+    g = johnson(6, 3)
+    edges = set(g.edges())
+    near = {0, *g.adjacency[0]}
+    for (a, b), (c, e) in product(sorted(edges), repeat=2):
+        if near & {a, b, c, e} or len({a, b, c, e}) < 4:
+            continue
+        new = {tuple(sorted((a, c))), tuple(sorted((b, e)))}
+        if new & edges:
+            continue
+        planted = build_graph(g.n, sorted((edges - {(a, b), (c, e)}) | new))
+        d = distances(planted)
+        if d.is_connected and d.diameter == 3:
+            return g, planted
+    raise AssertionError("no swap found")
+
+
+class TestStackedScans:
+    """The stacked mu-graph and 1-sphere scans against the frozenset loops
+    they replaced: the same verdicts, counts, failures and parameters."""
+
+    def test_mu_scan_equals_the_set_loop(self):
+        corpus = _scan_corpus()
+        verdicts = [mu_graphs_all_cp(g) for g in corpus]
+        assert verdicts == [mu_graphs_by_sets(g) for g in corpus]
+        assert any(v.holds for v in verdicts)
+        assert any(not v.holds and v.m_values for v in verdicts)  # partial counts
+
+    def test_one_vertex_blocks_change_nothing(self, monkeypatch):
+        # every run of the scan holds one vertex: failures past the first
+        # run, and the counts of the runs before them
+        corpus = _scan_corpus()
+        monkeypatch.setattr(sharpness, "_SCAN_BLOCK", 1)
+        verdicts = [mu_graphs_all_cp(g) for g in corpus]
+        assert verdicts == [mu_graphs_by_sets(g) for g in corpus]
+        assert any(v.failure is not None and v.failure[0] > 0 for v in verdicts)
+
+    def test_gosset_spans_several_blocks(self, monkeypatch, gosset_graph):
+        g, _ = gosset_graph
+        ctx = GraphAnalysis(g)
+        ctx.bm, ctx.poles_and_antipoles  # the preconditions' own work
+        cp = record_calls(monkeypatch, "graphs", "_cocktail_party_stack")
+        assert mu_graphs_all_cp(g) == mu_graphs_by_sets(g) == MuGraphVerdict(True, ((5, 756),), None)
+        assert len(cp) > 1
+        ctx.mu_graphs = mu_graphs_by_sets(g)
+        srg = record_calls(monkeypatch, "graphs", "_srg_params_stack")
+        verdict = local_srg_check(ctx)
+        assert len(srg) > 1 and sum(len(s) for s, in srg) == g.n
+        assert verdict.holds and verdict == local_srg_by_sets(ctx)
+
+    def test_c10_1_4_fails_at_its_third_pair(self):
+        # (0, 2) and (0, 3) have two non-adjacent common neighbours, CP(1);
+        # (0, 5) has four, 1 4 6 9, with no edge among them, not CP(2)
+        g = _c10_1_4()
+        want = MuGraphVerdict(False, ((1, 2),), (0, 5))
+        assert mu_graphs_all_cp(g) == mu_graphs_by_sets(g) == want
+
+    def test_first_failure_across_block_shapes(self):
+        # vertices 0 and 2 share the block shape (3, 2) and are stacked
+        # together, vertex 1 has (1, 2); (1, 2) fails before (2, 5) does
+        g = build_graph(6, [(0, 1), (0, 2), (0, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
+        want = MuGraphVerdict(False, ((1, 2),), (1, 2))
+        assert mu_graphs_all_cp(g) == mu_graphs_by_sets(g) == want
+
+    def test_sphere_stacks_equal_the_set_oracle(self):
+        # every 1-sphere of the corpus, stacked by degree
+        kinds = set()
+        for g in _scan_corpus():
+            adj = g.dense_adjacency
+            by_degree = {}
+            for x in range(g.n):
+                by_degree.setdefault(g.degree(x), []).append(x)
+            for xs in by_degree.values():
+                s1 = np.array([g.adjacency[x] for x in xs], dtype=np.intp).reshape(len(xs), -1)
+                got = graphs._srg_params_stack(adj[s1[:, :, None], s1[:, None, :]])
+                want = [srg_params_by_sets(g, g.neighbor_set(x)) for x in xs]
+                assert got == want
+                kinds |= {None if p is None else p.lam is None for p in want}
+        assert kinds == {None, True, False}
+
+    def test_whole_graph_kernels_equal_the_set_oracles(self):
+        for g in _scan_corpus():
+            members = frozenset(range(g.n))
+            assert graphs.is_strongly_regular(g) == srg_params_by_sets(g, members)
+            assert graphs.is_cocktail_party(g) == cocktail_party_m_by_sets(g, members)
+
+    def test_local_srg_equals_the_set_loop(self):
+        held = 0
+        for g in _scan_corpus():
+            if g.is_regular() is None:
+                continue
+            try:
+                verdict = local_srg_check(GraphAnalysis(g))
+            except PreconditionUnmet:
+                continue
+            assert verdict == local_srg_by_sets(GraphAnalysis(g))
+            held += verdict.holds
+        assert held >= 10
+
+    def test_q4_takes_the_wildcard_route(self, q4):
+        # D = L = 4: every 1-sphere is 4 isolated points, (4, 0, *, 0)
+        g, _ = q4
+        verdict = local_srg_check(GraphAnalysis(g))
+        assert verdict.holds and verdict.params == (4, 0, -2, 0) and verdict.theta == 0
+        s1 = np.array(g.adjacency, dtype=np.intp)
+        stack = g.dense_adjacency[s1[:, :, None], s1[:, None, :]]
+        assert graphs._srg_params_stack(stack) == [graphs.SrgParams(4, 0, None, 0)] * g.n
+
+    @pytest.mark.parametrize("block", [1 << 14, 81])
+    def test_planted_sphere_fails(self, monkeypatch, block):
+        # the preconditions of J(6,3), planted on the swapped graph; at 81
+        # entries each run holds one vertex
+        g, planted = _planted_j63()
+        ctx = GraphAnalysis(g)
+        planted_ctx = GraphAnalysis(planted)
+        planted_ctx.bm, planted_ctx.mu_graphs = ctx.bm, ctx.mu_graphs
+        planted_ctx.poles_and_antipoles = ctx.poles_and_antipoles
+        monkeypatch.setattr(sharpness, "_SCAN_BLOCK", block)
+        verdict = local_srg_check(planted_ctx)
+        assert verdict == local_srg_by_sets(planted_ctx)
+        assert not verdict.holds and verdict.failure > 0
+        assert verdict.params == (9, 4, 1, 2)
 
 
 class TestSspNcp:
