@@ -26,9 +26,10 @@ regular of degree 0), ``analyze``, ``curvature`` on a pair and with
 --path 0,1 --z 0``, so the precondition refusals are gated too (every
 command on P4 except ``spectral`` and the two ``bakry-emery`` ones
 refuses it; ``analyze`` does since it builds its analysis first); and
-``bakry-emery`` (default and ``--vertex 0``) on a connected irregular
-graph with triangles and a non-empty 2-sphere, whose 1-ball degrees
-differ; and ``analyze --skip-spherical`` on the 4-cube, the 6-demicube,
+``bakry-emery`` (default and ``--vertex 0``) on two connected irregular
+graphs with triangles and non-empty 2-spheres: one whose 1-ball degrees
+differ, and a 30-vertex one whose four ball shapes alternate in vertex
+order, so one block run holds several shape groups; and ``analyze --skip-spherical`` on the 4-cube, the 6-demicube,
 J(8,4) and the circulant C10(1, 4), i ~ i +- 1, i +- 4, whose mu-graph scan
 fails at its third pair, so the partial mu-graph counts of a failing scan
 are gated too.  The two products are built with ``gen product`` and the six
@@ -43,7 +44,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 97 commands run one after another and take about 20 s on a 2-core
+The 99 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -68,10 +69,23 @@ REFUSED = {
     "empty.json": (0, []),
     "k1.json": (1, []),
 }
-# a triangular prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3, 4
+# a triangular prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3, 4;
+# and a 30-vertex graph, i ~ i + 1, i ~ 7i + 3 and, for i = 0 mod 5, i ~ i + 2
+# (63 edges, degrees 4 and 5, 12 triangles), whose four ball shapes
+# (|S1(x)|, |S2(x)|) alternate in vertex order
 IRREGULAR = {
     "prism-plus.json": (
         7, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4], [3, 5], [4, 5], [0, 6], [1, 6]]
+    ),
+    "shapes30.json": (
+        30,
+        sorted(
+            {
+                (min(i, j), max(i, j))
+                for i in range(30)
+                for j in [(i + 1) % 30, (7 * i + 3) % 30] + ([(i + 2) % 30] if i % 5 == 0 else [])
+            }
+        ),
     ),
 }
 # C10(1, 4): its mu-graph scan passes (0, 2) and (0, 3), then fails at (0, 5)

@@ -16,13 +16,14 @@ s'_z = sum_y V[y, z] > 0,
 and K = lambda_min(D Q) / 2D.  The degree scaling keeps the entries exact
 where they can be: on a D-regular graph w = 1, so only the terms 4/s'_z can
 round, and on the hypercube Q_n the float matrix is exactly 4I and K is
-float(2/n).  Everything is read off the adjacency block B1(x) x B2(x), as
-are the S1 out-degrees, the triangles at x (half the sum of A11), the
-upper bound and the S1'' weights.
-:func:`be_curvatures` groups the vertices by ball shape (|B1(x)|, |B2(x)|)
-and sweeps each group in blocks, with one stacked ``eigvalsh`` for the
-curvature matrices per block; every float operation on one vertex's slice
-is the one a single-vertex pass makes, so no value depends on the grouping.
+float(2/n).  Everything is read off the adjacency block A[S1, S1 + S2] of
+:func:`curvlab.graphs._ball_runs`, as are the S1 out-degrees, the
+triangles at x (half the sum of A11), the upper bound and the S1''
+weights.  :func:`be_curvatures` sweeps each group of one ball shape
+(|S1(x)|, |S2(x)|) in a run of the reader as one stack, with one stacked
+``eigvalsh`` for its curvature matrices; every float operation on one
+vertex's slice is the one a single-vertex pass makes, so no value depends
+on the runs or groups.
 
 Sharpness verdicts use a 1e-7 tolerance.  The upper bound
 (3 + D - av_1^+(x)) / (2D) = 2/D + #triangles(x)/D^2 is exact rational,
@@ -42,44 +43,30 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BadParam, FormCheckFailed, IsolatedVertex
-from .graphs import Graph, distances, require_connected, require_regular
+from .graphs import Graph, _ball_runs, distances, require_connected, require_regular
 
 SHARP_TOL = 1e-7
-# adjacency entries per block of a sweep: B vertices of ball shape (k, m)
-# stack B k m, the largest arrays of the closed form
-_SWEEP_BLOCK = 1 << 14
-Partition = tuple[list[int], int, np.ndarray]  # basis, |B1(x)|, B1(x) x B2(x) block
 
 
 # -- curvature matrix ---------------------------------------------------------
 
-def _ball_partition(g: Graph, x: int) -> Partition:
-    """The basis [x] + S1 + S2 of B2(x), with the sorted spheres of a local
-    BFS; |B1(x)|; and the adjacency block B1(x) x B2(x), the module's one
-    read of the dense adjacency."""
-    s1 = sorted(g.adjacency[x])
-    ball = [x, *s1]
-    s2 = sorted({z for y in s1 for z in g.adjacency[y]} - set(ball))
-    return ball + s2, len(ball), g.dense_adjacency[np.ix_(ball, ball + s2)]
+def _out_degrees(adj: np.ndarray) -> np.ndarray:
+    """The S1 out-degrees in S1 order of each A[S1, S1 + S2] block in the
+    stack: the block's rows summed over S2."""
+    return adj[:, :, adj.shape[1]:].sum(axis=2)
 
 
-def _out_degrees(adj: np.ndarray, k: int) -> np.ndarray:
-    """The S1 out-degrees in S1 order of each (|B1|, |B2|) adjacency block
-    in the stack: the block's rows summed over S2."""
-    return adj[:, 1:, k:].sum(axis=2)
+def _triangles(adj: np.ndarray) -> np.ndarray:
+    """#triangles(x) of each A[S1, S1 + S2] block in the stack: half the sum
+    of its A[S1, S1] block, which counts each edge of S1 twice."""
+    return (adj[:, :, : adj.shape[1]].sum(axis=(1, 2)) / 2).astype(np.int64)
 
 
-def _triangles(adj: np.ndarray, k: int) -> np.ndarray:
-    """#triangles(x) of each (|B1|, |B2|) adjacency block in the stack: half
-    the sum of its A[S1, S1] block, which counts each edge of S1 twice."""
-    return (adj[:, 1:, 1:k].sum(axis=(1, 2)) / 2).astype(np.int64)
-
-
-def _curvature_matrices(adj: np.ndarray, k: int) -> np.ndarray:
-    """D Q(x), as in the module docstring, for each (|B1|, |B2|) adjacency
-    block in the stack; D = k - 1 is the degree of x."""
-    deg = k - 1
-    a11, b = adj[:, 1:, 1:k], adj[:, 1:, k:]
+def _curvature_matrices(adj: np.ndarray) -> np.ndarray:
+    """D Q(x), as in the module docstring, for each A[S1, S1 + S2] block in
+    the stack; D = |S1| is the degree of x."""
+    deg = adj.shape[1]
+    a11, b = adj[:, :, :deg], adj[:, :, deg:]
     t, o = a11.sum(axis=2), b.sum(axis=2)
     w = deg / (1.0 + t + o)
     c = (w[:, :, None] + w[:, None, :]) * a11
@@ -111,49 +98,43 @@ def be_curvatures(g: Graph, xs: Iterable[int]) -> list[BEReport]:
     vertex of ``xs``, in that order.
 
     Everything at x is read off the 2-ball B2(x), so the rest of the graph,
-    and whether it is connected, does not matter.  The vertices are
-    grouped by ball shape (|B1(x)|, |B2(x)|), and a group's curvature
-    matrices are built from stacks of at most ``_SWEEP_BLOCK`` adjacency
-    entries, one block at a time.  The upper bound and the S1'' test are criteria for
-    D-regular graphs: None off one.
+    and whether it is connected, does not matter.  The blocks
+    A[S1(x), S1(x) + S2(x)] come from :func:`curvlab.graphs._ball_runs`,
+    and each group of one ball shape in a run is swept as one stack.  The
+    upper bound and the S1'' test are criteria for D-regular graphs: None
+    off one.
     """
     xs = list(xs)
     for x in xs:
         if g.degree(x) == 0:
             raise IsolatedVertex(f"Bakry-Emery curvature is not defined at isolated vertex {x}")
     rows: list[Optional[BEReport]] = [None] * len(xs)
-    pending: dict[tuple[int, int], list[tuple[int, Partition]]] = {}
-    for i, x in enumerate(xs):
-        part = _ball_partition(g, x)
-        k, m = part[1], len(part[0])
-        block = pending.setdefault((k, m), [])
-        block.append((i, part))
-        if len(block) >= max(1, _SWEEP_BLOCK // (k * m)):
-            _sweep(g, pending.pop((k, m)), rows)
-    for block in pending.values():
-        _sweep(g, block, rows)
+    for run in _ball_runs(g, xs):
+        for pos, _, adj in run:
+            for i, row in zip(pos.tolist(), _sweep(g, [xs[i] for i in pos], adj)):
+                rows[i] = row
     return rows
 
 
-def _sweep(g: Graph, block: list[tuple[int, Partition]], rows: list) -> None:
-    """Write the reports of one block of same-shape partitions into ``rows``
-    at their positions."""
-    bases = [part[0] for _, part in block]
-    k = block[0][1][1]  # |B1(x)|, the same for the whole block
-    adj = np.stack([part[2] for _, part in block])
-    curvatures = (np.linalg.eigvalsh(_curvature_matrices(adj, k))[:, 0] / (2.0 * (k - 1))).tolist()
+def _sweep(g: Graph, vertices: list[int], adj: np.ndarray) -> list[BEReport]:
+    """The reports at ``vertices``, one ball shape, from the stack ``adj``
+    of their A[S1, S1 + S2] blocks."""
+    deg = adj.shape[1]
+    curvatures = (np.linalg.eigvalsh(_curvature_matrices(adj))[:, 0] / (2.0 * deg)).tolist()
     if g.is_regular() is not None:
-        out = _out_degrees(adj, k)
-        uppers = [_upper_bound(k - 1, tri, o) for tri, o in zip(_triangles(adj, k).tolist(), out)]
-        s1pp = _s1pp_tests(adj, k, out)
+        out = _out_degrees(adj)
+        uppers = [_upper_bound(deg, tri, o) for tri, o in zip(_triangles(adj).tolist(), out)]
+        s1pp = _s1pp_tests(adj, out)
     else:
-        uppers, s1pp = [None] * len(block), [(None, None)] * len(block)
-    for (i, _), basis, kx, upper, (s1_reg, lam1) in zip(block, bases, curvatures, uppers, s1pp):
-        rows[i] = BEReport(
-            vertex=basis[0], curvature=kx, upper_bound=upper,
+        uppers, s1pp = [None] * len(vertices), [(None, None)] * len(vertices)
+    return [
+        BEReport(
+            vertex=x, curvature=kx, upper_bound=upper,
             is_sharp=upper is not None and abs(kx - float(upper)) < SHARP_TOL,
             s1_out_regular=s1_reg, s1pp_lambda1=lam1,
         )
+        for x, kx, upper, (s1_reg, lam1) in zip(vertices, curvatures, uppers, s1pp)
+    ]
 
 
 def _upper_bound(deg: int, tri: int, out: np.ndarray) -> Fraction:
@@ -172,18 +153,20 @@ def _upper_bound(deg: int, tri: int, out: np.ndarray) -> Fraction:
     return via_triangles
 
 
-def _s1pp_weights(adj: np.ndarray, k: int) -> np.ndarray:
+def _s1pp_weights(adj: np.ndarray) -> np.ndarray:
     """The S1'' weights A[S1, S1] + (B / colsum(B)) B^T, B = A[S1, S2], off
-    the diagonal, of each adjacency block in the stack."""
-    b = adj[:, 1:, k:]
-    w = adj[:, 1:, 1:k] + (b / b.sum(axis=1, keepdims=True)) @ b.transpose(0, 2, 1)
-    w[:, range(k - 1), range(k - 1)] = 0.0
+    the diagonal, of each A[S1, S1 + S2] block in the stack."""
+    deg = adj.shape[1]
+    b = adj[:, :, deg:]
+    w = adj[:, :, :deg] + (b / b.sum(axis=1, keepdims=True)) @ b.transpose(0, 2, 1)
+    w[:, range(deg), range(deg)] = 0.0
     return w
 
 
-def _s1pp_tests(adj: np.ndarray, k: int, out: np.ndarray) -> list[tuple[bool, Optional[float]]]:
+def _s1pp_tests(adj: np.ndarray, out: np.ndarray) -> list[tuple[bool, Optional[float]]]:
     """(applicable, lambda1) for the weighted 1-sphere Laplacian test at
-    each vertex of the block, from its adjacency block and S1 out-degrees.
+    each vertex of the stack, from its A[S1, S1 + S2] block and S1
+    out-degrees.
 
     Applicable only at S1-out regular vertices.  The weighted graph S1''(x)
     carries the induced 1-sphere edges plus weights
@@ -194,10 +177,11 @@ def _s1pp_tests(adj: np.ndarray, k: int, out: np.ndarray) -> list[tuple[bool, Op
     applicable = (out == out[:, :1]).all(axis=1)
     lam1: list[Optional[float]] = [None] * len(adj)
     if applicable.any():
-        w = _s1pp_weights(adj[applicable], k)
+        w = _s1pp_weights(adj[applicable])
+        deg = adj.shape[1]
         # diag(rowsum) - w, as 0.0 - w off the diagonal: -w would leave -0.0
         lap = np.zeros_like(w)
-        lap[:, range(k - 1), range(k - 1)] = w.sum(axis=2)
+        lap[:, range(deg), range(deg)] = w.sum(axis=2)
         lap -= w
         for i, eigs in zip(np.flatnonzero(applicable), np.linalg.eigvalsh(lap)):
             nonzero = eigs[eigs > 1e-9]

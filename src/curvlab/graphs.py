@@ -7,6 +7,9 @@ the regular degree, the dense float64 adjacency and the distance oracle, a
 dense int32 matrix with ``-1`` marking unreachable pairs.  Each view is
 computed on first use, kept as long as the graph and read-only.
 
+The 2-ball blocks A[S1(x), S1(x) + S2(x)] that the mu-graph, 1-sphere
+and Bakry-Emery scans stack are read here only, by :func:`_ball_runs`.
+
 Whether a graph is connected and whether it is regular of degree at least
 one is decided here only: :func:`require_connected` and
 :func:`require_regular` raise the typed error, with one message per
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -306,6 +309,52 @@ def mu_graph(g: Graph, x: int, z: int) -> Graph:
         raise WrongDistance(f"d({x},{z}) = {dxz} != 2")
     sub, _ = induced_subgraph(g, sorted(common_neighbors(g, x, z)))
     return sub
+
+
+# adjacency entries per run of the 2-ball scans, where vertex x counts
+# |S1(x)| (|S1(x)| + |S2(x)|), and per chunk of rows of A[xs] @ A
+_BALL_BLOCK = 1 << 14
+
+
+def _ball_runs(g: Graph, xs: Sequence[int]) -> Iterator[list[tuple[np.ndarray, ...]]]:
+    """The 2-ball blocks of the vertices ``xs``, in runs of consecutive
+    entries of ``xs``, each of at most ``_BALL_BLOCK`` adjacency entries or
+    of one vertex.
+
+    A run is a list of groups, one per shape (|S1(x)|, |S2(x)|): the
+    ascending positions in ``xs`` of its vertices, their (B, |S2|) 2-sphere
+    ids and the (B, |S1|, |S1| + |S2|) stack of A[S1(x), S1(x) + S2(x)],
+    each sphere in ascending order.  S2(x) holds the z != x with
+    (A^2)[x, z] > 0 and A[x, z] = 0, read off A[xs] @ A, each chunk of rows
+    summed only over the vertices they are adjacent to.  No distance oracle
+    is read, and every count is a 0/1 product, exact.
+    """
+    adj, xs = g.dense_adjacency, np.asarray(xs, dtype=np.intp)
+    s2s: list[np.ndarray] = []
+    step = max(1, _BALL_BLOCK // max(g.n, 1))
+    for lo in range(0, len(xs), step):
+        rows = adj[xs[lo : lo + step]]
+        near = np.flatnonzero(rows.any(axis=0))
+        far = (rows[:, near] @ adj[near] > 0) & (rows == 0)
+        far[np.arange(len(rows)), xs[lo : lo + step]] = False
+        s2s += [np.flatnonzero(f) for f in far]
+    runs: list[dict[tuple[int, int], list[int]]] = []
+    total = 0
+    for i, (x, s2) in enumerate(zip(xs.tolist(), s2s)):
+        k = g.degree(x)
+        if not runs or total + k * (k + len(s2)) > _BALL_BLOCK:
+            runs.append({})
+            total = 0
+        runs[-1].setdefault((k, len(s2)), []).append(i)
+        total += k * (k + len(s2))
+    for run in runs:
+        groups = []
+        for (k, m), pos in run.items():
+            s1 = np.array([g.adjacency[x] for x in xs[pos]], dtype=np.intp).reshape(len(pos), k)
+            s2 = np.array([s2s[i] for i in pos], dtype=np.intp).reshape(len(pos), m)
+            cols = np.concatenate([s1, s2], axis=1)
+            groups.append((np.array(pos), s2, adj[s1[:, :, None], cols[:, None, :]]))
+        yield groups
 
 
 def _cocktail_party_stack(s: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Everything here is decided in exact rational arithmetic; no float decides
 a verdict.  The mu-graph, 1-sphere and triangle counts come from products
 of float64 0/1 adjacency blocks, and every partial sum of such a product
 is an integer of at most ``MAX_VERTICES`` < 2^53, so each count is exact
-whatever order a BLAS kernel sums in.  The verdict dataclasses carry the
+whatever order a BLAS kernel sums in; the 2-ball blocks come from
+:func:`curvlab.graphs._ball_runs`.  The verdict dataclasses carry the
 witnesses needed to audit a failure.
 """
 
@@ -13,9 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import DisconnectedSubset, NotAPole, PreconditionUnmet
 from .families import FamilySpec, from_spec
 from .graphs import (
     Graph,
+    _ball_runs,
     _cocktail_party_stack,
     _srg_params_stack,
     degree_triple,
@@ -39,26 +40,6 @@ from .transport import kappas
 
 if TYPE_CHECKING:
     from .analysis import GraphAnalysis
-
-# entries per block of the mu-graph and 1-sphere scans: a vertex x stacks
-# |S1(x)| (|S1(x)| + |S2(x)|) of them in the mu-graph scan, |S1(x)|^2 in the
-# 1-sphere scan
-_SCAN_BLOCK = 1 << 14
-
-
-def _vertex_blocks(entries: Sequence[int]) -> Iterator[list[int]]:
-    """Runs of consecutive vertices, in order, each of at most ``_SCAN_BLOCK``
-    entries or of one vertex, where vertex x stacks ``entries[x]``."""
-    block: list[int] = []
-    total = 0
-    for x, size in enumerate(entries):
-        if block and total + size > _SCAN_BLOCK:
-            yield block
-            block, total = [], 0
-        block.append(x)
-        total += size
-    if block:
-        yield block
 
 
 @dataclass(frozen=True)
@@ -97,14 +78,14 @@ class LambdaVerdict:
 def lambda_m_check(ctx: GraphAnalysis, m: int) -> LambdaVerdict:
     """Every edge lies in at least m triangles and the remaining
     neighbourhoods admit a perfect adjacency matching, which is exactly
-    when ``kappa`` labels the edge "matching".  Each edge's triangles are
-    read off the common-neighbour counts A @ A."""
-    adj = ctx.g.dense_adjacency
-    common = adj @ adj
+    when ``kappa`` labels the edge "matching".  Such an edge's triangles
+    are read off its curvature, kappa = (2 + #triangles) / D exactly, so it
+    has fewer than m when kappa < (m + 2) / D."""
+    least = Fraction(m + 2, ctx.deg)
     failing = tuple(
-        (u, v)
-        for (u, v), value in ctx.edge_kappas.items()
-        if common[u, v] < m or value.method != "matching"
+        edge
+        for edge, value in ctx.edge_kappas.items()
+        if value.method != "matching" or value.value < least
     )
     return LambdaVerdict(m=m, holds=not failing, failing_edges=failing)
 
@@ -297,30 +278,20 @@ def mu_graphs_all_cp(g: Graph) -> MuGraphVerdict:
     mu-graph is read off its vertex x's adjacency blocks S = A[S1(x), S1(x)]
     and B = A[S1(x), S2(x)], without building it: column z of B marks the
     common neighbours of x and z, and column z of S @ B counts each one's
-    neighbours among them.  The vertices are taken in runs of consecutive
-    ones, in order, of at most ``_SCAN_BLOCK`` stacked entries; within a run
-    they are grouped by block shape (|S1(x)|, |S2(x)|), one stacked product
-    per shape.  The scan stops after the first run that holds a failing
+    neighbours among them.  The blocks come in the runs of
+    :func:`curvlab.graphs._ball_runs`, one stacked product per ball shape
+    in a run.  The scan stops after the first run that holds a failing
     pair, and ``m_values`` then counts the pairs before that one.
     """
     require_connected(g)
-    dist, adj = distances(g).dist, g.dense_adjacency
-    s2_sizes = (dist == 2).sum(axis=1).tolist()
-    entries = [k * (k + s) for k, s in zip(g.degrees, s2_sizes)]
     counts: Counter[int] = Counter()
-    for run in _vertex_blocks(entries):
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for x in run:
-            shapes.setdefault((g.degrees[x], s2_sizes[x]), []).append(x)
+    for run in _ball_runs(g, range(g.n)):
         keys, ms = [], []
-        for (k, s), xs in shapes.items():
-            s1 = np.array([g.adjacency[x] for x in xs], dtype=np.intp).reshape(len(xs), k)
-            s2 = np.nonzero(dist[xs] == 2)[1].reshape(len(xs), s)
-            blocks = adj[s1[:, :, None], np.concatenate([s1, s2], axis=1)[:, None, :]]
+        for xs, s2, blocks in run:
+            k = blocks.shape[1]
             m = _cocktail_party_stack(blocks[:, :, :k], blocks[:, :, k:])
-            rows = np.array(xs)[:, None]
-            later = s2 > rows
-            keys.append((rows * g.n + s2)[later])
+            later = s2 > xs[:, None]
+            keys.append((xs[:, None] * g.n + s2)[later])
             ms.append(m[later])
         key, m = np.concatenate(keys), np.concatenate(ms)
         failing = key[m == 0]
@@ -350,10 +321,10 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     Each 1-sphere S1(x) is read off the adjacency block A[S1(x), S1(x)]:
     its row sums give k, and the product of the block with itself gives
     lambda on the edges and mu on the other off-diagonal cells.  The
-    vertices are taken in runs of consecutive ones, in order, of at most
-    ``_SCAN_BLOCK`` stacked entries, one stacked product per run, and the
-    scan stops at the first failing vertex.  The parameters decide the
-    verdict exactly; the eigenvalue needs no solve.
+    blocks come in the runs of :func:`curvlab.graphs._ball_runs`, one
+    stacked product per ball shape in a run, and the scan stops after the
+    first run with a failing vertex, at the smallest one.  The parameters
+    decide the verdict exactly; the eigenvalue needs no solve.
     The eigenvalues of an srg(v, k, lambda, mu) other than k are the roots
     of x^2 - (lambda - mu) x - (k - mu) (Godsil-Royle, *Algebraic Graph
     Theory*, sec. 10.2).  With the predicted k, lambda, mu and theta below,
@@ -391,35 +362,29 @@ def local_srg_check(ctx: GraphAnalysis) -> LocalSrgVerdict:
     mu = Fraction(2 * (deg - L), L * (L - 1))
     theta = Fraction((deg - L) * (L - 2), L * (L - 1))
     want = (nu, k, lam, mu)
-    adj, spheres = g.dense_adjacency, np.array(g.adjacency, dtype=np.intp)
-    for run in _vertex_blocks([deg * deg] * g.n):
-        s1 = spheres[run]
-        for x, params in zip(run, _srg_params_stack(adj[s1[:, :, None], s1[:, None, :]])):
-            if params is None:
-                return LocalSrgVerdict(False, want, theta, x)
-            got_lam = params.lam if params.lam is not None else lam  # wildcard
-            if (params.nu, params.k, got_lam, params.mu) != want:
-                return LocalSrgVerdict(False, want, theta, x)
+    for run in _ball_runs(g, range(g.n)):
+        failing = [
+            x
+            for xs, _, blocks in run
+            for x, params in zip(xs.tolist(), _srg_params_stack(blocks[:, :, :deg]))
+            if params is None
+            or (params.nu, params.k, lam if params.lam is None else params.lam, params.mu) != want
+        ]
+        if failing:
+            return LocalSrgVerdict(False, want, theta, min(failing))
     return LocalSrgVerdict(True, want, theta, None)
 
 
 def ssp_ncp(g: Graph, x: int) -> tuple[bool, bool]:
-    """(small sphere property, non-clustering property) at x."""
+    """(small sphere property, non-clustering property) at x, read off
+    B = A[S1(x), S2(x)]: the in-degree of z in S2(x) is column z's sum, and
+    entry (y1, y2) of B B^T counts the 2-sphere neighbours y1, y2 share."""
     require_connected(g)
     deg = require_regular(g)
-    s2 = distances(g).sphere(x, 2)
-    ssp = len(s2) <= comb(deg, 2)
-    ncp = True
-    if s2 and all(degree_triple(g, x, z).d_minus == 2 for z in s2):
-        s1 = g.adjacency[x]
-        for y1, y2 in combinations(s1, 2):
-            joint = sum(
-                1 for z in s2 if g.has_edge(y1, z) and g.has_edge(y2, z)
-            )
-            if joint > 1:
-                ncp = False
-                break
-    return ssp, ncp
+    (((_, _, blocks),),) = _ball_runs(g, [x])
+    b = blocks[0, :, deg:]
+    clustered = b.size > 0 and (b.sum(axis=0) == 2).all() and (np.triu(b @ b.T, 1) > 1).any()
+    return b.shape[1] <= comb(deg, 2), not clustered
 
 
 @dataclass(frozen=True)

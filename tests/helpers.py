@@ -17,8 +17,10 @@ and automorphism orbits by permutation enumeration, strong sphericity by
 the full row-major interval scan,
 cocktail party graphs by their complement and by neighbour sets, mu-graphs
 by building each one and by one frozenset intersection per pair, strongly
-regular parameters by neighbour sets pair by pair,
-random regular graphs by stub pairing.
+regular parameters by neighbour sets pair by pair, the small-sphere and
+non-clustering properties by a degree triple per 2-sphere vertex and a
+count per 1-sphere pair, the 2-ball reader by spheres built from the
+adjacency sets, random regular graphs by stub pairing.
 
 The exact Gamma and Gamma2 evaluators, the normalized Laplacian in
 Fractions and the Kantorovich duality check, with its ``NotLipschitz``
@@ -43,7 +45,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from curvlab import _kernels, bakry_emery, sharpness
+from curvlab import _kernels, bakry_emery, graphs, sharpness
 from curvlab.errors import FormCheckFailed, IsolatedVertex, PreconditionError
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
@@ -159,11 +161,30 @@ def stacked_forms(bases: list[list[int]], k: int, adj: np.ndarray):
     return bases, k - 1, gx, g2
 
 
+def ball_block(g: Graph, x: int) -> tuple[list[int], list[int], np.ndarray]:
+    """(S1, S2, A[S1, S1 + S2]) at x, from the one run and one group that
+    ``graphs._ball_runs`` makes of x alone."""
+    (((_, s2, adj),),) = graphs._ball_runs(g, [x])
+    return list(g.adjacency[x]), s2[0].tolist(), adj[0]
+
+
+def ball_basis_block(g: Graph, x: int) -> tuple[list[int], np.ndarray]:
+    """The basis ``[x] + S1 + S2`` of B2(x) and the adjacency block
+    B1(x) x B2(x) that ``stacked_forms`` reads: ``ball_block`` with the row
+    and the column of x put back."""
+    s1, s2, adj = ball_block(g, x)
+    k = len(s1)
+    full = np.zeros((k + 1, k + 1 + len(s2)), dtype=np.float64)
+    full[0, 1 : k + 1] = full[1:, 0] = 1.0
+    full[1:, 1:] = adj
+    return [x, *s1, *s2], full
+
+
 def local_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, np.ndarray]:
     """(basis, |S1|, Gamma, Gamma2) at x over ``[x] + S1 + S2``, from a
     stack of one vertex of ``stacked_forms``."""
-    basis, k, adj = bakry_emery._ball_partition(g, x)
-    (basis,), ds, gx, g2x = stacked_forms([basis], k, adj[None])
+    basis, adj = ball_basis_block(g, x)
+    (basis,), ds, gx, g2x = stacked_forms([basis], g.degree(x) + 1, adj[None])
     return basis, ds, gx[0], g2x[0]
 
 
@@ -182,19 +203,17 @@ def be_upper_bound(g: Graph, x: int) -> Fraction:
     of ``be_curvatures``'s expressions, which must agree; NotRegular off a
     regular graph."""
     deg = require_regular(g)
-    _, k, adj = bakry_emery._ball_partition(g, x)
-    adj = adj[None]
-    tri = int(bakry_emery._triangles(adj, k)[0])
-    return bakry_emery._upper_bound(deg, tri, bakry_emery._out_degrees(adj, k)[0])
+    adj = ball_block(g, x)[2][None]
+    tri = int(bakry_emery._triangles(adj)[0])
+    return bakry_emery._upper_bound(deg, tri, bakry_emery._out_degrees(adj)[0])
 
 
 def s1pp_sharpness_test(g: Graph, x: int) -> tuple[bool, Optional[float], Optional[bool]]:
     """(applicable, lambda1, passes) of ``be_curvatures``'s weighted
     1-sphere test at x: x passes iff lambda1 >= D/2 within the sharpness
     tolerance, and fails when the S1'' Laplacian has no nonzero eigenvalue."""
-    _, k, adj = bakry_emery._ball_partition(g, x)
-    adj = adj[None]
-    ((applicable, lam1),) = bakry_emery._s1pp_tests(adj, k, bakry_emery._out_degrees(adj, k))
+    adj = ball_block(g, x)[2][None]
+    ((applicable, lam1),) = bakry_emery._s1pp_tests(adj, bakry_emery._out_degrees(adj))
     if not applicable:
         return False, None, None
     return True, lam1, lam1 is not None and lam1 >= g.degree(x) / 2.0 - bakry_emery.SHARP_TOL
@@ -259,11 +278,11 @@ def curvature_schur_scalar(forms) -> float:
 def s1pp_scalar(g: Graph, x: int) -> tuple[bool, Optional[float]]:
     """(applicable, lambda1) of the S1'' test at x, one vertex and one
     ``eigvalsh`` at a time, as the one-vertex pass computed it."""
-    _, k, adj = bakry_emery._ball_partition(g, x)
-    b = adj[1:, k:]
+    s1, _, adj = ball_block(g, x)
+    b = adj[:, len(s1) :]
     if len(set(b.sum(axis=1).tolist())) != 1:
         return False, None
-    w = adj[1:, 1:k] + (b / b.sum(axis=0)) @ b.T
+    w = adj[:, : len(s1)] + (b / b.sum(axis=0)) @ b.T
     np.fill_diagonal(w, 0.0)
     eigs = np.sort(np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w))
     nonzero = eigs[eigs > 1e-9]
@@ -293,7 +312,7 @@ def be_curvature_scalar(g: Graph, x: int) -> bakry_emery.BEReport:
     return _scalar_report(g, x, curvature_schur_scalar(ordered_gamma_forms(g, x)))
 
 
-def _spheres(g: Graph, x: int) -> tuple[list[int], list[int]]:
+def spheres_by_sets(g: Graph, x: int) -> tuple[list[int], list[int]]:
     """The sorted spheres S1(x) and S2(x), from the adjacency lists."""
     s1 = sorted(g.adjacency[x])
     s2 = sorted({z for y in s1 for z in g.adjacency[y]} - {x, *s1})
@@ -304,7 +323,7 @@ def curvature_matrix_scalar(g: Graph, x: int) -> np.ndarray:
     """D Q(x) at one vertex in floats, built from the adjacency lists with
     the float operations that ``be_curvatures`` makes on each slice of its
     stacks."""
-    s1, s2 = _spheres(g, x)
+    s1, s2 = spheres_by_sets(g, x)
     deg = len(s1)
     a11 = np.array([[float(u in g.adjacency[y]) for u in s1] for y in s1]).reshape(deg, deg)
     b = np.array([[float(z in g.adjacency[y]) for z in s2] for y in s1]).reshape(deg, len(s2))
@@ -333,7 +352,7 @@ def curvature_matrix_exact(g: Graph, x: int) -> list[list[Fraction]]:
     neighbours z, where c(y, y') = w_y + w_y' on S1 edges and
     s'_z = sum_{y ~ z} w_y, plus (3 + 2 t_y + 3 o_y) w_y - D + sum_y' c(y, y')
     on the diagonal."""
-    s1, s2 = _spheres(g, x)
+    s1, s2 = spheres_by_sets(g, x)
     deg = len(s1)
     nbrs = {v: set(g.adjacency[v]) for v in s1 + s2}
     w = {y: Fraction(deg, g.degree(y)) for y in s1}
@@ -497,6 +516,23 @@ def ordered_gamma_forms(g: Graph, x: int) -> tuple[list[int], int, np.ndarray, n
         acc = acc + gamma_at(y) / g.degree(x)
     b = 0.5 * (acc - gx @ lap - lap.T @ gx)
     return basis, len(s1), gx, 0.5 * (b + b.T)
+
+
+def ssp_ncp_by_loops(g: Graph, x: int) -> tuple[bool, bool]:
+    """``ssp_ncp`` at x by the loops it replaced: a degree triple per
+    2-sphere vertex, then one count of shared 2-sphere neighbours per pair
+    of 1-sphere vertices."""
+    deg = require_regular(g)
+    s2 = distances(g).sphere(x, 2)
+    ssp = len(s2) <= math.comb(deg, 2)
+    ncp = True
+    if s2 and all(degree_triple(g, x, z).d_minus == 2 for z in s2):
+        for y1, y2 in combinations(g.adjacency[x], 2):
+            joint = sum(1 for z in s2 if g.has_edge(y1, z) and g.has_edge(y2, z))
+            if joint > 1:
+                ncp = False
+                break
+    return ssp, ncp
 
 
 def s1pp_weights_by_pairs(g: Graph, x: int) -> np.ndarray:
@@ -752,6 +788,23 @@ def mu_graphs_by_subgraphs(g: Graph, d: DistanceOracle) -> MuGraphVerdict:
             counts[m] += 1
     return MuGraphVerdict(True, tuple(sorted(counts.items())), None)
 
+
+# the triangular prism: 3-regular, but the 1-sphere out-degrees of vertex 0
+# differ (1, 1, 2)
+LOPSIDED_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+# the prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3 and 4,
+# so the 1-ball degrees of most vertices differ
+IRREGULAR_EDGES = LOPSIDED_EDGES + [(0, 6), (1, 6)]
+# 30 vertices, i ~ i + 1, i ~ 7i + 3 and, for i = 0 mod 5, i ~ i + 2: 63
+# edges, degrees 4 and 5, 12 triangles, and four ball shapes
+# (|S1(x)|, |S2(x)|) that alternate in vertex order
+SHAPES30_EDGES = sorted(
+    {
+        (min(i, j), max(i, j))
+        for i in range(30)
+        for j in [(i + 1) % 30, (7 * i + 3) % 30] + ([(i + 2) % 30] if i % 5 == 0 else [])
+    }
+)
 
 # one small member of every family, a product and every fixture
 SAMPLE_GRAPHS = (

@@ -92,13 +92,13 @@ def test_analyze_product_one_oracle_per_graph(monkeypatch):
 
 def test_bakry_emery_one_closed_form_pass_per_vertex(monkeypatch, capsys):
     # every vertex appears in exactly one stacked sweep, and each sweep
-    # builds its curvature matrices in one call on a stack of its block
+    # builds its curvature matrices in one call on its stack
     sweeps = record_calls(monkeypatch, "bakry_emery", "_sweep")
     matrices = record_calls(monkeypatch, "bakry_emery", "_curvature_matrices")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(part[0][0] for (_, block, _) in sweeps for _, part in block) == list(range(8))
-    assert [len(adj) for adj, _ in matrices] == [len(block) for _, block, _ in sweeps]
+    assert sorted(x for _, vertices, _ in sweeps for x in vertices) == list(range(8))
+    assert [id(adj) for adj, in matrices] == [id(adj) for _, _, adj in sweeps]
 
 
 def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):
@@ -109,8 +109,8 @@ def test_bakry_emery_counts_each_vertex_triangles_once(monkeypatch, capsys):
     per_vertex = record_calls(monkeypatch, "graphs", "triangle_count_vertex")
     assert main(["bakry-emery", "hypercube:3"]) == 0
     capsys.readouterr()
-    assert sorted(part[0][0] for (_, block, _) in sweeps for _, part in block) == list(range(8))
-    assert [len(adj) for adj, _ in stacked] == [len(block) for _, block, _ in sweeps]
+    assert sorted(x for _, vertices, _ in sweeps for x in vertices) == list(range(8))
+    assert [id(adj) for adj, in stacked] == [id(adj) for _, _, adj in sweeps]
     assert per_vertex == []
 
 

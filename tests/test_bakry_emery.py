@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from curvlab.families import (
 )
 from curvlab.fixtures import load_fixture
 from curvlab.graphs import (
+    _ball_runs,
     build_graph,
     cartesian_product,
     degree_triple,
@@ -33,7 +33,12 @@ from curvlab.graphs import (
 )
 from curvlab.report import be_row
 from helpers import (
+    IRREGULAR_EDGES,
+    LOPSIDED_EDGES,
     SAMPLE_GRAPHS,
+    SHAPES30_EDGES,
+    ball_basis_block,
+    ball_block,
     be_closed_form_scalar,
     be_curvature_scalar,
     be_upper_bound,
@@ -56,13 +61,6 @@ from helpers import (
 )
 
 TOL = 1e-7
-
-# the triangular prism of TestS1ppTest: 3-regular, but the 1-sphere
-# out-degrees of vertex 0 differ (1, 1, 2)
-LOPSIDED_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-# the prism with a seventh vertex on the triangle 0 1 6: degrees 2, 3 and 4,
-# so the 1-ball degrees of most vertices differ
-IRREGULAR_EDGES = LOPSIDED_EDGES + [(0, 6), (1, 6)]
 
 
 class TestGammaValues:
@@ -172,9 +170,9 @@ class TestLocalAssembly:
         seen = set()
         for g in corpus:
             for x in range(g.n):
-                _, k, adj = bakry_emery._ball_partition(g, x)
-                out = bakry_emery._out_degrees(adj[None], k)[0].tolist()
-                got = bakry_emery._s1pp_weights(adj[None], k)[0]
+                adj = ball_block(g, x)[2][None]
+                out = bakry_emery._out_degrees(adj)[0].tolist()
+                got = bakry_emery._s1pp_weights(adj)[0]
                 want = s1pp_weights_by_pairs(g, x)
                 assert np.abs(got - want).max() <= 1e-12
                 applicable, _, passes = s1pp_sharpness_test(g, x)
@@ -321,15 +319,14 @@ class TestSharpnessEquivalence:
         assert checked >= 40
 
     def test_partition_out_degrees_match_sphere_averages(self):
-        # the ball partition is the only source of S1, S2 and, through its
+        # the 2-ball reader is the only source of S1, S2 and, through its
         # adjacency block, the S1 out-degrees; the distance oracle reads the
         # same off its rows
         for g in _equivalence_corpus():
             d = distances(g)
             for x in range(g.n):
-                basis, k, adj = bakry_emery._ball_partition(g, x)
-                s1, s2 = basis[1:k], basis[k:]
-                out = bakry_emery._out_degrees(adj[None], k)[0].tolist()
+                s1, s2, adj = ball_block(g, x)
+                out = bakry_emery._out_degrees(adj[None])[0].tolist()
                 assert (tuple(s1), tuple(s2)) == (d.sphere(x, 1), d.sphere(x, 2))
                 assert out == [degree_triple(g, x, y).d_plus for y in s1]
                 assert Fraction(int(sum(out)), len(s1)) == sphere_averages(g, x, 1)[2]
@@ -400,12 +397,14 @@ class TestConsistencyChecks:
 
     @pytest.mark.parametrize("which", ["gosset", "lopsided"])
     def test_one_ball_partition_per_vertex(self, monkeypatch, which, gosset_graph):
-        # the forms, the upper bound and the S1'' test share one partition
+        # the curvature, the upper bound and the S1'' test share one block:
+        # each vertex is in exactly one group of one run of the reader
         g = gosset_graph[0] if which == "gosset" else build_graph(6, LOPSIDED_EDGES)
-        calls = record_calls(monkeypatch, "bakry_emery", "_ball_partition")
-        for x in range(g.n):
-            be_curvature(g, x)
-        assert [args[1] for args in calls] == list(range(g.n))
+        runs = record_calls(monkeypatch, "bakry_emery", "_ball_runs")
+        sweeps = record_calls(monkeypatch, "bakry_emery", "_sweep")
+        be_curvatures(g, range(g.n))
+        assert [list(xs) for _, xs in runs] == [list(range(g.n))]
+        assert sorted(x for _, vertices, _ in sweeps for x in vertices) == list(range(g.n))
 
     def test_regular_graph_criteria_are_null_off_regular_graphs(self):
         # the upper bound and the S1'' test are both stated for D-regular
@@ -422,7 +421,7 @@ class TestConsistencyChecks:
     def test_upper_bound_disagreement_exits_4(self, monkeypatch, capsys, q3):
         g, _ = q3
         count = bakry_emery._triangles
-        monkeypatch.setattr(bakry_emery, "_triangles", lambda adj, k: count(adj, k) + 1)
+        monkeypatch.setattr(bakry_emery, "_triangles", lambda adj: count(adj) + 1)
         with pytest.raises(FormCheckFailed):
             be_upper_bound(g, 0)
         assert main(["bakry-emery", "hypercube:3", "--vertex", "0"]) == 4
@@ -446,15 +445,15 @@ def _exact(report):
     )
 
 
-def _shapes(g):
-    """How many vertices of g have each ball shape (|B1(x)|, |B2(x)|)."""
-    parts = (bakry_emery._ball_partition(g, x) for x in range(g.n))
-    return Counter((k, len(basis)) for basis, k, _ in parts)
+def _runs(g):
+    """The group sizes of each run that the 2-ball reader makes of g's
+    vertices in order."""
+    return [[len(pos) for pos, _, _ in run] for run in _ball_runs(g, range(g.n))]
 
 
-def _spans_blocks(shapes) -> bool:
-    """Whether some ball-shape group of g fills more than one block."""
-    return any(count > bakry_emery._SWEEP_BLOCK // (k * m) for (k, m), count in shapes.items())
+def _has_groups(runs) -> bool:
+    """Whether some run holds more than one ball shape."""
+    return any(len(run) > 1 for run in runs)
 
 
 class TestStackedSweep:
@@ -472,13 +471,13 @@ class TestStackedSweep:
             random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5), (20, 6), (30, 7))
         ]
         # relabelling moves vertices between groups and between blocks
-        picked = [g for g in graphs if len(_shapes(g)) > 1 or _spans_blocks(_shapes(g))]
+        picked = [g for g in graphs if _has_groups(_runs(g)) or len(_runs(g)) > 1]
         return graphs + [_relabelled(g, rng) for g in picked]
 
     def test_corpus_has_groups_and_blocks(self, corpus):
-        shapes = [_shapes(g) for g in corpus]
-        assert sum(len(s) > 1 for s in shapes) >= 6
-        assert sum(_spans_blocks(s) for s in shapes) >= 4
+        runs = [_runs(g) for g in corpus]
+        assert sum(_has_groups(r) for r in runs) >= 6
+        assert sum(len(r) > 1 for r in runs) >= 4
 
     def test_sweep_equals_the_one_vertex_pass(self, corpus):
         checked = 0
@@ -503,8 +502,8 @@ class TestStackedSweep:
         for g in corpus[-8:]:
             groups: dict = {}
             for x in range(g.n):
-                basis, k, adj = bakry_emery._ball_partition(g, x)
-                groups.setdefault((k, len(basis)), []).append((basis, adj))
+                basis, adj = ball_basis_block(g, x)
+                groups.setdefault(adj.shape, []).append((basis, adj))
             for (k, _), members in groups.items():
                 bases = [basis for basis, _ in members]
                 forms = stacked_forms(bases, k, np.stack([adj for _, adj in members]))
@@ -520,6 +519,13 @@ class TestStackedSweep:
         rows = be_curvatures(g, range(g.n))
         assert be_curvatures(g, [5, 2, 5]) == [rows[5], rows[2], rows[5]]
         assert [be_curvature(g, x) for x in range(g.n)] == rows
+
+    def test_reads_no_distance_oracle(self, monkeypatch):
+        # the 2-spheres come off the adjacency: a fresh graph builds no oracle
+        g = build_graph(30, SHAPES30_EDGES)
+        oracles = record_calls(monkeypatch, "_kernels", "bfs_all_pairs")
+        be_curvatures(g, range(g.n))
+        assert oracles == []
 
     def test_isolated_vertex_refused_first(self):
         # K1 is regular of degree 0: the isolated vertex is named before the
@@ -598,11 +604,11 @@ class TestCurvatureMatrix:
         checked = 0
         for g in graphs:
             for x in range(g.n):
-                basis, k, adj = bakry_emery._ball_partition(g, x)
-                deg, ds = g.degree(x), k - 1
+                s1, s2, adj = ball_block(g, x)
+                deg = ds = g.degree(x)
                 # f(x) = 0 fixed; the Gamma2 form on S1 + S2 and its S2 block
-                g2 = gamma2_matrix(g, x, basis[1:])
-                n2 = len(basis) - k
+                g2 = gamma2_matrix(g, x, s1 + s2)
+                n2 = len(s2)
                 d = [g2[ds + i][ds + i] for i in range(n2)]
                 assert all(g2[ds + i][ds + j] == 0 for i in range(n2) for j in range(n2) if i != j)
                 assert all(dz > 0 for dz in d)
@@ -613,7 +619,7 @@ class TestCurvatureMatrix:
                 ]
                 exact = curvature_matrix_exact(g, x)
                 assert exact == [[4 * deg * deg * q for q in row] for row in schur]
-                stacked = bakry_emery._curvature_matrices(adj[None], k)[0]
+                stacked = bakry_emery._curvature_matrices(adj[None])[0]
                 assert np.abs(stacked - np.array(exact, dtype=np.float64)).max() <= 1e-12
                 assert np.array_equal(stacked, curvature_matrix_scalar(g, x))
                 checked += 1
@@ -625,7 +631,6 @@ class TestCurvatureMatrix:
         # float matrix is the exact 4I and each curvature is float(2/n)
         g = hypercube(n)
         for x in range(g.n):
-            _, k, adj = bakry_emery._ball_partition(g, x)
-            stacked = bakry_emery._curvature_matrices(adj[None], k)[0]
+            stacked = bakry_emery._curvature_matrices(ball_block(g, x)[2][None])[0]
             assert [[Fraction(v) for v in row] for row in stacked.tolist()] == curvature_matrix_exact(g, x)
         assert {r.curvature for r in be_curvatures(g, range(g.n))} == {float(Fraction(2, n))}

@@ -48,13 +48,17 @@ from curvlab.graphs import (
 )
 
 from helpers import (
+    IRREGULAR_EDGES,
+    LOPSIDED_EDGES,
     SAMPLE_GRAPHS,
+    SHAPES30_EDGES,
     cocktail_party_bruteforce,
     intersection_array_by_pairs,
     interval_bruteforce,
     random_regular_graph,
     record_calls,
     sample_graph,
+    spheres_by_sets,
     srg_params_by_sets,
 )
 
@@ -278,6 +282,50 @@ class TestMuGraphs:
         g, _ = q3
         with pytest.raises(WrongDistance):
             mu_graph(g, 0, 1)
+
+
+class TestBallRuns:
+    """The 2-ball reader against spheres built from the adjacency sets."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        corpus = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        edge_lists = ((6, LOPSIDED_EDGES), (7, IRREGULAR_EDGES), (30, SHAPES30_EDGES))
+        return corpus + [build_graph(n, edges) for n, edges in edge_lists]
+
+    @pytest.mark.parametrize("block", [1 << 14, 1])
+    def test_blocks_equal_the_set_spheres(self, monkeypatch, corpus, block):
+        monkeypatch.setattr(graphs, "_BALL_BLOCK", block)
+        mixed = checked = 0
+        for g in corpus:
+            odd_first = [*range(1, g.n, 2), *range(0, g.n, 2)]
+            for xs in (list(range(g.n)), odd_first, [g.n - 1, 0, g.n - 1, 0, 1]):
+                covered: list[int] = []
+                for run in graphs._ball_runs(g, xs):
+                    positions = sorted(i for pos, _, _ in run for i in pos.tolist())
+                    # a run is the next stretch of xs, within the bound or of one vertex
+                    assert positions == list(range(len(covered), len(covered) + len(positions)))
+                    entries = sum(blocks.size for _, _, blocks in run)
+                    assert entries <= block or len(positions) == 1
+                    assert len({blocks.shape[1:] for _, _, blocks in run}) == len(run)
+                    for pos, s2, blocks in run:
+                        assert pos.tolist() == sorted(pos.tolist())
+                        for i, got_s2, got in zip(pos.tolist(), s2, blocks):
+                            s1, want_s2 = spheres_by_sets(g, xs[i])
+                            assert got_s2.tolist() == want_s2
+                            want = [[float(g.has_edge(y, v)) for v in s1 + want_s2] for y in s1]
+                            assert got.tolist() == want
+                            checked += 1
+                    mixed += len(run) > 1
+                    covered += positions
+                assert covered == list(range(len(xs)))
+        assert checked >= 1300
+        # several shapes share a run at 2^14 entries; at 1 every run is one vertex
+        assert (mixed > 0) == (block > 1)
+
+    def test_no_vertex_no_run(self, q3):
+        g, _ = q3
+        assert list(graphs._ball_runs(g, [])) == []
 
 
 class TestCocktailPartyRecognition:

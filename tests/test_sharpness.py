@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from curvlab import graphs, sharpness
+from curvlab import graphs
 from curvlab.analysis import GraphAnalysis
 from curvlab.errors import DisconnectedSubset, NotAPole, PreconditionUnmet
 from curvlab.families import (
@@ -60,6 +60,7 @@ from helpers import (
     sample_graph,
     spherical_row_major,
     srg_params_by_sets,
+    ssp_ncp_by_loops,
 )
 
 
@@ -114,7 +115,8 @@ class TestLambdaM:
             assert sharp == lam
 
     def test_failing_edges_match_the_per_edge_count(self):
-        # the triangles read off A @ A are triangle_count_edge's
+        # the triangles read off each matching edge's kappa are
+        # triangle_count_edge's
         for name in SAMPLE_GRAPHS:
             g = sample_graph(name)
             ctx = GraphAnalysis(g)
@@ -501,6 +503,14 @@ def _planted_j63():
     raise AssertionError("no swap found")
 
 
+def _planted_context(g, planted):
+    """The analysis of ``planted`` with the preconditions of ``g`` planted on it."""
+    ctx, planted_ctx = GraphAnalysis(g), GraphAnalysis(planted)
+    planted_ctx.bm, planted_ctx.mu_graphs = ctx.bm, ctx.mu_graphs
+    planted_ctx.poles_and_antipoles = ctx.poles_and_antipoles
+    return planted_ctx
+
+
 class TestStackedScans:
     """The stacked mu-graph and 1-sphere scans against the frozenset loops
     they replaced: the same verdicts, counts, failures and parameters."""
@@ -516,7 +526,7 @@ class TestStackedScans:
         # every run of the scan holds one vertex: failures past the first
         # run, and the counts of the runs before them
         corpus = _scan_corpus()
-        monkeypatch.setattr(sharpness, "_SCAN_BLOCK", 1)
+        monkeypatch.setattr(graphs, "_BALL_BLOCK", 1)
         verdicts = [mu_graphs_all_cp(g) for g in corpus]
         assert verdicts == [mu_graphs_by_sets(g) for g in corpus]
         assert any(v.failure is not None and v.failure[0] > 0 for v in verdicts)
@@ -596,16 +606,25 @@ class TestStackedScans:
     def test_planted_sphere_fails(self, monkeypatch, block):
         # the preconditions of J(6,3), planted on the swapped graph; at 81
         # entries each run holds one vertex
-        g, planted = _planted_j63()
-        ctx = GraphAnalysis(g)
-        planted_ctx = GraphAnalysis(planted)
-        planted_ctx.bm, planted_ctx.mu_graphs = ctx.bm, ctx.mu_graphs
-        planted_ctx.poles_and_antipoles = ctx.poles_and_antipoles
-        monkeypatch.setattr(sharpness, "_SCAN_BLOCK", block)
+        planted_ctx = _planted_context(*_planted_j63())
+        monkeypatch.setattr(graphs, "_BALL_BLOCK", block)
         verdict = local_srg_check(planted_ctx)
         assert verdict == local_srg_by_sets(planted_ctx)
         assert not verdict.holds and verdict.failure > 0
         assert verdict.params == (9, 4, 1, 2)
+
+    def test_first_failing_sphere_across_block_shapes(self):
+        # J(6,3) with 7-8, 15-18 swapped for 7-15, 8-18: its one run holds
+        # two ball shapes, and vertex 1, in the later-stacked group, fails
+        # before vertex 2 of the first group does
+        g = johnson(6, 3)
+        planted = build_graph(g.n, sorted((set(g.edges()) - {(7, 8), (15, 18)}) | {(7, 15), (8, 18)}))
+        (run,) = graphs._ball_runs(planted, range(planted.n))
+        assert [(1 in pos, 2 in pos) for pos, _, _ in run] == [(False, True), (True, False)]
+        planted_ctx = _planted_context(g, planted)
+        verdict = local_srg_check(planted_ctx)
+        assert verdict == local_srg_by_sets(planted_ctx)
+        assert not verdict.holds and verdict.failure == 1
 
 
 class TestSspNcp:
@@ -622,6 +641,22 @@ class TestSspNcp:
         g, _ = q3
         for x in range(g.n):
             assert ssp_ncp(g, x) == (True, True)
+
+    def test_block_equals_the_loops(self):
+        # the column sums and B B^T of the 2-ball block against a degree
+        # triple per 2-sphere vertex and a count per 1-sphere pair
+        rng = random.Random(28)
+        corpus = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        corpus += [random_regular_graph(n, deg, rng) for n, deg in [(8, 3), (10, 3), (12, 4), (16, 5)] * 3]
+        kinds = set()
+        for g in corpus:
+            if g.is_regular() is None or not distances(g).is_connected:
+                continue
+            for x in range(g.n):
+                got = ssp_ncp(g, x)
+                assert got == ssp_ncp_by_loops(g, x), (g.n, x)
+                kinds.add(got)
+        assert {(True, True), (True, False), (False, True)} <= kinds
 
 
 class TestFourCycleLemma:
