@@ -29,13 +29,16 @@ refuses it; ``analyze`` does since it builds its analysis first); and
 ``bakry-emery`` (default and ``--vertex 0``) on two connected irregular
 graphs with triangles and non-empty 2-spheres: one whose 1-ball degrees
 differ, and a 30-vertex one whose four ball shapes alternate in vertex
-order, so one block run holds several shape groups; and ``analyze --skip-spherical`` on the 4-cube, the 6-demicube,
-J(8,4) and the circulant C10(1, 4), i ~ i +- 1, i +- 4, whose mu-graph scan
-fails at its third pair, so the partial mu-graph counts of a failing scan
-are gated too.  The two products are built with ``gen product`` and the six
-small graphs written as JSON into ``OUTDIR/inputs``, and every command
-runs there, so the input names that reports print are the same in every
-capture.
+order, so one block run holds several shape groups; ``analyze
+--skip-spherical`` on the 4-cube, the 6-demicube, J(8,4) and the circulant
+C10(1, 4), i ~ i +- 1, i +- 4, whose mu-graph scan fails at its third pair,
+so the partial mu-graph counts of a failing scan are gated too; and full
+``analyze``, the sphericity scan and its orbit search included, on J(8,4),
+the 6-demicube and CP(32), whose orbit search is the deepest of the
+classification list.  The two products are built with ``gen product`` and
+the six small graphs written as JSON into ``OUTDIR/inputs``, and every
+command runs there, so the input names that reports print are the same in
+every capture.
 
 Capture once before a change and once after it, from two checkouts, and
 compare:
@@ -44,7 +47,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 99 commands run one after another and take about 20 s on a 2-core
+The 102 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -97,6 +100,8 @@ ANALYZED = ("gosset", "hall", "chang1", "j63xcp4.g6")
 BAKRY_EMERY = ANALYZED + ("j63xcp2.g6", "kneser:5:2", "shrikhande", "hypercube:6")
 ALL_EDGES = ("chang1", "j63xcp2.g6", "complete:4")
 SCANNED = ("hypercube:4", "demicube:6", "johnson:8:4", "c10-1-4.json")
+# full analyze, sphericity scan included
+SPHERICAL = ("johnson:8:4", "demicube:6", "cocktailparty:32")
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
 # (output name, CLI argv); the last curvature pair and the last two
 # transport geodesics exit 3
@@ -130,6 +135,8 @@ def commands() -> list[tuple[str, list[str]]]:
     for g in SCANNED:
         stem = g.removesuffix(".json").replace(":", "-")
         out.append((f"analyze-skip-spherical-{stem}", ["analyze", g, "--skip-spherical"]))
+    for g in SPHERICAL:
+        out.append((f"analyze-{g.replace(':', '-')}", ["analyze", g]))
     for g in ALL_EDGES:
         stem = g.removesuffix(".g6").replace(":", "-")
         out.append((f"curvature-all-edges-{stem}", ["curvature", g, "--all-edges"]))

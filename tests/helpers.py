@@ -13,7 +13,8 @@ closed-form curvature matrix by Fractions against the exact Gamma2, S1''
 weights by a pair loop, the
 distance eigenfunction by the exact normalized Laplacian in Fractions,
 intersection arrays by a scan of every ordered vertex pair, isomorphism
-and automorphism orbits by permutation enumeration, strong sphericity by
+and automorphism orbits by permutation enumeration, colour refinement by
+the tuple loop it replaced, strong sphericity by
 the full row-major interval scan,
 cocktail party graphs by their complement and by neighbour sets, mu-graphs
 by building each one and by one frozenset intersection per pair, strongly
@@ -695,6 +696,28 @@ def isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:
         all(frozenset((p[u], p[v])) in edges2 for u, v in g1.edges())
         for p in permutations(range(g1.n))
     )
+
+
+def refine_tuples(g1: Graph, g2: Graph, signatures: list) -> Optional[list[int]]:
+    """The stable refinement of the disjoint union of g1 and g2 (vertex v of
+    g2 being vertex n + v) coloured by the tuples ``signatures``, or None as
+    soon as its two halves hold different colour counts: the tuple loop that
+    ``isomorphism._Union.refine`` replaced.  Colour ids are ranks of the
+    sorted signatures, and each round signs a vertex by its colour and the
+    sorted tuple of its neighbours' colours."""
+    n = g1.n
+    adjacency = g1.adjacency + tuple(tuple(n + w for w in nbrs) for nbrs in g2.adjacency)
+    while True:
+        ids = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        colors = [ids[s] for s in signatures]
+        if Counter(colors[:n]) != Counter(colors[n:]):
+            return None
+        signatures = [
+            (c, tuple(sorted(colors[w] for w in nbrs)))
+            for c, nbrs in zip(colors, adjacency)
+        ]
+        if len(set(signatures)) == len(ids):
+            return colors
 
 
 def cocktail_party_bruteforce(g: Graph) -> int | None:

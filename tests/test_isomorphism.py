@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from curvlab.families import (
 )
 from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, induced_subgraph
+from curvlab import isomorphism
 from curvlab.isomorphism import (
     automorphism_orbits,
     find_isomorphism,
@@ -28,6 +30,7 @@ from helpers import (
     isomorphic_bruteforce,
     orbit_representatives_bruteforce,
     record_calls,
+    refine_tuples,
     sample_graph,
 )
 
@@ -177,3 +180,113 @@ def test_discrete_colouring_makes_no_search(monkeypatch):
     searches = record_calls(monkeypatch, "isomorphism", "_search_from")
     assert automorphism_orbits(g) == (tuple(range(6)), ())
     assert searches == []
+
+
+def _partition(colors):
+    """The colours renumbered by first appearance: equal exactly when the
+    partitions are equal."""
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in colors]
+
+
+def _tuple_refine(u, signatures):
+    colors = refine_tuples(u.g1, u.g2, [tuple(row) for row in signatures.tolist()])
+    return None if colors is None else np.array(colors, dtype=np.int32)
+
+
+def _against_tuple_oracle(search):
+    """Run ``search`` with every refinement checked against the tuple oracle,
+    then with the oracle in place of the refinement; the partitions agree at
+    every call and both runs return the same result, which is returned."""
+    refine, calls = isomorphism._Union.refine, []
+
+    def checked(u, signatures):
+        colors, expected = refine(u, signatures), _tuple_refine(u, signatures)
+        assert (colors is None) == (expected is None)
+        assert colors is None or _partition(colors.tolist()) == _partition(expected.tolist())
+        calls.append(signatures.shape)
+        return colors
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(isomorphism._Union, "refine", checked)
+        found = search()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(isomorphism._Union, "refine", _tuple_refine)
+        assert search() == found
+    assert calls
+    return found
+
+
+@pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+def test_refinement_matches_tuple_oracle_on_sample_graphs(name):
+    g = sample_graph(name)
+    for seed in (None, 1, 2):
+        h = g if seed is None else _shuffled_copy(g, seed)
+        _against_tuple_oracle(lambda: automorphism_orbits(h))
+        assert _against_tuple_oracle(lambda: find_isomorphism(g, h)) is not None
+
+
+# edgeless and irregular graphs, whose neighbour rows are padded with the colour -1
+_PADDED = {
+    "empty": (0, []),
+    "K1": (1, []),
+    "3K1": (3, []),
+    "P3+K1": (4, [(0, 1), (1, 2)]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "K1,3": (4, [(0, 1), (0, 2), (0, 3)]),
+    "prism-plus": (7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5), (0, 6), (1, 6)]),
+}
+
+
+def _graph(name):
+    return build_graph(*_PADDED[name]) if name in _PADDED else sample_graph(name)
+
+
+@pytest.mark.parametrize("name", _PADDED)
+def test_refinement_matches_tuple_oracle_on_padded_rows(name):
+    g = _graph(name)
+    _against_tuple_oracle(lambda: automorphism_orbits(g))
+    for seed in (1, 2):
+        h = _shuffled_copy(g, seed)
+        assert _against_tuple_oracle(lambda: find_isomorphism(g, h)) is not None
+    # a search starts from distance profiles, which already tell the degrees
+    # apart; from one colour for all, only the padding does
+    u = isomorphism._Union(g, h)
+    uniform = np.zeros((2 * g.n, 1), dtype=np.int32)
+    assert _partition(u.refine(uniform).tolist()) == _partition(_tuple_refine(u, uniform).tolist())
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    # equal order and size; the last three pairs share strongly regular parameters
+    [("P4", "K1,3"), ("shrikhande", "lattice:4"), ("chang1", "chang2"), ("chang3", "triangular:8")],
+)
+def test_refinement_matches_tuple_oracle_on_non_isomorphic_pairs(first, second):
+    g, h = _graph(first), _shuffled_copy(_graph(second), 1)
+    assert _against_tuple_oracle(lambda: find_isomorphism(g, h)) is None
+
+
+@given(st.integers(min_value=0, max_value=7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_refinement_matches_tuple_oracle_on_small_graphs(n, data):
+    # the draws of the brute-force tests above: any graph and a relabelled
+    # copy, perhaps after one edge swap; or a union of two relabelled copies
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if data.draw(st.booleans()):
+        half = n // 2
+        copy = [(u, v) for u, v in pairs if v < half and data.draw(st.booleans())]
+        g = _relabelled(
+            build_graph(n, copy + [(u + half, v + half) for u, v in copy]),
+            data.draw(st.permutations(range(n))),
+        )
+    else:
+        g = build_graph(n, [e for e in pairs if data.draw(st.booleans())])
+    edges = g.edges()
+    others = [e for e in pairs if e not in edges]
+    if edges and others and data.draw(st.booleans()):
+        dropped, added = data.draw(st.sampled_from(edges)), data.draw(st.sampled_from(others))
+        edges = [e for e in edges if e != dropped] + [added]
+    h = _relabelled(build_graph(n, edges), data.draw(st.permutations(range(n))))
+    _against_tuple_oracle(lambda: automorphism_orbits(g))
+    found = _against_tuple_oracle(lambda: find_isomorphism(g, h))
+    assert (found is not None) == isomorphic_bruteforce(g, h)
