@@ -13,10 +13,11 @@ those four, J(6,3)xCP(2), Kneser(5,2), Shrikhande and the 6-cube;
 holds assignments of two sizes (6 and 10 atoms), and on K4, whose
 difference neighbourhoods are empty;
 ``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
-one of them a refused equal pair; ``transport-geodesic`` on the 3-cube,
-along a full-length path and a refused short one, and on Kneser(5,2)
-along a path whose first edge has no uniquely determined perfect
-matching; ``gen johnson 8 4``
+one of them a refused equal pair, three of them min-cost flows; ``transport-geodesic``
+on the 3-cube, along a full-length path and a refused short one, on
+Kneser(5,2) along a path whose first edge has no uniquely determined
+perfect matching, and on the 6-demicube, J(6,3) and Gosset along
+full-length paths; ``gen johnson 8 4``
 and ``gen kneser 9 4``, as graph6 and as ``--json``; and, on a
 disconnected regular graph (2K3), a connected irregular one (P4), the
 graph with no vertex and the one with a single vertex (K1, connected and
@@ -47,7 +48,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 102 commands run one after another and take about 20 s on a 2-core
+The 107 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -103,8 +104,10 @@ SCANNED = ("hypercube:4", "demicube:6", "johnson:8:4", "c10-1-4.json")
 # full analyze, sphericity scan included
 SPHERICAL = ("johnson:8:4", "demicube:6", "cocktailparty:32")
 GENERATED = (("johnson", "8", "4"), ("kneser", "9", "4"))
-# (output name, CLI argv); the last curvature pair and the last two
-# transport geodesics exit 3
+# (output name, CLI argv); the equal pair chang1 0 0 and the short and
+# Kneser transport geodesics exit 3.  The flows of chang1 0 1 and hall 0 10
+# cancel flow on 2 and 3 backward arcs (hall 3 50 cancels none); the peels
+# of the last three geodesics see 6, 4 and 10 vertices per side
 PAIRS = (
     ("curvature-gosset-0-1", ["curvature", "gosset", "0", "1"]),
     ("curvature-chang1-0-5", ["curvature", "chang1", "0", "5"]),
@@ -112,9 +115,14 @@ PAIRS = (
     ("curvature-plan-gosset-0-1", ["curvature", "gosset", "0", "1", "--plan"]),
     ("curvature-p-plan-hall-3-50", ["curvature", "hall", "3", "50", "--p", "1/2", "--plan"]),
     ("curvature-chang1-0-0", ["curvature", "chang1", "0", "0"]),
+    ("curvature-p-plan-chang1-0-1", ["curvature", "chang1", "0", "1", "--p", "1/2", "--plan"]),
+    ("curvature-p-plan-hall-0-10", ["curvature", "hall", "0", "10", "--p", "1/3", "--plan"]),
     ("transport-geodesic-q3", ["transport-geodesic", "hypercube:3", "--path", "0,1,3,7", "--z", "0"]),
     ("transport-geodesic-q3-short", ["transport-geodesic", "hypercube:3", "--path", "0,1,3", "--z", "0"]),
     ("transport-geodesic-kneser-5-2", ["transport-geodesic", "kneser:5:2", "--path", "0,7,3", "--z", "0"]),
+    ("transport-geodesic-demicube-6", ["transport-geodesic", "demicube:6", "--path", "0,1,7,31", "--z", "24"]),
+    ("transport-geodesic-johnson-6-3", ["transport-geodesic", "johnson:6:3", "--path", "0,1,7,19", "--z", "12"]),
+    ("transport-geodesic-gosset", ["transport-geodesic", "gosset", "--path", "0,1,13,28", "--z", "55"]),
 )
 
 

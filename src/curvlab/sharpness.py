@@ -156,7 +156,9 @@ class RecursionVerdict:
 
 
 def degree_recursions(g: Graph, x: int) -> RecursionVerdict:
-    """The three in/out/spherical degree identities on every sphere of a pole."""
+    """d+ - d- = D(1 - 2k/L) at every y on every k-sphere of a pole x.  As
+    d- + d0 + d+ = D (each neighbour of y lies one layer nearer x, level or
+    one farther), this is also 2d+ + d0 = 2D(1 - k/L) and 2d- + d0 = 2kD/L."""
     require_connected(g)
     deg = require_regular(g)
     d = distances(g)
@@ -168,10 +170,6 @@ def degree_recursions(g: Graph, x: int) -> RecursionVerdict:
             t = degree_triple(g, x, y)
             if t.d_plus - t.d_minus != deg * (1 - Fraction(2 * k, L)):
                 return RecursionVerdict(False, (k, y, "out-minus-in"))
-            if 2 * t.d_plus + t.d_zero != 2 * deg * (1 - Fraction(k, L)):
-                return RecursionVerdict(False, (k, y, "out-spherical"))
-            if 2 * t.d_minus + t.d_zero != Fraction(2 * k * deg, L):
-                return RecursionVerdict(False, (k, y, "in-spherical"))
     return RecursionVerdict(True, None)
 
 

@@ -18,7 +18,10 @@ branch of ``wasserstein`` (``_assignment``, a stack of one) solve through
 used; with a plan, ``kappa`` is read off that W1 solve by the same rule.
 Both solvers read their costs from ``_costs``, the one place that turns
 graph distances into transport costs; no function here takes a distance
-oracle.
+oracle.  The min-cost flow of unequal atoms (``_transportation``) numbers
+its nodes once, sources then sinks, keeps one list per node quantity and
+breaks ties toward the lower node; the forced-pair peel of the matching
+maps (``unique_perfect_matching``) pairs list entries, not vertices.
 """
 
 from __future__ import annotations
@@ -239,100 +242,68 @@ def _transportation(
 ) -> tuple[int, dict[tuple[int, int], int]]:
     """Integer transportation problem by successive shortest augmenting paths.
 
-    Non-negative integer costs; exact optimum.  Node potentials keep reduced
-    costs non-negative, so each augmentation is a plain Dijkstra run from
-    the sources that still hold supply.  Reduced costs: forward arc (i, j)
-    carries cost[i][j] + phi_s[i] - phi_t[j], the reverse arc (flow > 0) the
-    negation; both stay >= 0 by the standard potential update.  The answer
-    is certified by those potentials before it is returned (see
-    ``_certify_flow``).
+    Non-negative integer costs; exact optimum.  Sources are nodes 0..ns-1
+    and sinks ns..ns+nt-1; one list per quantity holds every node's
+    distance, parent, potential phi and unshipped mass.  Each round lists
+    the residual arcs (head, cost) out of every node, heads ascending:
+    source i to each sink ns + j at cost[i][j], sink ns + j back to each
+    source i shipping to it at -cost[i][j].  The potentials keep every
+    reduced cost c + phi[tail] - phi[head] >= 0, so each augmentation is a
+    plain Dijkstra run from the sources that still hold supply.  Ties go to
+    the lower node: heap entries (distance, node) pop sources before sinks,
+    a parent changes only on a strictly shorter distance, and the path ends
+    at the nearest reached sink with demand left.  The potentials certify
+    the answer before it is returned (see ``_certify_flow``).
     """
-    ns, nt = len(supply), len(demand)
+    ns = len(supply)
     if sum(supply) != sum(demand):
         raise UnbalancedTransport(f"supply {sum(supply)} != demand {sum(demand)}")
+    nodes = range(ns + len(demand))
+    sinks = nodes[ns:]
+    mass, phi = [*supply, *demand], [0] * len(nodes)
+    forward = [list(zip(sinks, row)) for row in cost]
     flow: dict[tuple[int, int], int] = {}
-    phi_s = [0] * ns
-    phi_t = [0] * nt
-    remaining = sum(supply)
-    given = (list(supply), list(demand))
-    supply = list(supply)
-    demand = list(demand)
-    NONE = -1
-    while remaining > 0:
-        big = None
-        dist_s: list = [big] * ns
-        dist_t: list = [big] * nt
-        par_t = [NONE] * nt  # source we reached this sink from
-        par_s = [NONE] * ns  # sink we reached this source from; NONE = root
-        heap: list[tuple[int, int, int]] = []
-        for i in range(ns):
-            if supply[i] > 0:
-                dist_s[i] = 0
-                heapq.heappush(heap, (0, 0, i))
+    while any(mass[:ns]):
+        arcs = forward + [[] for _ in sinks]  # (head, cost) of each residual arc out of each node
+        for i, j in sorted(flow):
+            arcs[ns + j].append((i, -cost[i][j]))
+        dist: list = [0 if m > 0 else None for m in mass[:ns]] + [None] * len(sinks)
+        heap = [(0, u) for u, d in enumerate(dist[:ns]) if d == 0]
+        par = [-1] * len(nodes)  # -1 marks a root source
         while heap:
-            dd, side, node = heapq.heappop(heap)
-            if side == 0:
-                if dist_s[node] is None or dd > dist_s[node]:
-                    continue
-                for j in range(nt):
-                    rc = cost[node][j] + phi_s[node] - phi_t[j]
-                    nd = dd + rc
-                    if dist_t[j] is None or nd < dist_t[j]:
-                        dist_t[j] = nd
-                        par_t[j] = node
-                        heapq.heappush(heap, (nd, 1, j))
-            else:
-                if dist_t[node] is None or dd > dist_t[node]:
-                    continue
-                for i in range(ns):
-                    if flow.get((i, node), 0) > 0:
-                        rc = -cost[i][node] + phi_t[node] - phi_s[i]
-                        nd = dd + rc
-                        if dist_s[i] is None or nd < dist_s[i]:
-                            dist_s[i] = nd
-                            par_s[i] = node
-                            heapq.heappush(heap, (nd, 0, i))
-        best_j = -1
-        for j in range(nt):
-            if demand[j] > 0 and dist_t[j] is not None:
-                if best_j < 0 or dist_t[j] < dist_t[best_j]:
-                    best_j = j
-        if best_j < 0:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            du += phi[u]
+            for v, c in arcs[u]:
+                dv = du + c - phi[v]
+                if dist[v] is None or dv < dist[v]:
+                    dist[v], par[v] = dv, u
+                    heapq.heappush(heap, (dv, v))
+        reached = [(d, v) for v, d, m in zip(sinks, dist[ns:], mass[ns:]) if m > 0 and d is not None]
+        if not reached:
             raise SolverFailed("transportation problem is infeasible")
-        dstar = dist_t[best_j]
-        # walk parents back to a root source, recording arcs on the path
-        forward_arcs: list[tuple[int, int]] = []
-        backward_arcs: list[tuple[int, int]] = []
-        j = best_j
-        while True:
-            i = par_t[j]
-            forward_arcs.append((i, j))
-            if par_s[i] == NONE:
-                root = i
-                break
-            j = par_s[i]
-            backward_arcs.append((i, j))
-        bottleneck = min(supply[root], demand[best_j])
-        for arc in backward_arcs:
-            bottleneck = min(bottleneck, flow[arc])
-        for arc in forward_arcs:
-            flow[arc] = flow.get(arc, 0) + bottleneck
-        for arc in backward_arcs:
-            flow[arc] -= bottleneck
-            if flow[arc] == 0:
-                del flow[arc]
-        supply[root] -= bottleneck
-        demand[best_j] -= bottleneck
-        remaining -= bottleneck
-        for i in range(ns):
-            if dist_s[i] is not None:
-                phi_s[i] += min(dist_s[i], dstar)
-        for j in range(nt):
-            if dist_t[j] is not None:
-                phi_t[j] += min(dist_t[j], dstar)
+        dstar, sink = min(reached)
+        path = [sink]  # sink, source, sink, ..., root source
+        while par[path[-1]] >= 0:
+            path.append(par[path[-1]])
+        # the (source, sink) key of each path arc: forward, backward, forward, ...
+        keys = [(min(u, v), max(u, v) - ns) for u, v in zip(path, path[1:])]
+        step = min(mass[path[-1]], mass[sink], *(flow[a] for a in keys[1::2]))
+        for a in keys[::2]:
+            flow[a] = flow.get(a, 0) + step
+        for a in keys[1::2]:
+            flow[a] -= step
+            if flow[a] == 0:
+                del flow[a]
+        mass[path[-1]] -= step
+        mass[sink] -= step
+        for u in nodes:
+            if dist[u] is not None:
+                phi[u] += min(dist[u], dstar)
     total = sum(cost[i][j] * f for (i, j), f in flow.items())
-    _certify_flow(cost, *given, flow, phi_s, phi_t, total)
-    return total, dict(flow)
+    _certify_flow(cost, list(supply), list(demand), flow, phi[:ns], phi[ns:], total)
+    return total, flow
 
 
 def _certify_flow(
@@ -458,50 +429,39 @@ def matching_sides(
 def unique_perfect_matching(
     g: Graph, left: Sequence[int], right: Sequence[int]
 ) -> Optional[dict[int, int]]:
-    """The unique perfect matching between two sets, or None.
+    """The unique perfect matching between two vertex lists, or None.
 
-    Peels forced (degree-one) vertices; the peeling completes exactly when a
-    perfect matching exists and is unique.  Returns None when no perfect
-    matching exists or when more than one does.
+    It pairs entries, not vertices: left[i] is entry i and right[j] entry
+    j, so the lists may share a vertex, and one listed twice gives two
+    interchangeable entries and no unique matching.  The peel pairs an
+    active left entry with its one remaining option and drops both.  A
+    unique matching has no alternating cycle, so with its edges oriented
+    right to left and the others left to right the digraph has a sink: a
+    left entry with one option.  The peel thus completes exactly when a
+    perfect matching exists and is unique, and else gives None.
     """
-    if len(left) != len(right):
+    k = len(left)
+    if len(right) != k:
         return None
-    rset = set(right)
-    adj: dict[int, set[int]] = {u: {v for v in g.adjacency[u] if v in rset} for u in left}
-    radj: dict[int, set[int]] = {v: set() for v in right}
-    for u, vs in adj.items():
-        for v in vs:
-            radj[v].add(u)
+    options: list[set[int]] = []
+    for u in left:
+        near = g.neighbor_set(u)
+        options.append({j for j, v in enumerate(right) if v in near})
     matching: dict[int, int] = {}
-    active_l = set(left)
-    active_r = set(right)
-    while active_l:
-        forced: Optional[tuple[int, int]] = None
-        for u in active_l:
-            if len(adj[u]) == 0:
-                return None
-            if len(adj[u]) == 1:
-                forced = (u, next(iter(adj[u])))
+    active = set(range(k))
+    while active:
+        for i in active:
+            if len(options[i]) < 2:
                 break
-        if forced is None:
-            for v in active_r:
-                if len(radj[v]) == 0:
-                    return None
-                if len(radj[v]) == 1:
-                    forced = (next(iter(radj[v])), v)
-                    break
-        if forced is None:
-            return None  # every remaining vertex has >= 2 options: not unique
-        u, v = forced
-        matching[u] = v
-        active_l.remove(u)
-        active_r.remove(v)
-        for w in adj[u]:
-            radj[w].discard(u)
-        for w in radj[v]:
-            adj[w].discard(v)
-        del adj[u]
-        del radj[v]
+        else:
+            return None  # every active entry has two options or more: not unique
+        if not options[i]:
+            return None  # no perfect matching
+        (j,) = options[i]
+        matching[left[i]] = right[j]
+        active.remove(i)
+        for w in active:
+            options[w].discard(j)
     return matching
 
 

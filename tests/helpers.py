@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, the lockstep Hungarian kernel by the one-problem
-loop it replaced, perfect matchings by enumerating every all-edge
-bijection,
+loop it replaced, the min-cost flow by the per-side solver it replaced,
+perfect matchings by enumerating every all-edge bijection and by the
+per-vertex peel it replaced,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
 assembly over the whole vertex set and by one matrix per neighbour, the
 Bakry-Emery value by a PSD bisection, the stacked Bakry-Emery sweep by a
@@ -36,18 +37,25 @@ assembly ``stacked_forms`` that the closed form replaced.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from curvlab import _kernels, bakry_emery, graphs, sharpness
-from curvlab.errors import FormCheckFailed, IsolatedVertex, PreconditionError
+from curvlab import _kernels, bakry_emery, graphs, sharpness, transport
+from curvlab.errors import (
+    FormCheckFailed,
+    IsolatedVertex,
+    PreconditionError,
+    SolverFailed,
+    UnbalancedTransport,
+)
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
 from curvlab.graphs import (
@@ -967,3 +975,150 @@ def record_calls(monkeypatch, module: str, name: str) -> list[tuple]:
             if value is original:
                 monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def transportation_by_sides(
+    cost: list[list[int]], supply: list[int], demand: list[int]
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """The successive-shortest-path transportation solver with one state
+    list per side: ``dist_s``/``dist_t``, ``par_s``/``par_t``,
+    ``phi_s``/``phi_t``, a side flag in every heap entry and separate
+    forward and backward arc lists.  The oracle that ``_transportation``
+    must equal bit for bit: the same total, the same flow items in the same
+    order and the same potentials handed to ``transport._certify_flow``
+    (looked up on the module, so a test can wrap it)."""
+    ns, nt = len(supply), len(demand)
+    if sum(supply) != sum(demand):
+        raise UnbalancedTransport(f"supply {sum(supply)} != demand {sum(demand)}")
+    flow: dict[tuple[int, int], int] = {}
+    phi_s = [0] * ns
+    phi_t = [0] * nt
+    remaining = sum(supply)
+    given = (list(supply), list(demand))
+    supply = list(supply)
+    demand = list(demand)
+    NONE = -1
+    while remaining > 0:
+        big = None
+        dist_s: list = [big] * ns
+        dist_t: list = [big] * nt
+        par_t = [NONE] * nt  # source we reached this sink from
+        par_s = [NONE] * ns  # sink we reached this source from; NONE = root
+        heap: list[tuple[int, int, int]] = []
+        for i in range(ns):
+            if supply[i] > 0:
+                dist_s[i] = 0
+                heapq.heappush(heap, (0, 0, i))
+        while heap:
+            dd, side, node = heapq.heappop(heap)
+            if side == 0:
+                if dist_s[node] is None or dd > dist_s[node]:
+                    continue
+                for j in range(nt):
+                    rc = cost[node][j] + phi_s[node] - phi_t[j]
+                    nd = dd + rc
+                    if dist_t[j] is None or nd < dist_t[j]:
+                        dist_t[j] = nd
+                        par_t[j] = node
+                        heapq.heappush(heap, (nd, 1, j))
+            else:
+                if dist_t[node] is None or dd > dist_t[node]:
+                    continue
+                for i in range(ns):
+                    if flow.get((i, node), 0) > 0:
+                        rc = -cost[i][node] + phi_t[node] - phi_s[i]
+                        nd = dd + rc
+                        if dist_s[i] is None or nd < dist_s[i]:
+                            dist_s[i] = nd
+                            par_s[i] = node
+                            heapq.heappush(heap, (nd, 0, i))
+        best_j = -1
+        for j in range(nt):
+            if demand[j] > 0 and dist_t[j] is not None:
+                if best_j < 0 or dist_t[j] < dist_t[best_j]:
+                    best_j = j
+        if best_j < 0:
+            raise SolverFailed("transportation problem is infeasible")
+        dstar = dist_t[best_j]
+        # walk parents back to a root source, recording arcs on the path
+        forward_arcs: list[tuple[int, int]] = []
+        backward_arcs: list[tuple[int, int]] = []
+        j = best_j
+        while True:
+            i = par_t[j]
+            forward_arcs.append((i, j))
+            if par_s[i] == NONE:
+                root = i
+                break
+            j = par_s[i]
+            backward_arcs.append((i, j))
+        bottleneck = min(supply[root], demand[best_j])
+        for arc in backward_arcs:
+            bottleneck = min(bottleneck, flow[arc])
+        for arc in forward_arcs:
+            flow[arc] = flow.get(arc, 0) + bottleneck
+        for arc in backward_arcs:
+            flow[arc] -= bottleneck
+            if flow[arc] == 0:
+                del flow[arc]
+        supply[root] -= bottleneck
+        demand[best_j] -= bottleneck
+        remaining -= bottleneck
+        for i in range(ns):
+            if dist_s[i] is not None:
+                phi_s[i] += min(dist_s[i], dstar)
+        for j in range(nt):
+            if dist_t[j] is not None:
+                phi_t[j] += min(dist_t[j], dstar)
+    total = sum(cost[i][j] * f for (i, j), f in flow.items())
+    transport._certify_flow(cost, *given, flow, phi_s, phi_t, total)
+    return total, dict(flow)
+
+
+def unique_perfect_matching_by_vertices(
+    g: Graph, left: Sequence[int], right: Sequence[int]
+) -> Optional[dict[int, int]]:
+    """The forced-pair peel keyed by vertex, with mirrored per-side state
+    (``adj``/``radj``, ``active_l``/``active_r``): the oracle that
+    ``unique_perfect_matching`` must equal on sides without a repeated
+    vertex.  A repeated vertex collapses to one key here, so
+    ``[1, 1], [2, 3]`` on the edges 1-2 and 1-3 gives ``{1: 2}``."""
+    if len(left) != len(right):
+        return None
+    rset = set(right)
+    adj: dict[int, set[int]] = {u: {v for v in g.adjacency[u] if v in rset} for u in left}
+    radj: dict[int, set[int]] = {v: set() for v in right}
+    for u, vs in adj.items():
+        for v in vs:
+            radj[v].add(u)
+    matching: dict[int, int] = {}
+    active_l = set(left)
+    active_r = set(right)
+    while active_l:
+        forced: Optional[tuple[int, int]] = None
+        for u in active_l:
+            if len(adj[u]) == 0:
+                return None
+            if len(adj[u]) == 1:
+                forced = (u, next(iter(adj[u])))
+                break
+        if forced is None:
+            for v in active_r:
+                if len(radj[v]) == 0:
+                    return None
+                if len(radj[v]) == 1:
+                    forced = (next(iter(radj[v])), v)
+                    break
+        if forced is None:
+            return None  # every remaining vertex has >= 2 options: not unique
+        u, v = forced
+        matching[u] = v
+        active_l.remove(u)
+        active_r.remove(v)
+        for w in adj[u]:
+            radj[w].discard(u)
+        for w in radj[v]:
+            adj[w].discard(v)
+        del adj[u]
+        del radj[v]
+    return matching

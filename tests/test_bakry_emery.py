@@ -11,7 +11,7 @@ import helpers
 from curvlab import bakry_emery
 from curvlab.bakry_emery import be_curvature, be_curvatures, conjecture_scan
 from curvlab.cli import main
-from curvlab.errors import FormCheckFailed, IsolatedVertex
+from curvlab.errors import BadParam, FormCheckFailed, IsolatedVertex
 from curvlab.families import (
     cocktail_party,
     complete,
@@ -371,6 +371,12 @@ class TestConjectureScan:
         g = shrikhande()
         report = _scan(g)
         assert report.holds
+
+    def test_missing_row_refused(self, petersen):
+        g, _ = petersen
+        rows = be_curvatures(g, range(g.n - 1))
+        with pytest.raises(BadParam, match="^9 Bakry-Emery rows for 10 vertices$"):
+            conjecture_scan(g, rows)
 
     def test_equality_on_self_centered_sharp_families(self, q4, cp4, j63, demi6):
         # margin is exactly zero (within tolerance) for these fixtures

@@ -262,6 +262,18 @@ class TestGen:
         assert code == 2 and out == "" and f"more than {refusal}" in err
         assert built == []
 
+    @pytest.mark.parametrize(
+        "spec,refusal",
+        [
+            (["doob", "-1", "1"], "doob needs n >= 0 and m >= 1, got (-1,1)"),
+            (["lattice", "1"], "lattice needs n >= 2, got 1"),
+        ],
+        ids=["doob-negative", "lattice-1"],
+    )
+    def test_composite_params_refused_exit2(self, capsys, spec, refusal):
+        code, out, err = run(capsys, "gen", *spec)
+        assert code == 2 and out == "" and err == f"error: {refusal}\n"
+
     def test_hamming_of_one_vertex_refused(self, capsys):
         # (K_1)^d has one vertex for every d but takes d - 1 products to build
         code, out, err = run(capsys, "gen", "hamming", "1", "1000000000")
@@ -396,6 +408,11 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", str(path))
         assert code == 3
 
+    def test_hall_has_no_lambda_m(self, capsys):
+        # 2D/L - 2 = 20/3 - 2 = 14/3 is not an integer, so there is no m to check
+        code, out, _ = run(capsys, "analyze", "hall", "--skip-be", "--skip-spherical")
+        assert code == 0 and json.loads(out)["lambda_m"] == {"m": None, "holds": False}
+
     def test_parse_error_exit2(self, tmp_path, capsys):
         path = tmp_path / "junk.g6"
         path.write_text("\x01\x02junk\n")
@@ -430,6 +447,10 @@ class TestCurvature:
     def test_kappa_p(self, capsys):
         code, out, _ = run(capsys, "curvature", "cocktailparty:3", "0", "2", "--p", "1/5")
         assert code == 0 and "4/5" in out
+
+    def test_missing_pair_exit2(self, capsys):
+        code, out, err = run(capsys, "curvature", "gosset")
+        assert code == 2 and out == "" and err == "error: curvature needs x and y (or --all-edges)\n"
 
     def test_non_regular_exit3(self, tmp_path, capsys):
         path = tmp_path / "p3.json"
@@ -487,6 +508,12 @@ class TestTransportGeodesicCmd:
         )
         doc = json.loads(out)
         assert code == 0 and doc["length"] == 2
+
+    def test_bad_path_exit2(self, capsys):
+        code, out, err = run(
+            capsys, "transport-geodesic", "hypercube:3", "--path", "0,a", "--z", "0"
+        )
+        assert code == 2 and out == "" and err == "error: bad path '0,a'\n"
 
     def test_short_path_exit3(self, capsys):
         code, _, _ = run(

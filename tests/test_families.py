@@ -239,3 +239,13 @@ class TestFamilySpec:
     def test_product_needs_two(self):
         with pytest.raises(BadParam):
             FamilySpec("product", factors=(FamilySpec("gosset"),))
+
+    def test_product_takes_no_params(self):
+        factors = (FamilySpec("gosset"), FamilySpec("hypercube", (3,)))
+        with pytest.raises(BadParam, match="^product takes no params$"):
+            FamilySpec("product", (1,), factors=factors)
+
+    def test_family_takes_no_factors(self):
+        factors = (FamilySpec("gosset"), FamilySpec("hypercube", (3,)))
+        with pytest.raises(BadParam, match="^hypercube takes no factors$"):
+            FamilySpec("hypercube", (3,), factors=factors)

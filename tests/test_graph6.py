@@ -17,6 +17,8 @@ from curvlab.graph6 import (
 from curvlab.graphs import build_graph
 from curvlab.families import complete, hypercube
 
+from helpers import record_calls
+
 
 def test_known_encodings():
     # K4: six upper-triangle 1-bits -> 111111 = 63 -> '~'
@@ -110,6 +112,25 @@ def test_malformed_file_exit2(tmp_path, capsys, name, content):
         load_graph(str(path))
     assert main(["spectral", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content, refusal",
+    [
+        ("~??", "truncated graph6 size field"),
+        ("~~??", "truncated graph6 size field"),
+        # the 8-byte size form: n = 2^12 needs 2^11 (2^12 - 1) bits, 1397760 bytes
+        ("~~???@??", "graph6 body length 0, expected 1397760"),
+    ],
+    ids=["short-4-byte-form", "short-8-byte-form", "8-byte-form-no-body"],
+)
+def test_size_field_refusals_exit2(tmp_path, capsys, monkeypatch, content, refusal):
+    built = record_calls(monkeypatch, "graphs", "build_graph")
+    path = tmp_path / "g.g6"
+    path.write_text(content)
+    assert main(["spectral", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert built == []
 
 
 def test_unreadable_input_is_a_format_error(tmp_path):

@@ -86,6 +86,10 @@ class TestBuildGraph:
         with pytest.raises(VertexOutOfRange):
             build_graph(3, [(0, 3)])
 
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(VertexOutOfRange, match="^label count does not match vertex count$"):
+            build_graph(2, [], labels=["a"])
+
     def test_rejects_vertex_count_above_cap(self):
         # refused before any allocation, so no test needs a graph near the cap
         for n in (MAX_VERTICES + 1, 10**10):

@@ -186,6 +186,8 @@ class TestPoleFacts:
         assert d.eccentricity(0) == 3 and d.diameter == 4
         with pytest.raises(NotAPole):
             pole_facts(g, 0)
+        with pytest.raises(NotAPole):
+            degree_recursions(g, 0)
 
 
 class TestDegreeRecursions:
@@ -668,6 +670,12 @@ class TestFourCycleLemma:
     def test_c4(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert four_cycle_lemma_check(GraphAnalysis(g)).holds
+
+    def test_j63_every_edge_in_triangles(self, j63):
+        # each edge of J(6,3) lies in 4 triangles, so the lemma checks none
+        g, _ = j63
+        verdict = four_cycle_lemma_check(GraphAnalysis(g))
+        assert verdict.holds and verdict.checked_edges == 0
 
     def test_c5_vacuous(self):
         # pentagon edges have curvature 1/2 >= 2/D = 1, false; nothing to check

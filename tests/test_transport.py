@@ -1,7 +1,10 @@
 """Exact transport: Wasserstein distances, curvature flavours, duality
 certificates, triangle-and-matching maps, transport geodesics."""
 
+import inspect
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -34,6 +37,7 @@ from curvlab.families import (
 from curvlab.fixtures import load_fixture
 from curvlab.graphs import build_graph, cartesian_product, common_neighbors, distances, interval
 from curvlab.transport import (
+    _kappa_p_plan,
     _kappa_plan,
     CurvatureValue,
     Measure,
@@ -64,6 +68,8 @@ from helpers import (
     random_regular_graph,
     record_calls,
     sample_graph,
+    transportation_by_sides,
+    unique_perfect_matching_by_vertices,
     wasserstein_bruteforce,
     wasserstein_full_flow,
 )
@@ -525,6 +531,110 @@ class TestFlowCertificate:
             transport._transportation(self.COST, self.SUPPLY, self.DEMAND)
 
 
+def _flow_branches(run) -> Counter:
+    """Run ``run()`` and count, by tracing the lines of
+    ``transport._transportation``, three of its branches: a stale heap entry
+    popped and skipped, a source pushed onto the heap (the sources that hold
+    supply start on it, so a pushed one is spent and reached through a
+    backward arc) and a backward arc on which an augmentation cancels flow."""
+    code = transport._transportation.__code__
+    lines, first = inspect.getsourcelines(transport._transportation)
+    text = {first + k: line.strip() for k, line in enumerate(lines)}
+    hits: Counter = Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            line = text[frame.f_lineno]
+            if line == "continue":
+                hits["stale pop"] += 1
+            elif line == "flow[a] -= step":
+                hits["cancelled arc"] += 1
+            elif line.startswith("heapq.heappush") and frame.f_locals["v"] < frame.f_locals["ns"]:
+                hits["source reached"] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
+class TestFlowByNodes:
+    """``_transportation`` numbers sources 0..ns-1 and sinks after them and
+    keeps one list per node quantity.  It must equal the per-side solver it
+    replaced, ``transportation_by_sides``, bit for bit: the total, the flow
+    items in their order and the potentials it hands to ``_certify_flow``."""
+
+    @pytest.fixture
+    def solve_both(self, monkeypatch):
+        certified = []
+        certify = transport._certify_flow
+
+        def recording(cost, supply, demand, flow, phi_s, phi_t, total):
+            certified.append((phi_s, phi_t))
+            certify(cost, supply, demand, flow, phi_s, phi_t, total)
+
+        monkeypatch.setattr(transport, "_certify_flow", recording)
+
+        def solve_both(cost, supply, demand):
+            """(total, flow items, (phi_s, phi_t)) of the change, then of the oracle."""
+            answers = []
+            for solve in (transport._transportation, transportation_by_sides):
+                total, flow = solve(cost, supply, demand)
+                answers.append((total, list(flow.items()), certified.pop()))
+            return answers
+
+        return solve_both
+
+    def test_equals_the_per_side_solver(self, solve_both):
+        # one problem in twenty has up to 30 sources and sinks, the rest up
+        # to 8, so the 5000 run in seconds; costs up to 1 or 2 make many
+        # equal distances, which the tie rules decide
+        rng = random.Random(30)
+        for case in range(5000):
+            top = 30 if rng.random() < 0.05 else 8
+            ns, nt = rng.randint(1, top), rng.randint(1, top)
+            high = rng.choice((1, 2, 20))
+            cost = [[rng.randint(0, high) for _ in range(nt)] for _ in range(ns)]
+            supply = [0]
+            while sum(supply) < nt:
+                supply = [rng.randint(1, 400) for _ in range(ns)]
+            cuts = sorted(rng.sample(range(1, sum(supply)), nt - 1))
+            demand = [b - a for a, b in zip([0, *cuts], [*cuts, sum(supply)])]
+            new, old = solve_both(cost, supply, demand)
+            assert new == old, case
+
+    def test_stale_heap_entry(self, solve_both):
+        # the sink is pushed at distance 4 from source 0, then at 1 from
+        # source 1, so its first entry pops stale
+        problem = ([[4], [1]], [3, 5], [8])
+        assert _flow_branches(lambda: transport._transportation(*problem))["stale pop"] == 1
+        new, old = solve_both(*problem)
+        assert new == old and new[:2] == (17, [((1, 0), 5), ((0, 0), 3)])
+
+    def test_paths_cancel_flow_on_backward_arcs(self, monkeypatch, solve_both):
+        g, p = load_fixture("chang1"), Fraction(1, 2)
+        hits = _flow_branches(lambda: _kappa_p_plan(g, 0, 1, p))
+        assert hits["cancelled arc"] == 2
+        calls = record_calls(monkeypatch, "transport", "_transportation")
+        _kappa_p_plan(g, 0, 1, p)
+        new, old = solve_both(*calls[0])
+        assert new == old
+
+    def test_spent_source_reached_again(self, solve_both):
+        # source 0 ships to sink 0 first (cost 0, the lower node); source 1's
+        # path to sink 1 then runs sink 0 -> source 0 -> sink 1 through the
+        # spent source 0 and cancels its flow into sink 0
+        problem = ([[0, 1], [0, 5]], [1, 1], [1, 1])
+        hits = _flow_branches(lambda: transport._transportation(*problem))
+        assert hits["source reached"] == 1 and hits["cancelled arc"] == 1
+        new, old = solve_both(*problem)
+        assert new == old and new[:2] == (1, [((0, 1), 1), ((1, 0), 1)])
+
+
 class TestReducedRoute:
     """kappa's assignment on the cancelled 1-ball support against min-cost
     flow on the full, uncancelled 1-ball supports, on pairs at distance >= 2."""
@@ -760,6 +870,55 @@ class TestUniqueMatching:
                 assert unique_perfect_matching(g, left, right) == want, (g.n, x, y)
                 counts.add(min(len(matchings), 2))
         assert counts == {0, 1, 2}
+
+    def test_matches_bijection_enumeration_on_entry_lists(self):
+        # lists of up to 6 entries drawn with repeats from one vertex pool,
+        # so a side can repeat a vertex and the two sides can share one: a
+        # repeated left vertex gives several bijections, a repeated right
+        # vertex none, and the peel must answer None to both
+        rng = random.Random(30)
+        counts, repeated, shared = set(), 0, 0
+        for case in range(3000):
+            n = rng.randint(2, 9)
+            g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+            k = rng.randint(0, 6)
+            left = [rng.randrange(n) for _ in range(k)]
+            right = [rng.randrange(n) for _ in range(k + (rng.random() < 0.05))]
+            matchings = adjacency_bijections(g, left, right)
+            want = matchings[0] if len(matchings) == 1 else None
+            assert unique_perfect_matching(g, left, right) == want, case
+            counts.add(min(len(matchings), 2))
+            repeated += len(set(left)) < k or len(set(right)) < len(right)
+            shared += bool(set(left) & set(right))
+        assert counts == {0, 1, 2} and repeated > 100 and shared > 100
+
+    def test_equals_the_per_vertex_peel(self):
+        # on the matching sides of every edge, where no side repeats a vertex
+        rng = random.Random(30)
+        graphs = [sample_graph(name) for name in SAMPLE_GRAPHS]
+        graphs += [random_regular_graph(n, deg, rng) for n, deg in ((10, 3), (12, 4), (14, 5), (16, 6), (20, 7))]
+        outcomes = set()
+        for g in graphs:
+            for x, y in g.edges():
+                sides = matching_sides(g, x, y)
+                want = unique_perfect_matching_by_vertices(g, *sides)
+                assert unique_perfect_matching(g, *sides) == want, (g.n, x, y)
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_repeated_entry_has_no_unique_matching(self):
+        # the two nodes of vertex 1 can swap vertices 2 and 3, so two
+        # perfect matchings pair the entries; peeling by vertex paired
+        # one of them and answered {1: 2}, one pair for two entries
+        g = build_graph(4, [(0, 2), (1, 2), (1, 3)])
+        assert unique_perfect_matching_by_vertices(g, [1, 1], [2, 3]) == {1: 2}
+        assert unique_perfect_matching(g, [1, 1], [2, 3]) is None
+
+    def test_sides_sharing_a_vertex(self):
+        # on the path 0-1-2, vertex 1 is an entry of both sides: left 0 can
+        # take only right 1, which leaves right 2 to left 1
+        g = build_graph(3, [(0, 1), (1, 2)])
+        assert unique_perfect_matching(g, [0, 1], [1, 2]) == {0: 1, 1: 2}
 
 
 class TestTransportGeodesic:
