@@ -13,7 +13,8 @@ those four, J(6,3)xCP(2), Kneser(5,2), Shrikhande and the 6-cube;
 holds assignments of two sizes (6 and 10 atoms), and on K4, whose
 difference neighbourhoods are empty;
 ``curvature`` on single pairs, with and without ``--p`` and ``--plan``,
-one of them a refused equal pair, three of them min-cost flows; ``transport-geodesic``
+one of them a refused equal pair, three of them min-cost flows, and two
+far pairs on the 6-cube, at distance 6 and, with ``--plan``, 3; ``transport-geodesic``
 on the 3-cube, along a full-length path and a refused short one, on
 Kneser(5,2) along a path whose first edge has no uniquely determined
 perfect matching, and on the 6-demicube, J(6,3) and Gosset along
@@ -48,7 +49,7 @@ compare:
     python3 scripts/capture_outputs.py /tmp/after    # with the change
     diff -r /tmp/before /tmp/after
 
-The 107 commands run one after another and take about 20 s on a 2-core
+The 109 commands run one after another and take about 20 s on a 2-core
 machine.
 """
 
@@ -117,6 +118,8 @@ PAIRS = (
     ("curvature-chang1-0-0", ["curvature", "chang1", "0", "0"]),
     ("curvature-p-plan-chang1-0-1", ["curvature", "chang1", "0", "1", "--p", "1/2", "--plan"]),
     ("curvature-p-plan-hall-0-10", ["curvature", "hall", "0", "10", "--p", "1/3", "--plan"]),
+    ("curvature-hypercube-6-0-63", ["curvature", "hypercube:6", "0", "63"]),
+    ("curvature-plan-hypercube-6-0-7", ["curvature", "hypercube:6", "0", "7", "--plan"]),
     ("transport-geodesic-q3", ["transport-geodesic", "hypercube:3", "--path", "0,1,3,7", "--z", "0"]),
     ("transport-geodesic-q3-short", ["transport-geodesic", "hypercube:3", "--path", "0,1,3", "--z", "0"]),
     ("transport-geodesic-kneser-5-2", ["transport-geodesic", "kneser:5:2", "--path", "0,7,3", "--z", "0"]),

@@ -3,18 +3,28 @@
 graph6 follows McKay's format description: the optional ``>>graph6<<``
 header, the N(n) size prefix, then the upper triangle of the adjacency
 matrix in column order (0,1), (0,2), (1,2), (0,3), ... packed into 6-bit
-big-endian groups offset by 63.
+big-endian groups offset by 63.  The decoder unpacks the whole body with
+one ``np.unpackbits`` and finds each set bit's column by a search over the
+column starts j (j - 1) / 2.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
+
+import numpy as np
 
 from .errors import FormatError
 from .graphs import Graph, build_graph
 
 _HEADER = ">>graph6<<"
+# a graph6 character is one of chr(63) "?" to chr(126) "~", and character c
+# holds the six bits of c - 63 (a byte table, not numpy uint8 arithmetic,
+# whose loops would add to the peak RSS of every decode)
+_INVALID = re.compile(r"[^?-~]")
+_MINUS_63 = bytes((c - 63) % 256 for c in range(256))
 
 
 def _encode_n(n: int) -> str:
@@ -72,30 +82,25 @@ def decode_graph6(s: str) -> Graph:
         s = s[len(_HEADER) :].strip()
     if not s:
         raise FormatError("empty graph6 string")
-    for c in s:
-        if not (63 <= ord(c) <= 126):
-            raise FormatError(f"invalid graph6 character {c!r}")
+    invalid = _INVALID.search(s)
+    if invalid:
+        raise FormatError(f"invalid graph6 character {invalid.group()!r}")
     n, start = _decode_n(s)
     nbits = n * (n - 1) // 2
     data = s[start:]
     need = (nbits + 5) // 6
     if len(data) != need:
         raise FormatError(f"graph6 body length {len(data)}, expected {need}")
-    bits: list[int] = []
-    for c in data:
-        val = ord(c) - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bits.append((val >> shift) & 1)
-    if any(bits[nbits:]):
+    groups = np.frombuffer(data.encode("ascii").translate(_MINUS_63), dtype=np.uint8)
+    bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise FormatError("nonzero padding bits in graph6 body")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+    # bit k of the upper triangle is (i, j) for the column j whose first bit,
+    # j (j - 1) / 2, is the last one at or before k
+    firsts = np.arange(n) * (np.arange(n) - 1) // 2
+    k = np.flatnonzero(bits[:nbits])
+    j = np.searchsorted(firsts, k, side="right") - 1
+    return build_graph(n, zip((k - firsts[j]).tolist(), j.tolist()))
 
 
 def graph_to_json(g: Graph) -> dict[str, Any]:

@@ -11,11 +11,17 @@ only the remainders.  ``kappa`` has one route, no fast path: the shared
 solved.  At an edge, the cost of that assignment also says whether the
 difference neighbourhoods have a perfect adjacency matching: ``kappa``
 labels the edge "matching" exactly then.  ``kappas`` runs that route for a
-whole list of pairs, stacking the problems of one size into one kernel
-call, and ``kappa`` is ``kappas`` on one pair.  They and the equal-atom
-branch of ``wasserstein`` (``_assignment``, a stack of one) solve through
-``_solve``, which checks every answer against its own dual before it is
-used; with a plan, ``kappa`` is read off that W1 solve by the same rule.
+whole list of pairs with array operations: one index of ascending closed
+1-balls for the vertices the pairs name, one gather of B1(x) and B1(y) for
+every pair, the differences read off the distance mask dist[y, B1(x)] > 1
+(and dist[x, B1(y)] > 1), the problems of one size stacked into one kernel
+call, and one shared (frozen) value per distinct (cost, distance, size).
+``kappa`` is ``kappas`` on one pair; through ``_pairs_degree`` all four
+curvature entry points refuse a vertex outside [0, n).  They and the
+equal-atom branch of ``wasserstein`` (``_assignment``, a stack of one)
+solve through ``_solve``, which checks every answer against its own dual
+before it is used; with a plan, ``kappa`` is read off that W1 solve by the
+same rule.
 Both solvers read their costs from ``_costs``, the one place that turns
 graph distances into transport costs; no function here takes a distance
 oracle.  The min-cost flow of unequal atoms (``_transportation``) numbers
@@ -48,6 +54,7 @@ from .errors import (
     SamePair,
     SolverFailed,
     UnbalancedTransport,
+    VertexOutOfRange,
     WrongDistance,
 )
 from .graphs import (
@@ -252,8 +259,11 @@ def _transportation(
     plain Dijkstra run from the sources that still hold supply.  Ties go to
     the lower node: heap entries (distance, node) pop sources before sinks,
     a parent changes only on a strictly shorter distance, and the path ends
-    at the nearest reached sink with demand left.  The potentials certify
-    the answer before it is returned (see ``_certify_flow``).
+    at the nearest reached sink with demand left.  Each potential then
+    rises by min(distance, d*), d* that sink's distance; a node no path
+    reaches, a source without supply, rises by d*, so its arcs out keep
+    their reduced costs >= 0.  The potentials certify the answer before it
+    is returned (see ``_certify_flow``).
     """
     ns = len(supply)
     if sum(supply) != sum(demand):
@@ -299,8 +309,7 @@ def _transportation(
         mass[path[-1]] -= step
         mass[sink] -= step
         for u in nodes:
-            if dist[u] is not None:
-                phi[u] += min(dist[u], dstar)
+            phi[u] += dstar if dist[u] is None else min(dist[u], dstar)
     total = sum(cost[i][j] * f for (i, j), f in flow.items())
     _certify_flow(cost, list(supply), list(demand), flow, phi[:ns], phi[ns:], total)
     return total, flow
@@ -336,13 +345,23 @@ def _certify_flow(
         raise SolverFailed("a transportation flow failed its dual certificate")
 
 
-def _pairs_degree(g: Graph, pairs: Iterable[tuple[int, int]]) -> int:
-    """The degree D of g, once every pair is two distinct vertices and g is
-    connected and regular."""
-    if any(x == y for x, y in pairs):
+def _pairs_degree(g: Graph, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, int]:
+    """The (P, 2) array of the pairs and the degree D of g, once every pair
+    is two distinct vertices, g is connected and regular, and every vertex
+    is one of g's, checked in that order; an id too large for an index is
+    refused first."""
+    try:
+        ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    except OverflowError as exc:
+        raise VertexOutOfRange(f"vertex outside [0,{g.n}): {exc}") from None
+    if (ends[:, 0] == ends[:, 1]).any():
         raise SamePair("curvature needs two distinct vertices")
     require_connected(g)
-    return require_regular(g)
+    deg = require_regular(g)
+    outside = ends.view(np.uintp) >= g.n  # a negative id views as a huge unsigned one
+    if outside.any():
+        raise VertexOutOfRange(f"vertex {ends[outside][0]} outside [0,{g.n})")
+    return ends, deg
 
 
 def kappa_p(g: Graph, x: int, y: int, p: Fraction | int) -> CurvatureValue:
@@ -376,31 +395,44 @@ def kappa(g: Graph, x: int, y: int) -> CurvatureValue:
 def kappas(g: Graph, pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, int], CurvatureValue]:
     """``kappa`` of every pair, keyed by the pair, in the order given.
 
-    Pairs whose left sets have one size (on a regular graph |left| =
-    |right|) share one gather of their cost matrices and one Hungarian
-    kernel call, in blocks of at most ``_SOLVE_BLOCK`` cost entries.
+    The closed 1-balls of the vertices that the pairs name form one
+    (k, D+1) index, each row ascending.  Gathered for every x and every y at
+    once, the mask dist[y, B1(x)] > 1 picks left = B1(x) - B1(y) and
+    dist[x, B1(y)] > 1 picks right, both still ascending.  Pairs whose left
+    sets have one size (on a regular graph |left| = |right|) share one
+    gather of their cost matrices and one Hungarian kernel call, in blocks
+    of at most ``_SOLVE_BLOCK`` cost entries.  Pairs with equal cost C,
+    distance d(x, y) and size share one (frozen) ``CurvatureValue``.
     """
     pairs = list(pairs)
-    deg = _pairs_degree(g, pairs)
-    groups: dict[int, list[tuple[tuple[int, int], list[int], list[int]]]] = {}
-    for x, y in pairs:
-        bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
-        left = sorted(bx - by)
-        groups.setdefault(len(left), []).append(((x, y), left, sorted(by - bx)))
-    values: dict[tuple[int, int], CurvatureValue] = {}
-    for size, group in groups.items():
+    ends, deg = _pairs_degree(g, pairs)
+    dist = distances(g).dist
+    named = np.flatnonzero(np.bincount(ends.ravel(), minlength=g.n))
+    # int32 ids, as in the distance matrix, halve the gathered balls below
+    index = np.array([sorted((v, *g.adjacency[v])) for v in named.tolist()], dtype=np.int32)
+    row = np.zeros(g.n, dtype=np.intp)
+    row[named] = np.arange(len(named))
+    # B1(x) and B1(y) of every pair; B1(x) - B1(y) is where dist[y, B1(x)] > 1
+    balls = index.reshape(len(named), deg + 1)[row[ends]]
+    moved = dist[ends[:, ::-1, None], balls] > 1
+    sizes = moved[:, 0].sum(axis=1)
+    totals = np.empty(len(pairs), dtype=np.int64)
+    for size in sorted(set(sizes.tolist())):
+        group = sizes == size
+        (rows,) = np.nonzero(group)
+        sides = balls[moved & group[:, None, None]].reshape(len(rows), 2, size)
         block = max(1, _SOLVE_BLOCK // max(1, size * size))
-        for lo in range(0, len(group), block):
-            chunk = group[lo : lo + block]
-            totals, _ = _solve(_costs(g, [l for _, l, _ in chunk], [r for _, _, r in chunk]))
-            for ((x, y), _, _), c in zip(chunk, totals.tolist()):
-                values[(x, y)] = _kappa_from_cost(g, x, y, deg, c, size)
-    return {pair: values[pair] for pair in pairs}
+        for lo in range(0, len(rows), block):
+            chunk = sides[lo : lo + block]
+            totals[rows[lo : lo + block]] = _solve(_costs(g, chunk[:, 0], chunk[:, 1]))[0]
+    keys = list(zip(dist[ends[:, 0], ends[:, 1]].tolist(), totals.tolist(), sizes.tolist()))
+    values = {key: _kappa_from_cost(deg, *key) for key in set(keys)}
+    return dict(zip(pairs, map(values.__getitem__, keys)))
 
 
-def _kappa_from_cost(g: Graph, x: int, y: int, deg: int, c: int, moved: int) -> CurvatureValue:
-    """``kappa`` from the cost C of an assignment of ``moved`` unit atoms."""
-    dxy = distances(g).d(x, y)
+def _kappa_from_cost(deg: int, dxy: int, c: int, moved: int) -> CurvatureValue:
+    """``kappa`` at distance ``dxy`` from the cost C of an assignment of
+    ``moved`` unit atoms."""
     method = "matching" if dxy == 1 and c == moved else "assignment"
     # (D+1)/D - C/(D d), as one fraction
     return CurvatureValue(Fraction((deg + 1) * dxy - c, deg * dxy), method)
@@ -409,11 +441,11 @@ def _kappa_from_cost(g: Graph, x: int, y: int, deg: int, c: int, moved: int) -> 
 def _kappa_plan(g: Graph, x: int, y: int) -> tuple[CurvatureValue, TransportPlan]:
     """``kappa`` and the optimal plan of its one W1 solve: at idleness 1/(D+1)
     the shared atoms stay and ``kappa``'s assignment, of cost (D+1) W1, moves the rest."""
-    deg = _pairs_degree(g, [(x, y)])
+    _, deg = _pairs_degree(g, [(x, y)])
     p = Fraction(1, deg + 1)
     w1, plan = wasserstein(g, idle_measure(g, x, p), idle_measure(g, y, p))
     moved = sum(u != v for u, v, _ in plan.entries)
-    return _kappa_from_cost(g, x, y, deg, int(w1 * (deg + 1)), moved), plan
+    return _kappa_from_cost(deg, distances(g).d(x, y), int(w1 * (deg + 1)), moved), plan
 
 
 def matching_sides(

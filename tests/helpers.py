@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: Wasserstein by
 exhaustive bijection enumeration or by min-cost flow on the full,
 uncancelled supports, the lockstep Hungarian kernel by the one-problem
-loop it replaced, the min-cost flow by the per-side solver it replaced,
+loop it replaced, the edge-curvature table by the two-sets-per-pair loop
+it replaced, graph6 decoding by the per-bit loop it replaced, the
+min-cost flow by the per-side solver it replaced,
 perfect matchings by enumerating every all-edge bijection and by the
 per-vertex peel it replaced,
 intervals and antipodality by definition scan, Bakry-Emery forms by dense
@@ -50,6 +52,7 @@ import numpy as np
 
 from curvlab import _kernels, bakry_emery, graphs, sharpness, transport
 from curvlab.errors import (
+    FormatError,
     FormCheckFailed,
     IsolatedVertex,
     PreconditionError,
@@ -58,6 +61,7 @@ from curvlab.errors import (
 )
 from curvlab.families import FamilySpec, from_spec
 from curvlab.fixtures import FIXTURE_NAMES, load_fixture
+from curvlab.graph6 import _HEADER, _decode_n
 from curvlab.graphs import (
     DistanceOracle,
     Graph,
@@ -1122,3 +1126,65 @@ def unique_perfect_matching_by_vertices(
         del adj[u]
         del radj[v]
     return matching
+
+
+def kappas_by_sets(g: Graph, pairs) -> dict[tuple[int, int], transport.CurvatureValue]:
+    """``kappas`` with two Python sets and two ``sorted`` per pair: the
+    oracle that the gathered 1-ball differences must equal in value, label
+    and key order.  Pairs are grouped by left-set size in order of first
+    appearance and solved through the same certified ``transport._solve``
+    in blocks of ``transport._SOLVE_BLOCK`` cost entries (looked up on the
+    module, so a test can patch it)."""
+    pairs = list(pairs)
+    _, deg = transport._pairs_degree(g, pairs)
+    d = distances(g)
+    groups: dict[int, list[tuple[tuple[int, int], list[int], list[int]]]] = {}
+    for x, y in pairs:
+        bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
+        left = sorted(bx - by)
+        groups.setdefault(len(left), []).append(((x, y), left, sorted(by - bx)))
+    values: dict[tuple[int, int], transport.CurvatureValue] = {}
+    for size, group in groups.items():
+        block = max(1, transport._SOLVE_BLOCK // max(1, size * size))
+        for lo in range(0, len(group), block):
+            chunk = group[lo : lo + block]
+            cost = transport._costs(g, [l for _, l, _ in chunk], [r for _, _, r in chunk])
+            totals, _ = transport._solve(cost)
+            for ((x, y), _, _), c in zip(chunk, totals.tolist()):
+                values[(x, y)] = transport._kappa_from_cost(deg, d.d(x, y), c, size)
+    return {pair: values[pair] for pair in pairs}
+
+
+def decode_graph6_by_bits(s: str) -> Graph:
+    """graph6 decoding with one Python step per character and per bit: the
+    oracle that ``decode_graph6`` must equal, in the graph and in every
+    ``FormatError`` message."""
+    s = s.strip()
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER) :].strip()
+    if not s:
+        raise FormatError("empty graph6 string")
+    for c in s:
+        if not (63 <= ord(c) <= 126):
+            raise FormatError(f"invalid graph6 character {c!r}")
+    n, start = _decode_n(s)
+    nbits = n * (n - 1) // 2
+    data = s[start:]
+    need = (nbits + 5) // 6
+    if len(data) != need:
+        raise FormatError(f"graph6 body length {len(data)}, expected {need}")
+    bits: list[int] = []
+    for c in data:
+        val = ord(c) - 63
+        for shift in (5, 4, 3, 2, 1, 0):
+            bits.append((val >> shift) & 1)
+    if any(bits[nbits:]):
+        raise FormatError("nonzero padding bits in graph6 body")
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return build_graph(n, edges)

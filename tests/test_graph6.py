@@ -1,6 +1,7 @@
 """graph6 codec and JSON edge-list format."""
 
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,8 +17,9 @@ from curvlab.graph6 import (
 )
 from curvlab.graphs import build_graph
 from curvlab.families import complete, hypercube
+from curvlab.fixtures import FIXTURE_NAMES, load_fixture
 
-from helpers import record_calls
+from helpers import SAMPLE_GRAPHS, decode_graph6_by_bits, random_regular_graph, record_calls, sample_graph
 
 
 def test_known_encodings():
@@ -179,3 +181,55 @@ def test_decoder_never_crashes(text):
     except FormatError:
         return
     assert decode_graph6(encode_graph6(g)).adjacency == g.adjacency
+
+
+def _decoded(decode, text):
+    """The graph ``decode`` reads from ``text``, or its FormatError message."""
+    try:
+        return decode(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def test_decode_equals_the_bit_loop():
+    # every fixture and sample graph, the graphs with no and with one
+    # vertex, and random graphs on both sides of the 62/63 size-field switch
+    rng = random.Random(31)
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES]
+    graphs += [sample_graph(name) for name in SAMPLE_GRAPHS]
+    graphs += [build_graph(0, []), build_graph(1, []), complete(2), build_graph(2, [])]
+    for n in (*range(2, 12), 61, 62, 63, 64, 100):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for density in (0.1, 0.5, 0.9):
+            graphs.append(build_graph(n, [p for p in pairs if rng.random() < density]))
+    graphs.append(random_regular_graph(200, 5, rng))
+    for g in graphs:
+        text = encode_graph6(g)
+        assert decode_graph6(text) == decode_graph6_by_bits(text) == g.relabel(None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "   ", ">>graph6<<", ">>graph6<<  ", "C\x1c~", "C~ ~", "Cé~", "C~\u00ff", "\x7fA_",
+        "C~~", "C", "A", "A_?", "A" + chr(64), "B" + chr(63 + 1), "D?" + chr(63 + 1),
+        # the first padding bit set: bit 1 of n = 2, bit 3 of n = 3
+        "A" + chr(63 + 16), "B" + chr(63 + 4),
+        "~", "~?", "~??", "~~??", "~~???@??", "~??~" + "?" * 10,
+        ">>graph6<<A_", "  A_\n", "@", "?",
+    ],
+)
+def test_refusals_equal_the_bit_loop(text):
+    assert _decoded(decode_graph6, text) == _decoded(decode_graph6_by_bits, text)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=30),
+        # mostly graph6 characters, so that many strings get past the checks
+        st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=127), max_size=30),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_any_text_decodes_as_the_bit_loop(text):
+    assert _decoded(decode_graph6, text) == _decoded(decode_graph6_by_bits, text)

@@ -3,6 +3,7 @@ certificates, triangle-and-matching maps, transport geodesics."""
 
 import inspect
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,7 @@ from curvlab.errors import (
     SolverFailed,
     UnbalancedTransport,
     VerificationError,
+    VertexOutOfRange,
 )
 from curvlab.families import (
     cocktail_party,
@@ -65,6 +67,7 @@ from helpers import (
     certify_duality,
     edge_has_perfect_matching,
     hungarian_scalar,
+    kappas_by_sets,
     random_regular_graph,
     record_calls,
     sample_graph,
@@ -494,6 +497,118 @@ class TestBatchedKappas:
             transport._solve(cost)
 
 
+class TestGatheredKappas:
+    """``kappas`` reads every 1-ball difference off one gathered ball index
+    and distance mask; it must equal the two-sets-per-pair loop it
+    replaced, ``kappas_by_sets``, in value, label and key order."""
+
+    @staticmethod
+    def _pairs(g):
+        # every pair on small graphs, every edge on larger ones
+        return list(combinations(range(g.n), 2)) if g.n <= 40 else g.edges()
+
+    @staticmethod
+    def _relabelled(g, seed):
+        perm = random.Random(seed).sample(range(g.n), g.n)
+        return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    @pytest.mark.parametrize("name", SAMPLE_GRAPHS)
+    def test_equals_the_set_loop(self, name):
+        g = sample_graph(name)
+        for h in (g, self._relabelled(g, 31)):
+            pairs = self._pairs(h)
+            got = kappas(h, pairs)
+            assert list(got.items()) == list(kappas_by_sets(h, pairs).items())
+
+    @pytest.mark.parametrize("name", ["chang1", "hypercube:2 x cocktailparty:3", "kneser:7:2"])
+    def test_reversed_and_repeated_pairs(self, name):
+        g = sample_graph(name)
+        rng = random.Random(32)
+        pairs = self._pairs(g)
+        mixed = pairs + [(y, x) for x, y in pairs] + rng.choices(pairs, k=len(pairs))
+        rng.shuffle(mixed)
+        got = kappas(g, mixed)
+        assert list(got.items()) == list(kappas_by_sets(g, mixed).items())
+        assert all(got[(x, y)] == got[(y, x)] for x, y in pairs)
+
+    @pytest.mark.parametrize("name", ["chang1", "hypercube:2 x cocktailparty:3", "complete:5"])
+    def test_blocks_of_one_problem(self, monkeypatch, name):
+        g = sample_graph(name)
+        pairs = self._pairs(g)
+        want = list(kappas_by_sets(g, pairs).items())
+        monkeypatch.setattr(transport, "_SOLVE_BLOCK", 1)
+        assert list(kappas(g, pairs).items()) == want == list(kappas_by_sets(g, pairs).items())
+
+    @pytest.mark.parametrize("name", ["johnson:6:3", "hypercube:2 x cocktailparty:3", "chang1"])
+    def test_sides_are_the_sorted_differences(self, monkeypatch, name):
+        # the (left, right) rows handed to the cost reader are the ascending
+        # B1(x) - B1(y) and B1(y) - B1(x) of every pair
+        g = sample_graph(name)
+        pairs = self._pairs(g)
+        calls = record_calls(monkeypatch, "transport", "_costs")
+        kappas(g, pairs)
+        got = sorted(
+            (tuple(left), tuple(right))
+            for _, us, vs in calls
+            for left, right in zip(np.asarray(us).tolist(), np.asarray(vs).tolist())
+        )
+        want = []
+        for x, y in pairs:
+            bx, by = {x, *g.adjacency[x]}, {y, *g.adjacency[y]}
+            want.append((tuple(sorted(bx - by)), tuple(sorted(by - bx))))
+        assert got == sorted(want)
+
+    def test_equal_values_are_one_object(self):
+        # J(6,3)'s 90 edges have one value, and its 55 other pairs from
+        # vertex 0 one per distance
+        g = johnson(6, 3)
+        pairs = g.edges() + [(0, y) for y in range(1, g.n) if not g.has_edge(0, y)]
+        got = kappas(g, pairs)
+        d = distances(g)
+        assert len({id(v) for v in got.values()}) == len({d.d(x, y) for x, y in pairs}) == 3
+
+    def test_no_pairs(self, q3):
+        g, _ = q3
+        assert kappas(g, []) == {}
+
+
+class TestPairRange:
+    """Every curvature entry point refuses a vertex outside [0, n) before
+    any gather; numpy would read a negative id from the end."""
+
+    ENTRY_POINTS = {
+        "kappas": lambda g, x, y: kappas(g, [(0, 1), (x, y)]),
+        "kappa": kappa,
+        "kappa_p": lambda g, x, y: kappa_p(g, x, y, Fraction(1, 2)),
+        "kappa_plan": _kappa_plan,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "x, y, refusal",
+        [(-1, 6, "vertex -1 outside [0,8)"), (0, 8, "vertex 8 outside [0,8)"), (9, -3, "vertex 9 outside [0,8)")],
+    )
+    def test_refused(self, q3, entry, x, y, refusal):
+        g, _ = q3
+        with pytest.raises(VertexOutOfRange, match=f"^{re.escape(refusal)}$"):
+            self.ENTRY_POINTS[entry](g, x, y)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_huge_id_refused(self, q3, entry):
+        g, _ = q3
+        with pytest.raises(VertexOutOfRange, match=r"^vertex outside \[0,8\): "):
+            self.ENTRY_POINTS[entry](g, 0, 2**70)
+
+    def test_range_is_checked_after_the_pair_and_the_graph(self):
+        two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(SamePair):
+            kappas(two_triangles, [(0, 7), (7, 7)])
+        with pytest.raises(Disconnected):
+            kappas(two_triangles, [(0, 7)])
+        with pytest.raises(NotRegular):
+            kappas(build_graph(3, [(0, 1), (1, 2)]), [(0, 3)])
+
+
 class TestFlowCertificate:
     """``_transportation`` proves each flow optimal with its own node
     potentials before returning it."""
@@ -589,12 +704,16 @@ class TestFlowByNodes:
 
         return solve_both
 
-    def test_equals_the_per_side_solver(self, solve_both):
-        # one problem in twenty has up to 30 sources and sinks, the rest up
-        # to 8, so the 5000 run in seconds; costs up to 1 or 2 make many
-        # equal distances, which the tie rules decide
+    @staticmethod
+    def _seeded_problems():
+        """5000 seeded (cost, supply, demand) problems with positive masses.
+
+        One problem in twenty has up to 30 sources and sinks, the rest up to
+        8, so the 5000 run in seconds; costs up to 1 or 2 make many equal
+        distances, which the tie rules decide.
+        """
         rng = random.Random(30)
-        for case in range(5000):
+        for _ in range(5000):
             top = 30 if rng.random() < 0.05 else 8
             ns, nt = rng.randint(1, top), rng.randint(1, top)
             high = rng.choice((1, 2, 20))
@@ -604,8 +723,52 @@ class TestFlowByNodes:
                 supply = [rng.randint(1, 400) for _ in range(ns)]
             cuts = sorted(rng.sample(range(1, sum(supply)), nt - 1))
             demand = [b - a for a, b in zip([0, *cuts], [*cuts, sum(supply)])]
-            new, old = solve_both(cost, supply, demand)
+            yield cost, supply, demand
+
+    def test_equals_the_per_side_solver(self, solve_both):
+        for case, problem in enumerate(self._seeded_problems()):
+            new, old = solve_both(*problem)
             assert new == old, case
+
+    def test_zero_masses_change_nothing(self):
+        # zero-supply sources and zero-demand sinks, inserted anywhere with
+        # any costs, carry no flow and move no other one: the total and the
+        # flow items, renumbered back, stay those of the problem without them
+        rng = random.Random(31)
+        for case, (cost, supply, demand) in enumerate(self._seeded_problems()):
+            want = transport._transportation(cost, supply, demand)
+            rows, cols = list(range(len(supply))), list(range(len(demand)))
+            # every other problem gains zero sources only; the real nodes keep their order
+            for side in (rows, cols) if case % 2 == 0 else (rows,):
+                for _ in range(rng.randint(1, 3)):
+                    side.insert(rng.randint(0, len(side)), None)
+            padded_cost = [
+                [cost[i][j] if None not in (i, j) else rng.randint(0, 20) for j in cols]
+                for i in rows
+            ]
+            padded_supply = [0 if i is None else supply[i] for i in rows]
+            padded_demand = [0 if j is None else demand[j] for j in cols]
+            total, flow = transport._transportation(padded_cost, padded_supply, padded_demand)
+            assert (total, [((rows[i], cols[j]), f) for (i, j), f in flow.items()]) == (
+                want[0],
+                list(want[1].items()),
+            ), case
+
+    @pytest.mark.parametrize(
+        "problem, answer",
+        [
+            (([[3], [0]], [1, 0], [1]), (3, {(0, 0): 1})),
+            (([[0], [3]], [0, 1], [1]), (3, {(1, 0): 1})),
+            (([[3, 0]], [1], [1, 0]), (3, {(0, 0): 1})),
+            (([[2, 5], [0, 0]], [0, 0], [0, 0]), (0, {})),
+        ],
+        ids=["zero-supply-after", "zero-supply-before", "zero-demand", "no-mass"],
+    )
+    def test_zero_masses_are_certified(self, problem, answer):
+        # a zero-supply source is never reached; its potential rises with
+        # every augmentation, so its reduced costs stay >= 0 and the
+        # certificate holds
+        assert transport._transportation(*problem) == answer
 
     def test_stale_heap_entry(self, solve_both):
         # the sink is pushed at distance 4 from source 0, then at 1 from
